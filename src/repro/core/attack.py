@@ -16,12 +16,10 @@ one warm machine per experiment and resets it in place between trials
 via the warm-machine reset protocol
 (:meth:`repro.memory.hierarchy.MemorySystem.reset` +
 :meth:`repro.pipeline.core.Core.reset`), which is byte-identical to
-reconstruction and several times faster.  The predictor chain is the
-exception — it is rebuilt per trial exactly as the cold path does,
-because defenses like
-:class:`~repro.defenses.random_window.RandomWindowDefense` thread one
-RNG through every wrapper they create and resetting instead of
-re-wrapping would advance that stream differently.
+reconstruction and several times faster.  The predictor chain is
+rebuilt per trial exactly as the cold path does, and its per-trial
+random streams (the R-type defense's window draws) are bound to the
+trial seed at that point, so a trial is a pure function of its seed.
 
 On top of the reset protocol sits the opt-in **snapshot protocol**
 (:attr:`AttackConfig.snapshot_trials`): the train/modify prologue runs
@@ -33,11 +31,11 @@ with the trial seed.  Because the prologue is deterministic w.r.t. the
 jitter seed (:attr:`~repro.core.variants.AttackVariant.prologue_deterministic`),
 a cold replay of prologue + measured window under the same seeds is
 byte-identical to the forked trial — which ``audit_snapshots`` asserts
-per fork.  Variants or defenses that violate the determinism
-preconditions (e.g. the R-type defense's shared random stream,
-:attr:`~repro.defenses.base.Defense.prologue_memo_safe`) transparently
-fall back to full replay under the same seed schedule, so the
-experiment's statistics are identical either way.
+per fork.  The predictor chain's random streams are re-seeded at the
+same point as the jitter streams.  Variants that violate the
+determinism precondition transparently fall back to full replay under
+the same seed schedule, so the experiment's statistics are identical
+either way.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from repro.snapshot import MachineSnapshot, restore_machine, snapshot_machine
 from repro.stats.distributions import TimingDistribution
 from repro.stats.summary import DistributionComparison
 from repro.stats.bandwidth import transmission_rate_kbps
-from repro.vp.base import ValuePredictor
+from repro.vp.base import ValuePredictor, trial_stream
 from repro.vp.lvp import LastValuePredictor
 from repro.vp.nopred import NoPredictor
 from repro.vp.oracle import OracleTargetPredictor
@@ -273,6 +271,17 @@ class ExperimentResult:
         )
 
 
+def bind_trial_streams(predictor: ValuePredictor, trial_seed: int) -> None:
+    """Bind a predictor chain's random streams to one trial's seed."""
+    predictor.bind_streams(lambda salt: trial_stream(salt, trial_seed))
+
+
+def _reseed_trial(env: TrialEnv, trial_seed: int) -> None:
+    """Re-seed every per-trial stream of a machine past its prologue."""
+    env.memory.reseed_jitter(trial_seed)
+    bind_trial_streams(env.core.predictor, trial_seed)
+
+
 class AttackRunner:
     """Runs a variant's mapped/unmapped trials and aggregates statistics."""
 
@@ -304,14 +313,11 @@ class AttackRunner:
         )
 
     # ------------------------------------------------------------------
-    def _fresh_predictor(self) -> ValuePredictor:
+    def _fresh_predictor(self, trial_seed: int) -> ValuePredictor:
         """Build the trial's predictor chain, exactly as a cold trial.
 
-        Called once per trial on both the cold and the warm path: the
-        chain must be *rebuilt*, not reset, because stateful defenses
-        (e.g. random-window) deliberately share an RNG across the
-        wrappers they create and the stream position is part of the
-        experiment's determinism contract.
+        Called once per trial on both the cold and the warm path; the
+        chain's random streams are bound to ``trial_seed``.
         """
         config = self.config
         if callable(config.predictor):
@@ -324,6 +330,7 @@ class AttackRunner:
             predictor = OracleTargetPredictor(
                 predictor, self.variant.trigger_pcs(config.layout)
             )
+        bind_trial_streams(predictor, trial_seed)
         return predictor
 
     def _core_config(self) -> CoreConfig:
@@ -358,7 +365,7 @@ class AttackRunner:
         if keep_warm and self._warm is not None:
             memory, core = self._warm
             memory.reset(trial_seed)
-            core.reset(predictor=self._fresh_predictor())
+            core.reset(predictor=self._fresh_predictor(trial_seed))
             COUNTERS.warm_resets += 1
             return memory, core
         memory_config = config.memory_config or MemoryConfig(
@@ -370,7 +377,9 @@ class AttackRunner:
             config.layout.probe_base,
             config.layout.probe_lines * config.layout.probe_stride,
         )
-        core = Core(memory, self._fresh_predictor(), self._core_config())
+        core = Core(
+            memory, self._fresh_predictor(trial_seed), self._core_config()
+        )
         if keep_warm:
             self._warm = (memory, core)
         return memory, core
@@ -424,12 +433,7 @@ class AttackRunner:
         """Whether forking trials from a memoized prologue is sound."""
         if self._fork_disabled:
             return False
-        if not self.variant.prologue_deterministic:
-            return False
-        defense = self.config.defense
-        if defense is not None and not defense.prologue_memo_safe:
-            return False
-        return True
+        return self.variant.prologue_deterministic
 
     def _prologue_env(self, mapped: bool) -> TrialEnv:
         """Reset the machine under the prologue seed and run the prologue."""
@@ -441,11 +445,11 @@ class AttackRunner:
         """One trial under the snapshot protocol.
 
         Fork path: restore the memoized post-prologue capture, re-seed
-        the jitter streams with the trial seed, run only the measured
-        window.  Cold path (capture trial, unsupported predictor, or
-        memo-unsafe defense/variant): full prologue replay under the
-        fixed prologue seed, then the same jitter re-seed + measured
-        window — byte-identical to the fork by construction.
+        the jitter and predictor streams with the trial seed, run only
+        the measured window.  Cold path (capture trial, unsupported
+        predictor, or non-deterministic variant prologue): full prologue
+        replay under the fixed prologue seed, then the same re-seed +
+        measured window — byte-identical to the fork by construction.
         """
         config = self.config
         snapshot = self._prologue_cache.get(mapped)
@@ -458,7 +462,7 @@ class AttackRunner:
             COUNTERS.snapshot_cycles_avoided += snapshot.cycle
             COUNTERS.snapshot_bytes_copied += snapshot.approx_bytes
             env = self._env_around(memory, core)
-            env.memory.reseed_jitter(trial_seed)
+            _reseed_trial(env, trial_seed)
             measurement = self.variant.run_measured(env, mapped)
             result = self._finish_trial(env, measurement)
             if config.audit_snapshots:
@@ -478,7 +482,7 @@ class AttackRunner:
             else:
                 self._prologue_cache[mapped] = captured
                 COUNTERS.snapshot_bytes_copied += captured.approx_bytes
-        env.memory.reseed_jitter(trial_seed)
+        _reseed_trial(env, trial_seed)
         measurement = self.variant.run_measured(env, mapped)
         return self._finish_trial(env, measurement)
 
@@ -506,7 +510,7 @@ class AttackRunner:
         """Replay a forked trial cold and assert byte-identity."""
         COUNTERS.snapshot_audit_replays += 1
         env = self._prologue_env(mapped)
-        env.memory.reseed_jitter(trial_seed)
+        _reseed_trial(env, trial_seed)
         measurement = self.variant.run_measured(env, mapped)
         cold = self._finish_trial(env, measurement)
         if (
@@ -561,15 +565,12 @@ class IncrementalExperiment:
     """Streams one experiment's trials without re-simulating prefixes.
 
     Trials are appended strictly in the canonical schedule order —
-    mapped(i), unmapped(i) for ascending ``i`` — which is load-bearing
-    twice over: the per-trial seeds are indexed by ``i``, and stateful
-    defense RNG streams advance once per predictor build, so any other
-    interleaving would sample a different (valid but non-reproducible)
-    path.  Advancing to ``n`` therefore leaves the experiment in
-    exactly the state a cold fixed-``n`` run ends in, byte for byte;
-    the group-sequential harness exploits this to stop early, and the
-    adaptive-escalation path to *extend* a sample instead of
-    re-simulating it from scratch.
+    mapped(i), unmapped(i) for ascending ``i``, with per-trial seeds
+    indexed by ``i``.  Each trial is a pure function of its seed, so
+    advancing to ``n`` leaves the experiment in exactly the state a
+    cold fixed-``n`` run ends in, byte for byte; the group-sequential
+    harness exploits this to stop early, and the adaptive-escalation
+    path to *extend* a sample instead of re-simulating it from scratch.
 
     ``advance`` may exceed the runner's configured ``n_runs`` — the
     cap is a property of the sequential design, not of the trial seed

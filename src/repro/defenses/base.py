@@ -30,15 +30,6 @@ class Defense(abc.ABC):
     #: Short name used in reports (e.g. ``"R(3)"``).
     name: str = "defense"
 
-    #: Whether forking trials from a shared post-prologue snapshot is
-    #: sound under this defense (the snapshot/fork protocol's
-    #: determinism precondition).  Defenses whose wrappers consume a
-    #: random stream shared *across* trials — the R-type defense — must
-    #: set this False: restoring a snapshot would rewind the stream and
-    #: replay the same offsets every trial, silently weakening the
-    #: defense.  The attack runner falls back to full replay for them.
-    prologue_memo_safe: bool = True
-
     def wrap_predictor(self, predictor: ValuePredictor) -> ValuePredictor:
         """Return the (possibly wrapped) predictor.  Default: unchanged."""
         return predictor

@@ -36,11 +36,6 @@ class DefenseStack(Defense):
             config = defense.adjust_config(config)
         return config
 
-    @property
-    def prologue_memo_safe(self) -> bool:  # type: ignore[override]
-        """A stack forks safely only if every component does."""
-        return all(defense.prologue_memo_safe for defense in self.defenses)
-
     def __iter__(self):
         return iter(self.defenses)
 

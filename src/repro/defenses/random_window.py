@@ -13,6 +13,14 @@ actual value (``v == actual``), the prediction is correct with
 probability exactly ``1/S``; the paper's Section VI-B sweeps S to find
 the minimum window that pushes each attack's p-value above 0.05
 (S = 3 for Train+Test, S = 9 for Test+Hit).
+
+Each trial draws its offsets from its own stream,
+:func:`~repro.vp.base.trial_stream` of ``(defense seed, trial seed)``,
+bound whenever the trial's predictor chain is built
+(:meth:`~repro.vp.base.ValuePredictor.bind_streams`).  The offsets
+still differ from run to run — every trial has a distinct seed — but a
+trial is a pure function of its seed like every other trial, so the
+defense imposes no order on how trials are scheduled.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from typing import Optional
 from repro.errors import PredictorError
 from repro.vp.base import AccessKey, Prediction, ValuePredictor
 from repro.defenses.base import Defense
+
+#: Default stream salt of the defense (and of a standalone wrapper).
+DEFAULT_SEED = 0x5EED
 
 _VALUE_MASK = (1 << 64) - 1
 
@@ -35,13 +46,16 @@ class RandomWindowWrapper(ValuePredictor):
         inner: ValuePredictor,
         window_size: int = 3,
         rng: Optional[random.Random] = None,
+        seed: int = DEFAULT_SEED,
     ) -> None:
         super().__init__()
         if window_size < 1:
             raise PredictorError(f"window size must be >= 1, got {window_size}")
         self.inner = inner
         self.window_size = window_size
-        self._rng = rng or random.Random(0x5EED)
+        #: Salt of the per-trial stream :meth:`bind_streams` attaches.
+        self.seed = seed
+        self._rng = rng or random.Random(seed)
         self.name = f"R[{window_size}]({inner.name})"
 
     def predict(self, key: AccessKey) -> Optional[Prediction]:
@@ -80,16 +94,13 @@ class RandomWindowWrapper(ValuePredictor):
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self.inner.reset()
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`.
+    def bind_streams(self, stream) -> None:
+        """See :meth:`repro.vp.base.ValuePredictor.bind_streams`."""
+        self._rng = stream(self.seed)
+        self.inner.bind_streams(stream)
 
-        The captured RNG state belongs to the stream *shared* with the
-        owning :class:`RandomWindowDefense` across trials; restoring it
-        rewinds that stream, which is exactly what the defense's
-        security argument forbids.  The attack runner therefore never
-        forks this wrapper (``prologue_memo_safe`` is False) — the
-        methods exist so a standalone wrapper is still snapshottable.
-        """
+    def _snapshot_state(self) -> object:
+        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
         return (self.inner.snapshot(), self._rng.getstate())
 
     def _restore_state(self, state: object) -> None:
@@ -102,29 +113,23 @@ class RandomWindowWrapper(ValuePredictor):
 class RandomWindowDefense(Defense):
     """R-type defense factory usable in defense stacks.
 
-    All wrappers created by one defense instance share a single
-    random stream: randomisation must differ from run to run (a fresh
-    identically-seeded stream per machine would replay the same offset
-    at the same point of every trial, turning the defense into a
-    deterministic — and attackable — value transformation).
+    Pure configuration: the window size and the salt of the per-trial
+    streams.  Randomisation differs from run to run because every
+    trial's stream is seeded from that trial's own seed (a single fixed
+    stream would replay the same offset at the same point of every
+    trial, turning the defense into a deterministic — and attackable —
+    value transformation).
     """
 
-    #: The shared random stream advances across trials by design; a
-    #: forked trial would rewind it (see :class:`Defense`).
-    prologue_memo_safe = False
-
-    def __init__(self, window_size: int = 3, seed: int = 0x5EED) -> None:
+    def __init__(self, window_size: int = 3, seed: int = DEFAULT_SEED) -> None:
         if window_size < 1:
             raise PredictorError(f"window size must be >= 1, got {window_size}")
         self.window_size = window_size
         self.seed = seed
-        self._rng = random.Random(seed)
         self.name = f"R[{window_size}]"
 
     def wrap_predictor(self, predictor: ValuePredictor) -> ValuePredictor:
         """See :meth:`repro.defenses.base.Defense.wrap_predictor`."""
         return RandomWindowWrapper(
-            predictor,
-            window_size=self.window_size,
-            rng=self._rng,
+            predictor, window_size=self.window_size, seed=self.seed
         )

@@ -182,6 +182,7 @@ def measure_backend(
         "lanes_squashed": delta.get("batched_lanes_squashed", 0),
         "vector_trials": vector_trials,
         "fallback_trials": fallback_trials,
+        "partitions": delta.get("batched_partitions", 0),
         "vectorized_fraction": vector_trials / covered if covered else 0.0,
         "ns_per_cycle_per_lane": (
             backend_s * 1e9 / lane_cycles if lane_cycles else 0.0
@@ -674,7 +675,8 @@ def render_perf_report(report: Dict[str, Any]) -> str:
                 f"  {backend['vector_trials']} vectorized / "
                 f"{backend['fallback_trials']} fallback trials "
                 f"({backend['vectorized_fraction'] * 100:.1f}% vectorized), "
-                f"mean lane width {backend['mean_lane_width']:.1f}"
+                f"mean lane width {backend['mean_lane_width']:.1f}, "
+                f"{backend['partitions']} lane partitions"
             )
             lines.append(
                 f"  {backend['lanes_retired']} lanes retired, "

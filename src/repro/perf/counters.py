@@ -93,6 +93,10 @@ class PerfCounters:
         batched_lanes_retired / batched_lanes_squashed: Uop-lanes
             retired and squash-lanes taken across all vectorized
             chunks (a column retiring in L lanes counts L).
+        batched_partitions: Lockstep passes regrouped because their
+            lanes disagreed on a per-trial draw (an R-window offset or
+            a post-split prediction); each group re-ran as its own
+            pass.
         pool_passes_recorded / pool_passes_replayed: Lane-pool
             hypothesis passes that ran under a tape recorder vs were
             served entirely off a cached tape (no machine at all).
@@ -157,6 +161,7 @@ class PerfCounters:
     batched_lane_cycles: int = 0
     batched_lanes_retired: int = 0
     batched_lanes_squashed: int = 0
+    batched_partitions: int = 0
     pool_passes_recorded: int = 0
     pool_passes_replayed: int = 0
     pool_replay_divergences: int = 0

@@ -15,7 +15,12 @@ protocols' seed schedules are replicated exactly (per-lane trial seeds
 for the default warm/cold protocol; a uniform prologue seed followed by
 per-lane ``reseed_jitter`` for the snapshot protocol), and anything the
 lockstep engine cannot prove schedule-exact and lane-uniform raises
-:class:`~repro.sim.lockstep.LaneDivergence`.  Divergence — or *any*
+:class:`~repro.sim.lockstep.LaneDivergence`.  Lanes that only disagree
+on a per-trial draw (the R defense's window offsets, or post-split
+predictions) raise :class:`~repro.sim.lockstep.LanePartition` instead:
+the hypothesis's lanes re-run as one batch per group of agreeing lanes
+and the rows merge back in lane order, which is exact because a batch
+may hold any subset of a cell's trials.  Divergence — or *any*
 failure of the vectorized attempt — falls the whole chunk back to the
 scalar backend's canonical interleaved loop, so a genuine error
 reproduces with authentic scalar semantics and a benign divergence
@@ -27,9 +32,8 @@ is an observable fact, never a silent perf cliff.
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.channels import ChannelType
 from repro.errors import BackendUnavailableError
@@ -132,24 +136,6 @@ class BatchedBackend:
             )
         return None
 
-    @staticmethod
-    def _bare_chain(defense: Any) -> bool:
-        """Whether the defense leaves the predictor chain unwrapped.
-
-        Probed, not hard-coded: config-only defenses (D, InvisiSpec)
-        return their argument from ``wrap_predictor`` unchanged, and
-        that identity is exactly the property a lane split needs.
-        """
-        if defense is None:
-            return True
-        from repro.vp.nopred import NoPredictor
-
-        probe = NoPredictor()
-        try:
-            return defense.wrap_predictor(probe) is probe
-        except Exception:  # pragma: no cover - defensive
-            return False
-
     def _journal(self, runner: "AttackRunner", reason: str) -> None:
         config = runner.config
         predictor = (
@@ -173,10 +159,10 @@ class BatchedBackend:
         """One chunk, vectorized; any failure replays it on scalar."""
         indices = range(start, stop)
         try:
-            mapped_rows, mapped_machine, _ = self._run_batch(
+            mapped_rows, mapped_totals = self._run_grouped(
                 runner, True, indices
             )
-            unmapped_rows, unmapped_machine, _ = self._run_batch(
+            unmapped_rows, unmapped_totals = self._run_grouped(
                 runner, False, indices
             )
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -196,15 +182,46 @@ class BatchedBackend:
         COUNTERS.trials += 2 * lanes
         COUNTERS.batched_chunks += 1
         COUNTERS.batched_vector_trials += 2 * lanes
-        for machine in (mapped_machine, unmapped_machine):
-            COUNTERS.simulated_cycles += machine.simulated_cycles
-            COUNTERS.batched_lane_cycles += machine.simulated_cycles
-            COUNTERS.batched_lanes_retired += machine.total_retired
-            COUNTERS.batched_lanes_squashed += machine.total_squashes
-        return [
-            (mapped_rows[lane], unmapped_rows[lane])
-            for lane in range(lanes)
-        ]
+        for cycles, retired, squashed in (mapped_totals, unmapped_totals):
+            COUNTERS.simulated_cycles += cycles
+            COUNTERS.batched_lane_cycles += cycles
+            COUNTERS.batched_lanes_retired += retired
+            COUNTERS.batched_lanes_squashed += squashed
+        return list(zip(mapped_rows, unmapped_rows))
+
+    def _run_grouped(
+        self, runner: "AttackRunner", mapped: bool, indices: Sequence[int]
+    ) -> Tuple[List["TrialResult"], Tuple[int, int, int]]:
+        """One hypothesis's trials, regrouped on every lane partition.
+
+        Returns the rows in ``indices`` order and the passes' summed
+        ``(simulated cycles, retired, squashed)`` totals — counters,
+        not machines, so no sub-batch machine outlives its pass.  Each
+        group re-runs from the start, replays the draws its lanes agree
+        on, and recurses on later splits; a one-lane batch never
+        partitions, so the recursion ends.
+        """
+        try:
+            rows, machine, _ = self._run_batch(runner, mapped, indices)
+        except self._lockstep.LanePartition as request:
+            COUNTERS.batched_partitions += 1
+            groups: Dict[Any, List[int]] = {}
+            for index, key in zip(indices, request.keys):
+                groups.setdefault(key, []).append(index)
+            by_index: Dict[int, "TrialResult"] = {}
+            totals = [0, 0, 0]
+            for group in groups.values():
+                group_rows, group_totals = self._run_grouped(
+                    runner, mapped, group
+                )
+                by_index.update(zip(group, group_rows))
+                totals = [a + b for a, b in zip(totals, group_totals)]
+            cycles, retired, squashed = totals
+            return [by_index[i] for i in indices], (cycles, retired, squashed)
+        return rows, (
+            machine.simulated_cycles, machine.total_retired,
+            machine.total_squashes,
+        )
 
     def _run_batch(
         self,
@@ -246,7 +263,7 @@ class BatchedBackend:
         machine_seed = (
             runner._prologue_seed(mapped) if snapshot_mode else seeds[0]
         )
-        predictor = runner._fresh_predictor()
+        predictor = runner._fresh_predictor(machine_seed)
         machine = lockstep.LockstepMachine(
             core_config=runner._core_config(),
             memory_config=replace(base_memory, seed=machine_seed),
@@ -256,31 +273,14 @@ class BatchedBackend:
             mem=mem,
             tape=tape,
         )
-        # A lane split (per-lane predictor deepcopies, for non-uniform
-        # trainings like the persistent channel's probe-array reads) is
-        # sound only for bare predictor chains: deepcopying a stateful
-        # defense wrapper would fork state the defense deliberately
-        # shares across trials (e.g. the R window RNG).  D/InvisiSpec
-        # adjust the core config without wrapping, so they stay bare.
-        machine.allow_lane_split = self._bare_chain(config.defense)
-        # Any RNG living on the predictor chain (the R defense's shared
-        # window stream) draws per-*trial* randomness the lockstep
-        # batch cannot replay: guard it so the first draw restores the
-        # stream and falls the chunk back to scalar.
-        chain: Any = predictor
-        while chain is not None:
-            rng = getattr(chain, "_rng", None)
-            if isinstance(rng, random.Random):
-                machine.guard_rng(rng)
-            chain = getattr(chain, "inner", None)
         env = runner._env_around(machine.mem, lockstep.LaneCore(machine))
         try:
             if snapshot_mode:
                 # The snapshot protocol: one prologue under the fixed
-                # per-hypothesis seed with a single shared jitter
-                # stream (every scalar fork shares that one prologue's
-                # draws), then per-lane trial streams for the measured
-                # window — exactly ``reseed_jitter(trial_seed)``.
+                # per-hypothesis seed with a single shared stream set
+                # (every scalar fork shares that one prologue's draws),
+                # then per-lane trial streams for the measured window —
+                # exactly the scalar fork's per-trial re-seed.
                 machine.use_uniform_streams(machine_seed)
                 runner.variant.run_prologue(env, mapped)
                 machine.use_lane_streams(seeds)
@@ -288,9 +288,10 @@ class BatchedBackend:
             else:
                 # The default protocol: each lane models a fresh
                 # machine under its own trial seed — per-lane jitter
-                # streams from the start and per-lane backing-store
-                # defaults; structural state is lane-uniform because
-                # every lane executes the identical access sequence.
+                # and predictor streams from the start and per-lane
+                # backing-store defaults; structural state is
+                # lane-uniform because every lane executes the
+                # identical access sequence.
                 machine.set_lane_default_seeds(seeds)
                 runner.variant.run(env, mapped)
         except lockstep._LaneMeasurement as measured:

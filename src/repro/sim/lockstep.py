@@ -52,9 +52,9 @@ out-of-envelope machinery in lane-uniform form:
   sequence number; they apply in ``(completion, seq)`` order.  While
   the order and values are lane-uniform the one shared predictor
   suffices; the first non-uniform application *splits* the predictor
-  into per-lane deepcopies (allowed only for bare chains — no stateful
-  defense wrappers) and replays each lane's schedule independently.
-  Per-lane predictions must re-agree or the batch diverges.
+  into per-lane deepcopies and replays each lane's schedule
+  independently.  Per-lane predictions that disagree partition the
+  batch (below).
 * **Deferred fills are an event queue.**  Under the D defense a
   speculative load's fill waits for its speculation source's verify
   cycle; under InvisiSpec every load's fill waits for its retire
@@ -62,15 +62,20 @@ out-of-envelope machinery in lane-uniform form:
   applies them to the shared hierarchy before every later structural
   access whose issue is past the event in every lane (a straddle, or
   a cross-lane reorder of two events, diverges).
-* **The R defense's RNG is guarded, never simulated.**  Its window
-  draws are per-*trial* randomness with a cross-trial shared stream —
-  one batch cannot replay 128 interleaved streams.  The backend
-  snapshots the defense RNG state; the first draw restores it and
-  diverges, so the scalar replay sees a pristine stream.
+* **Per-trial predictor streams draw per lane; disagreement
+  partitions.**  Every trial is a pure function of its seed, the R
+  defense's window draws included: lane ``k`` draws from the stream
+  :func:`~repro.vp.base.trial_stream` derives from its own trial seed
+  (after a lane split, replica ``k`` owns that stream).  When one draw
+  — or one post-split prediction — differs between lanes, the engine
+  raises :class:`LanePartition` with one key per lane; the backend
+  re-runs each group of agreeing lanes as its own batch and merges the
+  rows back in lane order.  Exact by construction, since a batch may
+  hold any subset of a cell's trials.
 
 Everything the engine cannot prove lane-uniform or schedule-exact —
-stores, non-uniform addresses, cross-lane prediction disagreement,
-SMT co-runners, cycle-budget proximity — raises
+stores, non-uniform addresses, nested speculation, SMT co-runners,
+cycle-budget proximity — raises
 :class:`LaneDivergence` the same way.  Correctness never depends on
 the eligibility analysis being complete, only on these runtime guards
 being conservative.
@@ -90,7 +95,7 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,7 +107,7 @@ from repro.memory.memsys import _splitmix64
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import EA_MASK, _alu_compute
 from repro.sim.tape import TV, TapeInvalid, TapeRecorder
-from repro.vp.base import AccessKey, Prediction, ValuePredictor
+from repro.vp.base import AccessKey, Prediction, ValuePredictor, trial_stream
 from repro.vp.nopred import NoPredictor
 
 _VALUE_MASK = (1 << 64) - 1
@@ -125,6 +130,46 @@ class LaneDivergence(Exception):
     flow of the batched backend (the chunk transparently re-runs on the
     scalar backend), never an error surfaced to callers.
     """
+
+
+class LanePartition(Exception):
+    """The lanes agree up to a draw that splits them into groups.
+
+    Raised when one per-trial random draw, or one post-split
+    prediction, differs between lanes.  ``keys[k]`` is lane ``k``'s
+    outcome; lanes with equal keys run on together in a sub-batch.  Like
+    :class:`LaneDivergence`, internal control flow of the batched
+    backend.
+    """
+
+    def __init__(self, keys: Sequence[Hashable]) -> None:
+        super().__init__("lanes disagree on a per-trial draw")
+        self.keys = list(keys)
+
+
+class _LaneStream:
+    """One randomising wrapper's per-lane streams behind one ``randint``.
+
+    Each lane draws from its own trial's stream; a draw all lanes agree
+    on is returned, a split one raises :class:`LanePartition`.  A tape
+    cannot replay per-trial draws under new seeds, so recording aborts
+    on the first draw.
+    """
+
+    __slots__ = ("rngs", "recording")
+
+    def __init__(self, rngs: List[random.Random], recording: bool) -> None:
+        self.rngs = rngs
+        self.recording = recording
+
+    def randint(self, low: int, high: int) -> int:
+        if self.recording:
+            raise TapeInvalid("per-trial predictor draws are not tapeable")
+        draws = [rng.randint(low, high) for rng in self.rngs]
+        head = draws[0]
+        if any(draw != head for draw in draws):
+            raise LanePartition(draws)
+        return head
 
 
 class _LaneMeasurement(Exception):
@@ -396,8 +441,7 @@ class LockstepMachine:
         predictor: The shared value predictor chain.  Its state stays
             lane-uniform as long as every applied training is uniform;
             the first non-uniform training splits it into per-lane
-            replicas when :attr:`allow_lane_split` permits, and
-            diverges otherwise.
+            replicas.  Its random streams are rebound per lane.
         lane_seeds: Per-lane trial seeds (jitter streams start here).
         shared_region: ``(base, size)`` registered on the private
             memory system, mirroring ``AttackRunner._machine``.
@@ -446,18 +490,14 @@ class LockstepMachine:
         #: Per-lane predictor replicas after a lane split; None while
         #: the single shared chain is still exact.
         self._split: Optional[List[ValuePredictor]] = None
-        #: Whether a lane split is sound for this chain (bare
-        #: predictor chains only — set by the backend).
-        self.allow_lane_split = False
+        #: The shared chain's per-lane streams, one per randomising
+        #: wrapper; a lane split hands lane ``k``'s to replica ``k``.
+        self._lane_streams: List[_LaneStream] = []
         #: Per-lane max applied-training completion, for the consult
         #: ordering guard.
         self._applied_max: Optional[np.ndarray] = None
         #: Deferred cache/TLB fills (D defense, InvisiSpec).
         self._fill_events: List[_FillEvent] = []
-        #: (rng, pristine state) pairs for defense RNGs that must not
-        #: draw inside a vectorized batch (the R defense's window
-        #: stream is per-trial randomness a batch cannot replay).
-        self._rng_guards: List[Tuple[random.Random, object]] = []
         #: Per-lane default backing values; None means "use the shared
         #: MemorySystem's own seed" (lane-uniform, snapshot protocol).
         self._lane_default_seeds: Optional[np.ndarray] = None
@@ -467,21 +507,37 @@ class LockstepMachine:
 
     # -- jitter stream control -----------------------------------------
     def use_lane_streams(self, lane_seeds: Sequence[int]) -> None:
-        """Per-lane jitter streams, exactly ``MemorySystem.reseed_jitter``.
+        """Per-lane trial streams, exactly the scalar per-trial re-seed.
 
         Lane ``k`` draws L2 jitter from ``Random(seed_k ^ 0xC0FFEE)``
         and DRAM latency from ``Random(seed_k ^ 0x33)`` — the streams a
         scalar machine reset (or jitter-reseeded) under ``seed_k``
-        would use.
+        would use — and its predictor draws from the chain's
+        :func:`~repro.vp.base.trial_stream` under ``seed_k``.
         """
         if len(lane_seeds) != self.lanes:
             raise SimulationError("lane seed count changed mid-batch")
         self._uniform_streams = False
         self._rng_mem = [random.Random(s ^ 0xC0FFEE) for s in lane_seeds]
         self._rng_dram = [random.Random(s ^ 0x33) for s in lane_seeds]
+        if self._split is not None:
+            # A uniform prologue never splits; replicas would keep the
+            # prologue's stream, so refuse rather than rebind them.
+            raise LaneDivergence("predictor split before the lane streams")
+        self._lane_streams = []
+
+        def lane_stream(salt: int) -> _LaneStream:
+            stream = _LaneStream(
+                [trial_stream(salt, seed) for seed in lane_seeds],
+                recording=self.tape is not None,
+            )
+            self._lane_streams.append(stream)
+            return stream
+
+        self.predictor.bind_streams(lane_stream)
 
     def use_uniform_streams(self, seed: int) -> None:
-        """One shared jitter stream (the snapshot protocol's prologue).
+        """One shared stream set (the snapshot protocol's prologue).
 
         Every lane observes the *same* draw sequence — one draw per
         access, broadcast — mirroring the one scalar prologue run whose
@@ -490,6 +546,8 @@ class LockstepMachine:
         self._uniform_streams = True
         self._rng_mem = [random.Random(seed ^ 0xC0FFEE)]
         self._rng_dram = [random.Random(seed ^ 0x33)]
+        self._lane_streams = []
+        self.predictor.bind_streams(lambda salt: trial_stream(salt, seed))
 
     def set_lane_default_seeds(self, lane_seeds: Sequence[int]) -> None:
         """Per-lane backing-store default seeds (warm/cold protocol).
@@ -501,26 +559,6 @@ class LockstepMachine:
         self._lane_default_seeds = np.array(
             [s & _VALUE_MASK for s in lane_seeds], dtype=np.uint64
         )
-
-    # -- defense RNG guards ---------------------------------------------
-    def guard_rng(self, rng: random.Random) -> None:
-        """Diverge — with the stream restored — if ``rng`` ever draws.
-
-        Used for the R defense's shared window stream: its draws are
-        per-trial randomness whose cross-trial order a lockstep batch
-        cannot replay.  Restoring the pristine state before raising
-        means the scalar replay consumes the stream exactly as a pure
-        scalar run would have.
-        """
-        self._rng_guards.append((rng, rng.getstate()))
-
-    def _check_rng_guards(self) -> None:
-        for rng, state in self._rng_guards:
-            if rng.getstate() != state:
-                rng.setstate(state)
-                raise LaneDivergence(
-                    "defense RNG drew a per-trial value inside a batch"
-                )
 
     # -- value plumbing -------------------------------------------------
     def _value_at(self, paddr: int) -> object:
@@ -708,19 +746,22 @@ class LockstepMachine:
         self._train_seq += 1
 
     def _begin_split(self) -> None:
-        """Fork the shared predictor into per-lane replicas."""
-        if not self.allow_lane_split:
-            raise LaneDivergence(
-                "non-uniform training needs per-lane predictor state, "
-                "which stateful defense wrappers forbid"
-            )
+        """Fork the shared predictor into per-lane replicas.
+
+        Replica ``k`` takes over lane ``k``'s own random streams (the
+        deepcopy memo substitutes them for the shared lane streams).
+        """
         if self.tape is not None:
             # Per-lane predictor replay is genuinely per-lane work a
             # width-agnostic tape cannot express; the recording attempt
             # aborts and the pass re-runs untaped.
             raise TapeInvalid("predictor lane split is not tapeable")
         self._split = [
-            copy.deepcopy(self.predictor) for _ in range(self.lanes)
+            copy.deepcopy(self.predictor, {
+                id(stream): stream.rngs[lane]
+                for stream in self._lane_streams
+            })
+            for lane in range(self.lanes)
         ]
         for train in self._pending_trains:
             if train.done is None:
@@ -796,7 +837,6 @@ class LockstepMachine:
                     return
                 value = int(head)
             self.predictor.train(first.key, int(value), first.prediction)
-            self._check_rng_guards()
             self._applied_max = (
                 first.complete.copy() if self._applied_max is None
                 else np.maximum(self._applied_max, first.complete)
@@ -864,18 +904,10 @@ class LockstepMachine:
                 replica.predict(key) for replica in self._split
             ]
             head = predictions[0]
-            if all(p is None for p in predictions):
-                return None
-            if any(p is None for p in predictions) or any(
-                p != head for p in predictions
-            ):
-                raise LaneDivergence(
-                    "per-lane predictions disagree after a lane split"
-                )
+            if any(p != head for p in predictions):
+                raise LanePartition(predictions)
             return head
-        prediction = self.predictor.predict(key)
-        self._check_rng_guards()
-        return prediction
+        return self.predictor.predict(key)
 
     def drain_trains(self) -> None:
         """Apply every still-pending training (end of the measured code).

@@ -24,7 +24,8 @@ global resources:
   thing the pool never changes.
 * **Warm-machine pool.**  Passes that must run interpretively (tape
   miss, non-tapeable shapes like the persistent channel's predictor
-  lane split, or a guard divergence) reuse a pooled
+  lane split or the R defense's per-trial window draws, or a guard
+  divergence) reuse a pooled
   :class:`~repro.memory.hierarchy.MemorySystem` via the byte-exact
   ``reset(seed)`` protocol instead of rebuilding caches per chunk.
   A pooled hierarchy is checked out for the duration of a pass and
@@ -80,20 +81,22 @@ def _simple(value: Any) -> bool:
 def _defense_key(defense: Any) -> Tuple[Any, ...]:
     """A stable identity for the defense's behaviour, if one exists.
 
-    Config-only defenses expose nothing but simple attributes, so
-    their class plus sorted attribute values names the behaviour
-    exactly.  Anything holding live state (an RNG, a wrapped
-    predictor) gets an ``id``-based key: the tape is then shared only
-    across dispatches of the *same* defense object — which still
-    covers every look of one cell, the dominant reuse — and the
-    object is pinned by the caller so the id cannot be recycled.
+    Config-only defenses — every built-in single defense, R included,
+    whose per-trial streams derive from the trial seed — expose nothing
+    but simple attributes, so their class plus sorted attribute values
+    names the behaviour exactly.  Anything holding live state (a
+    component list, a wrapped predictor) gets an ``id``-based key: the
+    tape is then shared only across dispatches of the *same* defense
+    object — which still covers every look of one cell, the dominant
+    reuse — and the object is pinned by the caller so the id cannot be
+    recycled.
     """
     if defense is None:
         return ("none",)
     attrs = vars(defense)
-    # Live state often hides behind private names (the R defense's
-    # ``_rng``), so the *classification* looks at every attribute;
-    # only the public, simple ones form the value key.
+    # Live state may hide behind private names, so the
+    # *classification* looks at every attribute; only the public,
+    # simple ones form the value key.
     if all(_simple(value) for value in attrs.values()):
         return ("cfg", type(defense).__name__, tuple(
             (name, value)

@@ -25,11 +25,10 @@ Determinism preconditions (audited by ``--audit-snapshots``):
 * the machine's shared regions were registered **before** the capture
   (the address mapper is stateless and deliberately excluded, exactly
   as in the warm-machine reset protocol);
-* nothing outside the machine (e.g. a defense object shared across
-  trials) feeds state into the captured components.  The R-type
-  defense violates this — its wrappers consume one random stream that
-  must advance across trials — and is excluded via
-  :attr:`repro.defenses.base.Defense.prologue_memo_safe`.
+* nothing outside the machine feeds state into the captured
+  components; per-trial random streams (jitter, and the R-type
+  defense's window draws) are re-seeded from the trial seed after
+  the restore.
 """
 
 from __future__ import annotations

@@ -21,8 +21,24 @@ index from the key via an :class:`~repro.vp.indexing.IndexFunction`.
 from __future__ import annotations
 
 import abc
+import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
+
+_SEED_MASK = (1 << 64) - 1
+
+
+def trial_stream(salt: int, trial_seed: int) -> random.Random:
+    """The random stream a predictor wrapper keyed by ``salt`` draws
+    from in the trial seeded ``trial_seed``.
+
+    A pure function of its two arguments, so every trial — scalar or
+    one lane of a lockstep batch — sees the same draws no matter which
+    other trials ran before it or beside it.
+    """
+    return random.Random(
+        ((salt & _SEED_MASK) << 64) | (trial_seed & _SEED_MASK)
+    )
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,19 @@ class ValuePredictor(abc.ABC):
     @abc.abstractmethod
     def reset(self) -> None:
         """Clear all predictor state (table contents and histories)."""
+
+    def bind_streams(self, stream: Callable[[int], Any]) -> None:
+        """Attach the chain's per-trial random streams.
+
+        ``stream(salt)`` returns the object a randomising wrapper keyed
+        by ``salt`` draws from (anything with ``randint``; normally
+        :func:`trial_stream` under the trial's seed).  Wrappers forward
+        the call to the predictor they wrap; plain predictors draw
+        nothing.
+        """
+        inner = getattr(self, "inner", None)
+        if isinstance(inner, ValuePredictor):
+            inner.bind_streams(stream)
 
     # ------------------------------------------------------------------
     # Snapshot/fork protocol (see :mod:`repro.snapshot`).

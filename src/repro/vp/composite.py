@@ -61,6 +61,11 @@ class HybridPredictor(ValuePredictor):
         for component in self.components:
             component.reset()
 
+    def bind_streams(self, stream) -> None:
+        """See :meth:`repro.vp.base.ValuePredictor.bind_streams`."""
+        for component in self.components:
+            component.bind_streams(stream)
+
     def _snapshot_state(self) -> object:
         """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
         return tuple(component.snapshot() for component in self.components)

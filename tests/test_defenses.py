@@ -1,5 +1,7 @@
 """Unit tests for the A/D/R defenses and defense stacks."""
 
+import math
+
 import pytest
 
 from repro.defenses.always_predict import (
@@ -117,17 +119,44 @@ class TestRandomWindow:
         wrapper.train(key(), 100)  # below threshold
         assert wrapper.predict(key()) is None
 
-    def test_defense_shares_rng_across_wrappers(self):
-        defense = RandomWindowDefense(window_size=8, seed=3)
-        first = defense.wrap_predictor(LastValuePredictor(confidence_threshold=1))
-        second = defense.wrap_predictor(LastValuePredictor(confidence_threshold=1))
-        first.train(key(), 100)
-        second.train(key(), 100)
-        values = {first.predict(key()).value for _ in range(30)}
-        values |= {second.predict(key()).value for _ in range(30)}
-        # A shared stream keeps randomising; with one fresh stream per
-        # wrapper both would replay identical offsets.
-        assert len(values) > 1
+    def test_per_trial_streams(self):
+        """Each trial draws from a stream of (defense seed, trial seed)."""
+        from repro.core.attack import bind_trial_streams
+
+        def predictions(window, trial_seed, draws):
+            chain = RandomWindowDefense(window_size=window, seed=3)
+            wrapper = chain.wrap_predictor(
+                LastValuePredictor(confidence_threshold=2)
+            )
+            bind_trial_streams(wrapper, trial_seed)
+            for _ in range(3):
+                wrapper.train(key(), 100)
+            return [wrapper.predict(key()).value for _ in range(draws)]
+
+        def trial_seed(index, mapped=True):
+            return index * 7919 + (1 if mapped else 0)  # config seed 0
+
+        # The same trial seed replays the same offsets ...
+        assert predictions(8, trial_seed(5), 20) == predictions(
+            8, trial_seed(5), 20
+        )
+        # ... and neighbouring trials (and hypotheses) draw differently.
+        assert predictions(8, trial_seed(5), 20) != predictions(
+            8, trial_seed(6), 20
+        )
+        assert predictions(8, trial_seed(5), 20) != predictions(
+            8, trial_seed(5, mapped=False), 20
+        )
+        # Across trials the first draw is correct with probability 1/S.
+        trials = 2000
+        for window in (3, 8):
+            correct = sum(
+                predictions(window, trial_seed(i), 1) == [100]
+                for i in range(trials)
+            )
+            p = 1 / window
+            sigma = math.sqrt(p * (1 - p) / trials)
+            assert abs(correct / trials - p) <= 3 * sigma, window
 
     def test_validation(self):
         with pytest.raises(PredictorError):

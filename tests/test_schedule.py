@@ -469,13 +469,21 @@ def test_reset_drops_all_pooled_state():
 
 def test_defense_keys():
     """Config-only defenses share by value; stateful ones by identity."""
+    from repro.defenses.random_window import RandomWindowDefense
+
     assert _defense_key(None) == ("none",)
     d1, d2 = _defense("D"), _defense("D")
     assert _defense_key(d1) == _defense_key(d2)
     assert _defense_key(d1)[0] == "cfg"
+    # R is configuration too: its streams derive from the trial seed.
     r1, r2 = _defense("R"), _defense("R")
-    assert _defense_key(r1)[0] == "id"
-    assert _defense_key(r1) != _defense_key(r2)
+    assert _defense_key(r1)[0] == "cfg"
+    assert _defense_key(r1) == _defense_key(r2)
+    assert _defense_key(r1) != _defense_key(RandomWindowDefense(8))
+    assert _defense_key(r1) != _defense_key(RandomWindowDefense(3, seed=1))
+    s1, s2 = _defense("full"), _defense("full")
+    assert _defense_key(s1)[0] == "id"
+    assert _defense_key(s1) != _defense_key(s2)
 
 
 # ---------------------------------------------------------------------------

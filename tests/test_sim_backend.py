@@ -38,13 +38,8 @@ numpy = pytest.importorskip("numpy")
 
 
 def _defense(kind):
-    """A fresh defense instance per runner.
-
-    Fresh instances matter: the R defense's randomisation stream is
-    shared across every predictor one instance builds, so reusing an
-    instance across two runners compares different random paths, not
-    different backends.
-    """
+    """A fresh defense instance per runner (defenses are pure
+    configuration, so sharing one would be equally valid)."""
     if kind == "none":
         return None
     if kind == "D":
@@ -160,10 +155,9 @@ def test_trial_streams_identical(variant, channel, defense):
     """Table II matrix x channels x the full defense column.
 
     Byte-identical streams whether the cell vectorizes (none, D,
-    InvisiSpec everywhere; A on timing cells) or takes the journaled
-    runtime fallback (R's per-trial window draws, A under the
-    persistent channel, the composite stack): identity is the
-    contract either way.
+    InvisiSpec everywhere; R through lane partitions; A on timing
+    cells) or takes the journaled runtime fallback (nested speculation
+    under A on persistent cells): identity is the contract either way.
     """
     if channel not in variant.supported_channels:
         pytest.skip(f"{variant.name} has no {channel.value} receiver")
@@ -305,6 +299,66 @@ def test_range_splits_never_affect_draws():
     assert split == whole
 
 
+@pytest.mark.parametrize("channel", [ChannelType.TIMING_WINDOW,
+                                     ChannelType.PERSISTENT],
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("defense", ["none", "R", "A", "D", "I", "full"])
+@pytest.mark.parametrize("backend", ["scalar", "batched"])
+def test_trial_ranges_run_alone_are_invariant(backend, defense, channel):
+    """Trials ``[k, k+m)`` run alone equal the same trials inside
+    ``[0, k+m)``: every trial is a pure function of its seed, under
+    every defense (``full`` is R+A+D) and on both backends."""
+    variant = variant_by_name("Train + Test")
+    k, m = 5, 4
+    whole = _stream(_runner(variant, backend, defense=defense,
+                            channel=channel, n_runs=k + m))
+    alone = _stream(_runner(variant, backend, defense=defense,
+                            channel=channel, n_runs=k + m), k, k + m)
+    assert alone == whole[k:]
+
+
+_R_MATRIX_RUNS = 8
+
+
+def _r_matrix_payloads(backend):
+    """Payloads of the defense matrix's R cells at a small n_runs."""
+    from benchmarks.bench_schedule import _defense_matrix_cases
+    from repro.cli import parse_defense
+    from repro.harness.checkpoint import serialize_result
+    from repro.harness.experiment import run_cell
+
+    return {
+        f"{variant.name}/{channel.value}/{spec}/{predictor}": (
+            serialize_result(run_cell(
+                variant, channel, predictor, _R_MATRIX_RUNS, 2,
+                defense=parse_defense(spec), backend=backend,
+            ))
+        )
+        for variant, channel, spec, predictor in _defense_matrix_cases()
+        if spec.startswith("R[")
+    }
+
+
+@pytest.fixture(scope="module")
+def r_matrix_reference():
+    return _r_matrix_payloads("scalar")
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 128])
+def test_r_matrix_cells_identical_at_any_lane_width(
+    monkeypatch, r_matrix_reference, lanes
+):
+    """The defense matrix's 54 R cells: batched equals scalar at lane
+    widths 1, 7 and 128, and no R cell falls back."""
+    import repro.sim.batched as batched_module
+
+    assert len(r_matrix_reference) == 54
+    monkeypatch.setattr(batched_module, "CHUNK_LANES", lanes)
+    clear_fallback_journal()
+    assert _r_matrix_payloads("batched") == r_matrix_reference
+    assert fallback_journal() == []
+
+
 # ---------------------------------------------------------------------------
 # Honest degradation: fallbacks are journaled, counters add up
 # ---------------------------------------------------------------------------
@@ -331,22 +385,34 @@ def test_unsupported_config_falls_back_with_journal():
 
 
 def test_runtime_divergence_journals_reason():
-    """The R defense now fails at run time, not statically: its shared
-    window RNG draws a per-trial value the lockstep batch cannot
-    replay, and the journaled reason says so."""
-    from repro.perf.counters import COUNTERS
+    """A shape the engine cannot model fails at run time, not
+    statically, and the journaled reason says why: the A defense's
+    always-on prediction nests speculation inside a persistent-channel
+    squash window.  R cells partition instead and journal nothing."""
+    from repro.perf.counters import COUNTERS, PerfCounters
 
     clear_fallback_journal()
     before = COUNTERS.batched_fallback_trials
-    variant = variant_by_name("Train + Hit")
-    scalar = _stream(_runner(variant, "scalar", defense="R"))
-    batched = _stream(_runner(variant, "batched", defense="R"))
+    variant = variant_by_name("Train + Test")
+    scalar = _stream(_runner(variant, "scalar", defense="A",
+                             channel=ChannelType.PERSISTENT))
+    batched = _stream(_runner(variant, "batched", defense="A",
+                              channel=ChannelType.PERSISTENT))
     assert batched == scalar
     assert COUNTERS.batched_fallback_trials > before
     journal = fallback_journal()
     assert journal, "runtime fallback produced no journal entry"
     _, reason = journal[-1]
-    assert "RNG" in reason
+    assert "nested speculation" in reason
+
+    clear_fallback_journal()
+    before = COUNTERS.snapshot()
+    for channel in (ChannelType.TIMING_WINDOW, ChannelType.PERSISTENT):
+        _stream(_runner(variant, "batched", defense="R", channel=channel))
+    assert fallback_journal() == []
+    delta = PerfCounters.delta(before, COUNTERS.snapshot())
+    assert delta.get("batched_fallback_trials", 0) == 0
+    assert delta.get("batched_partitions", 0) > 0
 
 
 def test_injected_divergence_falls_back_then_genuine_errors_reraise(
