@@ -44,7 +44,7 @@ _N_RUNS = 64
 _SEED = 0
 
 
-def _sweep_pass(backend=None, lane_schedule=None):
+def _sweep_pass(backend=None):
     """Run the Table III sweep group-sequentially; (stats, payloads)."""
     from repro._version import __version__
     from repro.harness.checkpoint import CheckpointStore
@@ -56,7 +56,6 @@ def _sweep_pass(backend=None, lane_schedule=None):
         ExecutionPolicy.compat(),
         sequential=SequentialPolicy(),
         backend=backend,
-        lane_schedule=lane_schedule or "cell",
     )
     meta = {"version": __version__, "n_runs": _N_RUNS, "seed": _SEED}
     with tempfile.TemporaryDirectory() as scratch:
@@ -82,10 +81,10 @@ def test_pool_sweep_speedup(benchmark):
     _sweep_pass(backend="batched")
 
     batched_stats, batched = _sweep_pass(backend="batched")
-    cold_stats, cold = _sweep_pass(lane_schedule="pool")
+    cold_stats, cold = _sweep_pass(backend="pool")
     before = COUNTERS.snapshot()
     warm_stats, warm = run_once(
-        benchmark, _sweep_pass, lane_schedule="pool"
+        benchmark, _sweep_pass, backend="pool"
     )
     delta = PerfCounters.delta(before, COUNTERS.snapshot())
 

@@ -115,25 +115,6 @@ def test_vtage_train_predict_throughput(benchmark):
 _SNAPSHOT = Path(__file__).parent / "BENCH_parallel.json"
 
 
-def test_warm_batching_speedup():
-    """Warm-machine trial batching beats cold per-trial construction.
-
-    One-shot comparative timing (not a pytest-benchmark round): the
-    measurement itself re-checks that both modes produce identical
-    results, and the numbers land in the BENCH snapshot so the gain is
-    tracked across commits.
-    """
-    from repro.perf.baseline import measure_warm_batching
-    from repro.perf.observe import write_bench_snapshot
-
-    warm = measure_warm_batching(n_runs=60, seed=0)
-    write_bench_snapshot(_SNAPSHOT, "bench_warm_batching", warm)
-    assert warm["identical"]
-    assert warm["speedup"] > 1.0, (
-        f"warm batching slower than cold construction: {warm}"
-    )
-
-
 def test_batched_backend_trials_per_s():
     """Batched lockstep backend: >= 10x trials/s on a Table III cell.
 
@@ -261,7 +242,7 @@ def test_parallel_sweep_speedup():
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
     meta = {"version": __version__, "n_runs": 8, "seed": 0}
     policy = ExecutionPolicy.compat()
-    backend_name = resolve_backend_name(policy.effective_backend())
+    backend_name = resolve_backend_name(policy.backend)
 
     def one_pass(workers):
         with tempfile.TemporaryDirectory() as scratch:

@@ -141,33 +141,6 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
              "lockstep lanes, byte-identical results) or pool (the "
              "cross-cell lane pool); default follows $REPRO_BACKEND",
     )
-    parser.add_argument(
-        "--lane-schedule", default=None, choices=["cell", "pool"],
-        help="lane scheduling across cells: cell (one lockstep pass "
-             "per cell chunk, the default) or pool (continuous "
-             "batching — recorded passes and warm machine state are "
-             "shared across cells, looks and jobs; sugar for "
-             "--backend pool, byte-identical results)",
-    )
-
-
-def _effective_backend(args: argparse.Namespace) -> Optional[str]:
-    """Resolve ``--backend`` and ``--lane-schedule`` to one name.
-
-    ``--lane-schedule pool`` is sugar for ``--backend pool``; pinning
-    any *other* backend alongside it is a contradiction and fails
-    loudly rather than silently ignoring one of the flags.
-    """
-    lane_schedule = getattr(args, "lane_schedule", None)
-    backend = args.backend
-    if lane_schedule == "pool":
-        if backend not in (None, "pool"):
-            raise ReproError(
-                f"--lane-schedule pool needs the pool backend, but "
-                f"--backend {backend} was pinned explicitly"
-            )
-        return "pool"
-    return backend
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -205,10 +178,8 @@ def _cmd_attack(args: argparse.Namespace) -> None:
             policy = dataclasses.replace(policy, sequential=seq_policy)
         if args.strict_preflight:
             policy = dataclasses.replace(policy, strict_preflight=True)
-        if _effective_backend(args) is not None:
-            policy = dataclasses.replace(
-                policy, backend=_effective_backend(args)
-            )
+        if args.backend is not None:
+            policy = dataclasses.replace(policy, backend=args.backend)
         executor = ResilientExecutor(
             policy,
             injector=(
@@ -224,8 +195,6 @@ def _cmd_attack(args: argparse.Namespace) -> None:
             defense=parse_defense(args.defense),
             use_oracle=args.oracle,
             modify_mode=args.modify_mode,
-            snapshot_trials=args.snapshot_trials,
-            audit_snapshots=args.audit_snapshots,
         )
         print(f"execution: {cell.classification.value} "
               f"({len(cell.attempts)} attempt(s)"
@@ -250,9 +219,7 @@ def _cmd_attack(args: argparse.Namespace) -> None:
             defense=parse_defense(args.defense),
             use_oracle=args.oracle,
             modify_mode=args.modify_mode,
-            snapshot_trials=args.snapshot_trials,
-            audit_snapshots=args.audit_snapshots,
-            backend=_effective_backend(args),
+            backend=args.backend,
         )
         result = AttackRunner(variant, config).run_experiment()
     print(result.describe())
@@ -310,11 +277,9 @@ def _cmd_all(args: argparse.Namespace) -> None:
         fault_profile_name=args.fault_profile,
         workers=args.workers,
         cell_timeout_s=args.cell_timeout,
-        snapshot_trials=args.snapshot_trials,
-        audit_snapshots=args.audit_snapshots,
         sequential=_sequential_policy(args),
         strict_preflight=args.strict_preflight,
-        backend=_effective_backend(args),
+        backend=args.backend,
     )
     for name, path in sorted(written.items()):
         print(f"{name}: {path}")
@@ -363,7 +328,7 @@ def _cmd_perf(args: argparse.Namespace) -> None:
         seed=args.seed,
         workers=args.workers,
         artifacts=artifacts,
-        backend=_effective_backend(args),
+        backend=args.backend,
         snapshot_path=(
             None if args.no_snapshot else (args.snapshot or DEFAULT_SNAPSHOT)
         ),
@@ -385,16 +350,16 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.harness.parallel import _resolve_profile
     from repro.serve.daemon import ReproDaemon, ServePolicy
 
-    serve_backend = _effective_backend(args)
+    serve_backend = args.backend
     if serve_backend is not None:
         # Worker processes resolve the backend from the environment
         # (repro.sim.BACKEND_ENV), so exporting it here threads the
         # selection through the pool without touching job specs —
         # results are byte-identical either way by the backend
         # contract, this only picks the execution strategy.  Under
-        # --lane-schedule pool every worker's cells admit trials
-        # through its process-global lane pool, so concurrent jobs
-        # dispatched to one worker share tapes and warm machines.
+        # --backend pool every worker's cells admit trials through its
+        # process-global lane pool, so concurrent jobs dispatched to
+        # one worker share tapes and warm machines.
         from repro.sim import BACKEND_ENV
 
         os.environ[BACKEND_ENV] = serve_backend
@@ -712,13 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="supervise the cell: retries per cell")
     attack.add_argument("--fault-profile", default=None,
                         help="inject faults, e.g. crash, dram-noise, chaos")
-    attack.add_argument("--snapshot-trials", action="store_true",
-                        help="fork trials from a memoized post-prologue "
-                             "machine snapshot instead of re-simulating "
-                             "the train phase per trial")
-    attack.add_argument("--audit-snapshots", action="store_true",
-                        help="with --snapshot-trials: replay every forked "
-                             "trial cold and assert byte-identity")
     attack.add_argument(
         "--strict-preflight", action="store_true",
         help="treat any static/dynamic verdict disagreement as a hard "
@@ -863,16 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-cell wall-clock deadline with --workers > 1: a hung "
              "worker is killed at the deadline and the cell is "
              "redispatched deterministically (default: 600)",
-    )
-    everything.add_argument(
-        "--snapshot-trials", action="store_true",
-        help="run attack cells under the snapshot trial protocol "
-             "(fork trials from a memoized post-prologue capture)",
-    )
-    everything.add_argument(
-        "--audit-snapshots", action="store_true",
-        help="with --snapshot-trials: replay every forked trial cold "
-             "and assert byte-identity",
     )
     everything.add_argument(
         "--strict-preflight", action="store_true",

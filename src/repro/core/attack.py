@@ -11,46 +11,20 @@ Every trial observes a **fresh machine** (memory hierarchy + predictor
 + core) with a trial-specific seed, so run-to-run variation comes from
 the modelled DRAM/interconnect jitter, matching the paper's
 distribution-based methodology.  "Fresh" is semantic, not allocative:
-with :attr:`AttackConfig.batch_trials` (the default) the runner keeps
-one warm machine per experiment and resets it in place between trials
-via the warm-machine reset protocol
+the runner keeps one warm machine per experiment and resets it in place
+between trials via the warm-machine reset protocol
 (:meth:`repro.memory.hierarchy.MemorySystem.reset` +
 :meth:`repro.pipeline.core.Core.reset`), which is byte-identical to
 reconstruction and several times faster.  The predictor chain is
-rebuilt per trial exactly as the cold path does, and its per-trial
-random streams (the R-type defense's window draws) are bound to the
-trial seed at that point, so a trial is a pure function of its seed.
-
-On top of the reset protocol sits the opt-in **snapshot protocol**
-(:attr:`AttackConfig.snapshot_trials`): the train/modify prologue runs
-under a *fixed* per-hypothesis seed, its post-prologue machine state is
-captured once via :mod:`repro.snapshot`, and every trial forks straight
-into the measured window after re-seeding only the DRAM/interconnect
-jitter streams (:meth:`repro.memory.hierarchy.MemorySystem.reseed_jitter`)
-with the trial seed.  Because the prologue is deterministic w.r.t. the
-jitter seed (:attr:`~repro.core.variants.AttackVariant.prologue_deterministic`),
-a cold replay of prologue + measured window under the same seeds is
-byte-identical to the forked trial — which ``audit_snapshots`` asserts
-per fork.  The predictor chain's random streams are re-seeded at the
-same point as the jitter streams.  Variants that violate the
-determinism precondition transparently fall back to full replay under
-the same seed schedule, so the experiment's statistics are identical
-either way.
+rebuilt per trial, and its per-trial random streams (the R-type
+defense's window draws) are bound to the trial seed at that point, so
+a trial is a pure function of its seed.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.channels import ChannelType
 from repro.core.model import AttackCategory
@@ -62,7 +36,6 @@ from repro.perf.counters import COUNTERS
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.sim import get_backend, resolve_backend_name
-from repro.snapshot import MachineSnapshot, restore_machine, snapshot_machine
 from repro.stats.distributions import TimingDistribution
 from repro.stats.summary import DistributionComparison
 from repro.stats.bandwidth import transmission_rate_kbps
@@ -139,28 +112,6 @@ class AttackConfig:
             runaway simulation aborts with
             :class:`~repro.errors.SimulationError` instead of burning
             the sweep's budget.
-        batch_trials: Reuse one warm core/memory pair across the
-            experiment's trials via the reset protocol instead of
-            reconstructing the machine per trial.  Results are
-            byte-identical either way (tested); disable only to
-            cross-check that equivalence or to debug reset-protocol
-            regressions.
-        snapshot_trials: Opt into the snapshot trial protocol: run the
-            train/modify prologue under a fixed per-hypothesis seed,
-            memoize the post-prologue machine state, and fork each
-            trial straight into the measured window with only the
-            jitter streams re-seeded.  Changes the per-trial seed
-            schedule (prologue state is shared by construction), so
-            its results are a different — equally valid — sample of
-            the same timing distributions as the default protocol;
-            within the protocol, forked and replayed trials are
-            byte-identical.
-        audit_snapshots: After every forked trial, replay it cold
-            (full prologue + measured window) and raise
-            :class:`~repro.errors.AttackError` unless measurement and
-            simulated cycle count match exactly.  Costs more than it
-            saves; for CI/equivalence checking.  Requires
-            ``snapshot_trials``.
         backend: Simulation backend executing the trial loop
             (:mod:`repro.sim`): ``"scalar"`` (the historical
             interpreter loop), ``"batched"`` (numpy lockstep lanes,
@@ -182,9 +133,6 @@ class AttackConfig:
     decode_cycles_per_line: int = 120
     seed: int = 0
     max_trial_cycles: Optional[int] = None
-    batch_trials: bool = True
-    snapshot_trials: bool = False
-    audit_snapshots: bool = False
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
     layout: Layout = field(default_factory=Layout)
@@ -199,8 +147,6 @@ class AttackConfig:
             raise AttackError(f"unknown modify_mode {self.modify_mode!r}")
         if self.max_trial_cycles is not None and self.max_trial_cycles < 1:
             raise AttackError("max_trial_cycles must be >= 1")
-        if self.audit_snapshots and not self.snapshot_trials:
-            raise AttackError("audit_snapshots requires snapshot_trials")
 
 
 @dataclass
@@ -276,12 +222,6 @@ def bind_trial_streams(predictor: ValuePredictor, trial_seed: int) -> None:
     predictor.bind_streams(lambda salt: trial_stream(salt, trial_seed))
 
 
-def _reseed_trial(env: TrialEnv, trial_seed: int) -> None:
-    """Re-seed every per-trial stream of a machine past its prologue."""
-    env.memory.reseed_jitter(trial_seed)
-    bind_trial_streams(env.core.predictor, trial_seed)
-
-
 class AttackRunner:
     """Runs a variant's mapped/unmapped trials and aggregates statistics."""
 
@@ -297,15 +237,9 @@ class AttackRunner:
                 f"{variant.name} does not support the "
                 f"{self.config.channel.value} channel (Table II/III)"
             )
-        # The warm machine reused across trials when batch_trials is
-        # set (None until the first trial builds it cold).
+        # The warm machine reused across trials (None until the first
+        # trial builds it).
         self._warm: Optional[Tuple[MemorySystem, Core]] = None
-        # Post-prologue machine captures, keyed by hypothesis.  Only
-        # populated under the snapshot protocol when forking is safe.
-        self._prologue_cache: Dict[bool, MachineSnapshot] = {}
-        # Latched when the installed predictor chain turns out not to
-        # implement the snapshot protocol (custom predictors).
-        self._fork_disabled = False
         # The trial-loop executor (repro.sim): resolved eagerly so an
         # unknown name or unavailable backend fails here, not mid-sweep.
         self.backend: "SimBackend" = get_backend(
@@ -314,10 +248,10 @@ class AttackRunner:
 
     # ------------------------------------------------------------------
     def _fresh_predictor(self, trial_seed: int) -> ValuePredictor:
-        """Build the trial's predictor chain, exactly as a cold trial.
+        """Build the trial's predictor chain.
 
-        Called once per trial on both the cold and the warm path; the
-        chain's random streams are bound to ``trial_seed``.
+        Called once per trial; the chain's random streams are bound to
+        ``trial_seed``.
         """
         config = self.config
         if callable(config.predictor):
@@ -345,29 +279,23 @@ class AttackRunner:
             )
         return core_config
 
-    def _machine(
-        self, trial_seed: int, force_warm: bool = False
-    ) -> Tuple[MemorySystem, Core]:
-        """A (memory, core) pair seeded for one trial.
+    def _build_env(self, trial_seed: int) -> TrialEnv:
+        """A machine seeded for one trial, wrapped in a :class:`TrialEnv`.
 
-        Cold path: construct the hierarchy and core from scratch.
-        Warm path (``batch_trials`` and a machine already exists):
-        reset both in place under the trial seed — observationally
-        identical to the cold path because the reset protocol restores
-        as-constructed state and shared-region registration survives
-        (the address mapper is stateless for translation purposes).
-        ``force_warm`` keeps one machine alive regardless of
-        ``batch_trials``; the snapshot protocol needs a persistent
-        machine to fork.
+        The first trial constructs the hierarchy and core; later trials
+        reset that warm machine in place under their seed, which is
+        observationally identical to reconstruction because the reset
+        protocol restores as-constructed state and shared-region
+        registration survives (the address mapper is stateless for
+        translation purposes).
         """
-        config = self.config
-        keep_warm = config.batch_trials or force_warm
-        if keep_warm and self._warm is not None:
+        if self._warm is not None:
             memory, core = self._warm
             memory.reset(trial_seed)
             core.reset(predictor=self._fresh_predictor(trial_seed))
             COUNTERS.warm_resets += 1
-            return memory, core
+            return self._env_around(memory, core)
+        config = self.config
         memory_config = config.memory_config or MemoryConfig(
             dram=attack_dram_config()
         )
@@ -380,12 +308,7 @@ class AttackRunner:
         core = Core(
             memory, self._fresh_predictor(trial_seed), self._core_config()
         )
-        if keep_warm:
-            self._warm = (memory, core)
-        return memory, core
-
-    def _build_env(self, trial_seed: int, force_warm: bool = False) -> TrialEnv:
-        memory, core = self._machine(trial_seed, force_warm=force_warm)
+        self._warm = (memory, core)
         return self._env_around(memory, core)
 
     def run_trial(self, mapped: bool, trial_index: int) -> TrialResult:
@@ -396,8 +319,6 @@ class AttackRunner:
             + (1 if mapped else 0)
         )
         COUNTERS.trials += 1
-        if self.config.snapshot_trials:
-            return self._run_trial_snapshot(mapped, trial_seed)
         env = self._build_env(trial_seed)
         measurement = self.variant.run(env, mapped)
         return self._finish_trial(env, measurement)
@@ -415,76 +336,6 @@ class AttackRunner:
                 * self.config.layout.probe_lines
             )
         return TrialResult(measurement=measurement, sim_cycles=sim_cycles)
-
-    # ------------------------------------------------------------------
-    # Snapshot trial protocol
-    # ------------------------------------------------------------------
-    def _prologue_seed(self, mapped: bool) -> int:
-        """Fixed per-hypothesis seed the prologue runs under.
-
-        Lives in the same per-``config.seed`` block as the trial seeds
-        (offset 999_331 — prime, larger than any ``trial_index * 7919``
-        for the paper's 100 runs, smaller than the 1_000_003 block
-        stride) so distinct experiments never share prologue machines.
-        """
-        return self.config.seed * 1_000_003 + 999_331 + (1 if mapped else 0)
-
-    def _fork_supported(self) -> bool:
-        """Whether forking trials from a memoized prologue is sound."""
-        if self._fork_disabled:
-            return False
-        return self.variant.prologue_deterministic
-
-    def _prologue_env(self, mapped: bool) -> TrialEnv:
-        """Reset the machine under the prologue seed and run the prologue."""
-        env = self._build_env(self._prologue_seed(mapped), force_warm=True)
-        self.variant.run_prologue(env, mapped)
-        return env
-
-    def _run_trial_snapshot(self, mapped: bool, trial_seed: int) -> TrialResult:
-        """One trial under the snapshot protocol.
-
-        Fork path: restore the memoized post-prologue capture, re-seed
-        the jitter and predictor streams with the trial seed, run only
-        the measured window.  Cold path (capture trial, unsupported
-        predictor, or non-deterministic variant prologue): full prologue
-        replay under the fixed prologue seed, then the same re-seed +
-        measured window — byte-identical to the fork by construction.
-        """
-        config = self.config
-        snapshot = self._prologue_cache.get(mapped)
-        if self._fork_supported() and snapshot is not None:
-            assert self._warm is not None  # capture created it
-            memory, core = self._warm
-            restore_machine(memory, core, snapshot)
-            COUNTERS.snapshot_forks += 1
-            COUNTERS.snapshot_prologue_hits += 1
-            COUNTERS.snapshot_cycles_avoided += snapshot.cycle
-            COUNTERS.snapshot_bytes_copied += snapshot.approx_bytes
-            env = self._env_around(memory, core)
-            _reseed_trial(env, trial_seed)
-            measurement = self.variant.run_measured(env, mapped)
-            result = self._finish_trial(env, measurement)
-            if config.audit_snapshots:
-                self._audit_trial(mapped, trial_seed, result)
-            return result
-        # Cold path: run the prologue for real ...
-        COUNTERS.snapshot_prologue_misses += 1
-        env = self._prologue_env(mapped)
-        # ... and capture it for future trials when forking is sound.
-        if self._fork_supported():
-            try:
-                captured = snapshot_machine(env.memory, env.core)
-            except NotImplementedError:
-                # Custom predictor without snapshot support: fall back
-                # to full replay for the rest of the experiment.
-                self._fork_disabled = True
-            else:
-                self._prologue_cache[mapped] = captured
-                COUNTERS.snapshot_bytes_copied += captured.approx_bytes
-        _reseed_trial(env, trial_seed)
-        measurement = self.variant.run_measured(env, mapped)
-        return self._finish_trial(env, measurement)
 
     def _env_around(self, memory: MemorySystem, core: Core) -> TrialEnv:
         """A :class:`TrialEnv` view over an already-prepared machine."""
@@ -504,26 +355,6 @@ class AttackRunner:
             modify_mode=config.modify_mode,
         )
 
-    def _audit_trial(
-        self, mapped: bool, trial_seed: int, forked: TrialResult
-    ) -> None:
-        """Replay a forked trial cold and assert byte-identity."""
-        COUNTERS.snapshot_audit_replays += 1
-        env = self._prologue_env(mapped)
-        _reseed_trial(env, trial_seed)
-        measurement = self.variant.run_measured(env, mapped)
-        cold = self._finish_trial(env, measurement)
-        if (
-            cold.measurement != forked.measurement
-            or cold.sim_cycles != forked.sim_cycles
-        ):
-            raise AttackError(
-                "snapshot audit divergence for "
-                f"{self.variant.name} mapped={mapped} seed={trial_seed}: "
-                f"forked=({forked.measurement!r}, {forked.sim_cycles}) "
-                f"cold=({cold.measurement!r}, {cold.sim_cycles})"
-            )
-
     def run_incremental(self) -> "IncrementalExperiment":
         """Open a trial-streaming view over this experiment.
 
@@ -533,9 +364,7 @@ class AttackRunner:
         is a pure function of ``(config.seed, trial_index, hypothesis)``
         — see :meth:`run_trial` — trial ``k`` is byte-identical whether
         reached by streaming or by a cold fixed-N
-        :meth:`run_experiment`, and the protocol composes with warm
-        batching and snapshot forks unchanged (both live below
-        :meth:`run_trial`).
+        :meth:`run_experiment`.
         """
         return IncrementalExperiment(self)
 

@@ -73,23 +73,12 @@ class AttackVariant(abc.ABC):
     default_chain_length: int = 80
     #: Phases (victim/attacker hand-offs) per trial, for rate modelling.
     num_phases: int = 3
-    #: Whether the train/modify prologue is deterministic w.r.t. the
-    #: DRAM jitter seed: its *timing* varies with the jitter stream,
-    #: but the architectural/VPS state it leaves behind does not (the
-    #: prologue performs a fixed access sequence with no data-dependent
-    #: control flow).  True for all six Table II categories; a variant
-    #: whose prologue consults timing or randomness must set this
-    #: False, which makes the snapshot engine fall back to full replay.
-    prologue_deterministic: bool = True
 
     def run(self, env: TrialEnv, mapped: bool) -> float:
         """Run one full trial; returns the receiver's measurement.
 
         A trial is the train/modify prologue followed by the measured
-        trigger/encode/decode window.  The two halves are separately
-        callable so the snapshot engine (:mod:`repro.snapshot`) can
-        capture post-prologue machine state once per hypothesis and
-        fork every trial straight into :meth:`run_measured`.
+        trigger/encode/decode window.
         """
         self.run_prologue(env, mapped)
         return self.run_measured(env, mapped)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.channels import ThresholdDecoder
 from repro.crypto.compile import RsaLayout, victim_iteration_program
@@ -28,10 +28,8 @@ from repro.crypto.mpi import Mpi
 from repro.crypto.powm import exponent_bits
 from repro.errors import CryptoError
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
-from repro.perf.counters import COUNTERS
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
-from repro.snapshot import restore_machine, snapshot_machine
 from repro.stats.bandwidth import success_rate, transmission_rate_kbps
 from repro.vp.lvp import LastValuePredictor
 from repro.workloads import gadgets
@@ -46,13 +44,6 @@ class RsaAttackConfig:
     corresponds to a lightly loaded machine; the attacker can always
     repeat noisy runs (majority voting is evaluated separately in
     :mod:`repro.crypto.keyrec`).
-
-    ``snapshot_leaks`` opts :meth:`RsaVpAttack.run_repeated` into the
-    snapshot engine: the calibration prologue (the shared ``powm``
-    setup every leak pass replays) runs once, its post-calibration
-    machine state is captured via :mod:`repro.snapshot`, and each leak
-    pass forks from the capture with only the jitter streams re-seeded
-    — byte-identical to replaying calibration cold for every pass.
     """
 
     confidence: int = 4
@@ -62,7 +53,6 @@ class RsaAttackConfig:
     sync_phase_cycles: int = 25_000
     sync_base_cycles: int = 190_000
     max_trial_cycles: Optional[int] = None
-    snapshot_leaks: bool = False
     layout: RsaLayout = field(default_factory=RsaLayout)
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
@@ -148,9 +138,17 @@ class RsaVpAttack:
             slow.append(self.observe_iteration(core, 1, iteration=-1))
         return ThresholdDecoder.calibrate(fast, slow, slow_means_one=True)
 
-    def _leak_pass(self, core: Core, decoder: ThresholdDecoder,
-                   bits: List[int]) -> RsaAttackResult:
-        """Observe + decode every bit on an already-calibrated machine."""
+    def run(self, exponent: Mpi) -> RsaAttackResult:
+        """Recover every bit of ``exponent`` from one pass.
+
+        Raises:
+            CryptoError: For a zero exponent (no bits to leak).
+        """
+        bits = exponent_bits(exponent)
+        if not bits:
+            raise CryptoError("exponent must be non-zero")
+        core = self._fresh_core(self.config.seed)
+        decoder = self.calibrate(core)
         observations: List[float] = []
         start_cycle = core.cycle
         for index, e_bit in enumerate(bits):
@@ -174,68 +172,3 @@ class RsaVpAttack:
             success_rate=success_rate(decoded, bits),
             transmission_rate_kbps=rate,
         )
-
-    def run(self, exponent: Mpi) -> RsaAttackResult:
-        """Recover every bit of ``exponent`` from one pass.
-
-        Raises:
-            CryptoError: For a zero exponent (no bits to leak).
-        """
-        bits = exponent_bits(exponent)
-        if not bits:
-            raise CryptoError("exponent must be non-zero")
-        core = self._fresh_core(self.config.seed)
-        decoder = self.calibrate(core)
-        return self._leak_pass(core, decoder, bits)
-
-    def _leak_seed(self, index: int) -> int:
-        """Jitter seed of the ``index``-th repeated leak pass."""
-        return self.config.seed * 1_000_003 + 104_729 + index
-
-    def run_repeated(self, exponent: Mpi, n_leaks: int) -> List[RsaAttackResult]:
-        """Repeated leak passes sharing one calibration prologue.
-
-        Feeds :func:`repro.crypto.keyrec.majority_vote`: every pass
-        replays the same calibrated attack with a different jitter
-        seed.  With :attr:`RsaAttackConfig.snapshot_leaks` the
-        calibration runs once and each pass forks from the captured
-        post-calibration machine; otherwise calibration is replayed
-        cold per pass.  Both paths observe identical machine state and
-        jitter streams, so their results are byte-identical.
-
-        Raises:
-            CryptoError: For a zero exponent or ``n_leaks < 1``.
-        """
-        bits = exponent_bits(exponent)
-        if not bits:
-            raise CryptoError("exponent must be non-zero")
-        if n_leaks < 1:
-            raise CryptoError(f"n_leaks must be >= 1, got {n_leaks}")
-        snapshot = None
-        core: Optional[Core] = None
-        decoder: Optional[ThresholdDecoder] = None
-        if self.config.snapshot_leaks:
-            core = self._fresh_core(self.config.seed)
-            decoder = self.calibrate(core)
-            try:
-                snapshot = snapshot_machine(core.memory, core)
-            except NotImplementedError:
-                snapshot = None
-            else:
-                COUNTERS.snapshot_bytes_copied += snapshot.approx_bytes
-        results: List[RsaAttackResult] = []
-        for index in range(n_leaks):
-            if snapshot is not None:
-                assert core is not None and decoder is not None
-                restore_machine(core.memory, core, snapshot)
-                COUNTERS.snapshot_forks += 1
-                COUNTERS.snapshot_prologue_hits += 1
-                COUNTERS.snapshot_cycles_avoided += snapshot.cycle
-                COUNTERS.snapshot_bytes_copied += snapshot.approx_bytes
-            else:
-                COUNTERS.snapshot_prologue_misses += 1
-                core = self._fresh_core(self.config.seed)
-                decoder = self.calibrate(core)
-            core.memory.reseed_jitter(self._leak_seed(index))
-            results.append(self._leak_pass(core, decoder, bits))
-        return results

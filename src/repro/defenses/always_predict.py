@@ -89,16 +89,6 @@ class AlwaysPredictWrapper(ValuePredictor):
         self._shadow.clear()
         self.inner.reset()
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (self.inner.snapshot(), dict(self._shadow))
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        inner_state, shadow = state  # type: ignore[misc]
-        self.inner.restore(inner_state)
-        self._shadow = dict(shadow)
-
 
 class AlwaysPredictDefense(Defense):
     """A-type defense factory usable in defense stacks."""

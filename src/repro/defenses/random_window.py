@@ -99,16 +99,6 @@ class RandomWindowWrapper(ValuePredictor):
         self._rng = stream(self.seed)
         self.inner.bind_streams(stream)
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (self.inner.snapshot(), self._rng.getstate())
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        inner_state, rng_state = state  # type: ignore[misc]
-        self.inner.restore(inner_state)
-        self._rng.setstate(rng_state)
-
 
 class RandomWindowDefense(Defense):
     """R-type defense factory usable in defense stacks.

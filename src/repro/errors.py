@@ -6,8 +6,6 @@ so callers can catch package-level failures with a single handler.
 
 from __future__ import annotations
 
-import warnings
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -112,18 +110,3 @@ class InjectedCrashError(FaultInjectionError):
     Raised by :class:`repro.harness.faults.FaultInjector` to exercise
     the retry and checkpoint-resume paths; never raised by real code.
     """
-
-
-def __getattr__(name: str):
-    # Deprecated alias kept for backward compatibility: the class used
-    # to be named with a trailing underscore to avoid shadowing the
-    # builtin MemoryError.
-    if name == "MemoryError_":
-        warnings.warn(
-            "repro.errors.MemoryError_ is deprecated; "
-            "use repro.errors.MemorySystemError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return MemorySystemError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,7 +53,6 @@ from repro.harness.runner import (
     SupervisedCell,
     _PANEL_SPECS,
     _slug,
-    snapshot_overrides,
 )
 from repro.memory.hierarchy import MemoryConfig
 from repro.perf.counters import COUNTERS, PerfCounters
@@ -120,8 +119,6 @@ class CellSpec:
     n_runs: int = 100
     seed: int = 0
     exponent: Optional[int] = None
-    snapshot_trials: bool = False
-    audit_snapshots: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("experiment", "rsa"):
@@ -142,8 +139,6 @@ def sweep_specs(
     n_runs: int = 100,
     seed: int = 0,
     predictor: str = "lvp",
-    snapshot_trials: bool = False,
-    audit_snapshots: bool = False,
 ) -> List[CellSpec]:
     """The supervised cells behind the chosen ``repro all`` artifacts.
 
@@ -167,8 +162,6 @@ def sweep_specs(
                 predictor=panel_predictor,
                 n_runs=n_runs,
                 seed=seed,
-                snapshot_trials=snapshot_trials,
-                audit_snapshots=audit_snapshots,
             ))
     if "fig7" in artifacts:
         from repro.harness.experiment import FIGURE7_EXPONENT
@@ -197,8 +190,6 @@ def sweep_specs(
                     predictor=cell_predictor,
                     n_runs=n_runs,
                     seed=seed,
-                    snapshot_trials=snapshot_trials,
-                    audit_snapshots=audit_snapshots,
                 ))
     return specs
 
@@ -221,7 +212,6 @@ def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
         spec.predictor,
         spec.n_runs,
         spec.seed,
-        **snapshot_overrides(spec.snapshot_trials, spec.audit_snapshots),
     )
 
 

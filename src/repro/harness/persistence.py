@@ -158,8 +158,6 @@ def run_all(
     checkpoint_dir: Optional[str] = None,
     workers: Optional[int] = None,
     cell_timeout_s: Optional[float] = None,
-    snapshot_trials: bool = False,
-    audit_snapshots: bool = False,
     sequential: Optional[SequentialPolicy] = None,
     strict_preflight: bool = False,
     backend: Optional[str] = None,
@@ -195,14 +193,6 @@ def run_all(
             redispatched deterministically.  Serial runs cannot
             preempt themselves, so the deadline only applies with
             ``workers > 1``.
-        snapshot_trials: Run the attack cells under the snapshot trial
-            protocol (:attr:`repro.core.attack.AttackConfig.snapshot_trials`).
-            Recorded in the checkpoint metadata, so a ``--resume``
-            against a run of the other protocol is rejected instead of
-            silently mixing seed schedules.
-        audit_snapshots: Additionally replay every forked trial cold
-            and assert byte-identity (implies ``snapshot_trials``
-            validation downstream).
         sequential: Optional group-sequential early-stopping policy
             (:class:`repro.harness.runner.SequentialPolicy`) applied to
             every attack cell; ignored when ``policy`` is given (set
@@ -244,15 +234,10 @@ def run_all(
     meta: Dict[str, object] = {
         "version": __version__, "n_runs": n_runs, "seed": seed,
     }
-    if snapshot_trials:
-        # Only recorded when on: legacy-protocol checkpoints keep their
-        # historical metadata shape, and a resume across protocols
-        # fails the metadata compatibility check.
-        meta["snapshot_trials"] = True
     seq_policy = policy.sequential if policy is not None else sequential
     if seq_policy is not None:
-        # Same only-when-on rule as snapshot_trials: fixed-N checkpoint
-        # metadata keeps its historical shape, and a resume across
+        # Only recorded when on: fixed-N checkpoint metadata keeps its
+        # historical shape, and a resume across
         # fixed-N/sequential modes (or differing look schedules) is
         # rejected by the compatibility check.
         meta["sequential"] = seq_policy.to_meta()
@@ -304,8 +289,6 @@ def run_all(
             run_cells(
                 sweep_specs(
                     supervised_chosen, n_runs=n_runs, seed=seed,
-                    snapshot_trials=snapshot_trials,
-                    audit_snapshots=audit_snapshots,
                 ),
                 store,
                 effective_policy,
@@ -336,7 +319,6 @@ def run_all(
     if "fig5" in chosen:
         panels = figure_panels_supervised(
             executor, TrainTestAttack(), "fig5", n_runs=n_runs, seed=seed,
-            snapshot_trials=snapshot_trials, audit_snapshots=audit_snapshots,
         )
         processed.extend(cell for _, cell in panels)
         path = os.path.join(out_dir, "fig5.txt")
@@ -354,7 +336,6 @@ def run_all(
     if "fig8" in chosen:
         panels = figure_panels_supervised(
             executor, TestHitAttack(), "fig8", n_runs=n_runs, seed=seed,
-            snapshot_trials=snapshot_trials, audit_snapshots=audit_snapshots,
         )
         processed.extend(cell for _, cell in panels)
         path = os.path.join(out_dir, "fig8.txt")
@@ -389,7 +370,6 @@ def run_all(
     if "table3" in chosen:
         supervised = table3_supervised(
             executor, n_runs=n_runs, seed=seed,
-            snapshot_trials=snapshot_trials, audit_snapshots=audit_snapshots,
         )
         processed.extend(
             cell for cells in supervised.values()

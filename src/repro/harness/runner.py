@@ -285,14 +285,6 @@ class ExecutionPolicy:
     #: ``None`` follows ``$REPRO_BACKEND`` and defaults to scalar.
     #: Explicit per-cell ``backend`` overrides still win.
     backend: Optional[str] = None
-    #: Lane scheduling across cells: ``"cell"`` keeps the historical
-    #: one-backend-instance-per-cell dispatch; ``"pool"`` routes every
-    #: cell through the process-global lane pool
-    #: (:mod:`repro.sim.schedule`), which shares recorded passes and
-    #: warm machine state across cells, looks and jobs.  Sugar for
-    #: ``backend="pool"`` — kept separate so a sweep can say *how*
-    #: lanes are scheduled without naming an engine.
-    lane_schedule: str = "cell"
     cell_cycle_budget: Optional[float] = None
     fail_fast: bool = False
     preflight: bool = True
@@ -302,26 +294,6 @@ class ExecutionPolicy:
     #: cells included: the journaled preflight record is compared
     #: against the journaled dynamic verdict).
     strict_preflight: bool = False
-
-    def __post_init__(self) -> None:
-        if self.lane_schedule not in ("cell", "pool"):
-            raise HarnessError(
-                f"unknown lane schedule {self.lane_schedule!r}; "
-                "expected 'cell' or 'pool'"
-            )
-        if self.lane_schedule == "pool" and self.backend not in (
-            None, "pool"
-        ):
-            raise HarnessError(
-                f"--lane-schedule pool needs the pool backend, but "
-                f"--backend {self.backend} was pinned explicitly"
-            )
-
-    def effective_backend(self) -> Optional[str]:
-        """The backend name the policy resolves to (None = default)."""
-        if self.lane_schedule == "pool":
-            return "pool"
-        return self.backend
 
     @classmethod
     def compat(cls) -> "ExecutionPolicy":
@@ -817,9 +789,8 @@ class ResilientExecutor:
                 kwargs.setdefault(
                     "max_trial_cycles", self.policy.max_trial_cycles
                 )
-            policy_backend = self.policy.effective_backend()
-            if policy_backend is not None:
-                kwargs.setdefault("backend", policy_backend)
+            if self.policy.backend is not None:
+                kwargs.setdefault("backend", self.policy.backend)
             predictor_arg: object = predictor
             if injector is not None:
                 if injector.profile.perturbs_dram:
@@ -1076,34 +1047,14 @@ _PANEL_SPECS: Tuple[Tuple[str, ChannelType, str], ...] = (
 )
 
 
-def snapshot_overrides(
-    snapshot_trials: bool, audit_snapshots: bool
-) -> Dict[str, object]:
-    """Sparse :class:`~repro.core.attack.AttackConfig` overrides.
-
-    Only set flags are included, so legacy-protocol call sites build
-    exactly the kwargs they always did (and journal byte-identity with
-    historical runs is preserved).
-    """
-    overrides: Dict[str, object] = {}
-    if snapshot_trials:
-        overrides["snapshot_trials"] = True
-    if audit_snapshots:
-        overrides["audit_snapshots"] = True
-    return overrides
-
-
 def figure_panels_supervised(
     executor: ResilientExecutor,
     variant: AttackVariant,
     figure: str,
     n_runs: int = 100,
     seed: int = 0,
-    snapshot_trials: bool = False,
-    audit_snapshots: bool = False,
 ) -> List[Tuple[str, SupervisedCell]]:
     """Supervised Figure 5/8 panels for ``variant``."""
-    overrides = snapshot_overrides(snapshot_trials, audit_snapshots)
     panels: List[Tuple[str, SupervisedCell]] = []
     for title, channel, predictor in _PANEL_SPECS:
         cell_id = f"{figure}/{channel.value}-{predictor}"
@@ -1111,7 +1062,6 @@ def figure_panels_supervised(
             title,
             executor.run_cell_supervised(
                 cell_id, variant, channel, predictor, n_runs, seed,
-                **overrides,
             ),
         ))
     return panels
@@ -1122,11 +1072,8 @@ def table3_supervised(
     n_runs: int = 100,
     seed: int = 0,
     predictor: str = "lvp",
-    snapshot_trials: bool = False,
-    audit_snapshots: bool = False,
 ) -> Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]]:
     """Supervised Table III sweep; resumes over the executor's store."""
-    overrides = snapshot_overrides(snapshot_trials, audit_snapshots)
     results: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]] = {}
     for variant in ALL_VARIANTS:
         slug = _slug(variant.category.value)
@@ -1145,7 +1092,7 @@ def table3_supervised(
         for key, channel, cell_predictor in specs:
             cells[key] = executor.run_cell_supervised(
                 f"table3/{slug}/{key}", variant, channel, cell_predictor,
-                n_runs, seed, **overrides,
+                n_runs, seed,
             )
         results[variant.category] = cells
     return results

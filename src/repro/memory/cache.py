@@ -54,16 +54,6 @@ class CacheStats:
         self.evictions = 0
         self.flushes = 0
 
-    def snapshot(self) -> Tuple[int, ...]:
-        """Counter values as an immutable tuple (snapshot/fork protocol)."""
-        return (self.hits, self.misses, self.fills, self.evictions,
-                self.flushes)
-
-    def restore(self, state: Tuple[int, ...]) -> None:
-        """Restore counters captured by :meth:`snapshot`."""
-        (self.hits, self.misses, self.fills, self.evictions,
-         self.flushes) = state
-
 
 class SetAssociativeCache:
     """A set-associative cache tracking line presence.
@@ -129,32 +119,6 @@ class SetAssociativeCache:
         if self._rng is not None and rng_seed is not None:
             self._rng.seed(rng_seed)
         self.stats.reset()
-
-    def snapshot(self) -> object:
-        """Opaque immutable state of tags, replacement and stats.
-
-        Structural sharing keeps this cheap: each set's tag row becomes
-        a tuple, replacement state is captured per policy (tuples), and
-        the shared replacement RNG — owned by the memory system — is
-        captured via ``getstate``.  No deepcopy.
-        """
-        return (
-            tuple(tuple(tags) for tags in self._tags),
-            tuple(policy.snapshot() for policy in self._policies),
-            self._rng.getstate() if self._rng is not None else None,
-            self.stats.snapshot(),
-        )
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot` (in place)."""
-        tags_state, policy_state, rng_state, stats_state = state  # type: ignore[misc]
-        for tags, saved in zip(self._tags, tags_state):
-            tags[:] = saved
-        for policy, saved in zip(self._policies, policy_state):
-            policy.restore(saved)
-        if self._rng is not None and rng_state is not None:
-            self._rng.setstate(rng_state)
-        self.stats.restore(stats_state)
 
     # ------------------------------------------------------------------
     def _index_tag(self, addr: int) -> Tuple[int, int]:

@@ -141,57 +141,6 @@ class MemorySystem:
         self.dram.reset(seed ^ 0x33)
         self.store_values.reset(seed)
 
-    def snapshot(self) -> object:
-        """Capture the whole hierarchy's mutable state, cheaply.
-
-        Part of the snapshot/fork protocol (:mod:`repro.snapshot`):
-        every component contributes an immutable (or shallow-copied)
-        state object, so ``snapshot`` + :meth:`restore` is equivalent
-        to replaying the exact access history since construction — but
-        costs dictionary/tuple copies instead of simulation.  The
-        address mapper is excluded for the same reason :meth:`reset`
-        skips it: translations are stateless and region registration
-        is not idempotent, so snapshots must be restored onto a
-        hierarchy with the same regions already registered.
-        """
-        return (
-            self.config.seed,
-            self._rng.getstate(),
-            self.l1.snapshot(),
-            self.l2.snapshot(),
-            self.tlb.snapshot(),
-            self.dram.snapshot(),
-            self.store_values.snapshot(),
-        )
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot` (in place)."""
-        (seed, rng_state, l1_state, l2_state, tlb_state, dram_state,
-         store_state) = state  # type: ignore[misc]
-        if seed != self.config.seed:
-            self.config = dc_replace(self.config, seed=seed)
-        self._rng.setstate(rng_state)
-        self.l1.restore(l1_state)
-        self.l2.restore(l2_state)
-        self.tlb.restore(tlb_state)
-        self.dram.restore(dram_state)
-        self.store_values.restore(store_state)
-
-    def reseed_jitter(self, seed: int) -> None:
-        """Reseed only the latency-jitter RNG streams (L2 + DRAM).
-
-        The prologue-memoization fork re-enters the measured window of
-        a trial from a shared post-prologue snapshot; per-trial timing
-        variation must still come from somewhere, so the two jitter
-        sources — the L2 hit jitter stream and the DRAM latency
-        stream — are reseeded with the trial seed while every piece of
-        architectural and replacement state stays forked.  Uses the
-        same seed derivation as :meth:`reset` so a cold machine built
-        under ``seed`` draws the identical latency sequence.
-        """
-        self._rng.seed(seed ^ 0xC0FFEE)
-        self.dram.reseed(seed ^ 0x33)
-
     # ------------------------------------------------------------------
     # Architectural (timing-free) accessors
     # ------------------------------------------------------------------

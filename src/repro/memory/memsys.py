@@ -86,24 +86,6 @@ class DramModel:
             self._rng.seed(rng_seed)
         self.accesses = 0
 
-    def reseed(self, rng_seed: int) -> None:
-        """Reseed the latency stream without zeroing the access counter.
-
-        Used by the snapshot/fork protocol to start a trial's measured
-        window on a fresh per-trial jitter stream while the counters
-        keep the forked prologue history.
-        """
-        self._rng.seed(rng_seed)
-
-    def snapshot(self) -> object:
-        """Opaque immutable state (snapshot/fork protocol)."""
-        return (self._rng.getstate(), self.accesses)
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        rng_state, self.accesses = state  # type: ignore[misc]
-        self._rng.setstate(rng_state)
-
     def access_latency(self) -> int:
         """Latency of one main-memory access, in cycles."""
         self.accesses += 1
@@ -156,16 +138,3 @@ class BackingStore:
         self._values.clear()
         if default_seed is not None:
             self._default_seed = default_seed & _VALUE_MASK
-
-    def snapshot(self) -> object:
-        """Opaque state: a shallow copy of the written values.
-
-        The value dict is flat (int -> int), so a plain ``dict`` copy
-        gives full isolation without a deepcopy.
-        """
-        return (dict(self._values), self._default_seed)
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        values, self._default_seed = state  # type: ignore[misc]
-        self._values = dict(values)

@@ -45,22 +45,6 @@ class ReplacementPolicy(abc.ABC):
         simulation state stays byte-identical to cold construction.
         """
 
-    def snapshot(self) -> object:
-        """Opaque immutable replacement state (snapshot/fork protocol).
-
-        Policies whose only state is the RNG shared with the owning
-        cache (random replacement) have nothing of their own to save;
-        the cache captures that RNG once for all of its sets.
-        """
-        return None
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        if state is not None:
-            raise MemorySystemError(
-                f"unexpected replacement snapshot state {state!r}"
-            )
-
     def _first_invalid(self, valid: Sequence[bool]) -> Optional[int]:
         for way, is_valid in enumerate(valid):
             if not is_valid:
@@ -91,14 +75,6 @@ class LruPolicy(ReplacementPolicy):
     def reset(self) -> None:
         """See :meth:`ReplacementPolicy.reset`."""
         self._order = list(range(self.ways))
-
-    def snapshot(self) -> object:
-        """See :meth:`ReplacementPolicy.snapshot`."""
-        return tuple(self._order)
-
-    def restore(self, state: object) -> None:
-        """See :meth:`ReplacementPolicy.restore`."""
-        self._order = list(state)  # type: ignore[arg-type]
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -133,19 +109,6 @@ class FifoPolicy(ReplacementPolicy):
         """See :meth:`ReplacementPolicy.reset`."""
         self._inserted = list(range(self.ways))
         self._filled = {way: False for way in range(self.ways)}
-
-    def snapshot(self) -> object:
-        """See :meth:`ReplacementPolicy.snapshot`."""
-        return (
-            tuple(self._inserted),
-            tuple(self._filled[way] for way in range(self.ways)),
-        )
-
-    def restore(self, state: object) -> None:
-        """See :meth:`ReplacementPolicy.restore`."""
-        inserted, filled = state  # type: ignore[misc]
-        self._inserted = list(inserted)
-        self._filled = {way: filled[way] for way in range(self.ways)}
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -31,14 +31,6 @@ class TlbStats:
         self.hits = 0
         self.misses = 0
 
-    def snapshot(self) -> Tuple[int, int]:
-        """Counter values as an immutable tuple (snapshot/fork protocol)."""
-        return (self.hits, self.misses)
-
-    def restore(self, state: Tuple[int, int]) -> None:
-        """Restore counters captured by :meth:`snapshot`."""
-        self.hits, self.misses = state
-
 
 class Tlb:
     """Fully-associative, LRU-replaced translation lookaside buffer.
@@ -88,22 +80,6 @@ class Tlb:
         """Drop all translations and zero the stats (warm-machine reset)."""
         self._map.clear()
         self.stats.reset()
-
-    def snapshot(self) -> object:
-        """Opaque immutable state (snapshot/fork protocol).
-
-        All values in the map are ``True``; the tuple of keys preserves
-        the LRU ordering, which is the only other state.
-        """
-        return (tuple(self._map), self.stats.snapshot())
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot` (in place)."""
-        keys, stats_state = state  # type: ignore[misc]
-        self._map.clear()
-        for key in keys:
-            self._map[key] = True
-        self.stats.restore(stats_state)
 
     def flush_all(self) -> None:
         """Drop every translation (e.g. on a simulated context switch)."""

@@ -1,14 +1,12 @@
 """Performance observability baseline: the ``repro perf`` command.
 
-Four measurements, all on the host that runs them:
+Measurements, all on the host that runs them:
 
-* **warm batching** — one representative attack cell executed twice,
-  with the warm-machine reset protocol on and off, to quantify the
-  single-core gain from reusing the Core/MemorySystem pair across
-  trials (and to re-check that both modes agree bit-for-bit);
-* **snapshot fork** — the same cell under the legacy and the snapshot
-  trial protocols (:mod:`repro.snapshot`): fork hit rate, simulated
-  cycles avoided, bytes copied, plus an audited equivalence pass;
+* **backend** — one representative attack cell under the scalar
+  reference and the selected trial-loop backend;
+* **sequential** — the same cell fixed-N vs group-sequential;
+* **lane pool** — the Table III sweep per-cell batched vs pooled;
+* **serve** — the evaluation daemon under a few concurrent clients;
 * **serial sweep** — a small supervised sweep through
   :func:`repro.harness.parallel.run_cells` at ``workers=1``:
   cells/second, simulated cycles/second, and the program/trace cache
@@ -49,8 +47,8 @@ from repro.perf.observe import Stopwatch, write_bench_snapshot
 #: Default benchmark snapshot the CLI merges its sections into.
 DEFAULT_SNAPSHOT = "benchmarks/BENCH_parallel.json"
 
-#: Representative cell for the warm-batching microbenchmark: the
-#: paper's flagship Train + Test attack over the timing-window channel.
+#: Representative cell for the single-cell sections: the paper's
+#: flagship Train + Test attack over the timing-window channel.
 _WARM_VARIANT = "Train + Test"
 _WARM_CHANNEL = ChannelType.TIMING_WINDOW
 _WARM_PREDICTOR = "lvp"
@@ -59,56 +57,6 @@ _WARM_PREDICTOR = "lvp"
 def _rate(hits: int, misses: int) -> float:
     total = hits + misses
     return hits / total if total else 0.0
-
-
-def measure_warm_batching(
-    n_runs: int = 40, seed: int = 0,
-) -> Dict[str, Any]:
-    """Time one cell with and without warm-machine trial batching.
-
-    Runs a short untimed warm-up first so both timed passes see hot
-    program/trace caches and the comparison isolates machine
-    construction cost.  Also asserts the two modes agree, turning every
-    ``repro perf`` invocation into a cheap determinism spot-check.
-    Pinned to the scalar backend: the warm-machine reset protocol is a
-    scalar-loop mechanism (the batched backend builds lockstep
-    machines per chunk instead).
-    """
-    from repro.harness.experiment import run_cell
-
-    variant = _variant_by_name(_WARM_VARIANT)
-
-    def one(batch: bool):
-        return run_cell(
-            variant, _WARM_CHANNEL, _WARM_PREDICTOR,
-            n_runs=n_runs, seed=seed, batch_trials=batch,
-            backend="scalar",
-        )
-
-    one(True)  # warm-up: populate gadget/trace caches
-    timings: Dict[str, float] = {}
-    pvalues: Dict[str, float] = {}
-    for label, batch in (("cold", False), ("warm", True)):
-        watch = Stopwatch()
-        with watch:
-            result = one(batch)
-        timings[label] = watch.elapsed
-        pvalues[label] = float(result.pvalue)
-    if pvalues["cold"] != pvalues["warm"]:
-        raise AssertionError(
-            "warm-batched cell diverged from cold-machine cell: "
-            f"{pvalues['warm']} != {pvalues['cold']}"
-        )
-    return {
-        "cell": f"{_WARM_VARIANT} / {_WARM_CHANNEL.value} / {_WARM_PREDICTOR}",
-        "n_runs": n_runs,
-        "cold_s": timings["cold"],
-        "warm_s": timings["warm"],
-        "speedup": (
-            timings["cold"] / timings["warm"] if timings["warm"] > 0 else 0.0
-        ),
-        "identical": True,
-    }
 
 
 def measure_backend(
@@ -187,64 +135,6 @@ def measure_backend(
         "ns_per_cycle_per_lane": (
             backend_s * 1e9 / lane_cycles if lane_cycles else 0.0
         ),
-    }
-
-
-def measure_snapshot_fork(
-    n_runs: int = 40, seed: int = 0, audit_runs: int = 8,
-) -> Dict[str, Any]:
-    """Time one cell under the legacy and the snapshot trial protocols.
-
-    The speedup compares the PR 3 warm-batched reset protocol against
-    forking trials from the memoized post-prologue capture
-    (:mod:`repro.snapshot`).  A short audited pass afterwards replays
-    every fork cold and raises on any divergence, so the number comes
-    with a per-invocation equivalence check.  Pinned to the scalar
-    backend: the snapshot/fork engine is a scalar-loop mechanism (the
-    batched backend forks lanes from one prologue in-lockstep and
-    never touches the fork counters this section reports).
-    """
-    from repro.harness.experiment import run_cell
-    from repro.perf.counters import COUNTERS, PerfCounters
-
-    variant = _variant_by_name(_WARM_VARIANT)
-
-    def one(**overrides):
-        return run_cell(
-            variant, _WARM_CHANNEL, _WARM_PREDICTOR,
-            n_runs=n_runs, seed=seed, backend="scalar", **overrides,
-        )
-
-    one(snapshot_trials=True)  # warm-up: populate gadget/trace caches
-    watch = Stopwatch()
-    with watch:
-        one()
-    legacy_s = watch.elapsed
-    before = COUNTERS.snapshot()
-    watch = Stopwatch()
-    with watch:
-        one(snapshot_trials=True)
-    fork_s = watch.elapsed
-    delta = PerfCounters.delta(before, COUNTERS.snapshot())
-    hits = delta.get("snapshot_prologue_hits", 0)
-    misses = delta.get("snapshot_prologue_misses", 0)
-    # Untimed equivalence audit: raises AttackError on any divergence.
-    run_cell(
-        variant, _WARM_CHANNEL, _WARM_PREDICTOR,
-        n_runs=min(n_runs, max(audit_runs, 2)), seed=seed,
-        snapshot_trials=True, audit_snapshots=True,
-    )
-    return {
-        "cell": f"{_WARM_VARIANT} / {_WARM_CHANNEL.value} / {_WARM_PREDICTOR}",
-        "n_runs": n_runs,
-        "legacy_s": legacy_s,
-        "fork_s": fork_s,
-        "speedup": legacy_s / fork_s if fork_s > 0 else 0.0,
-        "forks": delta.get("snapshot_forks", 0),
-        "fork_hit_rate": _rate(hits, misses),
-        "cycles_avoided": delta.get("snapshot_cycles_avoided", 0),
-        "bytes_copied": delta.get("snapshot_bytes_copied", 0),
-        "audited": True,
     }
 
 
@@ -541,16 +431,10 @@ def perf_baseline(
     say = progress or (lambda message: None)
     specs = sweep_specs(artifacts, n_runs=n_runs, seed=seed)
 
-    say("warm batching: 1 cell, batch_trials on/off ...")
-    warm = measure_warm_batching(n_runs=max(n_runs, 20), seed=seed)
-
     say("backend: 1 cell, scalar vs selected trial-loop backend ...")
     backend_section = measure_backend(
         n_runs=max(n_runs, 20), seed=seed, backend=backend,
     )
-
-    say("snapshot fork: 1 cell, snapshot_trials on/off + audit ...")
-    snapshot_fork = measure_snapshot_fork(n_runs=max(n_runs, 20), seed=seed)
 
     say("sequential: 1 cell, fixed-N vs group-sequential ...")
     sequential = measure_sequential(n_runs=max(n_runs, 20), seed=seed)
@@ -585,9 +469,7 @@ def perf_baseline(
         "seed": seed,
         "artifacts": list(artifacts),
         "cells": len(specs),
-        "warm_batching": warm,
         "backend": backend_section,
-        "snapshot_fork": snapshot_fork,
         "sequential": sequential,
         "schedule": schedule,
         "serve": serve,
@@ -646,15 +528,6 @@ def render_perf_report(report: Dict[str, Any]) -> str:
         f"(v{report['version']}, n_runs={report['n_runs']}, "
         f"seed={report['seed']})"
     )
-    warm = report["warm_batching"]
-    lines.append("")
-    lines.append(f"warm batching ({warm['cell']}, n_runs={warm['n_runs']}):")
-    lines.append(
-        f"  cold machines : {warm['cold_s']:7.3f} s   "
-        f"warm reuse: {warm['warm_s']:7.3f} s   "
-        f"speedup {warm['speedup']:.2f}x"
-        + ("   [results identical]" if warm["identical"] else "")
-    )
     backend = report.get("backend")
     if backend is not None:
         lines.append("")
@@ -683,24 +556,6 @@ def render_perf_report(report: Dict[str, Any]) -> str:
                 f"{backend['lanes_squashed']} squashed, "
                 f"{backend['ns_per_cycle_per_lane']:.2f} ns/cycle/lane"
             )
-    fork = report.get("snapshot_fork")
-    if fork is not None:
-        lines.append("")
-        lines.append(
-            f"snapshot fork ({fork['cell']}, n_runs={fork['n_runs']}):"
-        )
-        lines.append(
-            f"  legacy warm   : {fork['legacy_s']:7.3f} s   "
-            f"fork trials: {fork['fork_s']:7.3f} s   "
-            f"speedup {fork['speedup']:.2f}x"
-            + ("   [audit passed]" if fork.get("audited") else "")
-        )
-        lines.append(
-            f"  {fork['forks']} forks, "
-            f"{fork['fork_hit_rate'] * 100:.1f}% fork hit rate, "
-            f"{fork['cycles_avoided'] / 1e6:.2f}M cycles avoided, "
-            f"{fork['bytes_copied'] / 1e6:.2f} MB copied"
-        )
     sequential = report.get("sequential")
     if sequential is not None:
         lines.append("")

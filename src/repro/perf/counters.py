@@ -30,19 +30,6 @@ class PerfCounters:
             ``Core`` runs.
         program_cache_evictions: Entries dropped from memoized program
             factories when a cache exceeded its size bound.
-        snapshot_forks: Trials served by restoring a post-prologue
-            machine capture (:mod:`repro.snapshot`).
-        snapshot_prologue_hits / snapshot_prologue_misses: Per
-            snapshot-protocol trial: did a memoized prologue capture
-            exist (hit → fork) or did the prologue run for real (miss
-            → capture trial or full-replay fallback)?
-        snapshot_audit_replays: Cold replays performed by the
-            ``--audit-snapshots`` equivalence audit.
-        snapshot_cycles_avoided: Simulated prologue cycles skipped by
-            forks (the capture's cycle count, once per fork).
-        snapshot_bytes_copied: Approximate bytes structurally copied by
-            captures and restores (deterministic estimate, see
-            :func:`repro.snapshot.approx_state_bytes`).
         sequential_looks: Interim/final boundary looks taken by the
             group-sequential engine (:mod:`repro.stats.sequential`).
         sequential_early_stops: Cells whose verdict crossed an interim
@@ -130,12 +117,6 @@ class PerfCounters:
     trials: int = 0
     warm_resets: int = 0
     simulated_cycles: int = 0
-    snapshot_forks: int = 0
-    snapshot_prologue_hits: int = 0
-    snapshot_prologue_misses: int = 0
-    snapshot_audit_replays: int = 0
-    snapshot_cycles_avoided: int = 0
-    snapshot_bytes_copied: int = 0
     sequential_looks: int = 0
     sequential_early_stops: int = 0
     sequential_trials_avoided: int = 0
@@ -207,13 +188,6 @@ class PerfCounters:
     def trace_cache_hit_rate(self) -> float:
         """Hit rate of the decoded uop-trace cache (0 when idle)."""
         return self._rate(self.trace_cache_hits, self.trace_cache_misses)
-
-    @property
-    def snapshot_fork_hit_rate(self) -> float:
-        """Fraction of snapshot-protocol trials served by a fork."""
-        return self._rate(
-            self.snapshot_prologue_hits, self.snapshot_prologue_misses
-        )
 
     @property
     def serve_cache_hit_rate(self) -> float:

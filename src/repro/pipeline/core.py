@@ -130,26 +130,6 @@ class Core:
         self.total_retired = 0
         self._seq = 0
 
-    def snapshot(self) -> object:
-        """Capture the core's persistent state (snapshot/fork protocol).
-
-        Between :meth:`run_concurrent` calls the core holds no
-        in-flight pipeline state — every ``_RunState`` (ROB, rename
-        map, store buffer, event heap) is created inside
-        ``run_concurrent`` and discarded when it returns — so the
-        persistent state is exactly the four counters that survive
-        across runs.  Snapshots are only meaningful at this run
-        boundary; the predictor and memory hierarchy are captured
-        separately (:mod:`repro.snapshot`).
-        """
-        return (self.cycle, self.total_squashes, self.total_retired,
-                self._seq)
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        (self.cycle, self.total_squashes, self.total_retired,
-         self._seq) = state  # type: ignore[misc]
-
     # ------------------------------------------------------------------
     def run(self, program: Program) -> RunResult:
         """Execute ``program`` to completion and return its results."""

@@ -38,8 +38,6 @@ _SPEC_DEFAULTS: Dict[str, Any] = {
     "n_runs": 100,
     "seed": 0,
     "exponent": None,
-    "snapshot_trials": False,
-    "audit_snapshots": False,
 }
 
 #: Execution-policy names a job may request.
@@ -124,8 +122,6 @@ def spec_to_cell(spec: Dict[str, Any], key: str) -> CellSpec:
         n_runs=int(spec["n_runs"]),
         seed=int(spec["seed"]),
         exponent=spec["exponent"],
-        snapshot_trials=bool(spec["snapshot_trials"]),
-        audit_snapshots=bool(spec["audit_snapshots"]),
     )
 
 

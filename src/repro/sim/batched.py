@@ -10,11 +10,9 @@ are ``[lanes]`` vectors while caches, TLB and the value predictor stay
 the real, shared, scalar structures.
 
 Byte-identity with the scalar backend is a construction invariant, not
-an aspiration: a scalar trial is a pure function of its seed, the two
-protocols' seed schedules are replicated exactly (per-lane trial seeds
-for the default warm/cold protocol; a uniform prologue seed followed by
-per-lane ``reseed_jitter`` for the snapshot protocol), and anything the
-lockstep engine cannot prove schedule-exact and lane-uniform raises
+an aspiration: a scalar trial is a pure function of its seed, the seed
+schedule is replicated exactly (one trial seed per lane), and anything
+the lockstep engine cannot prove schedule-exact and lane-uniform raises
 :class:`~repro.sim.lockstep.LaneDivergence`.  Lanes that only disagree
 on a per-trial draw (the R defense's window offsets, or post-split
 predictions) raise :class:`~repro.sim.lockstep.LanePartition` instead:
@@ -123,8 +121,6 @@ class BatchedBackend:
             return (
                 f"predictor {config.predictor!r} has no lane-uniform form"
             )
-        if config.audit_snapshots:
-            return "snapshot auditing replays each trial cold by design"
         memory_config = config.memory_config
         if (
             memory_config is not None
@@ -259,14 +255,10 @@ class BatchedBackend:
             config.layout.probe_base,
             config.layout.probe_lines * config.layout.probe_stride,
         )
-        snapshot_mode = config.snapshot_trials
-        machine_seed = (
-            runner._prologue_seed(mapped) if snapshot_mode else seeds[0]
-        )
-        predictor = runner._fresh_predictor(machine_seed)
+        predictor = runner._fresh_predictor(seeds[0])
         machine = lockstep.LockstepMachine(
             core_config=runner._core_config(),
-            memory_config=replace(base_memory, seed=machine_seed),
+            memory_config=replace(base_memory, seed=seeds[0]),
             predictor=predictor,
             lane_seeds=seeds,
             shared_region=shared_region,
@@ -275,25 +267,10 @@ class BatchedBackend:
         )
         env = runner._env_around(machine.mem, lockstep.LaneCore(machine))
         try:
-            if snapshot_mode:
-                # The snapshot protocol: one prologue under the fixed
-                # per-hypothesis seed with a single shared stream set
-                # (every scalar fork shares that one prologue's draws),
-                # then per-lane trial streams for the measured window —
-                # exactly the scalar fork's per-trial re-seed.
-                machine.use_uniform_streams(machine_seed)
-                runner.variant.run_prologue(env, mapped)
-                machine.use_lane_streams(seeds)
-                runner.variant.run_measured(env, mapped)
-            else:
-                # The default protocol: each lane models a fresh
-                # machine under its own trial seed — per-lane jitter
-                # and predictor streams from the start and per-lane
-                # backing-store defaults; structural state is
-                # lane-uniform because every lane executes the
-                # identical access sequence.
-                machine.set_lane_default_seeds(seeds)
-                runner.variant.run(env, mapped)
+            # Each lane models a fresh machine under its own trial seed;
+            # structural state is lane-uniform because every lane
+            # executes the identical access sequence.
+            runner.variant.run(env, mapped)
         except lockstep._LaneMeasurement as measured:
             values = measured.values
         else:

@@ -99,7 +99,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.isa.instructions import AluOp, Instruction, Opcode
 from repro.memory.address import line_address
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
@@ -435,16 +434,16 @@ class LockstepMachine:
 
     Args:
         core_config: Effective core configuration (defense-adjusted).
-        memory_config: Effective memory configuration; its ``seed``
-            only matters when :meth:`set_lane_default_seeds` is not
-            used (snapshot protocol: the uniform prologue seed).
+        memory_config: Effective memory configuration.
         predictor: The shared value predictor chain.  Its state stays
             lane-uniform as long as every applied training is uniform;
             the first non-uniform training splits it into per-lane
             replicas.  Its random streams are rebound per lane.
-        lane_seeds: Per-lane trial seeds (jitter streams start here).
+        lane_seeds: Per-lane trial seeds.  Each lane models a fresh
+            machine under its own seed: per-lane jitter and predictor
+            streams, and per-lane backing-store defaults.
         shared_region: ``(base, size)`` registered on the private
-            memory system, mirroring ``AttackRunner._machine``.
+            memory system, mirroring ``AttackRunner._build_env``.
         mem: An already-reset warm :class:`MemorySystem` to reuse
             instead of constructing one (the lane pool's warm-machine
             protocol).  The caller guarantees it was built from an
@@ -498,75 +497,35 @@ class LockstepMachine:
         self._applied_max: Optional[np.ndarray] = None
         #: Deferred cache/TLB fills (D defense, InvisiSpec).
         self._fill_events: List[_FillEvent] = []
-        #: Per-lane default backing values; None means "use the shared
-        #: MemorySystem's own seed" (lane-uniform, snapshot protocol).
-        self._lane_default_seeds: Optional[np.ndarray] = None
-        self._rng_mem: List[random.Random] = []
-        self._rng_dram: List[random.Random] = []
-        self.use_lane_streams(lane_seeds)
-
-    # -- jitter stream control -----------------------------------------
-    def use_lane_streams(self, lane_seeds: Sequence[int]) -> None:
-        """Per-lane trial streams, exactly the scalar per-trial re-seed.
-
-        Lane ``k`` draws L2 jitter from ``Random(seed_k ^ 0xC0FFEE)``
-        and DRAM latency from ``Random(seed_k ^ 0x33)`` — the streams a
-        scalar machine reset (or jitter-reseeded) under ``seed_k``
-        would use — and its predictor draws from the chain's
-        :func:`~repro.vp.base.trial_stream` under ``seed_k``.
-        """
-        if len(lane_seeds) != self.lanes:
-            raise SimulationError("lane seed count changed mid-batch")
-        self._uniform_streams = False
+        #: Per-lane backing-store default seeds: unwritten addresses
+        #: read ``splitmix64(paddr ^ seed_k)`` in lane ``k``, matching a
+        #: scalar machine reset under ``seed_k``.
+        self._lane_default_seeds = np.array(
+            [s & _VALUE_MASK for s in lane_seeds], dtype=np.uint64
+        )
+        # Per-lane trial streams, exactly the scalar per-trial reset:
+        # lane ``k`` draws L2 jitter from ``Random(seed_k ^ 0xC0FFEE)``
+        # and DRAM latency from ``Random(seed_k ^ 0x33)``, and its
+        # predictor draws from the chain's
+        # :func:`~repro.vp.base.trial_stream` under ``seed_k``.
         self._rng_mem = [random.Random(s ^ 0xC0FFEE) for s in lane_seeds]
         self._rng_dram = [random.Random(s ^ 0x33) for s in lane_seeds]
-        if self._split is not None:
-            # A uniform prologue never splits; replicas would keep the
-            # prologue's stream, so refuse rather than rebind them.
-            raise LaneDivergence("predictor split before the lane streams")
-        self._lane_streams = []
 
         def lane_stream(salt: int) -> _LaneStream:
             stream = _LaneStream(
                 [trial_stream(salt, seed) for seed in lane_seeds],
-                recording=self.tape is not None,
+                recording=tape is not None,
             )
             self._lane_streams.append(stream)
             return stream
 
-        self.predictor.bind_streams(lane_stream)
-
-    def use_uniform_streams(self, seed: int) -> None:
-        """One shared stream set (the snapshot protocol's prologue).
-
-        Every lane observes the *same* draw sequence — one draw per
-        access, broadcast — mirroring the one scalar prologue run whose
-        state all forks share.
-        """
-        self._uniform_streams = True
-        self._rng_mem = [random.Random(seed ^ 0xC0FFEE)]
-        self._rng_dram = [random.Random(seed ^ 0x33)]
-        self._lane_streams = []
-        self.predictor.bind_streams(lambda salt: trial_stream(salt, seed))
-
-    def set_lane_default_seeds(self, lane_seeds: Sequence[int]) -> None:
-        """Per-lane backing-store default seeds (warm/cold protocol).
-
-        Unwritten addresses then read
-        ``splitmix64(paddr ^ seed_k)`` in lane ``k``, matching a scalar
-        machine reset under ``seed_k``.
-        """
-        self._lane_default_seeds = np.array(
-            [s & _VALUE_MASK for s in lane_seeds], dtype=np.uint64
-        )
+        predictor.bind_streams(lane_stream)
 
     # -- value plumbing -------------------------------------------------
     def _value_at(self, paddr: int) -> object:
         """Architectural value at ``paddr``: shared write or lane default."""
         store = self.mem.store_values
         if store.is_written(paddr):
-            return store.read(paddr)
-        if self._lane_default_seeds is None:
             return store.read(paddr)
         defaults = _splitmix64_vec(
             np.uint64(paddr) ^ self._lane_default_seeds
@@ -578,11 +537,6 @@ class LockstepMachine:
     # -- per-lane latency draws ----------------------------------------
     def _draw_l2_jitter(self) -> object:
         jitter = self.mem.config.l2_jitter
-        if self._uniform_streams:
-            return np.full(
-                self.lanes, self._rng_mem[0].randint(0, jitter),
-                dtype=np.int64,
-            )
         draws = np.fromiter(
             (rng.randint(0, jitter) for rng in self._rng_mem),
             dtype=np.int64,
@@ -608,8 +562,6 @@ class LockstepMachine:
                 latency += tail_extra
             return latency
 
-        if self._uniform_streams:
-            return np.full(self.lanes, one(self._rng_dram[0]), dtype=np.int64)
         out = np.empty(self.lanes, dtype=np.int64)
         for lane, rng in enumerate(self._rng_dram):
             out[lane] = one(rng)

@@ -153,9 +153,7 @@ class PoolBackend(BatchedBackend):
         Everything that shapes the dynamic uop trace or the recorded
         constants: the variant's program, the channel/layout/core
         parameters, the (seed-masked) memory geometry and the defense
-        behaviour.  The snapshot protocol additionally pins the
-        prologue seed, because the memoized prologue state is baked
-        into the tape's constants.
+        behaviour.
 
         Memoized per live config object: AttackConfig is frozen for
         the life of a cell and a sequential cell dispatches hundreds
@@ -180,14 +178,7 @@ class PoolBackend(BatchedBackend):
         defense_key = _defense_key(config.defense)
         if defense_key[0] == "id":
             self._pins[id(config.defense)] = config.defense
-        prologue = (
-            runner._prologue_seed(mapped)
-            if config.snapshot_trials else None
-        )
-        key = (
-            runner.variant.name, mapped, fields, mem_key, defense_key,
-            prologue,
-        )
+        key = (runner.variant.name, mapped, fields, mem_key, defense_key)
         self._key_cache[cache_slot] = (config, key)
         return key
 
@@ -298,7 +289,7 @@ class PoolBackend(BatchedBackend):
             try:
                 rows, machine, values = super()._run_batch(
                     runner, mapped, indices, seeds=seeds,
-                    mem=self._reset_mem(mem, runner, mapped, seeds),
+                    mem=self._reset_mem(mem, seeds),
                     tape=recorder,
                 )
             except TapeInvalid:
@@ -314,23 +305,16 @@ class PoolBackend(BatchedBackend):
                 return rows, machine, values
         rows, machine, values = super()._run_batch(
             runner, mapped, indices, seeds=seeds,
-            mem=self._reset_mem(mem, runner, mapped, seeds),
+            mem=self._reset_mem(mem, seeds),
         )
         self._checkin_mem(mem_key, machine)
         return rows, machine, values
 
-    def _reset_mem(
-        self, mem: Any, runner: "Any", mapped: bool, seeds: Sequence[int]
-    ) -> Any:
+    def _reset_mem(self, mem: Any, seeds: Sequence[int]) -> Any:
         """Reset a checked-out hierarchy to this pass's machine seed."""
         if mem is None:
             return None
-        config = runner.config
-        machine_seed = (
-            runner._prologue_seed(mapped)
-            if config.snapshot_trials else seeds[0]
-        )
-        mem.reset(machine_seed)
+        mem.reset(seeds[0])
         return mem
 
     def _replay_rows(
@@ -347,11 +331,9 @@ class PoolBackend(BatchedBackend):
         from repro.core.channels import ChannelType
 
         config = runner.config
-        default_seeds = None
-        if not config.snapshot_trials:
-            default_seeds = np.asarray(
-                [s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64
-            )
+        default_seeds = np.asarray(
+            [s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64
+        )
         out = replay(tape, seeds, default_seeds)
         sim_cycles = (
             out.final_cycle

@@ -467,10 +467,7 @@ class _CompiledTape:
     ``(measurement, final_cycle, simulated_cycles)``.
     """
 
-    __slots__ = (
-        "fn", "mem_jitters", "dram_params", "consts", "dtypes",
-        "needs_defaults",
-    )
+    __slots__ = ("fn", "mem_jitters", "dram_params", "consts", "dtypes")
 
     def __init__(
         self,
@@ -479,14 +476,12 @@ class _CompiledTape:
         dram_params: Tuple[Tuple[int, int, int, float], ...],
         consts: Tuple[Any, ...],
         dtypes: Tuple[Any, ...],
-        needs_defaults: bool,
     ) -> None:
         self.fn = fn
         self.mem_jitters = mem_jitters
         self.dram_params = dram_params
         self.consts = consts
         self.dtypes = dtypes
-        self.needs_defaults = needs_defaults
 
 
 def _mem_draws(
@@ -687,30 +682,22 @@ def _compile(tape: Tape) -> _CompiledTape:
         dram_params=tuple(dram_params),
         consts=tuple(consts),
         dtypes=tuple(dtypes),
-        needs_defaults=any(
-            node[0] == "leaf_default" for node in tape.nodes
-        ),
     )
 
 
 def replay(
     tape: Tape,
     lane_seeds: Sequence[int],
-    default_seeds: Optional[np.ndarray],
+    default_seeds: np.ndarray,
 ) -> ReplayResult:
     """Evaluate a tape for new per-lane seeds.
 
     ``default_seeds`` is the machine's lane-default backing-value
-    vector (``None`` when the recorded protocol never set one; a tape
-    with ``leaf_default`` nodes then cannot replay).  Raises
-    :class:`ReplayDivergence` on the first guard mismatch.
+    vector.  Raises :class:`ReplayDivergence` on the first guard
+    mismatch.
     """
     compiled = tape.compiled()
     lanes = len(lane_seeds)
-    if compiled.needs_defaults and default_seeds is None:
-        raise ReplayDivergence(
-            "tape reads lane defaults the machine did not set"
-        )
     draws_mem = (
         _mem_draws(lane_seeds, compiled.mem_jitters)
         if compiled.mem_jitters else ()

@@ -108,16 +108,6 @@ class PredictorStats:
         self.incorrect = 0
         self.evictions = 0
 
-    def snapshot(self) -> tuple:
-        """Counter values as an immutable tuple (snapshot/fork protocol)."""
-        return (self.lookups, self.predictions, self.no_predictions,
-                self.trains, self.correct, self.incorrect, self.evictions)
-
-    def restore(self, state: tuple) -> None:
-        """Restore counters captured by :meth:`snapshot`."""
-        (self.lookups, self.predictions, self.no_predictions, self.trains,
-         self.correct, self.incorrect, self.evictions) = state
-
 
 class ValuePredictor(abc.ABC):
     """Abstract base class of all Value Prediction Systems."""
@@ -169,39 +159,6 @@ class ValuePredictor(abc.ABC):
         inner = getattr(self, "inner", None)
         if isinstance(inner, ValuePredictor):
             inner.bind_streams(stream)
-
-    # ------------------------------------------------------------------
-    # Snapshot/fork protocol (see :mod:`repro.snapshot`).
-    # ------------------------------------------------------------------
-    def snapshot(self) -> object:
-        """Capture the predictor's full mutable state, cheaply.
-
-        The returned object is opaque; restoring it with
-        :meth:`restore` makes the predictor byte-identical to the
-        moment of capture.  Predictors that do not implement
-        :meth:`_snapshot_state` raise ``NotImplementedError``, which
-        the attack runner treats as "fall back to full replay" rather
-        than an error.
-        """
-        return (self._snapshot_state(), self.stats.snapshot())
-
-    def restore(self, state: object) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        inner, stats_state = state  # type: ignore[misc]
-        self._restore_state(inner)
-        self.stats.restore(stats_state)
-
-    def _snapshot_state(self) -> object:
-        """Subclass hook: capture everything except ``stats``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support snapshot/fork"
-        )
-
-    def _restore_state(self, state: object) -> None:
-        """Subclass hook: restore the :meth:`_snapshot_state` payload."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support snapshot/fork"
-        )
 
     # ------------------------------------------------------------------
     # Shared accounting helpers for subclasses.

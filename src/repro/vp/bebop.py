@@ -185,51 +185,6 @@ class BebopPredictor(ValuePredictor):
         self._table.clear()
         self._tick = 0
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (
-            tuple(
-                (
-                    set_index,
-                    tuple(
-                        (
-                            block.tag,
-                            tuple(
-                                (offset, sub.value, sub.confidence,
-                                 sub.usefulness)
-                                for offset, sub in block.sub_entries.items()
-                            ),
-                            block.last_used,
-                        )
-                        for block in blocks
-                    ),
-                )
-                for set_index, blocks in self._table.items()
-            ),
-            self._tick,
-        )
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        table, self._tick = state  # type: ignore[misc]
-        self._table = {
-            set_index: [
-                _BlockEntry(
-                    tag=tag,
-                    sub_entries={
-                        offset: _SubEntry(
-                            value=value, confidence=confidence,
-                            usefulness=usefulness,
-                        )
-                        for offset, value, confidence, usefulness in subs
-                    },
-                    last_used=last_used,
-                )
-                for tag, subs, last_used in blocks
-            ]
-            for set_index, blocks in table
-        }
-
     # ------------------------------------------------------------------
     def confidence_of(self, key: AccessKey) -> int:
         """Confidence for ``key`` (0 when untracked)."""

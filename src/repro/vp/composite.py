@@ -66,15 +66,6 @@ class HybridPredictor(ValuePredictor):
         for component in self.components:
             component.bind_streams(stream)
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return tuple(component.snapshot() for component in self.components)
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        for component, saved in zip(self.components, state):  # type: ignore[call-overload]
-            component.restore(saved)
-
 
 class FilteredPredictor(ValuePredictor):
     """Predicts only for loads that have missed at least ``min_misses`` times.
@@ -128,13 +119,3 @@ class FilteredPredictor(ValuePredictor):
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self._miss_counts.clear()
         self.inner.reset()
-
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (self.inner.snapshot(), dict(self._miss_counts))
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        inner_state, miss_counts = state  # type: ignore[misc]
-        self.inner.restore(inner_state)
-        self._miss_counts = dict(miss_counts)

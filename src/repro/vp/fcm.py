@@ -128,30 +128,3 @@ class FcmPredictor(ValuePredictor):
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self._histories.clear()
         self._contexts.clear()
-
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (
-            tuple(
-                (index, tuple(history))
-                for index, history in self._histories.items()
-            ),
-            tuple(
-                (key, entry.value, entry.confidence, entry.usefulness)
-                for key, entry in self._contexts.items()
-            ),
-        )
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        histories, contexts = state  # type: ignore[misc]
-        self._histories = {
-            index: deque(history, maxlen=self.order)
-            for index, history in histories
-        }
-        self._contexts = {
-            key: _SecondLevelEntry(
-                value=value, confidence=confidence, usefulness=usefulness
-            )
-            for key, value, confidence, usefulness in contexts
-        }

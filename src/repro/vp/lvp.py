@@ -107,14 +107,6 @@ class LastValuePredictor(ValuePredictor):
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self.table.clear()
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return self.table.capture_state()
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        self.table.restore_state(state)
-
     # ------------------------------------------------------------------
     def confidence_of(self, key: AccessKey) -> int:
         """The confidence currently held for ``key`` (0 if absent)."""

@@ -34,11 +34,3 @@ class NoPredictor(ValuePredictor):
     def reset(self) -> None:
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         pass
-
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return None
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        pass

@@ -69,13 +69,3 @@ class OracleTargetPredictor(ValuePredictor):
     def reset(self) -> None:
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self.inner.reset()
-
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (self.inner.snapshot(), frozenset(self._targets))
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        inner_state, targets = state  # type: ignore[misc]
-        self.inner.restore(inner_state)
-        self._targets = set(targets)

@@ -113,25 +113,6 @@ class StridePredictor(ValuePredictor):
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
         self._entries.clear()
 
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return tuple(
-            (index, entry.last_value, entry.stride, entry.confidence,
-             entry.usefulness)
-            for index, entry in self._entries.items()
-        )
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        self._entries = {
-            index: _StrideEntry(
-                last_value=last_value, stride=stride, confidence=confidence,
-                usefulness=usefulness,
-            )
-            for index, last_value, stride, confidence, usefulness
-            in state  # type: ignore[union-attr]
-        }
-
     def confidence_of(self, key: AccessKey) -> int:
         """Confidence for ``key`` (0 if untracked)."""
         entry = self._entries.get(self.index_function.index_of(key))

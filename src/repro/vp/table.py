@@ -154,36 +154,3 @@ class VpTable:
     def snapshot(self) -> List[Tuple[int, int, int, int]]:
         """Sorted (index, confidence, usefulness, value) tuples."""
         return sorted(entry.snapshot() for entry in self._entries.values())
-
-    # ------------------------------------------------------------------
-    # Snapshot/fork protocol.  Named ``capture_state``/``restore_state``
-    # because :meth:`snapshot` is the long-standing *diagnostic* view
-    # (sorted, lossy: no vhist or insertion order).
-    # ------------------------------------------------------------------
-    def capture_state(self) -> object:
-        """Full table state as immutable tuples (preserves dict order)."""
-        return (
-            tuple(
-                (index, entry.value, entry.confidence, entry.usefulness,
-                 tuple(entry.vhist), entry.vhist.maxlen)
-                for index, entry in self._entries.items()
-            ),
-            tuple(self._insertion_order.items()),
-            self._insert_counter,
-            self.evictions,
-        )
-
-    def restore_state(self, state: object) -> None:
-        """Restore state captured by :meth:`capture_state`."""
-        entries, order, counter, evictions = state  # type: ignore[misc]
-        self._entries = {
-            index: VptEntry(
-                index=index, value=value, confidence=confidence,
-                usefulness=usefulness,
-                vhist=deque(vhist, maxlen=maxlen),
-            )
-            for index, value, confidence, usefulness, vhist, maxlen in entries
-        }
-        self._insertion_order = dict(order)
-        self._insert_counter = counter
-        self.evictions = evictions

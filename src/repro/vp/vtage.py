@@ -220,34 +220,3 @@ class VtagePredictor(ValuePredictor):
             component.entries.clear()
         self._history = 0
         self._last_provider.clear()
-
-    def _snapshot_state(self) -> object:
-        """See :meth:`repro.vp.base.ValuePredictor._snapshot_state`."""
-        return (
-            self.base.capture_state(),
-            tuple(
-                tuple(
-                    (slot, entry.tag, entry.value, entry.confidence,
-                     entry.usefulness)
-                    for slot, entry in component.entries.items()
-                )
-                for component in self.components
-            ),
-            self._history,
-            tuple(self._last_provider.items()),
-        )
-
-    def _restore_state(self, state: object) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor._restore_state`."""
-        base_state, components, history, providers = state  # type: ignore[misc]
-        self.base.restore_state(base_state)
-        for component, entries in zip(self.components, components):
-            component.entries = {
-                slot: _TaggedEntry(
-                    tag=tag, value=value, confidence=confidence,
-                    usefulness=usefulness,
-                )
-                for slot, tag, value, confidence, usefulness in entries
-            }
-        self._history = history
-        self._last_provider = dict(providers)

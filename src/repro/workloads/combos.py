@@ -52,7 +52,6 @@ class ComboAttack(AttackVariant):
 
     supported_channels = (ChannelType.TIMING_WINDOW,)
     default_chain_length = 80
-    prologue_deterministic = True
 
     def __init__(
         self,

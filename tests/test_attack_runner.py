@@ -10,6 +10,8 @@ from repro.core.attack import (
 )
 from repro.core.channels import ChannelType
 from repro.core.variants import SpillOverAttack, TestHitAttack, TrainTestAttack
+from repro.defenses.delay_effects import DelaySideEffectsDefense
+from repro.defenses.random_window import RandomWindowDefense
 from repro.errors import AttackError
 from repro.vp.lvp import LastValuePredictor
 from repro.vp.nopred import NoPredictor
@@ -72,6 +74,30 @@ class TestRunner:
         first = AttackRunner(TrainTestAttack(), config).run_trial(True, 0)
         second = AttackRunner(TrainTestAttack(), config).run_trial(True, 0)
         assert first.measurement == second.measurement
+
+    @pytest.mark.parametrize("channel", [ChannelType.TIMING_WINDOW,
+                                         ChannelType.PERSISTENT],
+                             ids=lambda c: c.value)
+    @pytest.mark.parametrize("defense", ["none", "D", "R"])
+    def test_warm_reset_matches_fresh_machine(self, channel, defense):
+        # Every trial after the first reuses the runner's machine via
+        # the reset protocol; it must equal the same trial on a machine
+        # built from scratch.
+        defenses = {
+            "none": None,
+            "D": DelaySideEffectsDefense(),
+            "R": RandomWindowDefense(window_size=6, seed=0xABC),
+        }
+        config = AttackConfig(
+            n_runs=2, seed=4, channel=channel, defense=defenses[defense],
+            backend="scalar",
+        )
+        warm = AttackRunner(TrainTestAttack(), config)
+        for index in range(3):
+            for mapped in (True, False):
+                fresh = AttackRunner(TrainTestAttack(), config)
+                assert (warm.run_trial(mapped, index)
+                        == fresh.run_trial(mapped, index))
 
     def test_different_trials_vary(self):
         config = AttackConfig(n_runs=2, seed=9)

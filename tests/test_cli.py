@@ -96,6 +96,14 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("flag", [
+        "--snapshot-trials", "--audit-snapshots", "--lane-schedule=pool",
+    ])
+    def test_removed_trial_protocol_flags_exit_2(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["all", "--out", str(tmp_path), flag])
+        assert exit_info.value.code == 2
+
 
 class TestHeavierCommands:
     def test_fig5_command_small(self, capsys):

@@ -1,7 +1,5 @@
 """Tests for the exception hierarchy."""
 
-import warnings
-
 import pytest
 
 from repro import errors
@@ -39,18 +37,3 @@ class TestHierarchy:
 
     def test_memory_error_does_not_shadow_builtin(self):
         assert not issubclass(errors.MemorySystemError, MemoryError)
-
-
-class TestDeprecatedAlias:
-    def test_memory_error_alias_still_works(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert errors.MemoryError_ is errors.MemorySystemError
-
-    def test_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="MemorySystemError"):
-            errors.MemoryError_
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            errors.NoSuchError

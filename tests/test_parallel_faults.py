@@ -85,7 +85,10 @@ class TestProcessFaultsAreInvisible:
 
 class TestSigintMidSweep:
     def test_interrupt_flushes_journal_and_resume_completes(self, tmp_path):
-        specs = sweep_specs(["fig5"], n_runs=4, seed=0)
+        # Eight cells on two workers: with only four, the rest could
+        # all finish before the interrupt lands, leaving nothing to
+        # resume.
+        specs = sweep_specs(["fig5", "fig8"], n_runs=4, seed=0)
         _, reference = _run(tmp_path, specs, "reference", workers=1)
 
         store = CheckpointStore.open(

@@ -41,24 +41,17 @@ class TestPerfCounters:
         counters.reset()
         assert all(value == 0 for value in counters.snapshot().values())
 
-    def test_snapshot_fork_hit_rate(self):
-        counters = PerfCounters()
-        assert counters.snapshot_fork_hit_rate == 0.0
-        counters.snapshot_prologue_hits = 9
-        counters.snapshot_prologue_misses = 1
-        assert counters.snapshot_fork_hit_rate == pytest.approx(0.9)
-
     def test_snapshot_counters_roundtrip(self):
         counters = PerfCounters()
-        counters.snapshot_forks = 4
-        counters.snapshot_cycles_avoided = 1000
-        counters.snapshot_bytes_copied = 2048
+        counters.warm_resets = 4
+        counters.sequential_cycles_avoided = 1000
+        counters.batched_lane_cycles = 2048
         delta = PerfCounters.delta(PerfCounters().snapshot(),
                                    counters.snapshot())
         assert delta == {
-            "snapshot_forks": 4,
-            "snapshot_cycles_avoided": 1000,
-            "snapshot_bytes_copied": 2048,
+            "warm_resets": 4,
+            "sequential_cycles_avoided": 1000,
+            "batched_lane_cycles": 2048,
         }
 
     def test_global_singleton_counts_simulation(self):
@@ -197,10 +190,8 @@ class TestBaseline:
             snapshot_path=str(snapshot),
         )
         assert report["cells"] == 4
-        assert report["warm_batching"]["identical"] is True
-        assert report["snapshot_fork"]["audited"] is True
-        assert report["snapshot_fork"]["forks"] > 0
-        assert report["snapshot_fork"]["fork_hit_rate"] > 0.5
+        assert report["backend"]["identical"] is True
+        assert report["sequential"]["verdict_identical"] is True
         assert report["serial"]["cells_run"] == 4
         assert report["parallel"]["workers"] == 2
         assert report["parallel"]["speedup"] > 0
@@ -208,8 +199,8 @@ class TestBaseline:
         assert "repro_perf" in document
 
         rendered = render_perf_report(report)
-        assert "warm batching" in rendered
-        assert "snapshot fork" in rendered
+        assert "trial-loop backend" in rendered
+        assert "group-sequential" in rendered
         assert "serial sweep" in rendered
         assert "parallel sweep" in rendered
 

@@ -123,6 +123,20 @@ class TestRunAll:
             run_all(str(tmp_path), n_runs=4, seed=2, artifacts=["fig5"],
                     resume=True)
 
+    def test_resume_against_removed_protocol_rejected(self, tmp_path):
+        from repro._version import __version__
+        from repro.harness.checkpoint import CheckpointStore
+
+        # A journal left behind by the retired snapshot trial protocol.
+        CheckpointStore.open(
+            str(tmp_path / "checkpoint"),
+            {"version": __version__, "n_runs": 4, "seed": 1,
+             "snapshot_trials": True},
+        )
+        with pytest.raises(HarnessError, match="snapshot_trials"):
+            run_all(str(tmp_path), n_runs=4, seed=1, artifacts=["fig5"],
+                    resume=True)
+
     def test_unknown_artifact_rejected(self, tmp_path):
         with pytest.raises(HarnessError):
             run_all(str(tmp_path), artifacts=["bogus"])

@@ -18,7 +18,7 @@ import pytest
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import variant_by_name
-from repro.errors import HarnessError, ReproError
+from repro.errors import ReproError
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.sim.schedule import _defense_key, pool_backend
 
@@ -110,13 +110,6 @@ def test_defended_streams_identical(defense):
     variant = variant_by_name("Train + Hit")
     batched = _stream(_runner(variant, "batched", defense=defense))
     pooled = _stream(_runner(variant, "pool", defense=defense))
-    assert pooled == batched
-
-
-def test_snapshot_protocol_composes():
-    variant = variant_by_name("Train + Test")
-    batched = _stream(_runner(variant, "batched", snapshot_trials=True))
-    pooled = _stream(_runner(variant, "pool", snapshot_trials=True))
     assert pooled == batched
 
 
@@ -320,7 +313,7 @@ def test_sequential_sweep_payloads_identical(tmp_path):
 
     batched = _sweep(tmp_path, specs, policy(backend="batched"), "batched")
     before = COUNTERS.snapshot()
-    pooled = _sweep(tmp_path, specs, policy(lane_schedule="pool"), "pool")
+    pooled = _sweep(tmp_path, specs, policy(backend="pool"), "pool")
     delta = _delta(before)
     assert pooled == batched
     offered = delta.get("pool_lanes_offered", 0)
@@ -349,7 +342,7 @@ def test_midsweep_crash_and_resume(tmp_path):
         tmp_path, specs,
         dataclasses.replace(policy, backend="batched"), "batched",
     )
-    pool_policy = dataclasses.replace(policy, lane_schedule="pool")
+    pool_policy = dataclasses.replace(policy, backend="pool")
     _sweep(tmp_path, specs, pool_policy, "pool", subset=specs[:7])
     pool_backend().reset()  # the crash takes the process's tapes with it
     resumed = _sweep(tmp_path, specs, pool_policy, "pool", resume=True)
@@ -519,56 +512,21 @@ def test_note_early_stop_accounting():
 # ---------------------------------------------------------------------------
 
 
-class TestLaneSchedulePolicy:
-    def test_unknown_schedule_fails_loudly(self):
-        from repro.harness.runner import ExecutionPolicy
+class TestBackendPolicy:
+    def test_policy_backend_routes_cells_through_the_pool(self):
+        from repro.harness.runner import ExecutionPolicy, ResilientExecutor
 
-        with pytest.raises(HarnessError, match="lane schedule"):
-            ExecutionPolicy(lane_schedule="vector")
+        executor = ResilientExecutor(
+            ExecutionPolicy(backend="pool"), store=None
+        )
+        before = COUNTERS.snapshot()
+        cell = executor.run_cell_supervised(
+            "pool-routing", variant_by_name("Train + Hit"),
+            ChannelType.TIMING_WINDOW, "lvp", 6, 0,
+        )
+        assert cell.result is not None
+        assert _delta(before).get("pool_lanes_offered", 0) > 0
 
-    def test_pool_conflicts_with_pinned_backend(self):
-        from repro.harness.runner import ExecutionPolicy
-
-        with pytest.raises(HarnessError, match="pinned explicitly"):
-            ExecutionPolicy(lane_schedule="pool", backend="scalar")
-
-    def test_effective_backend_resolution(self):
-        from repro.harness.runner import ExecutionPolicy
-
-        assert ExecutionPolicy().effective_backend() is None
-        assert ExecutionPolicy(
-            backend="batched"
-        ).effective_backend() == "batched"
-        assert ExecutionPolicy(
-            lane_schedule="pool"
-        ).effective_backend() == "pool"
-        assert ExecutionPolicy(
-            lane_schedule="pool", backend="pool"
-        ).effective_backend() == "pool"
-
-    def test_cli_resolver(self):
-        import argparse
-
-        from repro.cli import _effective_backend
-
-        def args(**kwargs):
-            return argparse.Namespace(
-                backend=kwargs.get("backend"),
-                lane_schedule=kwargs.get("lane_schedule"),
-            )
-
-        assert _effective_backend(args()) is None
-        assert _effective_backend(args(backend="batched")) == "batched"
-        assert _effective_backend(
-            args(lane_schedule="pool")
-        ) == "pool"
-        assert _effective_backend(
-            args(lane_schedule="pool", backend="pool")
-        ) == "pool"
-        assert _effective_backend(
-            args(lane_schedule="cell", backend="batched")
-        ) == "batched"
-        with pytest.raises(ReproError, match="pinned explicitly"):
-            _effective_backend(
-                args(lane_schedule="pool", backend="scalar")
-            )
+    def test_unknown_backend_fails_loudly(self):
+        with pytest.raises(ReproError, match="vector"):
+            _runner(variant_by_name("Train + Hit"), "vector")

@@ -273,22 +273,6 @@ class TestIncrementalStreaming:
         )
         assert streamed.pvalue == cold.pvalue
 
-    def test_streaming_composes_with_snapshot_forks(self):
-        cold = AttackRunner(
-            TrainTestAttack(),
-            AttackConfig(n_runs=8, seed=5, snapshot_trials=True),
-        ).run_experiment()
-        experiment = AttackRunner(
-            TrainTestAttack(),
-            AttackConfig(n_runs=8, seed=5, snapshot_trials=True),
-        ).run_incremental()
-        experiment.advance(3)
-        experiment.advance(8)
-        assert (
-            experiment.result().comparison.mapped.samples
-            == cold.comparison.mapped.samples
-        )
-
     def test_interim_comparison_exposes_pvalue(self):
         experiment = AttackRunner(
             TrainTestAttack(), AttackConfig(n_runs=10, seed=3)

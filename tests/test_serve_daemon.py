@@ -106,12 +106,17 @@ class TestProtocol:
         with pytest.raises(HarnessError):
             normalize_policy("yolo")
 
+    def test_removed_protocol_fields_are_unknown(self):
+        with pytest.raises(HarnessError, match="snapshot_trials"):
+            normalize_spec({"variant": "Train + Hit",
+                            "snapshot_trials": True})
+
     def test_job_key_is_content_addressed(self):
-        base = normalize_spec(_spec())
-        spelled_out = normalize_spec(
-            {**_spec(), "snapshot_trials": False}
+        base = normalize_spec(_spec(n_runs=100))
+        implicit = {k: v for k, v in _spec().items() if k != "n_runs"}
+        assert job_key(base, "compat") == job_key(
+            normalize_spec(implicit), "compat"
         )
-        assert job_key(base, "compat") == job_key(spelled_out, "compat")
         assert job_key(base, "compat") != job_key(base, "robust")
         assert (job_key(normalize_spec(_spec(seed=2)), "compat")
                 != job_key(base, "compat"))

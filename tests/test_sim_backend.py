@@ -215,26 +215,6 @@ def test_table3_sweep_verdicts_identical(tmp_path):
     assert sweep("batched") == sweep("scalar")
 
 
-def test_snapshot_protocol_composes(monkeypatch):
-    """Snapshot-forked trials are identical across backends too."""
-    for variant_name in ("Train + Hit", "Train + Test"):
-        variant = variant_by_name(variant_name)
-        scalar = _stream(_runner(variant, "scalar", snapshot_trials=True))
-        batched = _stream(_runner(variant, "batched", snapshot_trials=True))
-        assert batched == scalar
-
-
-@pytest.mark.parametrize("defense", ["D", "R", "A", "I", "full"])
-def test_snapshot_protocol_composes_with_defenses(defense):
-    """Snapshot forking x every defense: still byte-identical."""
-    variant = variant_by_name("Train + Test")
-    scalar = _stream(_runner(variant, "scalar",
-                             snapshot_trials=True, defense=defense))
-    batched = _stream(_runner(variant, "batched",
-                              snapshot_trials=True, defense=defense))
-    assert batched == scalar
-
-
 def test_incremental_advance_composes_with_defense_and_channel():
     """Group-sequential looks under a defended persistent cell."""
     variant = variant_by_name("Train + Test")
@@ -365,23 +345,32 @@ def test_r_matrix_cells_identical_at_any_lane_width(
 
 
 def test_unsupported_config_falls_back_with_journal():
-    """Audit mode is the deliberately-unsupported shape: static gate."""
+    """A non-LRU replacement policy is a static-gate shape: it draws
+    per-trial randomness into cache structure, so the cell runs on
+    scalar and the journaled reason names the policy."""
+    from repro.core.attack import attack_dram_config
+    from repro.memory.hierarchy import MemoryConfig
     from repro.perf.counters import COUNTERS
+
+    def memory_config():
+        return MemoryConfig(
+            dram=attack_dram_config(), replacement_policy="random"
+        )
 
     clear_fallback_journal()
     before = COUNTERS.batched_fallback_trials
     variant = variant_by_name("Train + Hit")
     scalar = _stream(_runner(variant, "scalar",
-                             snapshot_trials=True, audit_snapshots=True))
+                             memory_config=memory_config()))
     batched = _stream(_runner(variant, "batched",
-                              snapshot_trials=True, audit_snapshots=True))
+                              memory_config=memory_config()))
     assert batched == scalar
     assert COUNTERS.batched_fallback_trials > before
     journal = fallback_journal()
     assert journal, "fallback produced no journal entry"
     cell, reason = journal[-1]
     assert "Train + Hit" in cell
-    assert "audit" in reason
+    assert "replacement policy 'random'" in reason
 
 
 def test_runtime_divergence_journals_reason():
