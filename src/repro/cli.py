@@ -137,9 +137,9 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None, choices=list(BACKEND_NAMES),
         help="simulation backend for the trial loop: scalar (the "
-             "reference interpreter, default), batched (numpy "
-             "lockstep lanes, byte-identical results) or pool (the "
-             "cross-cell lane pool); default follows $REPRO_BACKEND",
+             "reference interpreter, default) or batched (numpy "
+             "lockstep lanes, byte-identical results); default follows "
+             "$REPRO_BACKEND",
     )
 
 
@@ -354,12 +354,9 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     if serve_backend is not None:
         # Worker processes resolve the backend from the environment
         # (repro.sim.BACKEND_ENV), so exporting it here threads the
-        # selection through the pool without touching job specs —
-        # results are byte-identical either way by the backend
-        # contract, this only picks the execution strategy.  Under
-        # --backend pool every worker's cells admit trials through its
-        # process-global lane pool, so concurrent jobs dispatched to
-        # one worker share tapes and warm machines.
+        # selection through the worker pool without touching job
+        # specs — results are byte-identical either way by the backend
+        # contract, this only picks the execution strategy.
         from repro.sim import BACKEND_ENV
 
         os.environ[BACKEND_ENV] = serve_backend

@@ -420,12 +420,6 @@ def run_sequential_cell(
         COUNTERS.sequential_cycles_avoided += int(
             trials_avoided * state.mean_trial_cycles
         )
-        # Demand-driven backends account the tail trials a
-        # fill-every-lane dispatcher would have already burnt past
-        # this decisive look (duck-typed: only the pool implements it).
-        clip = getattr(runner.backend, "note_early_stop", None)
-        if clip is not None:
-            clip(runner, experiment.trials_done)
 
     extensions = 0
     extension_records: List[Dict[str, object]] = []

@@ -5,7 +5,6 @@ Measurements, all on the host that runs them:
 * **backend** — one representative attack cell under the scalar
   reference and the selected trial-loop backend;
 * **sequential** — the same cell fixed-N vs group-sequential;
-* **lane pool** — the Table III sweep per-cell batched vs pooled;
 * **serve** — the evaluation daemon under a few concurrent clients;
 * **serial sweep** — a small supervised sweep through
   :func:`repro.harness.parallel.run_cells` at ``workers=1``:
@@ -29,7 +28,7 @@ import dataclasses
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro._version import __version__
 from repro.core.channels import ChannelType
@@ -201,87 +200,6 @@ def measure_sequential(n_runs: int = 60, seed: int = 0) -> Dict[str, Any]:
     }
 
 
-def measure_schedule(n_runs: int = 24, seed: int = 0) -> Dict[str, Any]:
-    """Cross-cell lane pool vs per-cell batched on a sequential sweep.
-
-    Runs the full Table III cell set group-sequentially three times —
-    per-cell batched, pool with cold tapes (recording pass), pool with
-    warm tapes (steady state) — and asserts every cell payload is
-    byte-identical across all three.  The occupancy and refill
-    counters come from the warm pass, so the reported numbers describe
-    the scheduler in the regime it exists for: a long-lived process
-    (a sweep, a daemon) whose compatible dispatches share recorded
-    passes.
-    """
-    import dataclasses
-    import json
-
-    from repro.harness.parallel import execute_spec, sweep_specs
-    from repro.harness.runner import (
-        ExecutionPolicy,
-        ResilientExecutor,
-        SequentialPolicy,
-    )
-    from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.sim.schedule import pool_backend
-
-    specs = sweep_specs("table3", n_runs=n_runs, seed=seed)
-
-    def sweep(backend_name: str) -> Tuple[float, List[str]]:
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(),
-            sequential=SequentialPolicy(),
-            backend=backend_name,
-        )
-        executor = ResilientExecutor(policy, store=None)
-        payloads: List[str] = []
-        watch = Stopwatch()
-        with watch:
-            for spec in specs:
-                cell = execute_spec(spec, executor)
-                payloads.append(
-                    json.dumps(cell.to_payload(), sort_keys=True)
-                )
-        return watch.elapsed, payloads
-
-    pool_backend().reset()
-    sweep("batched")  # warm-up: program/trace caches for both sides
-    batched_s, batched_payloads = sweep("batched")
-    cold_s, cold_payloads = sweep("pool")
-    before = COUNTERS.snapshot()
-    warm_s, warm_payloads = sweep("pool")
-    delta = PerfCounters.delta(before, COUNTERS.snapshot())
-    if cold_payloads != batched_payloads:
-        raise AssertionError(
-            "pool (recording pass) payloads diverged from batched"
-        )
-    if warm_payloads != batched_payloads:
-        raise AssertionError(
-            "pool (warm tapes) payloads diverged from batched"
-        )
-    offered = delta.get("pool_lanes_offered", 0)
-    filled = delta.get("pool_lanes_filled", 0)
-    return {
-        "cells": len(specs),
-        "n_runs": n_runs,
-        "batched_s": batched_s,
-        "pool_cold_s": cold_s,
-        "pool_warm_s": warm_s,
-        "speedup_cold": batched_s / cold_s if cold_s > 0 else 0.0,
-        "speedup_warm": batched_s / warm_s if warm_s > 0 else 0.0,
-        "occupancy": filled / offered if offered else 0.0,
-        "lanes_offered": offered,
-        "lanes_filled": filled,
-        "lane_refills": delta.get("pool_lane_refills", 0),
-        "passes_replayed": delta.get("pool_passes_replayed", 0),
-        "passes_recorded": delta.get("pool_passes_recorded", 0),
-        "replay_divergences": delta.get("pool_replay_divergences", 0),
-        "trials_clipped": delta.get("pool_trials_clipped", 0),
-        "warm_mems": delta.get("pool_warm_mems", 0),
-        "payload_identical": True,
-    }
-
-
 def measure_serve(
     n_runs: int = 6, seed: int = 0, clients: int = 3, workers: int = 2,
 ) -> Dict[str, Any]:
@@ -439,9 +357,6 @@ def perf_baseline(
     say("sequential: 1 cell, fixed-N vs group-sequential ...")
     sequential = measure_sequential(n_runs=max(n_runs, 20), seed=seed)
 
-    say("lane pool: Table III sweep, per-cell batched vs pool ...")
-    schedule = measure_schedule(n_runs=max(n_runs, 20), seed=seed)
-
     say("serve daemon: 3 clients x 3 cells, shared cache ...")
     serve = measure_serve(n_runs=min(n_runs, 8), seed=seed)
 
@@ -471,7 +386,6 @@ def perf_baseline(
         "cells": len(specs),
         "backend": backend_section,
         "sequential": sequential,
-        "schedule": schedule,
         "serve": serve,
         "serial": {
             **serial.to_payload(),
@@ -579,37 +493,6 @@ def render_perf_report(report: Dict[str, Any]) -> str:
             f"/{sequential['n_runs']} after {sequential['looks']} look(s) "
             f"({stopped}), {sequential['trials_avoided']} trials avoided, "
             f"{sequential['cycles_avoided'] / 1e6:.2f}M cycles avoided"
-        )
-    schedule = report.get("schedule")
-    if schedule is not None:
-        lines.append("")
-        lines.append(
-            f"lane pool ({schedule['cells']} Table III cells, "
-            f"sequential, n_runs={schedule['n_runs']}):"
-        )
-        lines.append(
-            f"  batched       : {schedule['batched_s']:7.3f} s   "
-            f"pool cold : {schedule['pool_cold_s']:7.3f} s   "
-            f"pool warm : {schedule['pool_warm_s']:7.3f} s"
-        )
-        lines.append(
-            f"  speedup {schedule['speedup_warm']:.2f}x warm "
-            f"({schedule['speedup_cold']:.2f}x recording pass)"
-            + ("   [payloads identical]"
-               if schedule.get("payload_identical") else "")
-        )
-        lines.append(
-            f"  occupancy {schedule['occupancy'] * 100:.1f}% "
-            f"({schedule['lanes_filled']}/{schedule['lanes_offered']} "
-            f"lanes), {schedule['lane_refills']} refills, "
-            f"{schedule['passes_replayed']} replayed / "
-            f"{schedule['passes_recorded']} recorded passes, "
-            f"{schedule['replay_divergences']} divergences"
-        )
-        lines.append(
-            f"  {schedule['trials_clipped']} tail trials clipped at "
-            f"look boundaries, {schedule['warm_mems']} warm-machine "
-            f"reuses"
         )
     serve = report.get("serve")
     if serve is not None:

@@ -84,29 +84,6 @@ class PerfCounters:
             lanes disagreed on a per-trial draw (an R-window offset or
             a post-split prediction); each group re-ran as its own
             pass.
-        pool_passes_recorded / pool_passes_replayed: Lane-pool
-            hypothesis passes that ran under a tape recorder vs were
-            served entirely off a cached tape (no machine at all).
-        pool_replay_divergences: Replays abandoned because a recorded
-            guard evaluated differently under the new seeds (the pass
-            re-ran interpretively; a counted slowdown, never an error).
-        pool_tapes_invalid: Recording attempts aborted mid-pass
-            because the trace left the tape's envelope (e.g. a
-            predictor lane split); the key is marked non-recordable.
-        pool_lanes_offered / pool_lanes_filled: Lanes of demand the
-            pool was asked for vs lanes it executed through a pooled
-            resource; mean occupancy is ``filled / offered`` and is
-            1.0 by construction under demand-driven admission — the
-            pair exists so regressions are asserted, not trusted.
-        pool_lane_refills: Lanes admitted into an *already recorded*
-            pass (replayed lanes): later looks of the recording cell,
-            compatible cells, or other jobs sharing the pool.
-        pool_trials_clipped: Trials a fill-every-lane scheduler would
-            have dispatched past a decisive interim look that the
-            pool's look-boundary clipping never admitted.
-        pool_warm_mems: Interpretive pool passes that reused a pooled
-            memory hierarchy via ``reset(seed)`` instead of building
-            caches from scratch.
     """
 
     program_cache_hits: int = 0
@@ -143,15 +120,6 @@ class PerfCounters:
     batched_lanes_retired: int = 0
     batched_lanes_squashed: int = 0
     batched_partitions: int = 0
-    pool_passes_recorded: int = 0
-    pool_passes_replayed: int = 0
-    pool_replay_divergences: int = 0
-    pool_tapes_invalid: int = 0
-    pool_lanes_offered: int = 0
-    pool_lanes_filled: int = 0
-    pool_lane_refills: int = 0
-    pool_trials_clipped: int = 0
-    pool_warm_mems: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """The counter values as a plain dict (JSON- and pickle-safe)."""
@@ -209,13 +177,6 @@ class PerfCounters:
         return self._rate(
             self.batched_vector_trials, self.batched_fallback_trials
         )
-
-    @property
-    def pool_occupancy(self) -> float:
-        """Mean lane occupancy of the pool scheduler (0 when idle)."""
-        if not self.pool_lanes_offered:
-            return 0.0
-        return self.pool_lanes_filled / self.pool_lanes_offered
 
     @property
     def serve_mean_queue_wait_ms(self) -> float:

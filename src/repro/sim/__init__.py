@@ -20,14 +20,6 @@ Two implementations ship:
     native envelope fall back to ``scalar`` per chunk with the reason
     journaled (:func:`fallback_journal`).
 
-``pool``
-    The lane-pool scheduler (:mod:`repro.sim.schedule`): continuous
-    batching across cell and look boundaries on top of ``batched``.
-    Compatible dispatches share one recorded lockstep pass (a tape)
-    replayed per seed schedule, and interpretive passes reuse warm
-    machine hierarchies.  Byte-identical to ``batched``/``scalar``;
-    a process-global singleton, so concurrent jobs pool their work.
-
 Backend selection is threaded from the CLI / environment down to the
 runner: ``--backend`` → :class:`~repro.harness.runner.ExecutionPolicy`
 → :class:`~repro.core.attack.AttackConfig.backend` →
@@ -76,16 +68,9 @@ def _load_batched() -> "SimBackend":
     return BatchedBackend()
 
 
-def _load_pool() -> "SimBackend":
-    from repro.sim.schedule import pool_backend
-
-    return pool_backend()
-
-
 _LOADERS: Dict[str, Callable[[], "SimBackend"]] = {
     "scalar": _load_scalar,
     "batched": _load_batched,
-    "pool": _load_pool,
 }
 
 #: Names accepted by ``--backend`` / ``$REPRO_BACKEND``.

@@ -198,7 +198,7 @@ class BatchedBackend:
         partitions, so the recursion ends.
         """
         try:
-            rows, machine, _ = self._run_batch(runner, mapped, indices)
+            rows, machine = self._run_batch(runner, mapped, indices)
         except self._lockstep.LanePartition as request:
             COUNTERS.batched_partitions += 1
             groups: Dict[Any, List[int]] = {}
@@ -224,30 +224,19 @@ class BatchedBackend:
         runner: "AttackRunner",
         mapped: bool,
         indices: Sequence[int],
-        seeds: Optional[Sequence[int]] = None,
-        mem: Any = None,
-        tape: Any = None,
-    ) -> Tuple[List["TrialResult"], Any, Any]:
+    ) -> Tuple[List["TrialResult"], Any]:
         """All of one hypothesis's trials in the chunk, in lockstep.
 
-        ``seeds`` overrides the per-runner trial-seed schedule (the
-        lane pool fuses compatible cells' trials into one pass, so one
-        runner's pass may carry foreign seeds); ``mem`` supplies an
-        already-reset warm memory system and ``tape`` a
-        :class:`~repro.sim.tape.TapeRecorder` — both pool mechanisms,
-        inert for per-cell batched execution.  Returns ``(rows,
-        machine, measurement)`` where the measurement is the raw lane
-        vector (a traced vector under recording) the rows were built
-        from.
+        Lane ``k`` runs trial ``indices[k]`` under its scalar trial
+        seed.  Returns ``(rows, machine)``: one row per lane, in
+        ``indices`` order, and the finished machine whose totals feed
+        the counters.
         """
         from repro.core.attack import TrialResult, attack_dram_config
 
         lockstep = self._lockstep
         config = runner.config
-        if seeds is None:
-            seeds = [_trial_seed(config, mapped, i) for i in indices]
-        else:
-            seeds = list(seeds)
+        seeds = [_trial_seed(config, mapped, i) for i in indices]
         base_memory = config.memory_config or MemoryConfig(
             dram=attack_dram_config()
         )
@@ -262,8 +251,6 @@ class BatchedBackend:
             predictor=predictor,
             lane_seeds=seeds,
             shared_region=shared_region,
-            mem=mem,
-            tape=tape,
         )
         env = runner._env_around(machine.mem, lockstep.LaneCore(machine))
         try:
@@ -295,4 +282,4 @@ class BatchedBackend:
             )
             for lane in range(len(seeds))
         ]
-        return rows, machine, values
+        return rows, machine

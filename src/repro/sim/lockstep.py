@@ -105,7 +105,6 @@ from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.memory.memsys import _splitmix64
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import EA_MASK, _alu_compute
-from repro.sim.tape import TV, TapeInvalid, TapeRecorder
 from repro.vp.base import AccessKey, Prediction, ValuePredictor, trial_stream
 from repro.vp.nopred import NoPredictor
 
@@ -150,20 +149,15 @@ class _LaneStream:
     """One randomising wrapper's per-lane streams behind one ``randint``.
 
     Each lane draws from its own trial's stream; a draw all lanes agree
-    on is returned, a split one raises :class:`LanePartition`.  A tape
-    cannot replay per-trial draws under new seeds, so recording aborts
-    on the first draw.
+    on is returned, a split one raises :class:`LanePartition`.
     """
 
-    __slots__ = ("rngs", "recording")
+    __slots__ = ("rngs",)
 
-    def __init__(self, rngs: List[random.Random], recording: bool) -> None:
+    def __init__(self, rngs: List[random.Random]) -> None:
         self.rngs = rngs
-        self.recording = recording
 
     def randint(self, low: int, high: int) -> int:
-        if self.recording:
-            raise TapeInvalid("per-trial predictor draws are not tapeable")
         draws = [rng.randint(low, high) for rng in self.rngs]
         head = draws[0]
         if any(draw != head for draw in draws):
@@ -189,20 +183,9 @@ def _splitmix64_vec(values: np.ndarray) -> np.ndarray:
 
 
 def _alu_vec(alu_op: AluOp, lhs: object, rhs: object) -> object:
-    """Vector-aware ALU evaluation matching ``_alu_compute`` per lane.
-
-    Traced vectors must not pass through ``np.asarray`` (that would
-    silently drop their tape node), so they cast via their own
-    ``astype``; the ufunc arithmetic below records itself.
-    """
-    left = (
-        lhs.astype(np.uint64) if isinstance(lhs, TV)
-        else np.asarray(lhs).astype(np.uint64)
-    )
-    right = (
-        rhs.astype(np.uint64) if isinstance(rhs, TV)
-        else np.asarray(rhs).astype(np.uint64)
-    )
+    """Vector-aware ALU evaluation matching ``_alu_compute`` per lane."""
+    left = np.asarray(lhs).astype(np.uint64)
+    right = np.asarray(rhs).astype(np.uint64)
     with np.errstate(over="ignore"):
         if alu_op is AluOp.ADD:
             result = left + right
@@ -226,21 +209,9 @@ def _alu_vec(alu_op: AluOp, lhs: object, rhs: object) -> object:
 
 
 def _uniform_int(value: object, what: str) -> int:
-    """Collapse a lane value to a plain int, or diverge.
-
-    A traced vector's collapse is additionally pinned on the tape:
-    the recorded constant fed structure (an address, a trained value),
-    so a replay under new seeds must re-verify the collapse.
-    """
+    """Collapse a lane value to a plain int, or diverge."""
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, TV):
-        shadow = value.shadow
-        first = shadow.flat[0]
-        if not bool(np.all(shadow == first)):
-            raise LaneDivergence(f"non-uniform {what} across lanes")
-        value.tape.guard_uniform(value, int(first))
-        return int(first)
     array = np.asarray(value)
     first = array.flat[0]
     if not bool(np.all(array == first)):
@@ -444,17 +415,6 @@ class LockstepMachine:
             streams, and per-lane backing-store defaults.
         shared_region: ``(base, size)`` registered on the private
             memory system, mirroring ``AttackRunner._build_env``.
-        mem: An already-reset warm :class:`MemorySystem` to reuse
-            instead of constructing one (the lane pool's warm-machine
-            protocol).  The caller guarantees it was built from an
-            equal ``memory_config``/``shared_region`` and reset to
-            ``memory_config.seed`` — byte-identical to fresh
-            construction per ``MemorySystem.reset``'s contract.
-        tape: When set, the pass records itself onto this
-            :class:`~repro.sim.tape.TapeRecorder` (see
-            :mod:`repro.sim.tape`); per-lane jitter draws and lane
-            defaults come back as traced vectors whose arithmetic and
-            guard collapses self-record.
     """
 
     def __init__(
@@ -464,17 +424,11 @@ class LockstepMachine:
         predictor: ValuePredictor,
         lane_seeds: Sequence[int],
         shared_region: Tuple[int, int],
-        mem: Optional[MemorySystem] = None,
-        tape: Optional[TapeRecorder] = None,
     ) -> None:
         self.lanes = len(lane_seeds)
         self.config = core_config
-        if mem is None:
-            self.mem = MemorySystem(memory_config)
-            self.mem.add_shared_region(*shared_region)
-        else:
-            self.mem = mem
-        self.tape = tape
+        self.mem = MemorySystem(memory_config)
+        self.mem.add_shared_region(*shared_region)
         self.predictor = predictor
         #: A bare NoPredictor ignores the trained value (train only
         #: bumps an aggregate counter that never reaches a result), so
@@ -513,8 +467,7 @@ class LockstepMachine:
 
         def lane_stream(salt: int) -> _LaneStream:
             stream = _LaneStream(
-                [trial_stream(salt, seed) for seed in lane_seeds],
-                recording=tape is not None,
+                [trial_stream(salt, seed) for seed in lane_seeds]
             )
             self._lane_streams.append(stream)
             return stream
@@ -527,26 +480,18 @@ class LockstepMachine:
         store = self.mem.store_values
         if store.is_written(paddr):
             return store.read(paddr)
-        defaults = _splitmix64_vec(
-            np.uint64(paddr) ^ self._lane_default_seeds
-        )
-        if self.tape is not None:
-            return self.tape.leaf_default(defaults, paddr)
-        return defaults
+        return _splitmix64_vec(np.uint64(paddr) ^ self._lane_default_seeds)
 
     # -- per-lane latency draws ----------------------------------------
-    def _draw_l2_jitter(self) -> object:
+    def _draw_l2_jitter(self) -> np.ndarray:
         jitter = self.mem.config.l2_jitter
-        draws = np.fromiter(
+        return np.fromiter(
             (rng.randint(0, jitter) for rng in self._rng_mem),
             dtype=np.int64,
             count=self.lanes,
         )
-        if self.tape is not None:
-            return self.tape.leaf_l2(draws, jitter)
-        return draws
 
-    def _draw_dram(self) -> object:
+    def _draw_dram(self) -> np.ndarray:
         """Per-lane DRAM latency, mirroring ``DramModel.access_latency``."""
         config = self.mem.config.dram
         base = config.base_latency
@@ -565,10 +510,6 @@ class LockstepMachine:
         out = np.empty(self.lanes, dtype=np.int64)
         for lane, rng in enumerate(self._rng_dram):
             out[lane] = one(rng)
-        if self.tape is not None:
-            return self.tape.leaf_dram(
-                out, base, jitter, tail_extra, tail_probability
-            )
         return out
 
     def _load_access(self, pid: int, vaddr: int) -> Tuple[object, bool, int]:
@@ -703,11 +644,6 @@ class LockstepMachine:
         Replica ``k`` takes over lane ``k``'s own random streams (the
         deepcopy memo substitutes them for the shared lane streams).
         """
-        if self.tape is not None:
-            # Per-lane predictor replay is genuinely per-lane work a
-            # width-agnostic tape cannot express; the recording attempt
-            # aborts and the pass re-runs untaped.
-            raise TapeInvalid("predictor lane split is not tapeable")
         self._split = [
             copy.deepcopy(self.predictor, {
                 id(stream): stream.rngs[lane]
@@ -772,16 +708,9 @@ class LockstepMachine:
             value = first.value
             if self._train_value_blind:
                 # The trained value is dead state for a NoPredictor;
-                # a per-lane value neither forces a collapse guard nor
-                # a lane split.
+                # a per-lane value needs neither a collapse nor a lane
+                # split.
                 value = 0
-            elif isinstance(value, TV):
-                head = value.shadow.flat[0]
-                if not bool(np.all(value.shadow == head)):
-                    self._begin_split()
-                    return
-                value.tape.guard_uniform(value, int(head))
-                value = int(head)
             elif isinstance(value, np.ndarray):
                 head = value.flat[0]
                 if not bool(np.all(value == head)):
@@ -1387,10 +1316,6 @@ class LockstepMachine:
         self.simulated_cycles += int(np.sum(finish - start))
         self.total_retired += len(cols) * lanes
         self.total_squashes += squashes * lanes
-        if self.tape is not None:
-            # Column/squash counts are per-lane-uniform; the tape
-            # scales them by the replay lane count.
-            self.tape.note_run(len(cols), squashes)
         self.cycle = finish
         # Every deferred fill and pending training completed within
         # this run, and any later access happens at an issue cycle past
@@ -1533,22 +1458,11 @@ class LockstepMachine:
 
         The schedule recurrences assume the unconstrained schedule
         respects every per-cycle cap; sort each class's issue cycles
-        per lane and check no ``cap+1`` of them coincide.  Traced
-        vectors check their shadows and additionally record the whole
-        check as a guard — new seeds' jitter can make a cap bind that
-        did not bind at record time.
+        per lane and check no ``cap+1`` of them coincide.
         """
         if len(issues) <= cap:
             return
-        if any(isinstance(issue, TV) for issue in issues):
-            assert self.tape is not None
-            self.tape.guard_oversubscription(issues, cap, what)
-            arrays = [
-                issue.shadow if isinstance(issue, TV) else np.asarray(issue)
-                for issue in issues
-            ]
-        else:
-            arrays = [np.asarray(issue) for issue in issues]
+        arrays = [np.asarray(issue) for issue in issues]
         stacked = np.sort(np.stack(arrays), axis=0)
         if bool(np.any(stacked[cap:] <= stacked[:-cap])):
             raise LaneDivergence(f"{what} oversubscribed")

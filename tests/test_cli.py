@@ -98,6 +98,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag", [
         "--snapshot-trials", "--audit-snapshots", "--lane-schedule=pool",
+        "--backend=pool",
     ])
     def test_removed_trial_protocol_flags_exit_2(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exit_info:

@@ -153,6 +153,18 @@ class TestSequentialDesign:
         assert len(payload["levels"]) == 2
 
 
+def test_next_demand_contract():
+    from repro.stats.sequential import SequentialDesign
+
+    design = SequentialDesign(looks=(3, 5, 11))
+    assert design.next_demand(0) == 3
+    assert design.next_demand(3) == 2
+    assert design.next_demand(4) == 1  # resumed between looks
+    assert design.next_demand(5) == 6
+    assert design.next_demand(11) == 0
+    assert design.next_demand(50) == 0
+
+
 class TestGroupSequentialTest:
     def test_early_rejection(self):
         test = GroupSequentialTest(SequentialDesign(looks=(20, 40, 100)))

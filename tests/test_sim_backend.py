@@ -24,6 +24,7 @@ from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS, variant_by_name
 from repro.errors import BackendUnavailableError, SimBackendError
+from repro.harness.runner import SequentialPolicy
 from repro.sim import (
     BACKEND_ENV,
     BACKEND_NAMES,
@@ -97,7 +98,7 @@ def _stream(runner, start=0, stop=None):
 
 class TestBackendRegistry:
     def test_names_and_default(self):
-        assert BACKEND_NAMES == ("batched", "pool", "scalar")
+        assert BACKEND_NAMES == ("batched", "scalar")
         assert DEFAULT_BACKEND == "scalar"
 
     def test_resolution_order(self, monkeypatch):
@@ -115,6 +116,12 @@ class TestBackendRegistry:
             get_backend("gpu")
         monkeypatch.setenv(BACKEND_ENV, "typo")
         with pytest.raises(SimBackendError, match="typo"):
+            resolve_backend_name(None)
+        # The retired lane-pool backend is refused like any other typo.
+        with pytest.raises(SimBackendError, match="batched, scalar$"):
+            resolve_backend_name("pool")
+        monkeypatch.setenv(BACKEND_ENV, "pool")
+        with pytest.raises(SimBackendError, match="batched, scalar$"):
             resolve_backend_name(None)
 
     def test_runner_resolves_backend_eagerly(self, monkeypatch):
@@ -189,8 +196,16 @@ def test_trial_streams_identical_other_predictors(predictor, channel):
     assert fallback_journal() == []
 
 
-def test_table3_sweep_verdicts_identical(tmp_path):
-    """Acceptance: the full 18-cell Table III sweep, both backends."""
+@pytest.mark.parametrize("sequential, n_runs", [
+    pytest.param(None, 6, id="fixed"),
+    pytest.param(SequentialPolicy(), 16, id="sequential"),
+])
+def test_table3_sweep_verdicts_identical(tmp_path, sequential, n_runs):
+    """Acceptance: the full 18-cell Table III sweep, both backends.
+
+    The group-sequential form streams every cell through interim looks
+    of a few trials each, so it pins narrow batched dispatches too.
+    """
     import dataclasses
 
     from repro._version import __version__
@@ -198,7 +213,7 @@ def test_table3_sweep_verdicts_identical(tmp_path):
     from repro.harness.parallel import run_cells, sweep_specs
     from repro.harness.runner import ExecutionPolicy
 
-    specs = sweep_specs(["table3"], n_runs=6, seed=0)
+    specs = sweep_specs(["table3"], n_runs=n_runs, seed=0)
     assert len(specs) == 18
 
     def sweep(backend):
@@ -207,7 +222,8 @@ def test_table3_sweep_verdicts_identical(tmp_path):
             {"version": __version__, "backend_test": True}, resume=False,
         )
         policy = dataclasses.replace(
-            ExecutionPolicy.compat(), backend=backend
+            ExecutionPolicy.compat(), backend=backend,
+            sequential=sequential,
         )
         run_cells(specs, store, policy, workers=1)
         return {spec.cell_id: store.load(spec.cell_id) for spec in specs}
@@ -299,10 +315,24 @@ def test_trial_ranges_run_alone_are_invariant(backend, defense, channel):
 
 _R_MATRIX_RUNS = 8
 
+#: The R-type defense specs of the Section VI-B defense matrix.
+_R_MATRIX_SPECS = ("R[3]", "R[8]", "R[3]+D")
+
+
+def _r_matrix_cases():
+    """The matrix's R cells: variant/channel x R spec x predictor."""
+    for variant in ALL_VARIANTS:
+        channels = [ChannelType.TIMING_WINDOW]
+        if ChannelType.PERSISTENT in variant.supported_channels:
+            channels.append(ChannelType.PERSISTENT)
+        for channel in channels:
+            for spec in _R_MATRIX_SPECS:
+                for predictor in ("lvp", "vtage"):
+                    yield variant, channel, spec, predictor
+
 
 def _r_matrix_payloads(backend):
     """Payloads of the defense matrix's R cells at a small n_runs."""
-    from benchmarks.bench_schedule import _defense_matrix_cases
     from repro.cli import parse_defense
     from repro.harness.checkpoint import serialize_result
     from repro.harness.experiment import run_cell
@@ -314,8 +344,7 @@ def _r_matrix_payloads(backend):
                 defense=parse_defense(spec), backend=backend,
             ))
         )
-        for variant, channel, spec, predictor in _defense_matrix_cases()
-        if spec.startswith("R[")
+        for variant, channel, spec, predictor in _r_matrix_cases()
     }
 
 
