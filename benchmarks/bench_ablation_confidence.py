@@ -9,13 +9,13 @@ training cost (more accesses per trial), it is not a defense.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import SpillOverAttack, TrainTestAttack
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 60
 SEED = 1

@@ -15,13 +15,13 @@ benches so the quick CI pass stays quick.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 import dataclasses
 import tempfile
 from pathlib import Path
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 #: Trials per hypothesis per cell.  Large enough that the lockstep
 #: engine's one-pass-per-chunk cost amortizes across real lane counts

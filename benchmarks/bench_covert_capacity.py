@@ -9,14 +9,14 @@ symbol error rate as memory noise grows.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.covert import CovertChannel, CovertChannelConfig
 from repro.memory.hierarchy import MemoryConfig
 from repro.memory.memsys import DramConfig
 
 from tests.conftest import deterministic_memory_config
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 MESSAGE = bytes(range(0, 256, 16)) + b"value-predictors-leak"
 

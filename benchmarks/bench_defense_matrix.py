@@ -16,8 +16,6 @@ hypotheses.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import (
@@ -37,6 +35,8 @@ from repro.defenses import (
 from repro.harness import render_defense_matrix
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 100
 SEED = 3

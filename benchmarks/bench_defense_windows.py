@@ -18,13 +18,13 @@ Methodology notes:
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.variants import TestHitAttack, TrainTestAttack
 from repro.harness import render_defense_sweep, window_sweep
 from repro.pipeline.config import CoreConfig
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 #: Amplified-attacker configuration for the Test + Hit sweep.  The
 #: minimal secure window scales with the attack's amplification (a

@@ -6,11 +6,11 @@ Paper values: pvalue = 0.2630 (TW no VP), 0.0072 (TW LVP), 0.6111
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.harness import figure8_panels, figure_report
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 PAPER_PVALUES = {
     "(1)": 0.2630, "(2)": 0.0072, "(3)": 0.6111, "(4)": 0.0000,

@@ -9,8 +9,6 @@ the attacker's or victim's code — the threat model no longer needs the
 cache-miss precondition at all.
 """
 
-import random
-
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.core.attack import attack_dram_config

@@ -15,12 +15,12 @@ observable signals in real (simulated) hardware.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.model import all_combos
 from repro.core.synthesis import check_soundness
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 
 def _full_check():

@@ -10,8 +10,6 @@ margin — and quantifies how loud each attack's signal is.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 import statistics
 
 from repro.core.attack import AttackConfig, AttackRunner
@@ -19,6 +17,8 @@ from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 TRIAL_COUNTS = (5, 10, 20, 50, 100)
 SEEDS = (1, 2, 3)

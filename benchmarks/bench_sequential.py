@@ -22,13 +22,13 @@ perf trajectory.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 import dataclasses
 import tempfile
 from pathlib import Path
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 #: Sweep shape: sweep_specs(["table3"], n_runs=40, seed=0).
 _N_RUNS = 40
@@ -166,12 +166,71 @@ def test_sequential_sweep_equivalence(benchmark):
     )
 
 
+def _measure_sequential(n_runs, seed):
+    """Time one decisive cell fixed-N vs group-sequential.
+
+    The cell is the paper's flagship Train + Test attack over the
+    timing-window channel with LVP.  Both passes stream the identical
+    per-trial seed schedule, so the sequential pass's samples are a
+    byte-exact prefix of the fixed-N pass's and the verdicts must
+    agree.
+    """
+    from repro.core.channels import ChannelType
+    from repro.harness.experiment import cell_runner, run_cell
+    from repro.harness.parallel import _variant_by_name
+    from repro.harness.runner import (
+        AdaptivePolicy,
+        SequentialPolicy,
+        run_sequential_cell,
+    )
+    from repro.perf.counters import COUNTERS, PerfCounters
+    from repro.perf.observe import Stopwatch
+
+    variant = _variant_by_name("Train + Test")
+    channel = ChannelType.TIMING_WINDOW
+
+    run_cell(  # warm-up: populate gadget/trace caches
+        variant, channel, "lvp", n_runs=4, seed=seed
+    )
+    watch = Stopwatch()
+    with watch:
+        fixed = run_cell(variant, channel, "lvp", n_runs=n_runs, seed=seed)
+    fixed_s = watch.elapsed
+
+    before = COUNTERS.snapshot()
+    watch = Stopwatch()
+    with watch:
+        outcome = run_sequential_cell(
+            cell_runner(variant, channel, "lvp", n_runs=n_runs, seed=seed),
+            SequentialPolicy().design_for(n_runs),
+            AdaptivePolicy(),
+        )
+    sequential_s = watch.elapsed
+    delta = PerfCounters.delta(before, COUNTERS.snapshot())
+    assert outcome.result.attack_succeeds == fixed.attack_succeeds, (
+        "sequential verdict diverged from fixed-N: "
+        f"{outcome.result.attack_succeeds} != {fixed.attack_succeeds}"
+    )
+    return {
+        "cell": f"Train + Test / {channel.value} / lvp",
+        "n_runs": n_runs,
+        "fixed_s": fixed_s,
+        "sequential_s": sequential_s,
+        "speedup": fixed_s / sequential_s if sequential_s > 0 else 0.0,
+        "effective_n": outcome.effective_n,
+        "stopped_early": bool(outcome.record["stopped_early"]),
+        "looks": len(outcome.record["looks"]),
+        "trials_avoided": delta.get("sequential_trials_avoided", 0),
+        "cycles_avoided": delta.get("sequential_cycles_avoided", 0),
+        "verdict_identical": True,
+    }
+
+
 def test_sequential_single_cell_speedup(benchmark):
     """The canonical decisive cell: early exit with the same verdict."""
-    from repro.perf.baseline import measure_sequential
     from repro.perf.observe import write_sweep_trajectory
 
-    seq = run_once(benchmark, measure_sequential, n_runs=60, seed=0)
+    seq = run_once(benchmark, _measure_sequential, n_runs=60, seed=0)
     print(f"\nTrain + Test / timing-window (n_runs=60): "
           f"fixed {seq['fixed_s']:.3f}s, sequential "
           f"{seq['sequential_s']:.3f}s, {seq['speedup']:.2f}x; "

@@ -196,7 +196,7 @@ def test_restart_mid_sweep_resumes_from_journal(benchmark, tmp_path):
 
     def interrupted_then_resumed():
         client_responses = []
-        with _Daemon(root) as first:
+        with _Daemon(root):
             client = ServeClient(str(root))
             for spec in done_specs:  # journaled before the "crash"
                 response = client.submit(spec, wait=True, timeout_s=180.0)

@@ -8,10 +8,7 @@ pytest-benchmark's normal multi-round timing.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 import os
-import random
 from pathlib import Path
 
 from repro.isa.builder import ProgramBuilder
@@ -24,6 +21,8 @@ from repro.vp.lvp import LastValuePredictor
 from repro.vp.vtage import VtagePredictor
 
 from tests.conftest import deterministic_memory_config
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 
 def _alu_program(length=400):
@@ -109,10 +108,8 @@ def test_vtage_train_predict_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------
-# Sweep-engine speedups (recorded into the BENCH snapshot)
+# Sweep-engine speedups (recorded into BENCH_sweep.json)
 # ---------------------------------------------------------------------
-
-_SNAPSHOT = Path(__file__).parent / "BENCH_parallel.json"
 
 
 def test_batched_backend_trials_per_s():
@@ -121,17 +118,15 @@ def test_batched_backend_trials_per_s():
     One-shot comparative timing of the same cell under the scalar
     reference backend and the numpy lockstep backend (``repro.sim``).
     The batched pass must be fully vectorized (no scalar fallbacks) and
-    byte-identical in verdict; the trials/s ratio is the tentpole
-    number of ISSUE 8 and lands in both BENCH snapshots.
+    byte-identical in verdict; the trials/s ratio lands in
+    ``BENCH_sweep.json``.
     """
     pytest.importorskip("numpy")
     from repro.harness.experiment import run_cell
     from repro.harness.parallel import _variant_by_name
     from repro.core.channels import ChannelType
     from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.perf.observe import (
-        Stopwatch, write_bench_snapshot, write_sweep_trajectory,
-    )
+    from repro.perf.observe import Stopwatch, write_sweep_trajectory
 
     variant = _variant_by_name("Train + Hit")
     n_runs = 64
@@ -180,7 +175,6 @@ def test_batched_backend_trials_per_s():
         "speedup_vs_scalar": speedup,
         "verdict_identical": True,
     }
-    write_bench_snapshot(_SNAPSHOT, "bench_backend_cell", record)
     write_sweep_trajectory("bench_backend_cell", record, backend="batched")
     assert speedup >= 10.0, (
         f"batched backend below the 10x target: {speedup:.2f}x"
@@ -236,7 +230,7 @@ def test_parallel_sweep_speedup():
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
     from repro.harness.runner import ExecutionPolicy
-    from repro.perf.observe import write_bench_snapshot, write_sweep_trajectory
+    from repro.perf.observe import write_sweep_trajectory
     from repro.sim import resolve_backend_name
 
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
@@ -272,17 +266,6 @@ def test_parallel_sweep_speedup():
             f"(requested {parallel.workers}, host has {host_cpus} CPU(s))"
         )
     overhead_bound = speedup < 1.5
-    write_bench_snapshot(_SNAPSHOT, "bench_parallel_sweep", {
-        "cells": len(specs),
-        "backend": backend_name,
-        "host_cpus": host_cpus,
-        "workers": parallel.workers,
-        "effective_workers": effective_workers,
-        "serial": serial.to_payload(),
-        "parallel": parallel.to_payload(),
-        "speedup": speedup,
-        "overhead_bound": overhead_bound,
-    })
     write_sweep_trajectory("bench_parallel_sweep", {
         "cells": len(specs),
         "n_runs": 8,

@@ -4,7 +4,6 @@ from repro.core.model import (
     AttackCategory,
     Verdict,
     classify_all,
-    effective_attacks,
     table_ii_combos,
 )
 from repro.harness import render_table2

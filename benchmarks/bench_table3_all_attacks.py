@@ -17,12 +17,12 @@ and transmission rates in the same single-digit-Kbps band.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.model import AttackCategory
 from repro.harness import table3_report, table3_results
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 PERSISTENT_CATEGORIES = {
     AttackCategory.TRAIN_TEST,

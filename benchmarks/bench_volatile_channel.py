@@ -12,13 +12,13 @@ burst.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import FillUpAttack, TestHitAttack, TrainTestAttack
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 60
 SEED = 2

@@ -9,8 +9,6 @@ load), plus a stride predictor as an extension.
 
 import pytest
 
-pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import TestHitAttack, TrainTestAttack
@@ -18,6 +16,8 @@ from repro.vp.bebop import BebopPredictor
 from repro.vp.stride import StridePredictor
 
 from benchmarks.conftest import run_once
+
+pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 100
 SEED = 0

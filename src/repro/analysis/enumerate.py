@@ -59,7 +59,6 @@ from repro.core.model import (
     Verdict,
     _count_value,
     all_combos,
-    canonicalize,
     classify,
     question_of_dimension,
     table_ii_combos,
@@ -606,13 +605,6 @@ def build_certificate(
         "table_iii_agreement": _table_iii_claim(records),
     }
     certified = all(claim["ok"] for claim in claims.values())
-    statement = (
-        "Table II is complete and minimal under our model: the 576 "
-        "Table I combinations reduce to exactly these 12 effective "
-        "variants in 6 categories."
-        if certified else
-        "certification FAILED; see the claims for counterexamples."
-    )
     return {
         "schema": "hunt-certificate/v1",
         "confidence": confidence,

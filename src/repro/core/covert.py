@@ -18,7 +18,7 @@ non-zero on noisy memory configurations, zero on quiet ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.channels import cached_lines, probe_latencies_from_rdtsc
 from repro.errors import AttackError

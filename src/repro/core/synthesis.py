@@ -24,7 +24,7 @@ spaces, the shared-library assumption of Section V-B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.actions import Action, Actor
 from repro.core.model import (

@@ -34,7 +34,7 @@ small integers (valid probe-array indices, as in Figure 4's
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.attack import TrialEnv
 from repro.core.channels import (

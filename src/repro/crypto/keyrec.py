@@ -10,7 +10,7 @@ positions a brute-force pass would need to cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import CryptoError
 

@@ -109,6 +109,7 @@ __all__ = [
     "save_text",
     "serialize_result",
     "run_cell",
+    "table3_report",
     "table3_results",
     "table3_supervised",
     "window_sweep",

@@ -29,7 +29,7 @@ import json
 import os
 import re
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.attack import ExperimentResult
 from repro.core.channels import ChannelType

@@ -8,7 +8,7 @@ of per-iteration observations for exponent bits 0 and 1.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.stats.distributions import TimingDistribution, frequency_histogram
 from repro.stats.ttest import ALPHA

@@ -3,7 +3,7 @@
 The paper's artifacts are statistical sweeps over a pure-Python cycle
 simulator; keeping the sweep engine fast (and *knowing* it stays
 fast) is what lets the reproduction scale to campaign-size predictor
-ablations.  This package holds the perf baseline:
+ablations.  This package holds the pieces the benches measure with:
 
 * :mod:`repro.perf.counters` — deterministic global counters (cache
   hits for the memoized program/uop caches, trials, simulated
@@ -13,10 +13,10 @@ ablations.  This package holds the perf baseline:
 * :mod:`repro.perf.observe` — wall-clock stopwatches (explicitly
   allow-listed for the determinism lint: host time never touches
   measurements, only throughput reporting) and the
-  ``BENCH_parallel.json`` snapshot writer.
-* :mod:`repro.perf.baseline` — the ``repro perf`` baseline runner:
-  serial-vs-parallel sweeps, cells/sec, cycles/sec, worker
-  utilization, cache hit rates, and an optional cProfile capture.
+  ``BENCH_sweep.json`` record writer.
+
+The end-to-end benchmark with its per-layer trace lives outside the
+package, in ``bench/`` (``python3 bench/run.py``).
 """
 
 from repro.perf.counters import COUNTERS, PerfCounters

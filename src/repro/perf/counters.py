@@ -67,18 +67,12 @@ class PerfCounters:
             before their first dispatch (mean = this / jobs done;
             integer microseconds keep the counters clock-free in
             aggregate form).
-        batched_chunks / batched_fallback_chunks: Lockstep chunks the
-            batched backend vectorized vs replayed on the scalar path
-            after a divergence.
+        batched_chunks: Lockstep chunks the batched backend vectorized.
         batched_vector_trials / batched_fallback_trials: Trials
             executed in numpy lanes vs through the scalar fallback
             (statically ineligible configs count as fallback too);
             their sum is every trial the batched backend handled.
-        batched_lane_cycles: Lane-cycles simulated by the lockstep
-            engine (the scalar-equivalent cycle count; also folded
-            into ``simulated_cycles`` so budgets are backend-neutral).
-        batched_lanes_retired / batched_lanes_squashed: Uop-lanes
-            retired and squash-lanes taken across all vectorized
+        batched_lanes_retired: Uop-lanes retired across all vectorized
             chunks (a column retiring in L lanes counts L).
         batched_partitions: Lockstep passes regrouped because their
             lanes disagreed on a per-trial draw (an R-window offset or
@@ -113,12 +107,9 @@ class PerfCounters:
     serve_job_redispatches: int = 0
     serve_queue_wait_us: int = 0
     batched_chunks: int = 0
-    batched_fallback_chunks: int = 0
     batched_vector_trials: int = 0
     batched_fallback_trials: int = 0
-    batched_lane_cycles: int = 0
     batched_lanes_retired: int = 0
-    batched_lanes_squashed: int = 0
     batched_partitions: int = 0
 
     def snapshot(self) -> Dict[str, int]:
@@ -142,41 +133,13 @@ class PerfCounters:
         return {name: value for name, value in moved.items() if value}
 
     # -- derived rates -------------------------------------------------
-    @staticmethod
-    def _rate(hits: int, misses: int) -> float:
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    @property
-    def program_cache_hit_rate(self) -> float:
-        """Hit rate of the memoized program factories (0 when idle)."""
-        return self._rate(self.program_cache_hits, self.program_cache_misses)
-
-    @property
-    def trace_cache_hit_rate(self) -> float:
-        """Hit rate of the decoded uop-trace cache (0 when idle)."""
-        return self._rate(self.trace_cache_hits, self.trace_cache_misses)
-
     @property
     def serve_cache_hit_rate(self) -> float:
         """Fraction of daemon lookups served without a simulation."""
         served = (self.serve_cache_hits + self.serve_cache_journal_hits
                   + self.serve_cache_stale)
-        return self._rate(served, self.serve_cache_misses)
-
-    @property
-    def batched_mean_lane_width(self) -> float:
-        """Mean lanes per vectorized chunk (0 when none ran)."""
-        if not self.batched_chunks:
-            return 0.0
-        return self.batched_vector_trials / (2.0 * self.batched_chunks)
-
-    @property
-    def batched_vectorized_fraction(self) -> float:
-        """Fraction of batched-backend trials that ran in lanes."""
-        return self._rate(
-            self.batched_vector_trials, self.batched_fallback_trials
-        )
+        total = served + self.serve_cache_misses
+        return served / total if total else 0.0
 
     @property
     def serve_mean_queue_wait_ms(self) -> float:

@@ -47,11 +47,6 @@ class Stopwatch:
         self.laps += 1
 
 
-def throughput(count: int, seconds: float) -> float:
-    """Items per second, 0.0 when no time elapsed."""
-    return count / seconds if seconds > 0 else 0.0
-
-
 def write_bench_snapshot(
     path: Path,
     section: str,
@@ -59,11 +54,10 @@ def write_bench_snapshot(
 ) -> Dict[str, Any]:
     """Merge ``payload`` under ``section`` into a benchmark JSON file.
 
-    Existing sections from earlier runs are preserved, so the serial
-    baseline, warm-batching, and parallel-speedup numbers can be
-    recorded independently and accumulate in one snapshot.  Writing is
-    atomic (tmp + replace) so an interrupted bench never corrupts a
-    previous snapshot.  Returns the merged document.
+    Existing sections from earlier runs are preserved, so each bench
+    records its own section and they accumulate in one snapshot.
+    Writing is atomic (tmp + replace) so an interrupted bench never
+    corrupts a previous snapshot.  Returns the merged document.
     """
     document: Dict[str, Any] = {}
     if path.exists():
@@ -80,7 +74,7 @@ def write_bench_snapshot(
 
 
 #: Root-level perf-trajectory artifact shared by the sweep benches
-#: (``BENCH_sweep.json`` next to the other ``BENCH_*.json`` files).
+#: (``BENCH_sweep.json`` at the repository root).
 SWEEP_TRAJECTORY = Path(__file__).resolve().parents[3] / "BENCH_sweep.json"
 
 #: Environment override equivalent to ``force=True`` — the ``--force``

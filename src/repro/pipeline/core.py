@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PipelineError, SimulationError
 from repro.perf.counters import COUNTERS

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional
 
 from repro._version import __version__
-from repro.errors import HarnessError, ReproError
+from repro.errors import ReproError
 from repro.harness.checkpoint import CheckpointStore, atomic_write_json
 from repro.harness.faults import FaultProfile
 from repro.harness.parallel import execute_spec
@@ -505,7 +505,7 @@ class ReproDaemon:
         return self._job_response(job)
 
     def stats_payload(self) -> Dict[str, Any]:
-        """Service counters for ``stats`` / ``repro perf``."""
+        """Service counters for the ``stats`` op (``repro jobs --stats``)."""
         jobs = self.queue.jobs()
         states: Dict[str, int] = {}
         for job in jobs:

@@ -113,11 +113,10 @@ def get_backend(name: str) -> "SimBackend":
 # ---------------------------------------------------------------------------
 # Fallback journal
 # ---------------------------------------------------------------------------
-# The batched backend records every scalar fallback here (and on its
-# own ``fallback_events`` list) so "it ran, but not vectorized" is an
-# observable fact rather than a silent perf cliff.  Process-local and
-# deterministic: entries are (cell description, reason) tuples in
-# occurrence order.
+# The batched backend records every scalar fallback here so "it ran,
+# but not vectorized" is an observable fact rather than a silent perf
+# cliff.  Process-local and deterministic: entries are (cell
+# description, reason) tuples in occurrence order.
 
 _FALLBACK_JOURNAL: List[Tuple[str, str]] = []
 
@@ -140,11 +139,11 @@ def clear_fallback_journal() -> None:
 def record_fallbacks(events: List[Tuple[str, str]]) -> None:
     """Merge fallback events shipped from another process's journal.
 
-    Pool and serve workers run the batched backend in their own
-    processes; their journals are process-local.  The parent calls
-    this with each worker result's shipped events so the sweep-wide
-    journal (and anything reporting on it) sees every fallback, not
-    just the parent's.
+    Sweep workers (``--workers``) and serve workers run the batched
+    backend in their own processes; their journals are process-local.
+    The parent calls this with each worker result's shipped events so
+    the sweep-wide journal (and anything reporting on it) sees every
+    fallback, not just the parent's.
     """
     _FALLBACK_JOURNAL.extend(
         (str(cell), str(reason)) for cell, reason in events

@@ -80,9 +80,6 @@ class BatchedBackend:
 
         self._lockstep = lockstep
         self._scalar = ScalarBackend()
-        #: (cell, reason) tuples for every fallback this backend took;
-        #: the process-global journal gets the same records.
-        self.fallback_events: List[Tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     def run_pairs(
@@ -146,7 +143,6 @@ class BatchedBackend:
             f"/seed={config.seed}"
         )
         journal_fallback(cell, reason)
-        self.fallback_events.append((cell, reason))
 
     # ------------------------------------------------------------------
     def _run_chunk(
@@ -169,7 +165,6 @@ class BatchedBackend:
             # simulation error will re-raise from the scalar replay
             # with its authentic scalar behavior.
             self._journal(runner, f"{type(exc).__name__}: {exc}")
-            COUNTERS.batched_fallback_chunks += 1
             COUNTERS.batched_fallback_trials += 2 * len(indices)
             return self._scalar.run_pairs(runner, start, stop)
         # Commit only after both hypotheses vectorized cleanly, so a
@@ -178,20 +173,18 @@ class BatchedBackend:
         COUNTERS.trials += 2 * lanes
         COUNTERS.batched_chunks += 1
         COUNTERS.batched_vector_trials += 2 * lanes
-        for cycles, retired, squashed in (mapped_totals, unmapped_totals):
+        for cycles, retired in (mapped_totals, unmapped_totals):
             COUNTERS.simulated_cycles += cycles
-            COUNTERS.batched_lane_cycles += cycles
             COUNTERS.batched_lanes_retired += retired
-            COUNTERS.batched_lanes_squashed += squashed
         return list(zip(mapped_rows, unmapped_rows))
 
     def _run_grouped(
         self, runner: "AttackRunner", mapped: bool, indices: Sequence[int]
-    ) -> Tuple[List["TrialResult"], Tuple[int, int, int]]:
+    ) -> Tuple[List["TrialResult"], Tuple[int, int]]:
         """One hypothesis's trials, regrouped on every lane partition.
 
         Returns the rows in ``indices`` order and the passes' summed
-        ``(simulated cycles, retired, squashed)`` totals — counters,
+        ``(simulated cycles, retired)`` totals — counters,
         not machines, so no sub-batch machine outlives its pass.  Each
         group re-runs from the start, replays the draws its lanes agree
         on, and recurses on later splits; a one-lane batch never
@@ -205,19 +198,16 @@ class BatchedBackend:
             for index, key in zip(indices, request.keys):
                 groups.setdefault(key, []).append(index)
             by_index: Dict[int, "TrialResult"] = {}
-            totals = [0, 0, 0]
+            totals = [0, 0]
             for group in groups.values():
                 group_rows, group_totals = self._run_grouped(
                     runner, mapped, group
                 )
                 by_index.update(zip(group, group_rows))
                 totals = [a + b for a, b in zip(totals, group_totals)]
-            cycles, retired, squashed = totals
-            return [by_index[i] for i in indices], (cycles, retired, squashed)
-        return rows, (
-            machine.simulated_cycles, machine.total_retired,
-            machine.total_squashes,
-        )
+            cycles, retired = totals
+            return [by_index[i] for i in indices], (cycles, retired)
+        return rows, (machine.simulated_cycles, machine.total_retired)
 
     def _run_batch(
         self,

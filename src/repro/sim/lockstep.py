@@ -102,7 +102,6 @@ import numpy as np
 from repro.isa.instructions import AluOp, Instruction, Opcode
 from repro.memory.address import line_address
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
-from repro.memory.memsys import _splitmix64
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import EA_MASK, _alu_compute
 from repro.vp.base import AccessKey, Prediction, ValuePredictor, trial_stream
@@ -437,7 +436,6 @@ class LockstepMachine:
         self.cycle = np.zeros(self.lanes, dtype=np.int64)
         self.simulated_cycles = 0
         self.total_retired = 0
-        self.total_squashes = 0
         self._pending_trains: List[_PendingTrain] = []
         self._train_seq = 0
         #: Per-lane predictor replicas after a lane split; None while
@@ -1315,7 +1313,6 @@ class LockstepMachine:
 
         self.simulated_cycles += int(np.sum(finish - start))
         self.total_retired += len(cols) * lanes
-        self.total_squashes += squashes * lanes
         self.cycle = finish
         # Every deferred fill and pending training completed within
         # this run, and any later access happens at an issue cycle past

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.stats.ci import ConfidenceInterval, mean_confidence_interval
 from repro.stats.distributions import TimingDistribution

@@ -21,7 +21,7 @@ padding of Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import AttackError
 from repro.isa.builder import ProgramBuilder

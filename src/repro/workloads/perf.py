@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.errors import AttackError
 from repro.isa.builder import ProgramBuilder
@@ -69,7 +69,6 @@ def value_locality_workload(
         raise AttackError(f"stable_fraction must be in [0,1], got {stable_fraction}")
     if iterations < 1 or loads_per_iteration < 1:
         raise AttackError("iterations and loads_per_iteration must be >= 1")
-    rng = random.Random(seed)
     stable_count = round(loads_per_iteration * stable_fraction)
     addresses = [DATA_BASE + index * 0x100 for index in range(loads_per_iteration)]
     stable = tuple(addresses[:stable_count])

@@ -10,8 +10,6 @@ from repro.core.actions import (
     S_KD,
     S_KI,
     S_SD1,
-    S_SD2,
-    S_SI1,
     S_SI2,
     TRAIN_ACTIONS,
     TRIGGER_ACTIONS,

@@ -128,14 +128,14 @@ def test_loads_tagged():
         ".tag trigger-load\nload r1, [0x100]\nload r2, [0x200]\nhalt\n"
     )
     report = analyze_taint(program)
-    assert [l.pc for l in report.loads_tagged("trigger-load")] == [0]
+    assert [load.pc for load in report.loads_tagged("trigger-load")] == [0]
 
 
 def test_loop_produces_dynamic_load_instances():
     program = assemble(".loop 3\nload r1, [0x40]\n.endloop\nhalt\n")
     report = analyze_taint(program)
     assert len(report.loads) == 3
-    assert len({l.pc for l in report.loads}) == 1
+    assert len({load.pc for load in report.loads}) == 1
 
 
 class TestDstEverRead:

@@ -98,7 +98,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag", [
         "--snapshot-trials", "--audit-snapshots", "--lane-schedule=pool",
-        "--backend=pool",
+        "--backend=pool", "--fixed-n",
     ])
     def test_removed_trial_protocol_flags_exit_2(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exit_info:
@@ -221,14 +221,6 @@ class TestSequentialFlags:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_fixed_n_conflicts_with_sequential(self, capsys):
-        code = main([
-            "all", "--out", "/tmp", "--runs", "3",
-            "--sequential", "--fixed-n",
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
     def test_bad_interim_looks_fail_cleanly(self, capsys):
         code = main([
             "attack", "--variant", "Train + Test", "--runs", "20",
@@ -236,24 +228,6 @@ class TestSequentialFlags:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
-
-    def test_all_fixed_n_is_byte_identical_to_default(self, tmp_path):
-        default_dir = tmp_path / "default"
-        fixed_dir = tmp_path / "fixed"
-        default_dir.mkdir()
-        fixed_dir.mkdir()
-        assert main([
-            "all", "--out", str(default_dir), "--runs", "3", "--seed", "1",
-            "--artifacts", "fig5",
-        ]) == 0
-        assert main([
-            "all", "--out", str(fixed_dir), "--runs", "3", "--seed", "1",
-            "--artifacts", "fig5", "--fixed-n",
-        ]) == 0
-        assert (
-            (fixed_dir / "fig5.json").read_bytes()
-            == (default_dir / "fig5.json").read_bytes()
-        )
 
     def test_all_sequential_writes_records(self, tmp_path, capsys):
         import json

@@ -5,12 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import AluOp
-from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.vp.nopred import NoPredictor
-
-from tests.conftest import deterministic_memory_config
 
 
 class TestAluSemantics:

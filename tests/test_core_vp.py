@@ -4,8 +4,6 @@ These exercise the exact mechanisms the attacks rely on (Figure 1's
 VPS + Prediction Verification path).
 """
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.config import CoreConfig

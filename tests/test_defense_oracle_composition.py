@@ -1,7 +1,5 @@
 """Composition semantics: defense wrapping vs. oracle targeting."""
 
-import pytest
-
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.variants import TrainTestAttack
 from repro.defenses import AlwaysPredictDefense, RandomWindowDefense

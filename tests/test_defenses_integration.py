@@ -18,7 +18,6 @@ from repro.core.variants import (
 )
 from repro.defenses import (
     AlwaysPredictDefense,
-    DefenseStack,
     DelaySideEffectsDefense,
     InvisiSpecDefense,
     RandomWindowDefense,

@@ -1,7 +1,5 @@
 """Tests for the remaining harness experiment drivers."""
 
-import pytest
-
 from repro.core.channels import ChannelType
 from repro.core.variants import SpillOverAttack, TrainTestAttack
 from repro.defenses import AlwaysPredictDefense, DelaySideEffectsDefense

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import MemorySystemError
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
-from repro.memory.memsys import DramConfig
 
 from tests.conftest import deterministic_memory_config
 

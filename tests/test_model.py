@@ -12,7 +12,6 @@ from repro.core.actions import (
     S_SD2,
     S_SI1,
     S_SI2,
-    Action,
 )
 from repro.core.model import (
     AttackCategory,

@@ -13,8 +13,6 @@
 
 import random
 
-import pytest
-
 from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.perf.memo import memoize_program
-from repro.perf.observe import Stopwatch, throughput, write_bench_snapshot
+from repro.perf.observe import Stopwatch, write_bench_snapshot
 
 
 class TestPerfCounters:
@@ -25,16 +23,6 @@ class TestPerfCounters:
         assert other.trials == 3
         assert other.simulated_cycles == 1000
 
-    def test_hit_rates(self):
-        counters = PerfCounters()
-        assert counters.program_cache_hit_rate == 0.0
-        counters.program_cache_hits = 3
-        counters.program_cache_misses = 1
-        assert counters.program_cache_hit_rate == pytest.approx(0.75)
-        counters.trace_cache_hits = 1
-        counters.trace_cache_misses = 3
-        assert counters.trace_cache_hit_rate == pytest.approx(0.25)
-
     def test_reset(self):
         counters = PerfCounters()
         counters.trials = 5
@@ -45,13 +33,13 @@ class TestPerfCounters:
         counters = PerfCounters()
         counters.warm_resets = 4
         counters.sequential_cycles_avoided = 1000
-        counters.batched_lane_cycles = 2048
+        counters.batched_lanes_retired = 2048
         delta = PerfCounters.delta(PerfCounters().snapshot(),
                                    counters.snapshot())
         assert delta == {
             "warm_resets": 4,
             "sequential_cycles_avoided": 1000,
-            "batched_lane_cycles": 2048,
+            "batched_lanes_retired": 2048,
         }
 
     def test_global_singleton_counts_simulation(self):
@@ -162,10 +150,6 @@ class TestObserve:
         assert watch.laps == 2
         assert watch.elapsed >= 0.0
 
-    def test_throughput(self):
-        assert throughput(10, 2.0) == pytest.approx(5.0)
-        assert throughput(10, 0.0) == 0.0
-
     def test_snapshot_merges_sections(self, tmp_path):
         path = tmp_path / "bench" / "BENCH.json"
         write_bench_snapshot(path, "alpha", {"x": 1})
@@ -178,41 +162,3 @@ class TestObserve:
         path.write_text("not json{")
         merged = write_bench_snapshot(path, "alpha", {"x": 1})
         assert merged == {"alpha": {"x": 1}}
-
-
-class TestBaseline:
-    def test_perf_baseline_report_and_snapshot(self, tmp_path):
-        from repro.perf.baseline import perf_baseline, render_perf_report
-
-        snapshot = tmp_path / "BENCH_parallel.json"
-        report = perf_baseline(
-            n_runs=2, seed=0, workers=2, artifacts=["fig5"],
-            snapshot_path=str(snapshot),
-        )
-        assert report["cells"] == 4
-        assert report["backend"]["identical"] is True
-        assert report["sequential"]["verdict_identical"] is True
-        assert report["serial"]["cells_run"] == 4
-        assert report["parallel"]["workers"] == 2
-        assert report["parallel"]["speedup"] > 0
-        document = json.loads(snapshot.read_text())
-        assert "repro_perf" in document
-
-        rendered = render_perf_report(report)
-        assert "trial-loop backend" in rendered
-        assert "group-sequential" in rendered
-        assert "serial sweep" in rendered
-        assert "parallel sweep" in rendered
-
-    def test_profile_dump(self, tmp_path):
-        import pstats
-
-        from repro.perf.baseline import perf_baseline
-
-        profile_path = tmp_path / "sweep.pstats"
-        perf_baseline(
-            n_runs=2, seed=0, workers=1, artifacts=["fig5"],
-            snapshot_path=None, profile_path=str(profile_path),
-        )
-        stats = pstats.Stats(str(profile_path))
-        assert stats.total_calls > 0

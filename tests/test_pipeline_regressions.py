@@ -6,15 +6,11 @@ ops wait for issue, serialising ops inside loops, and repeated
 mispredictions in one program.
 """
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemorySystem
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.pipeline.reference import ReferenceExecutor
 from repro.vp.lvp import LastValuePredictor
-from repro.vp.nopred import NoPredictor
 
 from tests.conftest import deterministic_memory_config
 

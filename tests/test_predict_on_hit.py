@@ -6,8 +6,6 @@ is consulted on every load, and a mispredicted *hit* still squashes —
 so the attacks no longer need any flushing.
 """
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.config import CoreConfig

@@ -11,7 +11,6 @@ thus squash coverage).
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

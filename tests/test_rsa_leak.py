@@ -6,7 +6,6 @@ from repro.crypto.compile import RsaLayout, victim_iteration_program
 from repro.crypto.leak import RsaAttackConfig, RsaVpAttack
 from repro.crypto.mpi import Mpi
 from repro.errors import CryptoError
-from repro.isa.instructions import Opcode
 
 
 class TestVictimPrograms:
@@ -26,11 +25,15 @@ class TestVictimPrograms:
         layout = RsaLayout()
         with_bit = victim_iteration_program(1, layout)
         without = victim_iteration_program(0, layout)
-        limb_loads = lambda p: len(p.pcs_tagged("limb-load"))
-        mults = lambda p: sum(
-            1 for placed in p.instructions
-            if placed.instruction.tag == "mul-work"
-        )
+        def limb_loads(program):
+            return len(program.pcs_tagged("limb-load"))
+
+        def mults(program):
+            return sum(
+                1 for placed in program.instructions
+                if placed.instruction.tag == "mul-work"
+            )
+
         assert limb_loads(with_bit) == limb_loads(without)
         assert mults(with_bit) == mults(without)
 

@@ -1,7 +1,5 @@
 """Additional SMT co-execution tests: three contexts, fairness, memory."""
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.config import CoreConfig

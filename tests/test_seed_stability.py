@@ -8,8 +8,6 @@ t-test and is therefore allowed its nominal false-positive rate —
 what must never happen is a majority of control seeds "leaking".
 """
 
-import pytest
-
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import TestHitAttack, TrainTestAttack

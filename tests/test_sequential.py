@@ -38,7 +38,6 @@ from repro.harness.runner import (
 )
 from repro.perf.counters import COUNTERS
 from repro.stats.sequential import (
-    DEFAULT_LOOK_FRACTIONS,
     GroupSequentialTest,
     SequentialDesign,
     default_looks,

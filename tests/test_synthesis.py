@@ -8,7 +8,7 @@ from repro.core.model import (
     TriggerOutcome,
     table_ii_combos,
 )
-from repro.core.synthesis import SynthesisResult, check_soundness, synthesize_trial
+from repro.core.synthesis import check_soundness, synthesize_trial
 
 
 class TestSynthesizeTrial:

@@ -1,7 +1,5 @@
 """Tests for RunResult helpers, the reference executor, and core edges."""
 
-import pytest
-
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.config import CoreConfig

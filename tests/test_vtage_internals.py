@@ -1,7 +1,5 @@
 """Deeper tests of the VTAGE predictor's internal mechanics."""
 
-import pytest
-
 from repro.vp.base import AccessKey
 from repro.vp.vtage import VtagePredictor, _TaggedComponent
 
