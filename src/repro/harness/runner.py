@@ -41,6 +41,8 @@ result with weakened guarantees) or ``failed`` (no result).
 
 from __future__ import annotations
 
+import copy
+import functools
 import re
 import time
 import zlib
@@ -543,6 +545,31 @@ class SupervisedCell:
         )
 
 
+@functools.lru_cache(maxsize=256)
+def _passing_preflight(
+    variant: AttackVariant, channel: ChannelType, predictor: str,
+    **kwargs: object,
+) -> Dict[str, object]:
+    """The payload of a passing :func:`preflight_cell`, memoized.
+
+    The analysis never sees the seed, so without a memo every sweep
+    repeats it for every cell.  The memo is per process rather than
+    per executor because each sweep (``run_all``, ``run_cells``) builds
+    its own executor.  It is keyed on the variant (by identity, so the
+    shared ``ALL_VARIANTS`` instances hit), channel, predictor name and
+    the ``confidence``, ``chain_length``, ``modify_mode`` and
+    ``layout`` overrides.  A failing preflight raises, and
+    ``lru_cache`` stores nothing for a call that raised, so a failure
+    is re-analysed and raised again on every call.  Callers must copy
+    the payload before handing it on.
+    """
+    from repro.analysis.preflight import preflight_cell
+
+    report = preflight_cell(variant, channel, predictor=predictor, **kwargs)
+    report.raise_if_failed()
+    return report.to_payload()
+
+
 class ResilientExecutor:
     """Supervises experiment cells per an :class:`ExecutionPolicy`."""
 
@@ -931,6 +958,10 @@ class ResilientExecutor:
     ) -> Optional[Dict[str, object]]:
         """Statically validate a cell about to run for the first time.
 
+        The analysis runs once per process for each distinct static
+        configuration (:func:`_passing_preflight`); every call returns
+        its own copy of the payload.
+
         Raises:
             AnalysisError: When the static analyzer finds a
                 contradiction (via
@@ -940,8 +971,6 @@ class ResilientExecutor:
             return None
         if self.store is not None and self.store.has(cell_id):
             return None
-        from repro.analysis.preflight import preflight_cell
-
         kwargs: Dict[str, object] = {}
         for key in ("confidence", "chain_length", "modify_mode", "layout"):
             if overrides.get(key) is not None:
@@ -950,11 +979,9 @@ class ResilientExecutor:
             predictor if isinstance(predictor, str)
             else getattr(predictor, "__name__", "custom")
         )
-        report = preflight_cell(
-            variant, channel, predictor=predictor_name, **kwargs
+        return copy.deepcopy(
+            _passing_preflight(variant, channel, predictor_name, **kwargs)
         )
-        report.raise_if_failed()
-        return report.to_payload()
 
     def run_rsa_supervised(
         self,

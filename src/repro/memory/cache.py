@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MemorySystemError
 from repro.memory.replacement import ReplacementPolicy, make_policy
@@ -47,7 +47,7 @@ class CacheStats:
         return self.hits / self.accesses
 
     def reset(self) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor.reset`."""
+        """Zero every counter (cache contents are untouched)."""
         self.hits = 0
         self.misses = 0
         self.fills = 0
@@ -92,30 +92,25 @@ class SetAssociativeCache:
         self.line_size = line_size
         self.num_sets = num_sets
         self.stats = CacheStats()
+        # Reject an unknown policy name now, not on the first fill.
+        make_policy(policy, ways, rng=rng)
         self._policy_name = policy
         self._rng = rng
-        # Per-set: list of tags (None = invalid) and a replacement policy.
-        self._tags: List[List[Optional[int]]] = [
-            [None] * ways for _ in range(num_sets)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways, rng=rng) for _ in range(num_sets)
-        ]
+        # Sets touched so far, each a list of tags (None = invalid) and
+        # a replacement policy.  A set is created on its first fill; an
+        # absent set is empty.
+        self._sets: Dict[int, Tuple[List[Optional[int]], ReplacementPolicy]] = {}
 
     def reset(self, rng_seed: Optional[int] = None) -> None:
         """Restore the as-constructed state (warm-machine reset protocol).
 
-        Invalidates every line, zeroes the stats, resets each set's
-        replacement state in place and — when ``rng_seed`` is given —
-        reseeds the shared replacement RNG, so a reset cache is
+        Drops every set, zeroes the stats and — when ``rng_seed`` is
+        given — reseeds the shared replacement RNG, so a reset cache is
         byte-identical to one freshly constructed with the same
-        parameters (no per-set reallocation).
+        parameters.  Sets and their replacement policies are created
+        again on their next fill, exactly as in a fresh cache.
         """
-        for tags in self._tags:
-            for way in range(self.ways):
-                tags[way] = None
-        for set_policy in self._policies:
-            set_policy.reset()
+        self._sets.clear()
         if self._rng is not None and rng_seed is not None:
             self._rng.seed(rng_seed)
         self.stats.reset()
@@ -131,20 +126,23 @@ class SetAssociativeCache:
         Updates hit/miss stats and (on hit) the replacement state.
         """
         set_index, tag = self._index_tag(addr)
-        tags = self._tags[set_index]
-        for way, existing in enumerate(tags):
-            if existing == tag:
-                self.stats.hits += 1
-                if update_replacement:
-                    self._policies[set_index].on_access(way)
-                return True
+        entry = self._sets.get(set_index)
+        if entry is not None:
+            tags, set_policy = entry
+            for way, existing in enumerate(tags):
+                if existing == tag:
+                    self.stats.hits += 1
+                    if update_replacement:
+                        set_policy.on_access(way)
+                    return True
         self.stats.misses += 1
         return False
 
     def contains(self, addr: int) -> bool:
         """Presence check with no side effects on stats or replacement."""
         set_index, tag = self._index_tag(addr)
-        return tag in self._tags[set_index]
+        entry = self._sets.get(set_index)
+        return entry is not None and tag in entry[0]
 
     def fill(self, addr: int) -> Optional[int]:
         """Bring the line containing ``addr`` in.
@@ -154,47 +152,49 @@ class SetAssociativeCache:
         refreshes replacement state.
         """
         set_index, tag = self._index_tag(addr)
-        tags = self._tags[set_index]
+        entry = self._sets.get(set_index)
+        if entry is None:
+            entry = self._sets[set_index] = (
+                [None] * self.ways,
+                make_policy(self._policy_name, self.ways, rng=self._rng),
+            )
+        tags, set_policy = entry
         for way, existing in enumerate(tags):
             if existing == tag:
-                self._policies[set_index].on_access(way)
+                set_policy.on_access(way)
                 return None
         valid = [existing is not None for existing in tags]
-        way = self._policies[set_index].victim(valid)
+        way = set_policy.victim(valid)
         evicted_tag = tags[way]
         evicted_addr: Optional[int] = None
         if evicted_tag is not None:
             self.stats.evictions += 1
             evicted_addr = (evicted_tag * self.num_sets + set_index) * self.line_size
         tags[way] = tag
-        self._policies[set_index].on_access(way)
+        set_policy.on_access(way)
         self.stats.fills += 1
         return evicted_addr
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line containing ``addr``; True if it was present."""
         set_index, tag = self._index_tag(addr)
-        tags = self._tags[set_index]
+        entry = self._sets.get(set_index)
+        if entry is None:
+            return False
+        tags, set_policy = entry
         for way, existing in enumerate(tags):
             if existing == tag:
                 tags[way] = None
-                self._policies[set_index].on_invalidate(way)
+                set_policy.on_invalidate(way)
                 self.stats.flushes += 1
                 return True
         return False
-
-    def invalidate_all(self) -> None:
-        """Empty the cache (replacement state is reset too)."""
-        self._tags = [[None] * self.ways for _ in range(self.num_sets)]
-        self._policies = [
-            make_policy(self._policy_name, self.ways) for _ in range(self.num_sets)
-        ]
 
     # ------------------------------------------------------------------
     def resident_lines(self) -> List[int]:
         """Addresses of all currently valid lines (for tests/inspection)."""
         lines = []
-        for set_index, tags in enumerate(self._tags):
+        for set_index, (tags, _) in self._sets.items():
             for tag in tags:
                 if tag is not None:
                     lines.append((tag * self.num_sets + set_index) * self.line_size)
@@ -203,7 +203,7 @@ class SetAssociativeCache:
     def occupancy(self) -> int:
         """Number of valid lines."""
         return sum(
-            1 for tags in self._tags for tag in tags if tag is not None
+            1 for tags, _ in self._sets.values() for tag in tags if tag is not None
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -119,10 +119,12 @@ class MemorySystem:
     def reset(self, seed: Optional[int] = None) -> None:
         """Restore the hierarchy to its just-constructed state.
 
-        The warm-machine reset protocol: instead of rebuilding every
-        cache set, TLB entry and RNG per trial, a reused
-        :class:`MemorySystem` is reset in place under a (possibly new)
-        seed.  After ``reset(s)`` the hierarchy's observable behaviour —
+        The warm-machine reset protocol: a reused :class:`MemorySystem`
+        is reset in place under a (possibly new) seed.  Each cache drops
+        its sets (they are created again on their next fill), the TLB
+        drops its entries and every RNG is reseeded, so the cost is
+        proportional to what the last trial touched.  After
+        ``reset(s)`` the hierarchy's observable behaviour —
         hit/miss sequences, replacement decisions, DRAM latency draws,
         default memory values — is byte-identical to
         ``MemorySystem(replace(config, seed=s), mapper)`` with the same

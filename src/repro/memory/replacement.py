@@ -37,14 +37,6 @@ class ReplacementPolicy(abc.ABC):
     def on_invalidate(self, way: int) -> None:
         """Record that ``way`` was invalidated (optional hook)."""
 
-    def reset(self) -> None:
-        """Restore the as-constructed replacement state.
-
-        Part of the warm-machine reset protocol: a reset policy must
-        be indistinguishable from a freshly constructed one so reused
-        simulation state stays byte-identical to cold construction.
-        """
-
     def _first_invalid(self, valid: Sequence[bool]) -> Optional[int]:
         for way, is_valid in enumerate(valid):
             if not is_valid:
@@ -71,10 +63,6 @@ class LruPolicy(ReplacementPolicy):
         if invalid is not None:
             return invalid
         return self._order[0]
-
-    def reset(self) -> None:
-        """See :meth:`ReplacementPolicy.reset`."""
-        self._order = list(range(self.ways))
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -104,11 +92,6 @@ class FifoPolicy(ReplacementPolicy):
         way = self._inserted[0]
         self._filled[way] = False
         return way
-
-    def reset(self) -> None:
-        """See :meth:`ReplacementPolicy.reset`."""
-        self._inserted = list(range(self.ways))
-        self._filled = {way: False for way in range(self.ways)}
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -27,7 +27,7 @@ class TlbStats:
         return self.hits + self.misses
 
     def reset(self) -> None:
-        """See :meth:`repro.vp.base.ValuePredictor.reset`."""
+        """Zero both counters (translations are untouched)."""
         self.hits = 0
         self.misses = 0
 

@@ -56,7 +56,7 @@ def memoize_program(maxsize: int = DEFAULT_MAXSIZE) -> Callable[[_F], _F]:
     """LRU-memoize a pure program factory, counting hits/misses.
 
     Returns a decorator.  The wrapped function gains ``cache_clear()``
-    and ``cache_len()`` helpers for tests and the perf baseline.
+    and ``cache_len()`` helpers for tests.
     """
 
     def decorate(func: _F) -> _F:

@@ -1,17 +1,22 @@
 """Preflight wiring into the resilient executor and persistence."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.preflight import preflight_cell
 from repro.core.channels import ChannelType
-from repro.core.variants import TrainTestAttack
+from repro.core.variants import TrainTestAttack, variant_by_name
 from repro.errors import AnalysisError
 from repro.harness.checkpoint import CheckpointStore
+from repro.harness.parallel import run_cells, sweep_specs
 from repro.harness.persistence import cell_record
 from repro.harness.runner import (
     ExecutionPolicy,
     ResilientExecutor,
     RetryPolicy,
     SupervisedCell,
+    _passing_preflight,
 )
 
 N_RUNS = 12
@@ -81,3 +86,81 @@ class TestPreflightWiring:
         )
         with pytest.raises(AnalysisError, match="indistinguishable"):
             _run(executor)
+
+
+def _table3_cells():
+    specs = sweep_specs(["table3"], n_runs=4, seed=0)
+    assert len(specs) == 18
+    return [
+        (spec.cell_id, variant_by_name(spec.variant),
+         ChannelType(spec.channel), spec.predictor)
+        for spec in specs
+    ]
+
+
+class TestPreflightMemo:
+    def test_hits_equal_a_fresh_analysis_for_every_table3_cell(self):
+        executor = ResilientExecutor()
+        for cell_id, variant, channel, predictor in _table3_cells():
+            executor._preflight_payload(cell_id, variant, channel, predictor, {})
+            hits = _passing_preflight.cache_info().hits
+            payload = executor._preflight_payload(
+                cell_id, variant, channel, predictor, {}
+            )
+            assert _passing_preflight.cache_info().hits == hits + 1
+            fresh = preflight_cell(variant, channel, predictor=predictor)
+            assert payload == fresh.to_payload(), cell_id
+
+    def test_mutating_a_payload_leaves_the_next_hit_intact(self):
+        executor = ResilientExecutor()
+        variant = variant_by_name("Train + Test")
+        first = executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        expected = preflight_cell(variant, CHANNEL, predictor="lvp")
+        first["ok"] = False
+        first["issues"].append({"rule": "forged"})
+        first["classification"]["effective"] = False
+        second = executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        assert second == expected.to_payload()
+
+    def test_failing_preflight_raises_on_every_call(self, monkeypatch):
+        from repro.analysis.preflight import LintIssue, PreflightReport
+
+        calls = []
+
+        def broken_preflight(variant, channel, **kwargs):
+            calls.append(variant)
+            return PreflightReport(
+                subject="broken",
+                issues=[LintIssue("indistinguishable", "forced", "broken")],
+            )
+
+        monkeypatch.setattr(
+            "repro.analysis.preflight.preflight_cell", broken_preflight
+        )
+        executor = ResilientExecutor()
+        variant = TrainTestAttack()
+        for _ in range(3):
+            with pytest.raises(AnalysisError, match="indistinguishable"):
+                executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        assert calls == [variant] * 3
+        monkeypatch.undo()
+        payload = executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        assert payload["ok"] is True
+
+    def test_worker_count_leaves_static_records_unchanged(self, tmp_path):
+        specs = sweep_specs(["table3"], n_runs=4, seed=0)
+        policy = dataclasses.replace(
+            ExecutionPolicy.compat(), backend="batched"
+        )
+        static = {}
+        for workers in (1, 2):
+            store = CheckpointStore.open(
+                str(tmp_path / str(workers)), {"v": 1}, resume=False
+            )
+            run_cells(specs, store, policy, workers=workers)
+            static[workers] = {
+                spec.cell_id: store.load(spec.cell_id)["preflight"]
+                for spec in specs
+            }
+        assert static[1] == static[2]
+        assert all(record["ok"] for record in static[1].values())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MemorySystemError
 from repro.memory.cache import SetAssociativeCache
+from repro.memory.hierarchy import MemoryConfig, MemorySystem
 
 
 def small_cache(ways=2, sets=4, line=64, policy="lru"):
@@ -29,6 +30,23 @@ class TestConstruction:
     def test_rejects_non_power_of_two_sets(self):
         with pytest.raises(MemorySystemError):
             SetAssociativeCache("x", 3 * 2 * 64, 2, line_size=64)
+
+    def test_rejects_unknown_policy_before_any_fill(self):
+        # Sets are created on first fill; the name is checked up front.
+        with pytest.raises(MemorySystemError, match="plru"):
+            SetAssociativeCache("x", 4096, 2, policy="plru")
+        with pytest.raises(MemorySystemError, match="plru"):
+            MemorySystem(MemoryConfig(replacement_policy="plru"))
+
+    def test_untouched_sets_are_never_built(self):
+        cache = small_cache()
+        assert not cache.lookup(0x1000)
+        assert not cache.contains(0x1000)
+        assert not cache.invalidate(0x1000)
+        assert cache._sets == {}
+        assert cache.stats.misses == 1
+        cache.fill(0x1000)  # line 0x40: set 0
+        assert list(cache._sets) == [0]
 
 
 class TestLookupAndFill:
@@ -103,12 +121,15 @@ class TestInvalidate:
         cache = small_cache()
         assert not cache.invalidate(0x9000)
 
-    def test_invalidate_all(self):
+    def test_reset_empties_the_cache(self):
         cache = small_cache()
         cache.fill(0x0)
         cache.fill(0x40)
-        cache.invalidate_all()
+        cache.reset()
         assert cache.occupancy() == 0
+        assert cache.resident_lines() == []
+        assert cache.stats.fills == 0
+        assert cache._sets == {}
 
     def test_invalidated_way_reused_first(self):
         cache = small_cache(ways=2, sets=4)
