@@ -124,6 +124,11 @@ class Instruction:
             )
         validator = _VALIDATORS[self.op]
         validator(self)
+        # Renaming asks for both on every dynamic instance; compute
+        # them once (the dataclass is frozen, hence object.__setattr__).
+        object.__setattr__(self, "_sources", self._operand_sources())
+        writes = self.op in (Opcode.LI, Opcode.ALU, Opcode.LOAD, Opcode.RDTSC)
+        object.__setattr__(self, "_destination", self.dst if writes else None)
 
     # ------------------------------------------------------------------
     # Operand classification helpers used by the pipeline for renaming.
@@ -150,6 +155,13 @@ class Instruction:
 
     def source_registers(self) -> Tuple[int, ...]:
         """Registers read by this instruction."""
+        return self._sources  # type: ignore[attr-defined]
+
+    def destination_register(self) -> Optional[int]:
+        """Register written by this instruction, or ``None``."""
+        return self._destination  # type: ignore[attr-defined]
+
+    def _operand_sources(self) -> Tuple[int, ...]:
         sources = []
         if self.op is Opcode.ALU:
             sources.append(self.src1)
@@ -163,12 +175,6 @@ class Instruction:
                 sources.append(self.src1)
             sources.append(self.src2)
         return tuple(s for s in sources if s is not None)
-
-    def destination_register(self) -> Optional[int]:
-        """Register written by this instruction, or ``None``."""
-        if self.op in (Opcode.LI, Opcode.ALU, Opcode.LOAD, Opcode.RDTSC):
-            return self.dst
-        return None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = [self.op.value]

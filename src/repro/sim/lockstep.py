@@ -25,7 +25,22 @@ schedule (see ``docs/ARCHITECTURE.md`` §14 for the derivation):
   memory ports: ``I_mem[k] >= max(I_mem[k-1], I_mem[k-2] + 1)``;
 * retire: ``R[n] = max(C[n], R[n-1], R[n-commit_width] + 1)``;
   serialising ops (FENCE/RDTSC) execute at the ROB head instead:
-  ``C = VR = R = max(R[n-1], D + 1, R[n-commit_width] + 1)``.
+  ``C = VR = R = max(R[n-1], D + 1, R[n-commit_width] + 1)``;
+* dependent ALU runs — consecutive ALU entries where every op after
+  the first is in immediate form and rewrites its predecessor's
+  destination (``ProgramBuilder.dependent_chain``) — are solved as one
+  ``[K x lanes]`` block, not K columns.  D and R never decrease, so
+  ``D[k] = max(M[k], D[k-F] + 1)`` with ``M`` the row's floor (previous
+  D, stall, fence gate, ``R[n-rob_size]``); along one residue class mod
+  ``F = fetch_width`` ``D - step`` is a running max
+  (``np.maximum.accumulate``) seeded with the row ``F`` before.  With
+  ``S`` the prefix sum of the run's latencies, ``VR - S`` is the running
+  max of ``D + 1 - S[k-1]`` seeded with op 0's source readiness, and
+  ``I = VR - latency``; R is the same residue-class solve mod
+  ``commit_width`` over ``max(C, previous R)``.  Blocks hold at most
+  ``rob_size`` ops, so every ROB gate is an already scheduled row, and
+  the lane guards become row tests: each lane is monotone along a run,
+  so only the first row past an edge can straddle it.
 
 The recurrences assume the *unconstrained* schedule never oversubscribes
 the issue width or the ALU/MUL ports; a post-hoc sorted-issue-cycle
@@ -95,7 +110,10 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+import weakref
+from typing import (
+    Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -113,6 +131,9 @@ _VALUE_MASK = (1 << 64) - 1
 #: squash: far beyond any real schedule, so anything chained after it
 #: classifies as "not issued" in every lane.
 _FAR = 1 << 62
+
+#: Padding below every cycle, for the residue-class solve's last rows.
+_INT64_MIN = np.iinfo(np.int64).min
 
 #: SplitMix64 constants, as unsigned 64-bit numpy scalars.
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -205,6 +226,13 @@ def _alu_vec(alu_op: AluOp, lhs: object, rhs: object) -> object:
         else:  # pragma: no cover - exhaustive over AluOp
             raise LaneDivergence(f"unhandled ALU op {alu_op}")
     return result.astype(np.uint64)
+
+
+def _alu_any(alu_op: AluOp, lhs: object, rhs: object) -> object:
+    """``_alu_compute`` on ints, ``_alu_vec`` once a lane vector enters."""
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+        return _alu_vec(alu_op, lhs, rhs)
+    return _alu_compute(alu_op, lhs, rhs)  # type: ignore[arg-type]
 
 
 def _uniform_int(value: object, what: str) -> int:
@@ -330,14 +358,15 @@ class LaneCore:
 
 
 class _Col:
-    """Schedule of one dynamic uop column across all lanes."""
+    """Rename-visible state of one dynamic uop column across all lanes.
 
-    __slots__ = ("D", "I", "VR", "C", "R", "result", "seq", "spec_col",
-                 "pred_load")
+    Dispatch and retire rows live in the pass's ``D``/``R`` matrices;
+    a column object exists only for what a later consumer reads.
+    """
+
+    __slots__ = ("VR", "C", "R", "result", "seq", "spec_col", "pred_load")
 
     def __init__(self) -> None:
-        self.D: Optional[np.ndarray] = None
-        self.I: Optional[np.ndarray] = None
         self.VR: Optional[np.ndarray] = None
         self.C: Optional[np.ndarray] = None
         self.R: Optional[np.ndarray] = None
@@ -349,6 +378,109 @@ class _Col:
         self.spec_col: Optional["_Col"] = None
         #: True for loads that issued with a value prediction.
         self.pred_load: bool = False
+
+
+class _Run:
+    """A dependent ALU run: consecutive ALU trace entries in one chain.
+
+    Every op after ``head`` is in immediate form, reads the register its
+    predecessor wrote and writes it again, so the run is one serial
+    chain into ``dest`` (``ProgramBuilder.dependent_chain`` emits
+    exactly this).  An isolated ALU op is a run of length 1.
+    """
+
+    __slots__ = ("head", "length", "dest", "mul", "steps")
+
+    def __init__(self, ops: Sequence[Instruction]) -> None:
+        self.head = ops[0]
+        self.length = len(ops)
+        assert self.head.dst is not None
+        self.dest: int = self.head.dst
+        #: Per op: True where it takes the MUL port and latency.
+        self.mul = np.array([op.alu_op is AluOp.MUL for op in ops])
+        # The tail folded once: consecutive immediate ADDs are one add
+        # (mod 2**64, like every ALU result).
+        steps: List[Tuple[AluOp, int]] = []
+        for op in ops[1:]:
+            assert op.alu_op is not None
+            if op.alu_op is AluOp.ADD and steps and steps[-1][0] is AluOp.ADD:
+                steps[-1] = (AluOp.ADD, (steps[-1][1] + op.imm) & _VALUE_MASK)
+            else:
+                steps.append((op.alu_op, op.imm))
+        self.steps = tuple(steps)
+
+    def latencies(self, config: CoreConfig) -> np.ndarray:
+        return np.where(self.mul, config.mul_latency, config.alu_latency)
+
+    def value(self, source_value: Callable[[int], object]) -> object:
+        """The last op's result, an int or a uint64 lane vector."""
+        head = self.head
+        assert head.src1 is not None and head.alu_op is not None
+        lhs = source_value(head.src1)
+        rhs = source_value(head.src2) if head.src2 is not None else head.imm
+        value = _alu_any(head.alu_op, lhs, rhs)
+        for alu_op, imm in self.steps:
+            value = _alu_any(alu_op, value, imm)
+        return value
+
+
+def _alu_runs(trace: Sequence[object]) -> Dict[int, _Run]:
+    """Every dependent ALU run of a trace, keyed by its first index."""
+    runs: Dict[int, _Run] = {}
+    index = 0
+    while index < len(trace):
+        head = trace[index].instruction  # type: ignore[attr-defined]
+        first = index
+        index += 1
+        if head.op is not Opcode.ALU:
+            continue
+        ops = [head]
+        while index < len(trace):
+            op = trace[index].instruction  # type: ignore[attr-defined]
+            if (
+                op.op is not Opcode.ALU or op.src2 is not None
+                or op.src1 != head.dst or op.dst != head.dst
+            ):
+                break
+            ops.append(op)
+            index += 1
+        runs[first] = _Run(ops)
+    return runs
+
+
+#: Run boundaries depend only on a program's (immutable, cached)
+#: dynamic trace, so they are found once per program.  A pure memo:
+#: weakly keyed, it dies with the program and changes no result.
+_RUN_PLANS: "weakref.WeakKeyDictionary[object, Dict[int, _Run]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _width_solve(
+    floor: np.ndarray, rows: np.ndarray, first: int, width: int
+) -> np.ndarray:
+    """Rows ``first ..`` of ``X[n] = max(floor[n - first], X[n - width] + 1)``.
+
+    ``rows`` holds X's earlier rows, which seed each residue class mod
+    ``width``.  Along one class, ``X[n] - step`` is the running max of
+    ``floor - step``, so one ``maximum.accumulate`` solves the block.
+    """
+    count, lanes = floor.shape
+    step = (np.arange(count) // width)[:, None]
+    padded = np.full(
+        (-(-count // width) * width, lanes), _INT64_MIN, dtype=np.int64
+    )
+    body = padded[:count]
+    np.subtract(floor, step, out=body)
+    lo, hi = max(0, width - first), min(width, count)
+    if lo < hi:
+        np.maximum(
+            body[lo:hi], rows[first + lo - width:first + hi - width] + 1,
+            out=body[lo:hi],
+        )
+    classes = padded.reshape(-1, width, lanes)
+    np.maximum.accumulate(classes, axis=0, out=classes)
+    return body + step
 
 
 class _PendingTrain:
@@ -807,6 +939,9 @@ class LockstepMachine:
         config = self.config
         if not trace:
             raise LaneDivergence(f"program {name} has an empty trace")
+        runs = _RUN_PLANS.get(program)
+        if runs is None:
+            runs = _RUN_PLANS[program] = _alu_runs(trace)
 
         lanes = self.lanes
         start = self.cycle
@@ -815,8 +950,14 @@ class LockstepMachine:
         commit_width = config.commit_width
         rob_size = config.rob_size
         track_spec = config.delay_speculative_fills
+        trace_length = len(trace)
 
-        cols: List[_Col] = []
+        # Column n is trace entry n; D and R hold every column's
+        # dispatch and retire rows.  A squash window writes transient
+        # dispatch rows ahead of the main pass, which overwrites them
+        # when it refetches the same entries.
+        D = np.empty((trace_length, lanes), dtype=np.int64)
+        R = np.empty((trace_length, lanes), dtype=np.int64)
         rename: Dict[int, _Col] = {}
         arch: Dict[int, object] = {}
         stall: Optional[np.ndarray] = None
@@ -825,8 +966,9 @@ class LockstepMachine:
         prev_mem: Optional[np.ndarray] = None
         rdtsc_values: List[Tuple[int, _LaneInt]] = []
         squashes = 0
-        # Issue-cycle logs for the post-hoc width/port oversubscription
-        # guards (the recurrences assume the caps never bind).
+        # Issue-cycle logs (single rows and blocks of rows) for the
+        # post-hoc width/port oversubscription guards (the recurrences
+        # assume the caps never bind).
         width_issues: List[np.ndarray] = []
         alu_issues: List[np.ndarray] = []
         mul_issues: List[np.ndarray] = []
@@ -888,17 +1030,146 @@ class LockstepMachine:
                     best = candidate
             return best
 
+        def dispatch_at(n: int) -> np.ndarray:
+            """Dispatch row of column ``n``, recorded in ``D``."""
+            dispatch = D[n - 1] if n else start
+            if n >= fetch_width:
+                dispatch = np.maximum(dispatch, D[n - fetch_width] + one)
+            if stall is not None:
+                dispatch = np.maximum(dispatch, stall)
+            if fence_gate is not None:
+                dispatch = np.maximum(dispatch, fence_gate)
+            if n >= rob_size:
+                dispatch = np.maximum(dispatch, R[n - rob_size])
+            D[n] = dispatch
+            return dispatch
+
         def retire_cycle(complete: np.ndarray) -> np.ndarray:
-            n = len(cols)
+            """Retire row of the main pass's current column ``index``."""
             retire = complete
-            if n:
-                assert cols[-1].R is not None
-                retire = np.maximum(retire, cols[-1].R)
-            if n >= commit_width:
-                chain = cols[n - commit_width].R
-                assert chain is not None
-                retire = np.maximum(retire, chain + one)
+            if index:
+                retire = np.maximum(retire, R[index - 1])
+            if index >= commit_width:
+                retire = np.maximum(retire, R[index - commit_width] + one)
             return retire
+
+        # -- dependent ALU runs: one solve per block of rows -----------
+        def dispatch_rows(first: int, count: int) -> np.ndarray:
+            """Dispatch rows of columns ``first .. first+count-1``.
+
+            ``count <= rob_size``, so every ROB gate is an earlier row
+            that is already scheduled.  D and R never decrease, so the
+            previous row, stall, fence and ROB terms are one floor per
+            row and only the fetch-width term needs :func:`_width_solve`.
+            """
+            floor = D[first - 1] if first else start
+            if stall is not None:
+                floor = np.maximum(floor, stall)
+            if fence_gate is not None:
+                floor = np.maximum(floor, fence_gate)
+            floors = np.empty((count, lanes), dtype=np.int64)
+            floors[:] = floor
+            gated = max(0, rob_size - first)
+            if gated < count:
+                np.maximum(
+                    floors[gated:],
+                    R[first + gated - rob_size:first + count - rob_size],
+                    out=floors[gated:],
+                )
+            rows = _width_solve(floors, D, first, fetch_width)
+            D[first:first + count] = rows
+            return rows
+
+        def issue_rows(
+            dispatch: np.ndarray, head: np.ndarray, latency: np.ndarray
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            """Issue and value-ready rows of a dependent chain.
+
+            Op ``k`` issues at ``max(D[k] + 1, VR[k-1])`` (op 0 at
+            ``head``) and is ready ``latency[k]`` later.  With ``S`` the
+            prefix sum of the latencies, ``VR - S`` is a running max of
+            ``D + 1 - S[k-1]``.
+            """
+            total = np.cumsum(latency)
+            ready = dispatch + (one + latency - total)[:, None]
+            ready[0] = head
+            np.maximum.accumulate(ready, axis=0, out=ready)
+            ready += total[:, None]
+            return ready - latency[:, None], ready
+
+        def log_issues(issue: np.ndarray, mul: np.ndarray) -> None:
+            width_issues.append(issue)
+            if not mul.any():
+                alu_issues.append(issue)
+            elif mul.all():
+                mul_issues.append(issue)
+            else:
+                alu_issues.append(issue[~mul])
+                mul_issues.append(issue[mul])
+
+        def spec_through(source: _Col, issue: np.ndarray) -> Optional[_Col]:
+            """The chain's speculation source after ops issued at ``issue``.
+
+            Each op inherits its predecessor's source while that load is
+            unverified at the op's issue (``unverified_at`` row by row).
+            Issue grows along the chain in every lane, so a straddling
+            row diverges wherever it lies, and the first row past the
+            verification ends the source for the rest of the chain.
+            """
+            assert source.C is not None
+            unverified = issue < source.C
+            every = unverified.all(axis=1)
+            if bool(np.any(unverified.any(axis=1) & ~every)):
+                raise LaneDivergence(
+                    "prediction verification straddles a consumer's issue"
+                )
+            return source if bool(every.all()) else None
+
+        def retire_rows(first: int, ready: np.ndarray) -> None:
+            """Retire rows of a chain's columns ``first ..``.
+
+            Completion grows along a chain, so the previous row's R is
+            the whole running floor and only the commit-width term needs
+            :func:`_width_solve`.
+            """
+            floor = np.maximum(ready, R[first - 1]) if first else ready
+            R[first:first + len(ready)] = _width_solve(
+                floor, R, first, commit_width
+            )
+
+        def run_column(first: int, run: _Run) -> _Col:
+            """Schedule one dependent ALU run in the main pass.
+
+            Returns the run's rename column (its last op).  Blocks of at
+            most ``rob_size`` ops keep every ROB gate behind the block.
+            """
+            regs = run.head.source_registers()
+            latency = run.latencies(config)
+            spec: Optional[_Col] = None
+            ready = start
+            for lo in range(0, run.length, rob_size):
+                count = min(rob_size, run.length - lo)
+                dispatch = dispatch_rows(first + lo, count)
+                if lo:
+                    head = np.maximum(dispatch[0] + one, ready[-1])
+                else:
+                    head = source_ready(dispatch[0] + one, regs)
+                    if track_spec:
+                        spec = spec_source(regs, head)
+                issue, ready = issue_rows(
+                    dispatch, head, latency[lo:lo + count]
+                )
+                retire_rows(first + lo, ready)
+                log_issues(issue, run.mul[lo:lo + count])
+                if spec is not None:
+                    # Op 0 found its own source; later ops inherit it.
+                    spec = spec_through(spec, issue[0 if lo else 1:])
+            col = _Col()
+            col.seq = first + run.length - 1
+            col.VR = col.C = ready[-1]
+            col.spec_col = spec
+            col.result = run.value(source_value)
+            return col
 
         def run_transient_window(
             load_col: _Col, prediction: Prediction, pred_vr: np.ndarray,
@@ -922,16 +1193,14 @@ class LockstepMachine:
             assert squash_c is not None
             far = np.full(lanes, _FAR, dtype=np.int64)
             need_taint = config.delay_speculative_fills
-            trigger = trace[window_start - 1]
-            trigger_dest = trigger.instruction.destination_register()
+            n_load = window_start - 1
+            trigger_dest = trace[n_load].instruction.destination_register()
             # reg -> (value-ready vector | None if never ready, value,
             #         speculatively tainted)
             overlay: Dict[int, Tuple[Optional[np.ndarray], object, bool]] = {}
             if trigger_dest is not None:
                 overlay[trigger_dest] = (pred_vr, prediction.value, True)
-            transient_d: List[np.ndarray] = []
             t_last_mem, t_prev_mem = last_mem, prev_mem
-            n_load = len(cols) - 1
 
             def pre_squash(cycles: np.ndarray) -> bool:
                 """all(< C) -> True; all(>= C) -> False; mixed diverges."""
@@ -983,7 +1252,64 @@ class LockstepMachine:
                         return True
                 return False
 
-            for w, spec in enumerate(trace[window_start:]):
+            def first_late(pre: np.ndarray) -> int:
+                """Index of the first row not pre-squash in every lane."""
+                every = pre.all(axis=1)
+                return len(every) if bool(every.all()) else int(
+                    np.argmin(every)
+                )
+
+            def transient_run(first: int, run: _Run) -> bool:
+                """One dependent ALU run; False when the window ends in it.
+
+                Row tests replay the per-op sequence: op ``k``'s
+                dispatch test, then its issue test once op ``k-1``
+                issued.  Issue exceeds dispatch, so the first late issue
+                row never follows the first late dispatch row; each lane
+                is monotone along the run, so only that row can straddle.
+                """
+                # The ROB slot of a later row waits on a transient op
+                # that never retires: dispatch stops there.
+                count = min(run.length, n_load + rob_size - first + 1)
+                if count <= 0:
+                    return False
+                dispatch = dispatch_rows(first, count)
+                d_pre = dispatch < squash_c
+                late_d = first_late(d_pre)
+                regs = run.head.source_registers()
+                head = t_source_vr(dispatch[0] + one, regs)
+                issued = 0
+                taint = False
+                if head is not None:
+                    issue, ready = issue_rows(
+                        dispatch, head, run.latencies(config)[:count]
+                    )
+                    i_pre = issue < squash_c
+                    issued = first_late(i_pre)
+                    if issued:
+                        log_issues(issue[:issued], run.mul[:issued])
+                        taint = need_taint and t_tainted(regs, issue[0])
+                    if issued < late_d and bool(i_pre[issued].any()):
+                        raise LaneDivergence(
+                            "squash window edge straddles lanes"
+                        )
+                if late_d < count:
+                    if bool(d_pre[late_d].any()):
+                        raise LaneDivergence(
+                            "squash window edge straddles lanes"
+                        )
+                    return False
+                if count < run.length:
+                    return False
+                overlay[run.dest] = (
+                    (ready[-1], run.value(t_source_value), taint)
+                    if issued == count else (None, None, False)
+                )
+                return True
+
+            n = window_start
+            while n < trace_length:
+                spec = trace[n]
                 sinstr: Instruction = spec.instruction
                 sop = sinstr.op
                 if sop is Opcode.FENCE:
@@ -995,36 +1321,20 @@ class LockstepMachine:
                         f"{sop.name.lower()} in a squash window is not "
                         "lane-vectorized"
                     )
-                n = n_load + 1 + w
-                dispatch = transient_d[w - 1] if w else load_col.D
-                assert dispatch is not None
-                if n >= fetch_width:
-                    gate_index = n - fetch_width
-                    if gate_index <= n_load:
-                        gate = cols[gate_index].D
-                    elif gate_index - n_load - 1 < len(transient_d):
-                        gate = transient_d[gate_index - n_load - 1]
-                    else:
-                        gate = None  # gated by a never-dispatched op
-                    if gate is None:
+                if sop is Opcode.ALU:
+                    run = runs[n]
+                    if not transient_run(n, run):
                         break
-                    dispatch = np.maximum(dispatch, gate + one)
-                if stall is not None:
-                    dispatch = np.maximum(dispatch, stall)
-                if fence_gate is not None:
-                    dispatch = np.maximum(dispatch, fence_gate)
-                if n >= rob_size:
-                    gate_index = n - rob_size
-                    if gate_index > n_load:
-                        # The ROB slot waits on a transient op that
-                        # never retires: dispatch stops here.
-                        break
-                    gate_r = cols[gate_index].R
-                    assert gate_r is not None
-                    dispatch = np.maximum(dispatch, gate_r)
+                    n += run.length
+                    continue
+                if n - rob_size > n_load:
+                    # The ROB slot waits on a transient op that never
+                    # retires: dispatch stops here.
+                    break
+                dispatch = dispatch_at(n)
                 if not pre_squash(dispatch):
                     break  # in-order dispatch: younger ops stop too
-                transient_d.append(dispatch)
+                n += 1
 
                 dreg = sinstr.destination_register()
                 if sop in (Opcode.NOP, Opcode.HALT):
@@ -1044,39 +1354,6 @@ class LockstepMachine:
                             )
                     elif dreg is not None:
                         overlay[dreg] = (None, None, False)
-                    continue
-                if sop is Opcode.ALU:
-                    issue_base = t_source_vr(
-                        dispatch + one, sinstr.source_registers()
-                    )
-                    if issue_base is None or not pre_squash(issue_base):
-                        if dreg is not None:
-                            overlay[dreg] = (None, None, False)
-                        continue
-                    issue = issue_base
-                    needs_mul = sinstr.alu_op is AluOp.MUL
-                    width_issues.append(issue)
-                    (mul_issues if needs_mul else alu_issues).append(issue)
-                    assert sinstr.src1 is not None and sinstr.alu_op is not None
-                    lhs = t_source_value(sinstr.src1)
-                    rhs: object = (
-                        t_source_value(sinstr.src2)
-                        if sinstr.src2 is not None else sinstr.imm
-                    )
-                    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-                        result: object = _alu_vec(sinstr.alu_op, lhs, rhs)
-                    else:
-                        result = _alu_compute(sinstr.alu_op, lhs, rhs)
-                    latency = (
-                        config.mul_latency if needs_mul
-                        else config.alu_latency
-                    )
-                    if dreg is not None:
-                        taint = (
-                            t_tainted(sinstr.source_registers(), issue)
-                            if need_taint else False
-                        )
-                        overlay[dreg] = (issue + latency, result, taint)
                     continue
                 if sop is Opcode.LOAD:
                     issue_base = t_source_vr(
@@ -1159,31 +1436,18 @@ class LockstepMachine:
                 )
 
         index = 0
-        trace_length = len(trace)
         while index < trace_length:
             placed = trace[index]
             instr: Instruction = placed.instruction
             op = instr.op
+            if op is Opcode.ALU:
+                run = runs[index]
+                rename[run.dest] = run_column(index, run)
+                index += run.length
+                continue
             col = _Col()
-            n = len(cols)
-            col.seq = n
-
-            # -- dispatch ----------------------------------------------
-            dispatch = cols[-1].D if n else start
-            assert dispatch is not None
-            if n >= fetch_width:
-                prior = cols[n - fetch_width].D
-                assert prior is not None
-                dispatch = np.maximum(dispatch, prior + one)
-            if stall is not None:
-                dispatch = np.maximum(dispatch, stall)
-            if fence_gate is not None:
-                dispatch = np.maximum(dispatch, fence_gate)
-            if n >= rob_size:
-                rob_gate = cols[n - rob_size].R
-                assert rob_gate is not None
-                dispatch = np.maximum(dispatch, rob_gate)
-            col.D = dispatch
+            col.seq = index
+            dispatch = dispatch_at(index)
 
             squashed_here = False
             trig_pred: Optional[Prediction] = None
@@ -1191,7 +1455,7 @@ class LockstepMachine:
             if op in (Opcode.FENCE, Opcode.RDTSC):
                 # Serialising: executes at the ROB head once drained.
                 retire = np.maximum(dispatch + one, retire_cycle(dispatch))
-                col.I = col.VR = col.C = col.R = retire
+                col.VR = col.C = col.R = retire
                 if op is Opcode.FENCE:
                     fence_gate = retire
                 else:
@@ -1200,42 +1464,13 @@ class LockstepMachine:
             elif op in (Opcode.NOP, Opcode.HALT):
                 issue = dispatch + one
                 width_issues.append(issue)
-                col.I = issue
                 col.VR = col.C = issue + one
                 col.R = retire_cycle(col.C)
             elif op is Opcode.LI:
                 issue = dispatch + one
                 width_issues.append(issue)
-                col.I = issue
                 col.result = instr.imm & _VALUE_MASK
                 col.VR = col.C = issue + config.alu_latency
-                col.R = retire_cycle(col.C)
-            elif op is Opcode.ALU:
-                issue = source_ready(
-                    dispatch + one, instr.source_registers()
-                )
-                width_issues.append(issue)
-                needs_mul = instr.alu_op is AluOp.MUL
-                (mul_issues if needs_mul else alu_issues).append(issue)
-                col.I = issue
-                if track_spec:
-                    col.spec_col = spec_source(
-                        instr.source_registers(), issue
-                    )
-                assert instr.src1 is not None and instr.alu_op is not None
-                lhs = source_value(instr.src1)
-                rhs: object = (
-                    source_value(instr.src2)
-                    if instr.src2 is not None else instr.imm
-                )
-                if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-                    col.result = _alu_vec(instr.alu_op, lhs, rhs)
-                else:
-                    col.result = _alu_compute(instr.alu_op, lhs, rhs)
-                latency = (
-                    config.mul_latency if needs_mul else config.alu_latency
-                )
-                col.VR = col.C = issue + latency
                 col.R = retire_cycle(col.C)
             elif op is Opcode.STORE:
                 raise LaneDivergence("stores are not lane-vectorized")
@@ -1251,7 +1486,6 @@ class LockstepMachine:
                     issue = np.maximum(issue, prev_mem + one)
                 width_issues.append(issue)
                 prev_mem, last_mem = last_mem, issue
-                col.I = issue
                 base: object = 0
                 if instr.src1 is not None:
                     base = source_value(instr.src1)
@@ -1274,7 +1508,7 @@ class LockstepMachine:
             else:  # pragma: no cover - exhaustive over Opcode
                 raise LaneDivergence(f"unhandled opcode {op}")
 
-            cols.append(col)
+            R[index] = col.R
             destination = instr.destination_register()
             if destination is not None:
                 rename[destination] = col
@@ -1297,9 +1531,7 @@ class LockstepMachine:
                 )
             index += 1
 
-        last = cols[-1].R
-        assert last is not None
-        end = last
+        end = R[-1].copy()
         finish = end + one
         # The scalar core raises SimulationError past the cycle budget;
         # stay conservatively clear of it so near-budget runs take the
@@ -1312,7 +1544,7 @@ class LockstepMachine:
         self._check_oversubscription(mul_issues, config.mul_ports, "MUL ports")
 
         self.simulated_cycles += int(np.sum(finish - start))
-        self.total_retired += len(cols) * lanes
+        self.total_retired += trace_length * lanes
         self.cycle = finish
         # Every deferred fill and pending training completed within
         # this run, and any later access happens at an issue cycle past
@@ -1325,7 +1557,7 @@ class LockstepMachine:
             pid=pid,
             start_cycles=start,
             end_cycles=end,
-            retired=len(cols),
+            retired=trace_length,
             squashes=squashes,
             rdtsc_values=rdtsc_values,
         )
@@ -1449,17 +1681,20 @@ class LockstepMachine:
 
     # -- guards ---------------------------------------------------------
     def _check_oversubscription(
-        self, issues: Sequence[object], cap: int, what: str
+        self, issues: Sequence[np.ndarray], cap: int, what: str
     ) -> None:
         """Diverge if >cap ops would issue in one cycle in any lane.
 
         The schedule recurrences assume the unconstrained schedule
-        respects every per-cycle cap; sort each class's issue cycles
+        respects every per-cycle cap; ``issues`` holds single rows and
+        blocks of rows, one row per op.  Sort each class's issue cycles
         per lane and check no ``cap+1`` of them coincide.
         """
-        if len(issues) <= cap:
+        if not issues:
             return
-        arrays = [np.asarray(issue) for issue in issues]
-        stacked = np.sort(np.stack(arrays), axis=0)
+        stacked = np.vstack(issues)
+        if len(stacked) <= cap:
+            return
+        stacked.sort(axis=0)
         if bool(np.any(stacked[cap:] <= stacked[:-cap])):
             raise LaneDivergence(f"{what} oversubscribed")

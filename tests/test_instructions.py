@@ -125,3 +125,36 @@ class TestClassification:
         with pytest.raises(Exception):
             instr.imm = 5
         assert hash(instr) == hash(ins.nop())
+
+    def test_cached_registers_follow_replace_equality_and_pickle(self):
+        """The register tuples are computed once per instruction: a
+        ``dataclasses.replace`` recomputes them, and neither equality,
+        hashing nor a pickle round trip sees them."""
+        import dataclasses
+        import pickle
+
+        instr = ins.alu(AluOp.ADD, 1, 2, src2=3)
+        assert instr.source_registers() is instr.source_registers()
+        immediate = dataclasses.replace(instr, src2=None, dst=4)
+        assert immediate.source_registers() == (2,)
+        assert immediate.destination_register() == 4
+        store = dataclasses.replace(
+            ins.store(5, base=6), src1=None, src2=7
+        )
+        assert store.source_registers() == (7,)
+        assert store.destination_register() is None
+
+        twin = ins.alu(AluOp.ADD, 1, 2, src2=3)
+        assert twin == instr and hash(twin) == hash(instr)
+        assert instr != immediate
+        assert repr(twin) == repr(instr)
+        assert [f.name for f in dataclasses.fields(instr)] == [
+            "op", "dst", "src1", "src2", "imm", "alu_op", "tag", "secret",
+        ]
+        for original in (instr, immediate, store, ins.rdtsc(9)):
+            restored = pickle.loads(pickle.dumps(original))
+            assert restored == original
+            assert hash(restored) == hash(original)
+            assert restored.source_registers() == original.source_registers()
+            assert (restored.destination_register()
+                    == original.destination_register())

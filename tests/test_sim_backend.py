@@ -315,18 +315,24 @@ def test_trial_ranges_run_alone_are_invariant(backend, defense, channel):
 
 _R_MATRIX_RUNS = 8
 
-#: The R-type defense specs of the Section VI-B defense matrix.
+#: The defense specs of the Section VI-B defense matrix.
+_MATRIX_SPECS = (
+    "R[3]", "R[8]", "A[history]", "A[fixed]", "D", "invisispec",
+    "A[fixed]+D", "A[history]+D", "R[3]+D", "invisispec+D",
+)
+
+#: Its R-type specs.
 _R_MATRIX_SPECS = ("R[3]", "R[8]", "R[3]+D")
 
 
-def _r_matrix_cases():
-    """The matrix's R cells: variant/channel x R spec x predictor."""
+def _matrix_cases(specs=_MATRIX_SPECS):
+    """The matrix's cells: variant/channel x defense spec x predictor."""
     for variant in ALL_VARIANTS:
         channels = [ChannelType.TIMING_WINDOW]
         if ChannelType.PERSISTENT in variant.supported_channels:
             channels.append(ChannelType.PERSISTENT)
         for channel in channels:
-            for spec in _R_MATRIX_SPECS:
+            for spec in specs:
                 for predictor in ("lvp", "vtage"):
                     yield variant, channel, spec, predictor
 
@@ -344,7 +350,7 @@ def _r_matrix_payloads(backend):
                 defense=parse_defense(spec), backend=backend,
             ))
         )
-        for variant, channel, spec, predictor in _r_matrix_cases()
+        for variant, channel, spec, predictor in _matrix_cases(_R_MATRIX_SPECS)
     }
 
 
@@ -431,6 +437,66 @@ def test_runtime_divergence_journals_reason():
     delta = PerfCounters.delta(before, COUNTERS.snapshot())
     assert delta.get("batched_fallback_trials", 0) == 0
     assert delta.get("batched_partitions", 0) > 0
+
+
+_NESTED = "LaneDivergence: nested speculation in a squash window"
+_NON_UNIFORM = (
+    "LaneDivergence: non-uniform predicted-load value across lanes"
+)
+
+
+def _pinned_matrix_fallbacks():
+    """The defense matrix's fallbacks at n_runs=10, seed 0, per cell.
+
+    Every A-type cell on a persistent channel, one chunk each: Test +
+    Hit under A[fixed] predicts a lane-varying value, the rest nest a
+    prediction inside a squash window.
+    """
+    pinned = {}
+    for name in ("Fill Up", "Test + Hit", "Train + Test"):
+        for spec in ("A[fixed]", "A[history]", "A[fixed]+D", "A[history]+D"):
+            for predictor in ("lvp", "vtage"):
+                reason = (
+                    _NON_UNIFORM
+                    if name == "Test + Hit" and spec.startswith("A[fixed]")
+                    else _NESTED
+                )
+                cell = (f"{name}/persistent/vp={predictor}/defense={spec}"
+                        "/seed=0")
+                pinned[f"{name}/persistent/{spec}/{predictor}"] = [
+                    (cell, reason)
+                ]
+    return pinned
+
+
+def test_defense_matrix_fallbacks_are_pinned():
+    """The benchmark's 180 defended cells fall back exactly where they
+    did: 20 nested-speculation and 4 non-uniform-value chunks.
+
+    The scalar replay keeps results identical, so a guard the engine
+    newly trips would otherwise show only as lost speed.
+    """
+    from collections import Counter
+
+    from repro.cli import parse_defense
+    from repro.harness.experiment import run_cell
+
+    cells = list(_matrix_cases())
+    assert len(cells) == 180
+    journals = {}
+    for variant, channel, spec, predictor in cells:
+        clear_fallback_journal()
+        run_cell(variant, channel, predictor, 10, 0,
+                 defense=parse_defense(spec), backend="batched")
+        if fallback_journal():
+            journals[f"{variant.name}/{channel.value}/{spec}/{predictor}"] = (
+                fallback_journal()
+            )
+    assert journals == _pinned_matrix_fallbacks()
+    reasons = Counter(
+        reason for journal in journals.values() for _, reason in journal
+    )
+    assert reasons == {_NESTED: 20, _NON_UNIFORM: 4}
 
 
 def test_injected_divergence_falls_back_then_genuine_errors_reraise(
