@@ -307,127 +307,6 @@ def _cmd_hunt(args: argparse.Namespace) -> None:
         )
 
 
-def _cmd_serve(args: argparse.Namespace) -> None:
-    import asyncio
-    import os
-
-    from repro.harness.parallel import _resolve_profile
-    from repro.serve.daemon import ReproDaemon, ServePolicy
-
-    serve_backend = args.backend
-    if serve_backend is not None:
-        # Worker processes resolve the backend from the environment
-        # (repro.sim.BACKEND_ENV), so exporting it here threads the
-        # selection through the worker pool without touching job
-        # specs — results are byte-identical either way by the backend
-        # contract, this only picks the execution strategy.
-        from repro.sim import BACKEND_ENV
-
-        os.environ[BACKEND_ENV] = serve_backend
-    os.makedirs(args.root, exist_ok=True)
-    policy = ServePolicy(
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        cache_ttl_s=args.cache_ttl,
-        job_timeout_s=args.job_timeout,
-        max_dispatches=args.max_dispatches,
-        restart_budget=args.restart_budget,
-        drain_timeout_s=args.drain_timeout,
-        http=not args.no_http,
-        http_port=args.http_port,
-    )
-    daemon = ReproDaemon(
-        args.root, policy,
-        fault_profile_obj=_resolve_profile(args.fault_profile, None),
-        fault_seed=args.fault_seed,
-    )
-    print(f"serving on {daemon.socket_path} "
-          f"(endpoints: {daemon.endpoints_path})", file=sys.stderr)
-    asyncio.run(daemon.run())
-    print("drained cleanly", file=sys.stderr)
-
-
-def _build_submit_spec(args: argparse.Namespace) -> dict:
-    spec: dict = {"kind": args.kind, "n_runs": args.runs, "seed": args.seed}
-    if args.kind == "experiment":
-        spec.update(variant=args.variant, channel=args.channel,
-                    predictor=args.predictor)
-    return spec
-
-
-def _cmd_submit(args: argparse.Namespace) -> None:
-    import json
-
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(args.root)
-    response = client.submit(
-        _build_submit_spec(args), policy=args.policy,
-        wait=not args.no_wait, timeout_s=args.timeout,
-    )
-    if args.json:
-        print(json.dumps(response, indent=2, sort_keys=True))
-        if not response.get("ok"):
-            raise ReproError(str(response.get("error")))
-        return
-    if not response.get("ok"):
-        hint = response.get("retry_after_s")
-        suffix = f" (retry in {hint:.1f}s)" if hint is not None else ""
-        raise ReproError(f"{response.get('error')}{suffix}")
-    line = f"job {response['job_id']}  state={response['state']}"
-    if response.get("cached"):
-        stale = " STALE" if response.get("stale") else ""
-        line += f"  served-from={response['source']}{stale}"
-    print(line)
-    verdict = response.get("verdict")
-    if verdict:
-        parts = [f"classification={verdict['classification']}"]
-        if verdict.get("kind") == "experiment":
-            parts.append(f"pvalue={verdict['pvalue']:.4f}")
-            parts.append(
-                "EFFECTIVE" if verdict["effective"] else "not effective"
-            )
-        elif verdict.get("kind") == "rsa":
-            parts.append(f"success_rate={verdict['success_rate']:.3f}")
-        print("  " + "  ".join(parts))
-    if response.get("state") == "failed":
-        raise ReproError(str(response.get("error", "job failed")))
-
-
-def _cmd_jobs(args: argparse.Namespace) -> None:
-    import json
-
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(args.root)
-    if args.stats:
-        payload = client.stats()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    jobs = client.jobs()
-    if args.json:
-        print(json.dumps(jobs, indent=2, sort_keys=True))
-        return
-    if not jobs:
-        print("no jobs")
-        return
-    for job in jobs:
-        spec = job.get("spec", {})
-        label = (
-            f"{spec.get('variant')}/{spec.get('channel')}"
-            if spec.get("kind") == "experiment" else spec.get("kind", "?")
-        )
-        extra = ""
-        verdict = job.get("verdict")
-        if verdict:
-            extra = f"  {verdict['classification']}"
-            if "pvalue" in verdict:
-                extra += f" p={verdict['pvalue']:.4f}"
-        if job.get("error"):
-            extra += f"  error: {job['error']}"
-        print(f"{job['job_id']}  {job['state']:<9} {label}{extra}")
-
-
 def _cmd_analyze(args: argparse.Namespace) -> None:
     import json
 
@@ -791,73 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(everything)
     _add_sequential_flags(everything)
     everything.set_defaults(func=_cmd_all)
-
-    serve = sub.add_parser(
-        "serve", help="run the fault-tolerant attack-evaluation daemon"
-    )
-    serve.add_argument("--root", required=True,
-                       help="daemon root (socket, endpoints file, state)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="supervised worker-pool width")
-    serve.add_argument("--queue-limit", type=int, default=16,
-                       help="max open jobs before backpressure rejects")
-    serve.add_argument("--cache-ttl", type=float, default=300.0,
-                       metavar="SECONDS",
-                       help="memory result-cache TTL")
-    serve.add_argument("--job-timeout", type=float, default=600.0,
-                       metavar="SECONDS",
-                       help="per-job wall-clock deadline")
-    serve.add_argument("--max-dispatches", type=int, default=5,
-                       help="dispatch attempts before a job is failed")
-    serve.add_argument("--restart-budget", type=int, default=16,
-                       help="worker restarts before the daemon sheds load")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="SIGTERM drain bound for in-flight jobs")
-    serve.add_argument("--no-http", action="store_true",
-                       help="disable the local HTTP mirror")
-    serve.add_argument("--http-port", type=int, default=0,
-                       help="HTTP mirror port (0: ephemeral, recorded "
-                            "in serve.json)")
-    serve.add_argument("--fault-profile", default=None,
-                       help="chaos testing: inject faults, e.g. "
-                            "worker-kill, worker-hang, process-chaos")
-    serve.add_argument("--fault-seed", type=int, default=0)
-    _add_backend_flag(serve)
-    serve.set_defaults(func=_cmd_serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit one attack-cell job to a running daemon"
-    )
-    submit.add_argument("--root", required=True, help="daemon root")
-    submit.add_argument("--kind", choices=["experiment", "rsa"],
-                        default="experiment")
-    submit.add_argument("--variant", default="Train + Hit",
-                        help="attack variant (experiment jobs)")
-    submit.add_argument("--channel", default="timing-window",
-                        help="covert channel (experiment jobs)")
-    submit.add_argument("--predictor", default="lvp",
-                        choices=["lvp", "vtage", "none"])
-    submit.add_argument("--runs", type=int, default=100)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--policy", default=None,
-                        choices=["compat", "robust"],
-                        help="execution policy (default compat)")
-    submit.add_argument("--no-wait", action="store_true",
-                        help="enqueue and return without the verdict")
-    submit.add_argument("--timeout", type=float, default=300.0,
-                        metavar="SECONDS", help="wait bound")
-    submit.add_argument("--json", action="store_true")
-    submit.set_defaults(func=_cmd_submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list a running daemon's jobs (or --stats)"
-    )
-    jobs.add_argument("--root", required=True, help="daemon root")
-    jobs.add_argument("--stats", action="store_true",
-                      help="print service counters instead of jobs")
-    jobs.add_argument("--json", action="store_true")
-    jobs.set_defaults(func=_cmd_jobs)
     return parser
 
 

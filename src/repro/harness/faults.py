@@ -26,7 +26,7 @@ from repro.vp.base import AccessKey, Prediction, ValuePredictor
 
 _RATE_FIELDS = (
     "sample_drop_rate", "sample_dup_rate", "vp_corrupt_rate", "crash_rate",
-    "worker_kill_rate", "worker_hang_rate", "worker_slow_rate",
+    "worker_kill_rate",
 )
 
 
@@ -55,17 +55,12 @@ class FaultProfile:
             producing a result.  Process-level faults never perturb
             the simulation itself: a redispatch of the same task is
             byte-identical to an unfaulted run.
-        worker_hang_rate: Probability, per (task, dispatch), that the
-            worker process freezes completely — heartbeats stop and
-            the task never completes — until the supervisor kills it.
-        worker_slow_rate: Probability, per (task, dispatch), of an
-            injected scheduling delay of ``worker_slow_delay_s``
-            before the task runs (still completes normally).
-        worker_slow_delay_s: Delay injected by ``worker-slow`` draws.
         kill_cells: Task ids whose first dispatch is killed
             deterministically (redispatches succeed).
         hang_cells: Task ids whose first dispatch hangs
-            deterministically (redispatches succeed).
+            deterministically — the worker process freezes, heartbeats
+            and all, until the supervisor kills it (redispatches
+            succeed).
     """
 
     name: str
@@ -78,9 +73,6 @@ class FaultProfile:
     crash_rate: float = 0.0
     crash_cells: Tuple[str, ...] = ()
     worker_kill_rate: float = 0.0
-    worker_hang_rate: float = 0.0
-    worker_slow_rate: float = 0.0
-    worker_slow_delay_s: float = 0.05
     kill_cells: Tuple[str, ...] = ()
     hang_cells: Tuple[str, ...] = ()
 
@@ -96,8 +88,6 @@ class FaultProfile:
                 raise FaultInjectionError(f"{field_name} must be >= 0")
         if self.dram_tail_boost < 0.0:
             raise FaultInjectionError("dram_tail_boost must be >= 0")
-        if self.worker_slow_delay_s < 0.0:
-            raise FaultInjectionError("worker_slow_delay_s must be >= 0")
 
     @property
     def perturbs_dram(self) -> bool:
@@ -118,8 +108,6 @@ class FaultProfile:
         """True when the profile injects process-level worker faults."""
         return (
             self.worker_kill_rate > 0.0
-            or self.worker_hang_rate > 0.0
-            or self.worker_slow_rate > 0.0
             or bool(self.kill_cells)
             or bool(self.hang_cells)
         )
@@ -149,22 +137,10 @@ PROFILES: Dict[str, FaultProfile] = {
             vp_corrupt_rate=0.01,
             crash_rate=0.15,
         ),
-        # Process-level profiles: they perturb worker *processes*, never
+        # A process-level profile: it perturbs worker *processes*, never
         # the simulation, so recovered results stay byte-identical to a
-        # clean run — the invariant the chaos harness asserts.
+        # clean run — the invariant the parallel fault tests assert.
         FaultProfile(name="worker-kill", worker_kill_rate=0.4),
-        FaultProfile(name="worker-hang", worker_hang_rate=0.3),
-        FaultProfile(
-            name="worker-slow", worker_slow_rate=0.5,
-            worker_slow_delay_s=0.05,
-        ),
-        FaultProfile(
-            name="process-chaos",
-            worker_kill_rate=0.25,
-            worker_hang_rate=0.15,
-            worker_slow_rate=0.2,
-            worker_slow_delay_s=0.05,
-        ),
     )
 }
 
@@ -254,7 +230,7 @@ class FaultInjector:
     def process_fault(self, task_id: str, dispatch: int) -> Optional[str]:
         """The worker-process fault for one ``(task, dispatch)``, if any.
 
-        Returns ``"kill"``, ``"hang"``, ``"slow"`` or ``None``.  The
+        Returns ``"kill"``, ``"hang"`` or ``None``.  The
         draw is keyed by ``(profile, seed, task_id, dispatch)`` so a
         redispatched task sees a fresh, order-independent draw — the
         supervisor's retry path is deterministic and testable.  Unlike
@@ -274,14 +250,6 @@ class FaultInjector:
             rng.random() < self.profile.worker_kill_rate
         ):
             return "kill"
-        if self.profile.worker_hang_rate and (
-            rng.random() < self.profile.worker_hang_rate
-        ):
-            return "hang"
-        if self.profile.worker_slow_rate and (
-            rng.random() < self.profile.worker_slow_rate
-        ):
-            return "slow"
         return None
 
     # -- DRAM latency perturbation -------------------------------------

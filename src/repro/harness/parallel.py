@@ -16,7 +16,7 @@ fault profile)`` inputs:
 Cells can therefore execute in any order, in any process, and produce
 byte-identical journal payloads.  This module exploits that: it shards
 the cell list across a supervised persistent worker pool
-(:mod:`repro.serve.supervisor` — heartbeats, hang detection, per-cell
+(:mod:`repro.harness.supervisor` — heartbeats, hang detection, per-cell
 deadlines, restart backoff), with the **parent as the single writer**
 — workers run cells against no store and ship the journal payload
 back; the parent persists each payload through the existing
@@ -45,7 +45,7 @@ from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS, AttackVariant
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.faults import FaultInjector, FaultProfile, fault_profile
+from repro.harness.faults import FaultInjector, FaultProfile
 from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
@@ -221,27 +221,13 @@ def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
 _WORKER_EXECUTOR: Optional[ResilientExecutor] = None
 
 
-def _resolve_profile(
-    fault_profile_name: Optional[str],
-    fault_profile_obj: Optional[FaultProfile],
-) -> Optional[FaultProfile]:
-    """One profile from either a registry name or a literal object."""
-    if fault_profile_obj is not None:
-        return fault_profile_obj
-    if fault_profile_name:
-        return fault_profile(fault_profile_name)
-    return None
-
-
 def _init_worker(
     policy: ExecutionPolicy,
-    fault_profile_name: Optional[str],
+    profile: Optional[FaultProfile],
     fault_seed: int,
-    fault_profile_obj: Optional[FaultProfile] = None,
 ) -> None:
     """Build the per-process executor (no store: the parent journals)."""
     global _WORKER_EXECUTOR
-    profile = _resolve_profile(fault_profile_name, fault_profile_obj)
     injector = (
         FaultInjector(profile, seed=fault_seed)
         if profile is not None else None
@@ -305,9 +291,8 @@ def run_cells(
     policy: Optional[ExecutionPolicy] = None,
     *,
     workers: int = 1,
-    fault_profile_name: Optional[str] = None,
+    fault_profile: Optional[FaultProfile] = None,
     fault_seed: int = 0,
-    fault_profile_obj: Optional[FaultProfile] = None,
     cell_timeout_s: Optional[float] = DEFAULT_CELL_TIMEOUT_S,
     max_dispatches: int = DEFAULT_CELL_DISPATCHES,
     progress: Optional[Callable[[str], None]] = None,
@@ -315,14 +300,16 @@ def run_cells(
     """Execute ``specs``, journaling results into ``store``.
 
     With ``workers > 1`` the cells run on a supervised persistent
-    worker pool (:class:`repro.serve.supervisor.WorkerSupervisor`) and
+    worker pool (:class:`repro.harness.supervisor.WorkerSupervisor`) and
     the parent is the only process that writes the checkpoint journal.
     The supervisor adds the robustness the bare process pool lacked: a
     per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
     hang detection, and deterministic redispatch after a worker death —
     a redispatched cell reruns the identical spec and journals the
     byte-identical payload.  A cell that exhausts ``max_dispatches``
-    or raises out of the executor fails the sweep loudly.
+    or raises out of the executor fails the sweep loudly.  Every exit
+    (success, failure, SIGINT) stops the pool, cancelling whatever is
+    still pending or in flight.
 
     With ``workers == 1`` the cells run in-process through an executor
     bound directly to the store — the exact serial code path, kept as
@@ -342,7 +329,6 @@ def run_cells(
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
     policy = policy or ExecutionPolicy.compat()
-    profile = _resolve_profile(fault_profile_name, fault_profile_obj)
     stats = SweepStats(workers=workers, cells_total=len(specs))
     pending: List[CellSpec] = []
     for spec in specs:
@@ -356,8 +342,8 @@ def run_cells(
     if workers == 1 or len(pending) <= 1:
         stats.effective_workers = 1
         injector = (
-            FaultInjector(profile, seed=fault_seed)
-            if profile is not None else None
+            FaultInjector(fault_profile, seed=fault_seed)
+            if fault_profile is not None else None
         )
         serial = ResilientExecutor(policy, injector=injector, store=store)
         before = COUNTERS.snapshot()
@@ -373,7 +359,7 @@ def run_cells(
         stats.counters = counters.snapshot()
         return stats
 
-    from repro.serve.supervisor import SupervisorPolicy, WorkerSupervisor
+    from repro.harness.supervisor import SupervisorPolicy, WorkerSupervisor
 
     stats.effective_workers = min(workers, len(pending))
     outcomes: "queue.Queue" = queue.Queue()
@@ -385,8 +371,8 @@ def run_cells(
         ),
         run_fn=_run_spec_in_worker,
         init_fn=_init_worker,
-        init_args=(policy, None, fault_seed, profile),
-        fault_profile=profile,
+        init_args=(policy, fault_profile, fault_seed),
+        fault_profile=fault_profile,
         fault_seed=fault_seed,
     ).start()
 
@@ -396,9 +382,12 @@ def run_cells(
         threading.current_thread() is threading.main_thread()
     )
     if in_main_thread:
+        # The handler only flags the interrupt: it runs on this thread,
+        # which may hold the supervisor's inbox lock mid-submit.  The
+        # loop below notices the flag within one poll and the
+        # ``finally`` stops the pool.
         def _on_sigint(signum: int, frame: object) -> None:
             interrupted.set()
-            supervisor.interrupt()
 
         previous_handler = signal.signal(signal.SIGINT, _on_sigint)
 
@@ -407,12 +396,10 @@ def run_cells(
         for spec in pending:
             supervisor.submit(spec.cell_id, spec, outcomes.put)
         received = 0
-        while received < len(pending):
+        while received < len(pending) and not interrupted.is_set():
             try:
                 outcome = outcomes.get(timeout=0.2)
             except queue.Empty:
-                if interrupted.is_set():
-                    break
                 continue
             received += 1
             if outcome.status == "done":
@@ -432,8 +419,6 @@ def run_cells(
                 if progress is not None:
                     status = "failed" if result["failed"] else "done"
                     progress(f"{outcome.task_id}: {status}")
-            elif outcome.status == "cancelled":
-                continue
             else:  # "error" or "lost": fail the sweep loudly
                 failure = (
                     f"cell {outcome.task_id!r} {outcome.status} after "
@@ -441,7 +426,7 @@ def run_cells(
                 )
                 break
     finally:
-        supervisor.shutdown()
+        supervisor.stop()
         supervisor.join(timeout=30.0)
         if in_main_thread:
             signal.signal(signal.SIGINT, previous_handler)

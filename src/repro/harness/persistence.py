@@ -251,9 +251,11 @@ def run_all(
             checkpoint_dir or os.path.join(out_dir, "checkpoint"),
             meta, resume=resume,
         )
+        profile = (
+            fault_profile(fault_profile_name) if fault_profile_name else None
+        )
         injector = (
-            FaultInjector(fault_profile(fault_profile_name), seed=seed)
-            if fault_profile_name else None
+            FaultInjector(profile, seed=seed) if profile is not None else None
         )
         effective_policy = policy or ExecutionPolicy(
             retry=RetryPolicy(max_retries=max_retries),
@@ -293,7 +295,7 @@ def run_all(
                 store,
                 effective_policy,
                 workers=effective_workers,
-                fault_profile_name=fault_profile_name,
+                fault_profile=profile,
                 fault_seed=seed,
                 cell_timeout_s=(
                     cell_timeout_s if cell_timeout_s is not None

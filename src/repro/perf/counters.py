@@ -44,29 +44,6 @@ class PerfCounters:
             inconclusive-band escalations under the streaming
             extension protocol — each of these used to be re-simulated
             from scratch by the legacy 2xN re-run.
-        serve_jobs_accepted / serve_jobs_rejected / serve_jobs_shed:
-            Daemon admission outcomes — enqueued, bounced with
-            retry-after (queue full), or refused because the daemon
-            was shedding load (supervisor unhealthy).
-        serve_jobs_done: Jobs that produced a verdict (fresh or from
-            a journal replay).
-        serve_cache_hits / serve_cache_journal_hits /
-        serve_cache_stale / serve_cache_misses: Result-cache lookups:
-            fresh in-memory hit, checkpoint-journal hit, stale result
-            served during degradation, and misses that cost a
-            simulation.
-        serve_worker_restarts: Worker processes respawned by the
-            supervisor after a crash, hang, or timeout kill.
-        serve_heartbeat_misses: Workers killed because their heartbeat
-            deadline lapsed (hang detection).
-        serve_job_timeouts: Jobs whose per-dispatch wall-clock budget
-            expired (the worker was killed and the job redispatched).
-        serve_job_redispatches: Job dispatches beyond the first,
-            i.e. deterministic retries after a process-level fault.
-        serve_queue_wait_us: Total microseconds jobs spent queued
-            before their first dispatch (mean = this / jobs done;
-            integer microseconds keep the counters clock-free in
-            aggregate form).
         batched_chunks: Lockstep chunks the batched backend vectorized.
         batched_vector_trials / batched_fallback_trials: Trials
             executed in numpy lanes vs through the scalar fallback
@@ -93,19 +70,6 @@ class PerfCounters:
     sequential_trials_avoided: int = 0
     sequential_cycles_avoided: int = 0
     escalation_trials_reused: int = 0
-    serve_jobs_accepted: int = 0
-    serve_jobs_rejected: int = 0
-    serve_jobs_shed: int = 0
-    serve_jobs_done: int = 0
-    serve_cache_hits: int = 0
-    serve_cache_journal_hits: int = 0
-    serve_cache_stale: int = 0
-    serve_cache_misses: int = 0
-    serve_worker_restarts: int = 0
-    serve_heartbeat_misses: int = 0
-    serve_job_timeouts: int = 0
-    serve_job_redispatches: int = 0
-    serve_queue_wait_us: int = 0
     batched_chunks: int = 0
     batched_vector_trials: int = 0
     batched_fallback_trials: int = 0
@@ -131,22 +95,6 @@ class PerfCounters:
         """Per-counter difference between two snapshots (zeros omitted)."""
         moved = {name: after[name] - before.get(name, 0) for name in after}
         return {name: value for name, value in moved.items() if value}
-
-    # -- derived rates -------------------------------------------------
-    @property
-    def serve_cache_hit_rate(self) -> float:
-        """Fraction of daemon lookups served without a simulation."""
-        served = (self.serve_cache_hits + self.serve_cache_journal_hits
-                  + self.serve_cache_stale)
-        total = served + self.serve_cache_misses
-        return served / total if total else 0.0
-
-    @property
-    def serve_mean_queue_wait_ms(self) -> float:
-        """Mean milliseconds a completed job waited before dispatch."""
-        if not self.serve_jobs_done:
-            return 0.0
-        return self.serve_queue_wait_us / 1000.0 / self.serve_jobs_done
 
 
 #: The process-global counter instance.

@@ -139,25 +139,15 @@ def clear_fallback_journal() -> None:
 def record_fallbacks(events: List[Tuple[str, str]]) -> None:
     """Merge fallback events shipped from another process's journal.
 
-    Sweep workers (``--workers``) and serve workers run the batched
-    backend in their own processes; their journals are process-local.
-    The parent calls this with each worker result's shipped events so
-    the sweep-wide journal (and anything reporting on it) sees every
-    fallback, not just the parent's.
+    Sweep workers (``--workers``) run the batched backend in their own
+    processes; their journals are process-local.  The parent calls
+    this with each worker result's shipped events so the sweep-wide
+    journal (and anything reporting on it) sees every fallback, not
+    just the parent's.
     """
     _FALLBACK_JOURNAL.extend(
         (str(cell), str(reason)) for cell, reason in events
     )
-
-
-def fallback_histogram(
-    events: Optional[List[Tuple[str, str]]] = None,
-) -> Dict[str, int]:
-    """Fallback counts per reason (``events`` defaults to the journal)."""
-    histogram: Dict[str, int] = {}
-    for _, reason in (fallback_journal() if events is None else events):
-        histogram[reason] = histogram.get(reason, 0) + 1
-    return histogram
 
 
 __all__ = [
@@ -168,7 +158,6 @@ __all__ = [
     "SimBackend",
     "SimBackendError",
     "clear_fallback_journal",
-    "fallback_histogram",
     "fallback_journal",
     "get_backend",
     "journal_fallback",

@@ -105,6 +105,12 @@ class TestCommands:
             main(["all", "--out", str(tmp_path), flag])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["serve", "submit", "jobs", "perf"])
+    def test_removed_commands_exit_2(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--root", str(tmp_path)])
+        assert exit_info.value.code == 2
+
 
 class TestHeavierCommands:
     def test_fig5_command_small(self, capsys):

@@ -1,6 +1,6 @@
 """Process-level fault tolerance of the supervised sweep engine.
 
-Satellite contracts of the serve PR, exercised through ``run_cells``:
+The supervised pool's contracts, exercised through ``run_cells``:
 
 * a worker killed or hung mid-cell is redispatched and the journal
   payloads stay byte-identical to a clean serial run (process faults
@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.faults import FaultProfile
+from repro.harness.faults import FaultProfile, fault_profile
 from repro.harness.parallel import run_cells, sweep_specs
 from repro.harness.runner import ExecutionPolicy
 
@@ -51,7 +51,7 @@ class TestProcessFaultsAreInvisible:
         _, clean = _run(tmp_path, specs, "clean", workers=1)
         _, chaotic = _run(
             tmp_path, specs, "chaotic", workers=2,
-            fault_profile_name="worker-kill", fault_seed=3,
+            fault_profile=fault_profile("worker-kill"), fault_seed=3,
         )
         assert _digest(clean) == _digest(chaotic)
 
@@ -63,7 +63,7 @@ class TestProcessFaultsAreInvisible:
         _, clean = _run(tmp_path, specs, "clean", workers=1)
         stats, hung = _run(
             tmp_path, specs, "hung", workers=2,
-            fault_profile_obj=profile, cell_timeout_s=30.0,
+            fault_profile=profile, cell_timeout_s=30.0,
         )
         assert _digest(clean) == _digest(hung)
         assert stats.cells_run == len(specs)
@@ -79,7 +79,7 @@ class TestProcessFaultsAreInvisible:
         with pytest.raises(HarnessError, match="lost"):
             run_cells(
                 specs, store, ExecutionPolicy.compat(), workers=2,
-                fault_profile_obj=profile, max_dispatches=1,
+                fault_profile=profile, max_dispatches=1,
             )
 
 

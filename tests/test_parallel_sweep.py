@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
+from repro.harness.faults import fault_profile
 from repro.harness.parallel import (
     CellSpec,
     WORKERS_ENV,
@@ -99,11 +100,11 @@ class TestWorkerCountInvariance:
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
         _, serial = _run(
             tmp_path, specs, "serial", workers=1,
-            fault_profile_name="chaos", fault_seed=0,
+            fault_profile=fault_profile("chaos"), fault_seed=0,
         )
         _, par = _run(
             tmp_path, specs, "par", workers=2,
-            fault_profile_name="chaos", fault_seed=0,
+            fault_profile=fault_profile("chaos"), fault_seed=0,
         )
         assert _digest(serial) == _digest(par)
 
@@ -210,7 +211,7 @@ class TestRunAllParallel:
         )
         run_cells(
             specs[: len(specs) // 2], partial, policy,
-            workers=2, fault_profile_name="chaos", fault_seed=0,
+            workers=2, fault_profile=fault_profile("chaos"), fault_seed=0,
         )
         run_all(str(resumed_dir), resume=True, workers=2, **kwargs)
         assert (self._artifact_digests(serial_dir)
