@@ -176,8 +176,8 @@ def _measure_sequential(n_runs, seed):
     agree.
     """
     from repro.core.channels import ChannelType
+    from repro.core.variants import variant_by_name
     from repro.harness.experiment import cell_runner, run_cell
-    from repro.harness.parallel import _variant_by_name
     from repro.harness.runner import (
         AdaptivePolicy,
         SequentialPolicy,
@@ -186,7 +186,7 @@ def _measure_sequential(n_runs, seed):
     from repro.perf.counters import COUNTERS, PerfCounters
     from repro.perf.observe import Stopwatch
 
-    variant = _variant_by_name("Train + Test")
+    variant = variant_by_name("Train + Test")
     channel = ChannelType.TIMING_WINDOW
 
     run_cell(  # warm-up: populate gadget/trace caches

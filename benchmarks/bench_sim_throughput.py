@@ -123,12 +123,12 @@ def test_batched_backend_trials_per_s():
     """
     pytest.importorskip("numpy")
     from repro.harness.experiment import run_cell
-    from repro.harness.parallel import _variant_by_name
+    from repro.core.variants import variant_by_name
     from repro.core.channels import ChannelType
     from repro.perf.counters import COUNTERS, PerfCounters
     from repro.perf.observe import Stopwatch, write_sweep_trajectory
 
-    variant = _variant_by_name("Train + Hit")
+    variant = variant_by_name("Train + Hit")
     n_runs = 64
     trials = 2 * n_runs
 
@@ -257,7 +257,8 @@ def test_parallel_sweep_speedup():
         if parallel.elapsed_s > 0 else 0.0
     )
     host_cpus = os.cpu_count() or 1
-    effective_workers = min(parallel.effective_workers, host_cpus)
+    # Every cell was pending, so the pool ran min(workers, cells) wide.
+    effective_workers = min(parallel.workers, len(specs), host_cpus)
     if effective_workers < 2:
         _retract_stale_parallel_record()
         pytest.skip(

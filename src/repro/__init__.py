@@ -14,13 +14,13 @@ The package implements, from scratch in Python:
 * the libgcrypt-style RSA victim (:mod:`repro.crypto`);
 * statistics used by the paper's evaluation (:mod:`repro.stats`) and
   the experiment harness regenerating every table and figure, with a
-  fault-tolerant execution layer (retry, cycle budgets, checkpoint/
-  resume, deterministic fault injection) (:mod:`repro.harness`).
+  fault-tolerant execution layer (retry, per-trial watchdog,
+  checkpoint/resume, deterministic fault injection)
+  (:mod:`repro.harness`).
 """
 
 from repro._version import __version__
 from repro.errors import (
-    BudgetExceededError,
     FaultInjectionError,
     HarnessError,
     InjectedCrashError,
@@ -31,7 +31,6 @@ from repro.errors import (
 )
 
 __all__ = [
-    "BudgetExceededError",
     "FaultInjectionError",
     "HarnessError",
     "InjectedCrashError",

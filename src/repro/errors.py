@@ -35,17 +35,6 @@ class SimulationError(ReproError):
     """Raised when a simulation cannot make forward progress."""
 
 
-class BudgetExceededError(SimulationError):
-    """Raised when an experiment cell exhausts its cycle budget.
-
-    The resilient executor's watchdog raises this when the simulated
-    cycles spent on one cell (across retries and re-measurements)
-    exceed the configured budget; it is the simulation-time analogue
-    of a wall-clock :class:`TimeoutError` and is deliberately *not*
-    retried — the budget is already gone.
-    """
-
-
 class AttackError(ReproError):
     """Raised for invalid attack specifications."""
 

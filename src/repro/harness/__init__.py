@@ -1,7 +1,7 @@
 """Experiment harness: drivers and renderers for every table/figure.
 
 The harness runs every experiment cell through the resilient execution
-layer (:mod:`repro.harness.runner`): supervised retries, cycle-budget
+layer (:mod:`repro.harness.runner`): supervised retries, per-trial
 watchdogs, adaptive re-measurement, deterministic fault injection
 (:mod:`repro.harness.faults`) and atomic checkpoint/resume
 (:mod:`repro.harness.checkpoint`).

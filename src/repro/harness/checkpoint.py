@@ -13,10 +13,11 @@ Two concerns live here:
   sample sets, so p-values and reports reproduce byte-identically) and
   only the missing cells re-run.
 
-Records carry an integrity stamp (CRC-32 over the canonicalised
+Every record carries an integrity stamp (CRC-32 over the canonicalised
 payload), so a journal damaged *outside* the atomic-write protocol — a
 torn write on a dying filesystem, a flipped bit at rest — is detected
-on read instead of trusted.  :meth:`CheckpointStore.has` quarantines a
+on read instead of trusted; a record without a stamp counts as
+damaged.  :meth:`CheckpointStore.has` quarantines a
 damaged record (rename to ``*.corrupt``) and reports the cell missing,
 so ``--resume`` deterministically replays it; a direct
 :meth:`CheckpointStore.load` of a damaged record fails loudly.  Never
@@ -40,7 +41,9 @@ from repro.stats.distributions import TimingDistribution
 from repro.stats.summary import DistributionComparison
 
 #: Journal format version; bumped on incompatible payload changes.
-CHECKPOINT_VERSION = 1
+#: Version 2: every record is integrity-stamped, and an escalated
+#: fixed-N cell journals only the attempt that produced it.
+CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +178,6 @@ def deserialize_result(payload: Dict[str, object]) -> object:
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
-#: Top-level keys a cell-payload record may carry (see
-#: ``SupervisedCell.to_payload``).  Unstamped (legacy) records must
-#: stay inside this vocabulary to be trusted at all.
-_RECORD_KEYS = frozenset(
-    {"cell_id", "execution", "result", "preflight", "sequential"}
-)
-
 
 def _cell_filename(cell_id: str) -> str:
     return _SAFE.sub("-", cell_id) + ".json"
@@ -261,9 +257,10 @@ class CheckpointStore:
         """The verified payload at ``path`` (integrity stamp stripped).
 
         Raises:
-            HarnessError: Unparseable JSON, a non-object record, or a
-                CRC mismatch — i.e. any damage the atomic-write
-                protocol cannot have produced on its own.
+            HarnessError: Unparseable JSON, a non-object record, a
+                missing integrity stamp or a CRC mismatch — i.e. any
+                damage the atomic-write protocol cannot have produced
+                on its own.
         """
         try:
             with open(path) as handle:
@@ -277,28 +274,14 @@ class CheckpointStore:
                 f"corrupt checkpoint record {path!r}: not a JSON object"
             )
         integrity = record.pop("integrity", None)
-        if integrity is not None:
-            expected = (
-                integrity.get("crc32")
-                if isinstance(integrity, dict) else None
-            )
-            actual = payload_crc32(record)
-            if expected != actual:
-                raise HarnessError(
-                    f"corrupt checkpoint record {path!r}: CRC mismatch "
-                    f"(stamped {expected}, computed {actual})"
-                )
-            return record
-        # Legacy records (pre-integrity journals) have no CRC to check;
-        # they pass on a strict structural check instead.  The key
-        # whitelist matters: without it, one flipped bit inside the
-        # ``"integrity"`` key itself would demote a stamped record to
-        # "legacy" and the damage would load silently.
-        unknown = set(record) - _RECORD_KEYS
-        if "cell_id" not in record or unknown:
+        expected = (
+            integrity.get("crc32") if isinstance(integrity, dict) else None
+        )
+        actual = payload_crc32(record)
+        if expected != actual:
             raise HarnessError(
-                f"corrupt checkpoint record {path!r}: not a cell "
-                f"payload (unexpected keys: {sorted(unknown)})"
+                f"corrupt checkpoint record {path!r}: CRC mismatch "
+                f"(stamped {expected}, computed {actual})"
             )
         return record
 
@@ -364,21 +347,3 @@ class CheckpointStore:
             for name in os.listdir(self.cells_dir)
             if name.endswith(".json")
         )
-
-    # -- reporting -----------------------------------------------------
-    def classification_summary(self) -> Dict[str, int]:
-        """Count journaled cells per failure classification."""
-        counts: Dict[str, int] = {}
-        for name in self.completed_cells():
-            try:
-                payload = self._validated_record(
-                    os.path.join(self.cells_dir, name + ".json")
-                )
-            except HarnessError:
-                counts["corrupt"] = counts.get("corrupt", 0) + 1
-                continue
-            label = str(
-                payload.get("execution", {}).get("classification", "unknown")
-            )
-            counts[label] = counts.get(label, 0) + 1
-        return counts

@@ -47,9 +47,9 @@ def cell_runner(
 ) -> AttackRunner:
     """The configured :class:`AttackRunner` behind one experiment cell.
 
-    Shared by :func:`run_cell` (fixed-N) and the group-sequential
-    harness path, which streams the same runner incrementally instead
-    of running it to the fixed cap.
+    Shared by :func:`run_cell` and the supervised harness, which
+    streams the same runner through
+    :func:`repro.harness.runner.run_sequential_cell`.
     """
     config = AttackConfig(
         n_runs=n_runs,

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.channels import ChannelType
-from repro.core.variants import ALL_VARIANTS, AttackVariant
+from repro.core.variants import variant_by_name
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.faults import FaultInjector, FaultProfile
@@ -52,7 +52,7 @@ from repro.harness.runner import (
     ResilientExecutor,
     SupervisedCell,
     _PANEL_SPECS,
-    _slug,
+    table3_plan,
 )
 from repro.memory.hierarchy import MemoryConfig
 from repro.perf.counters import COUNTERS, PerfCounters
@@ -126,13 +126,6 @@ class CellSpec:
             raise HarnessError(f"cell {self.cell_id!r} names no variant")
 
 
-def _variant_by_name(name: str) -> AttackVariant:
-    for variant in ALL_VARIANTS:
-        if variant.name == name:
-            return variant
-    raise HarnessError(f"unknown attack variant {name!r}")
-
-
 def sweep_specs(
     artifacts: Sequence[str],
     n_runs: int = 100,
@@ -142,9 +135,10 @@ def sweep_specs(
     """The supervised cells behind the chosen ``repro all`` artifacts.
 
     Mirrors the enumeration of
-    :func:`~repro.harness.runner.figure_panels_supervised`,
-    :func:`~repro.harness.runner.table3_supervised` and
-    :func:`~repro.harness.runner.figure7_supervised` — same cell ids,
+    :func:`~repro.harness.runner.figure_panels_supervised` and
+    :func:`~repro.harness.runner.figure7_supervised`, and enumerates
+    the same :func:`~repro.harness.runner.table3_plan` as
+    :func:`~repro.harness.runner.table3_supervised` — same cell ids,
     same per-cell parameters — so prefilling these specs populates
     exactly the journal entries the serial assembly pass will look up.
     """
@@ -170,26 +164,17 @@ def sweep_specs(
             exponent=FIGURE7_EXPONENT,
         ))
     if "table3" in artifacts:
-        for variant in ALL_VARIANTS:
-            slug = _slug(variant.category.value)
-            cell_plan = [
-                ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
-                ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
-            ]
-            if ChannelType.PERSISTENT in variant.supported_channels:
-                cell_plan += [
-                    ("pc_novp", ChannelType.PERSISTENT, "none"),
-                    ("pc_vp", ChannelType.PERSISTENT, predictor),
-                ]
-            for key, channel, cell_predictor in cell_plan:
-                specs.append(CellSpec(
-                    cell_id=f"table3/{slug}/{key}",
-                    variant=variant.name,
-                    channel=channel.value,
-                    predictor=cell_predictor,
-                    n_runs=n_runs,
-                    seed=seed,
-                ))
+        for cell_id, variant, _, channel, cell_predictor in table3_plan(
+            predictor
+        ):
+            specs.append(CellSpec(
+                cell_id=cell_id,
+                variant=variant.name,
+                channel=channel.value,
+                predictor=cell_predictor,
+                n_runs=n_runs,
+                seed=seed,
+            ))
     return specs
 
 
@@ -206,7 +191,7 @@ def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
         )
     return executor.run_cell_supervised(
         spec.cell_id,
-        _variant_by_name(spec.variant),
+        variant_by_name(spec.variant),
         ChannelType(spec.channel),
         spec.predictor,
         spec.n_runs,
@@ -264,12 +249,6 @@ class SweepStats:
     """Telemetry of one parallel (or serial-fallback) prefill pass."""
 
     workers: int
-    #: Workers that could actually run cells concurrently: 1 when the
-    #: serial fallback path executed (workers == 1 or <= 1 pending
-    #: cell), else ``min(workers, pending cells)``.  Benches use this
-    #: to refuse to stamp a "parallel" record that effectively ran
-    #: serially.
-    effective_workers: int = 0
     cells_total: int = 0
     cells_cached: int = 0
     cells_run: int = 0
@@ -340,7 +319,6 @@ def run_cells(
     counters = PerfCounters()
 
     if workers == 1 or len(pending) <= 1:
-        stats.effective_workers = 1
         injector = (
             FaultInjector(fault_profile, seed=fault_seed)
             if fault_profile is not None else None
@@ -361,7 +339,6 @@ def run_cells(
 
     from repro.harness.supervisor import SupervisorPolicy, WorkerSupervisor
 
-    stats.effective_workers = min(workers, len(pending))
     outcomes: "queue.Queue" = queue.Queue()
     supervisor = WorkerSupervisor(
         SupervisorPolicy(

@@ -3,32 +3,27 @@
 The paper's headline artifacts are statistical sweeps — Table III runs
 all twelve attack variants across channels and predictors with
 100-run t-tests — and a single noisy cell, hung simulation or crash
-mid-sweep must not lose the run.  :class:`ResilientExecutor` wraps
-every experiment cell with:
+mid-sweep must not lose the run.  Every experiment cell measures
+through one protocol, :func:`run_sequential_cell`, and
+:class:`ResilientExecutor` wraps it with:
 
-* **retry with reseeding and exponential backoff** — any
-  :class:`~repro.errors.ReproError` raised by a cell (including
-  injected crashes and watchdog aborts) is retried up to
-  ``max_retries`` times, each attempt under a deterministically
-  derived fresh seed;
-* a **cycle-budget watchdog** — a per-trial bound threaded into the
-  core's ``max_cycles`` (runaway simulations abort with
-  :class:`~repro.errors.SimulationError`) plus a per-cell budget over
-  all attempts, exhausted budgets raising
-  :class:`~repro.errors.BudgetExceededError`;
+* **retry with reseeding** — any :class:`~repro.errors.ReproError`
+  raised by a cell (including injected crashes and watchdog aborts) is
+  retried up to ``max_retries`` times, each attempt under a
+  deterministically derived fresh seed;
+* a **per-trial watchdog** — ``max_trial_cycles`` is threaded into the
+  core's ``max_cycles`` bound, so a runaway simulation aborts with
+  :class:`~repro.errors.SimulationError`;
 * **adaptive re-measurement** — when a t-test lands in an
-  inconclusive band around ``ALPHA``, the cell re-runs with an
-  escalated ``n_runs`` instead of reporting a flaky verdict (under a
-  :class:`SequentialPolicy` the escalation *extends* the streamed
-  sample in place — all prior trials are kept and more are drawn from
-  the same per-trial seed schedule — instead of re-simulating from
-  scratch);
+  inconclusive band around ``ALPHA``, the cell *extends* its sample in
+  place (all prior trials are kept and more are drawn from the same
+  per-trial seed schedule) instead of reporting a flaky verdict;
 * **group-sequential early stopping** — opt-in via
-  :class:`SequentialPolicy`: each cell streams its trials through
-  :meth:`repro.core.attack.AttackRunner.run_incremental` and is
-  examined at pre-registered interim looks against an alpha-spending
-  boundary (:mod:`repro.stats.sequential`), stopping as soon as the
-  verdict is decisive instead of burning the full fixed-N budget;
+  :class:`SequentialPolicy`: each cell is examined at pre-registered
+  interim looks against an alpha-spending boundary
+  (:mod:`repro.stats.sequential`), stopping as soon as the verdict is
+  decisive.  Without it a cell runs the one-look design
+  ``SequentialDesign(looks=(n_runs,))``, the paper's fixed-N t-test;
 * **checkpoint/resume** — completed cells are journaled atomically to
   a :class:`~repro.harness.checkpoint.CheckpointStore`, and re-running
   a sweep over the same store reuses every journaled cell verbatim.
@@ -44,7 +39,6 @@ from __future__ import annotations
 import copy
 import functools
 import re
-import time
 import zlib
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
@@ -60,11 +54,7 @@ from repro.core.model import AttackCategory
 from repro.core.variants import ALL_VARIANTS, AttackVariant
 from repro.crypto.leak import RsaAttackConfig, RsaVpAttack
 from repro.crypto.mpi import Mpi
-from repro.errors import (
-    BudgetExceededError,
-    HarnessError,
-    ReproError,
-)
+from repro.errors import HarnessError, ReproError
 from repro.harness.checkpoint import (
     CheckpointStore,
     deserialize_result,
@@ -124,28 +114,13 @@ class RetryPolicy:
 
     Attributes:
         max_retries: Retries after the first attempt (0 = fail fast).
-        backoff_base: Seconds slept before the first retry; 0 disables
-            sleeping (the schedule is still recorded).
-        backoff_factor: Multiplier between consecutive retries.
     """
 
     max_retries: int = 2
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise HarnessError("max_retries must be >= 0")
-        if self.backoff_base < 0.0:
-            raise HarnessError("backoff_base must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise HarnessError("backoff_factor must be >= 1")
-
-    def backoff_before(self, attempt: int) -> float:
-        """Seconds to wait before ``attempt`` (attempt 0 never waits)."""
-        if attempt == 0 or self.backoff_base == 0.0:
-            return 0.0
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -154,9 +129,9 @@ class AdaptivePolicy:
 
     A p-value inside ``[band_low, band_high)`` is *inconclusive*: too
     close to ``ALPHA`` for the verdict to be trusted at the current
-    sample size.  The executor then escalates ``n_runs`` by
-    ``escalation_factor`` (up to ``max_escalations`` times) instead of
-    reporting a flaky verdict.
+    sample size.  :func:`run_sequential_cell` then extends the sample
+    by ``escalation_factor`` (up to ``max_escalations`` times) instead
+    of reporting a flaky verdict.
     """
 
     band_low: float = ALPHA / 2
@@ -200,17 +175,11 @@ class SequentialPolicy:
             cap itself is always appended, so one schedule serves
             sweeps with mixed per-cell budgets.
         alpha: Overall significance level.
-        spending: Alpha-spending function name
-            (:data:`repro.stats.sequential.SPENDING_FUNCTIONS`).
-        final_level: Passed through to the design; ``"fixed-n"``
-            (default) keeps the fixed-N answer recoverable.
     """
 
     look_fractions: Tuple[float, ...] = DEFAULT_LOOK_FRACTIONS
     looks: Optional[Tuple[int, ...]] = None
     alpha: float = ALPHA
-    spending: str = "obrien-fleming"
-    final_level: str = "fixed-n"
 
     def __post_init__(self) -> None:
         if self.looks is not None:
@@ -234,12 +203,7 @@ class SequentialPolicy:
             counts = tuple(n for n in self.looks if n < n_runs) + (n_runs,)
         else:
             counts = default_looks(n_runs, self.look_fractions)
-        return SequentialDesign(
-            looks=counts,
-            alpha=self.alpha,
-            spending=self.spending,
-            final_level=self.final_level,
-        )
+        return SequentialDesign(looks=counts, alpha=self.alpha)
 
     def to_meta(self) -> Dict[str, object]:
         """JSON-safe settings record (checkpoint-manifest comparable)."""
@@ -247,8 +211,8 @@ class SequentialPolicy:
             "look_fractions": list(self.look_fractions),
             "looks": list(self.looks) if self.looks is not None else None,
             "alpha": self.alpha,
-            "spending": self.spending,
-            "final_level": self.final_level,
+            "spending": "obrien-fleming",
+            "final_level": "fixed-n",
         }
 
 
@@ -257,20 +221,14 @@ class ExecutionPolicy:
     """Everything the supervised executor enforces per cell.
 
     Attributes:
-        retry: Retry/backoff behaviour.
-        adaptive: Optional inconclusive-band re-measurement.  Under a
-            sequential policy the escalation keeps all prior trials
-            and extends the stream; otherwise it re-runs the cell at
-            the escalated ``n_runs`` from scratch.
+        retry: Retry behaviour.
+        adaptive: Optional inconclusive-band re-measurement: the
+            escalation keeps all prior trials and extends the sample.
         sequential: Optional group-sequential early stopping
-            (:class:`SequentialPolicy`); ``None`` preserves the
-            historical fixed-N behaviour byte for byte.
+            (:class:`SequentialPolicy`); ``None`` runs every cell as
+            the one-look fixed-N design.
         max_trial_cycles: Per-trial watchdog, threaded into the core's
             ``max_cycles`` bound.
-        cell_cycle_budget: Simulated-cycle budget per cell summed over
-            attempts; exceeding it raises
-            :class:`~repro.errors.BudgetExceededError`.
-        fail_fast: Re-raise instead of recording a ``failed`` cell.
         preflight: Statically validate each cell with
             :func:`repro.analysis.preflight.preflight_cell` before its
             first attempt, raising
@@ -287,8 +245,6 @@ class ExecutionPolicy:
     #: ``None`` follows ``$REPRO_BACKEND`` and defaults to scalar.
     #: Explicit per-cell ``backend`` overrides still win.
     backend: Optional[str] = None
-    cell_cycle_budget: Optional[float] = None
-    fail_fast: bool = False
     preflight: bool = True
     #: Treat a static/dynamic verdict disagreement as a hard
     #: :class:`~repro.errors.AnalysisSoundnessError` instead of a
@@ -323,7 +279,6 @@ class AttemptRecord:
     attempt: int
     seed: int
     n_runs: Optional[int]
-    backoff_s: float = 0.0
     error: Optional[str] = None
     error_type: Optional[str] = None
 
@@ -332,7 +287,8 @@ class AttemptRecord:
             "attempt": self.attempt,
             "seed": self.seed,
             "n_runs": self.n_runs,
-            "backoff_s": self.backoff_s,
+            # Retries never wait; the key stays so records keep their shape.
+            "backoff_s": 0.0,
             "error": self.error,
             "error_type": self.error_type,
         }
@@ -344,7 +300,6 @@ class AttemptRecord:
             seed=int(payload["seed"]),
             n_runs=(None if payload.get("n_runs") is None
                     else int(payload["n_runs"])),
-            backoff_s=float(payload.get("backoff_s", 0.0)),
             error=payload.get("error"),
             error_type=payload.get("error_type"),
         )
@@ -352,7 +307,7 @@ class AttemptRecord:
 
 @dataclass
 class SequentialOutcome:
-    """What one group-sequential attempt at a cell produced.
+    """What one attempt at an experiment cell produced.
 
     Returned by :func:`run_sequential_cell`; the executor's
     :meth:`ResilientExecutor.supervise` unwraps it transparently, so
@@ -363,8 +318,9 @@ class SequentialOutcome:
         result: The experiment result over every trial actually
             streamed (its t-test covers the full collected sample, so
             ``attack_succeeds`` stays the authoritative verdict).
-        record: JSON-safe look trajectory / boundary record, journaled
-            with the cell and carried into artifact records.
+        record: JSON-safe look trajectory / boundary record; the
+            executor journals it with a sequential cell and carries it
+            into the cell's artifact record.
         extensions: Adaptive inconclusive-band extensions performed
             (counted as escalations by the executor).
         note: Degradation reason when the cell stayed inconclusive
@@ -387,17 +343,19 @@ def run_sequential_cell(
     design: SequentialDesign,
     adaptive: Optional[AdaptivePolicy] = None,
 ) -> SequentialOutcome:
-    """Stream one cell's trials through a group-sequential boundary.
+    """Measure one cell: stream its trials through a sequential design.
 
-    Trials advance in boundary-aligned batches via
+    The one protocol every experiment cell measures through.  Trials
+    advance in boundary-aligned batches via
     :meth:`~repro.core.attack.AttackRunner.run_incremental`; after each
     scheduled look the interim p-value is fed to the alpha-spending
-    boundary and the cell stops on the first decisive look.  When the
-    final look lands in the adaptive policy's inconclusive band, the
-    sample is *extended* — all prior trials are kept and more are
+    boundary and the cell stops on the first decisive look.  A fixed-N
+    cell is the one-look design ``SequentialDesign(looks=(n_runs,))``,
+    whose single look is the paper's plain ``p < alpha`` t-test.  When
+    the final look lands in the adaptive policy's inconclusive band,
+    the sample is *extended* — all prior trials are kept and more are
     drawn from the same per-trial seed schedule — up to
-    ``adaptive.max_escalations`` times, replacing the legacy
-    from-scratch 2xN re-run.
+    ``adaptive.max_escalations`` times.
 
     Deterministic: the trials simulated depend only on the runner's
     seed/config, the design, and the adaptive band.
@@ -578,12 +536,10 @@ class ResilientExecutor:
         policy: Optional[ExecutionPolicy] = None,
         injector: Optional[FaultInjector] = None,
         store: Optional[CheckpointStore] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.policy = policy or ExecutionPolicy.compat()
         self.injector = injector
         self.store = store
-        self._sleep = sleep
 
     # ------------------------------------------------------------------
     def supervise(
@@ -593,180 +549,76 @@ class ResilientExecutor:
         *,
         seed: int,
         n_runs: Optional[int] = None,
-        pvalue_of: Optional[Callable[[object], float]] = None,
-        cycles_of: Optional[Callable[[object], float]] = None,
-        degraded_note: Optional[Callable[[object], Optional[str]]] = None,
         preflight: Optional[Dict[str, object]] = None,
     ) -> SupervisedCell:
-        """Run one cell under the policy; never raises unless fail_fast.
+        """Run one cell under the retry policy; never raises a ReproError.
+
+        The executor only retries: each attempt runs under a fresh seed
+        (:func:`reseed`), injected crashes land before the attempt, and
+        the outcome is classified and journaled.  Escalation is the
+        attempt's own business — :func:`run_sequential_cell` extends
+        its sample in place and reports the extensions.
 
         Args:
             cell_id: Stable identifier (also the checkpoint key).
             attempt_fn: ``(seed, n_runs) -> result``; ``n_runs`` is
                 ``None`` for cells without a sample count (Figure 7).
+                A :class:`SequentialOutcome` is unwrapped into its
+                result, escalations and note.
             seed: Base seed; retries derive fresh seeds from it.
-            n_runs: Requested sample count, escalated adaptively.
-            pvalue_of: Extracts the decision p-value (enables the
-                adaptive policy).
-            cycles_of: Extracts simulated cycles spent by one attempt
-                (enables the per-cell budget).
-            degraded_note: Returns a reason string when the result is
-                usable but degraded (e.g. samples lost to faults).
+            n_runs: Requested sample count, passed to every attempt.
             preflight: Static-classification payload to attach to (and
                 journal with) the cell.
         """
         if self.store is not None and self.store.has(cell_id):
             return SupervisedCell.from_payload(self.store.load(cell_id))
 
-        policy = self.policy
         attempts: List[AttemptRecord] = []
-        n_runs_now = n_runs
-        escalations = 0
-        failures = 0
-        cycles_spent = 0.0
-        note = ""
-        result: Optional[object] = None
-        sequential_payload: Optional[Dict[str, object]] = None
-        attempt = 0
-
         cell_index = cell_seed_index(cell_id)
-        while True:
-            seed_now = reseed(seed, attempt - escalations, cell_index)
-            backoff = policy.retry.backoff_before(attempt - escalations)
-            if backoff:
-                self._sleep(backoff)
+        for attempt in range(self.policy.retry.max_retries + 1):
             record = AttemptRecord(
-                attempt=attempt, seed=seed_now, n_runs=n_runs_now,
-                backoff_s=backoff,
+                attempt=attempt, seed=reseed(seed, attempt, cell_index),
+                n_runs=n_runs,
             )
+            attempts.append(record)
             try:
-                if (
-                    policy.cell_cycle_budget is not None
-                    and cycles_spent >= policy.cell_cycle_budget
-                ):
-                    raise BudgetExceededError(
-                        f"cell {cell_id!r} exhausted its cycle budget "
-                        f"({cycles_spent:.0f} >= "
-                        f"{policy.cell_cycle_budget:.0f} simulated cycles)"
-                    )
                 if self.injector is not None:
                     self.injector.maybe_crash(cell_id, attempt)
-                result = attempt_fn(seed_now, n_runs_now)
-            except BudgetExceededError as error:
-                # The budget is gone; retrying cannot restore it.
-                record.error = str(error)
-                record.error_type = type(error).__name__
-                attempts.append(record)
-                return self._conclude(
-                    cell_id, None, CellClassification.FAILED, attempts,
-                    escalations, str(error), error, preflight,
-                )
+                result = attempt_fn(record.seed, n_runs)
             except ReproError as error:
                 record.error = str(error)
                 record.error_type = type(error).__name__
-                attempts.append(record)
-                failures += 1
-                if failures > policy.retry.max_retries:
-                    return self._conclude(
-                        cell_id, None, CellClassification.FAILED, attempts,
-                        escalations,
-                        f"gave up after {failures} failed attempts", error,
-                        preflight,
-                    )
-                attempt += 1
                 continue
 
-            attempts.append(record)
-            outcome: Optional[SequentialOutcome] = None
+            cell = SupervisedCell(
+                cell_id=cell_id, result=result,
+                classification=CellClassification.CLEAN,
+                attempts=attempts, preflight=preflight,
+            )
             if isinstance(result, SequentialOutcome):
-                # A sequential attempt did its own escalation (by
-                # extension) internally; unwrap it and skip the
-                # from-scratch adaptive re-run below.
-                outcome = result
-                sequential_payload = outcome.record
-                escalations += outcome.extensions
-                if outcome.note:
-                    note = outcome.note
-                record.n_runs = outcome.effective_n
-                result = outcome.result
-            if cycles_of is not None:
-                cycles_spent += float(cycles_of(result))
-            if degraded_note is not None:
-                reason = degraded_note(result)
-                if reason:
-                    note = reason
-            if (
-                outcome is None
-                and policy.adaptive is not None
-                and pvalue_of is not None
-                and n_runs_now is not None
-                and policy.adaptive.inconclusive(pvalue_of(result))
-            ):
-                budget_left = (
-                    policy.cell_cycle_budget is None
-                    or cycles_spent < policy.cell_cycle_budget
-                )
-                if (
-                    escalations < policy.adaptive.max_escalations
-                    and budget_left
-                ):
-                    escalations += 1
-                    n_runs_now *= policy.adaptive.escalation_factor
-                    attempt += 1
-                    continue
-                note = note or (
-                    f"p-value {pvalue_of(result):.4f} still inconclusive "
-                    f"after {escalations} escalation(s)"
-                )
-                return self._conclude(
-                    cell_id, result, CellClassification.DEGRADED,
-                    attempts, escalations, note, None, preflight,
-                    sequential_payload,
-                )
-            break
-
-        if note:
-            classification = CellClassification.DEGRADED
-        elif failures or escalations:
-            classification = CellClassification.RETRIED
-        else:
-            classification = CellClassification.CLEAN
-        return self._conclude(
-            cell_id, result, classification, attempts, escalations, note,
-            None, preflight, sequential_payload,
-        )
-
-    def _conclude(
-        self,
-        cell_id: str,
-        result: Optional[object],
-        classification: CellClassification,
-        attempts: List[AttemptRecord],
-        escalations: int,
-        note: str,
-        error: Optional[BaseException],
-        preflight: Optional[Dict[str, object]] = None,
-        sequential: Optional[Dict[str, object]] = None,
-    ) -> SupervisedCell:
-        cell = SupervisedCell(
-            cell_id=cell_id,
-            result=result,
-            classification=classification,
-            attempts=attempts,
-            escalations=escalations,
-            note=note,
-            preflight=preflight,
-            sequential=sequential,
-        )
-        if classification is CellClassification.FAILED:
-            if self.policy.fail_fast and error is not None:
-                raise error
-            # Failed cells are not journaled: a resumed run should
-            # re-attempt them rather than pin the failure forever.
+                record.n_runs = result.effective_n
+                cell.result = result.result
+                cell.escalations = result.extensions
+                cell.note = result.note
+                if self.policy.sequential is not None:
+                    # A fixed-N cell journals no look trajectory.
+                    cell.sequential = result.record
+            if cell.note:
+                cell.classification = CellClassification.DEGRADED
+            elif attempt or cell.escalations:
+                cell.classification = CellClassification.RETRIED
+            if self.store is not None:
+                self.store.save(cell_id, cell.to_payload())
             return cell
-        if self.store is not None:
-            self.store.save(cell_id, cell.to_payload())
-        return cell
+
+        # Failed cells are not journaled: a resumed run should
+        # re-attempt them rather than pin the failure forever.
+        return SupervisedCell(
+            cell_id=cell_id, result=None,
+            classification=CellClassification.FAILED, attempts=attempts,
+            note=f"gave up after {len(attempts)} failed attempts",
+            preflight=preflight,
+        )
 
     # ------------------------------------------------------------------
     def run_cell_supervised(
@@ -789,19 +641,20 @@ class ResilientExecutor:
         including the stored preflight record, is reused verbatim so
         resumed artifacts stay byte-identical).
 
-        Under :attr:`ExecutionPolicy.sequential` the cell streams its
-        trials through :func:`run_sequential_cell` instead of running
-        the fixed-N experiment; the supervision contract (retries,
-        budget, fault injection, journaling) is unchanged.
+        Every attempt measures through :func:`run_sequential_cell`:
+        under :attr:`ExecutionPolicy.sequential` with that policy's
+        interim looks, otherwise with the one-look fixed-N design.
+        Either way an inconclusive cell extends its sample in place.
+        Injected sample faults drop or duplicate samples after the
+        measurement, so escalation is decided on the simulated sample.
         """
-        from repro.harness.experiment import cell_runner, run_cell
+        from repro.harness.experiment import cell_runner
 
         preflight_payload = self._preflight_payload(
             cell_id, variant, channel, predictor, overrides
         )
 
         injector = self.injector
-        requested_runs = n_runs
         seq_policy = self.policy.sequential
 
         def build_kwargs(seed_now: int) -> Tuple[Dict[str, object], object]:
@@ -836,29 +689,18 @@ class ResilientExecutor:
                     predictor_arg = corrupting_factory
             return kwargs, predictor_arg
 
-        def attempt_fn(seed_now: int, n_runs_now: Optional[int]):
+        def attempt_fn(seed_now: int, n_runs_now: int) -> SequentialOutcome:
             kwargs, predictor_arg = build_kwargs(seed_now)
-            if seq_policy is None:
-                result = run_cell(
-                    variant, channel, predictor_arg, n_runs_now, seed_now,
-                    **kwargs,
-                )
-                if (
-                    injector is not None
-                    and injector.profile.perturbs_samples
-                ):
-                    result = _apply_sample_faults(
-                        injector, result, cell_id, seed_now
-                    )
-                return result
-
             runner = cell_runner(
                 variant, channel, predictor_arg, n_runs_now, seed_now,
                 **kwargs,
             )
+            if seq_policy is None:
+                design = SequentialDesign(looks=(n_runs_now,))
+            else:
+                design = seq_policy.design_for(n_runs_now)
             outcome = run_sequential_cell(
-                runner, seq_policy.design_for(n_runs_now),
-                self.policy.adaptive,
+                runner, design, self.policy.adaptive
             )
             if injector is not None and injector.profile.perturbs_samples:
                 corrupted = _apply_sample_faults(
@@ -876,32 +718,8 @@ class ResilientExecutor:
                 outcome.result = corrupted
             return outcome
 
-        def degraded_note(result) -> Optional[str]:
-            if seq_policy is not None:
-                # Sequential attempts size their own samples; any
-                # fault-injection degradation note is attached by
-                # attempt_fn above.
-                return None
-            mapped = len(result.comparison.mapped)
-            unmapped = len(result.comparison.unmapped)
-            if mapped < requested_runs or unmapped < requested_runs:
-                return (
-                    f"only {min(mapped, unmapped)}/{requested_runs} "
-                    "samples survived fault injection"
-                )
-            return None
-
         cell = self.supervise(
-            cell_id,
-            attempt_fn,
-            seed=seed,
-            n_runs=n_runs,
-            pvalue_of=lambda result: result.pvalue,
-            cycles_of=lambda result: (
-                result.mean_trial_cycles * 2
-                * len(result.comparison.mapped)
-            ),
-            degraded_note=degraded_note,
+            cell_id, attempt_fn, seed=seed, n_runs=n_runs,
             preflight=preflight_payload,
         )
         self._enforce_static_agreement(cell, predictor)
@@ -1088,6 +906,38 @@ def figure_panels_supervised(
     return panels
 
 
+def table3_plan(
+    predictor: str = "lvp",
+) -> List[Tuple[str, AttackVariant, str, ChannelType, str]]:
+    """The Table III cells in paper order.
+
+    Each entry is ``(cell_id, variant, key, channel, cell_predictor)``,
+    where ``key`` names the table column (``tw_novp``, ``tw_vp``,
+    ``pc_novp``, ``pc_vp``); persistent-channel cells appear only for
+    variants that support that channel.  The serial sweep
+    (:func:`table3_supervised`) and the parallel prefill
+    (:func:`repro.harness.parallel.sweep_specs`) both enumerate this
+    plan, so the prefill journals exactly the ids the sweep looks up.
+    """
+    plan: List[Tuple[str, AttackVariant, str, ChannelType, str]] = []
+    for variant in ALL_VARIANTS:
+        slug = _slug(variant.category.value)
+        columns = [
+            ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
+            ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
+        ]
+        if ChannelType.PERSISTENT in variant.supported_channels:
+            columns += [
+                ("pc_novp", ChannelType.PERSISTENT, "none"),
+                ("pc_vp", ChannelType.PERSISTENT, predictor),
+            ]
+        for key, channel, cell_predictor in columns:
+            plan.append(
+                (f"table3/{slug}/{key}", variant, key, channel, cell_predictor)
+            )
+    return plan
+
+
 def table3_supervised(
     executor: ResilientExecutor,
     n_runs: int = 100,
@@ -1095,27 +945,18 @@ def table3_supervised(
     predictor: str = "lvp",
 ) -> Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]]:
     """Supervised Table III sweep; resumes over the executor's store."""
-    results: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]] = {}
-    for variant in ALL_VARIANTS:
-        slug = _slug(variant.category.value)
-        cells: Dict[str, Optional[SupervisedCell]] = {
-            "tw_novp": None, "tw_vp": None, "pc_novp": None, "pc_vp": None,
-        }
-        specs = [
-            ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
-            ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
-        ]
-        if ChannelType.PERSISTENT in variant.supported_channels:
-            specs += [
-                ("pc_novp", ChannelType.PERSISTENT, "none"),
-                ("pc_vp", ChannelType.PERSISTENT, predictor),
-            ]
-        for key, channel, cell_predictor in specs:
-            cells[key] = executor.run_cell_supervised(
-                f"table3/{slug}/{key}", variant, channel, cell_predictor,
-                n_runs, seed,
-            )
-        results[variant.category] = cells
+    results: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]] = {
+        variant.category: dict.fromkeys(
+            ("tw_novp", "tw_vp", "pc_novp", "pc_vp")
+        )
+        for variant in ALL_VARIANTS
+    }
+    for cell_id, variant, key, channel, cell_predictor in table3_plan(
+        predictor
+    ):
+        results[variant.category][key] = executor.run_cell_supervised(
+            cell_id, variant, channel, cell_predictor, n_runs, seed,
+        )
     return results
 
 

@@ -31,7 +31,8 @@ class PerfCounters:
         program_cache_evictions: Entries dropped from memoized program
             factories when a cache exceeded its size bound.
         sequential_looks: Interim/final boundary looks taken by the
-            group-sequential engine (:mod:`repro.stats.sequential`).
+            group-sequential engine (:mod:`repro.stats.sequential`);
+            a fixed-N cell takes one.
         sequential_early_stops: Cells whose verdict crossed an interim
             alpha-spending boundary before the fixed-N cap.
         sequential_trials_avoided: Trials (both hypotheses) never
@@ -41,9 +42,8 @@ class PerfCounters:
             simulated cycles those avoided trials would have cost
             (avoided trials x the cell's mean trial cycles, truncated).
         escalation_trials_reused: Trials kept across adaptive
-            inconclusive-band escalations under the streaming
-            extension protocol — each of these used to be re-simulated
-            from scratch by the legacy 2xN re-run.
+            inconclusive-band escalations: an extension re-simulates
+            none of the trials the cell already has.
         batched_chunks: Lockstep chunks the batched backend vectorized.
         batched_vector_trials / batched_fallback_trials: Trials
             executed in numpy lanes vs through the scalar fallback

@@ -19,7 +19,6 @@ from repro.stats.sequential import (
     SequentialDesign,
     default_looks,
     obrien_fleming_spending,
-    pocock_spending,
     run_group_sequential,
 )
 from repro.stats.summary import DistributionComparison
@@ -37,7 +36,6 @@ __all__ = [
     "TimingDistribution",
     "default_looks",
     "obrien_fleming_spending",
-    "pocock_spending",
     "run_group_sequential",
     "cycles_to_seconds",
     "frequency_histogram",

@@ -27,20 +27,15 @@ total probability of any interim stop under the null is at most
 multivariate-normal integration needed, and the guarantee is exact
 rather than asymptotic.
 
-Two final-look conventions are supported:
-
-* ``final_level="fixed-n"`` (default): the final look applies the
-  paper's plain ``p < alpha`` criterion, so a cell that never stops
-  early returns **bit-for-bit the fixed-N verdict** — the property the
-  harness relies on for artifact validation.  Worst-case type-I error
-  is bounded by ``alpha + a(t_{K-1})`` (≈ 0.078 for the default
-  five-look design); the empirical inflation is far smaller because an
-  interim boundary crossing under the null almost always implies a
-  final-look rejection too (the Monte-Carlo calibration test in
-  ``tests/test_sequential.py`` pins this down).
-* ``final_level="spend"``: the final look is charged the *remaining*
-  alpha, making the total provably ≤ alpha — the textbook design, at
-  the cost of a (slightly) stricter final threshold than fixed-N.
+The final look applies the paper's plain ``p < alpha`` criterion, so
+a cell that never stops early returns **bit-for-bit the fixed-N
+verdict** — the property the harness relies on for artifact
+validation, and the reason a one-look design *is* the fixed-N t-test.
+Worst-case type-I error is bounded by ``alpha + a(t_{K-1})`` (≈ 0.078
+for the default five-look design); the empirical inflation is far
+smaller because an interim boundary crossing under the null almost
+always implies a final-look rejection too (the Monte-Carlo calibration
+test in ``tests/test_sequential.py`` pins this down).
 
 Everything here is pure deterministic arithmetic over p-values; the
 simulator side (trial streaming, seed schedules) lives in
@@ -80,22 +75,6 @@ def obrien_fleming_spending(t: float, alpha: float = ALPHA) -> float:
     return float(2.0 * (1.0 - special.ndtr(z / math.sqrt(t))))
 
 
-def pocock_spending(t: float, alpha: float = ALPHA) -> float:
-    """Pocock-style spending: near-uniform alpha release across looks."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return alpha
-    return float(alpha * math.log(1.0 + (math.e - 1.0) * t))
-
-
-#: Supported spending functions, by name.
-SPENDING_FUNCTIONS = {
-    "obrien-fleming": obrien_fleming_spending,
-    "pocock": pocock_spending,
-}
-
-
 def default_looks(
     n_max: int,
     fractions: Sequence[float] = DEFAULT_LOOK_FRACTIONS,
@@ -133,19 +112,12 @@ class SequentialDesign:
     Attributes:
         looks: Strictly increasing cumulative trial counts (per
             hypothesis); the last entry is the fixed-N cap ``n_max``.
-        alpha: Overall significance level (the paper's 0.05).
-        spending: Name of the spending function
-            (:data:`SPENDING_FUNCTIONS`).
-        final_level: ``"fixed-n"`` judges the final look by the plain
-            ``p < alpha`` criterion (fixed-N verdict recoverable);
-            ``"spend"`` charges it the remaining alpha (provably
-            ≤ alpha overall).
+        alpha: Overall significance level (the paper's 0.05); the
+            final look judges by the plain ``p < alpha`` criterion.
     """
 
     looks: Tuple[int, ...]
     alpha: float = ALPHA
-    spending: str = "obrien-fleming"
-    final_level: str = "fixed-n"
 
     def __post_init__(self) -> None:
         if not self.looks:
@@ -161,16 +133,6 @@ class SequentialDesign:
             )
         if not 0.0 < self.alpha < 1.0:
             raise StatsError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.spending not in SPENDING_FUNCTIONS:
-            raise StatsError(
-                f"unknown spending function {self.spending!r}; choose "
-                f"from {sorted(SPENDING_FUNCTIONS)}"
-            )
-        if self.final_level not in ("fixed-n", "spend"):
-            raise StatsError(
-                f"final_level must be 'fixed-n' or 'spend', "
-                f"got {self.final_level!r}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -188,25 +150,23 @@ class SequentialDesign:
 
     def cumulative_spend(self, look: int) -> float:
         """``a(t_k)``: alpha spent through look ``look`` (0-based)."""
-        spend = SPENDING_FUNCTIONS[self.spending]
-        return spend(self.information_fraction(look), self.alpha)
+        return obrien_fleming_spending(
+            self.information_fraction(look), self.alpha
+        )
 
     def level_at(self, look: int) -> float:
         """Nominal p-value threshold applied at look ``look`` (0-based).
 
         Interim looks are charged their spending-function increment
         ``a(t_k) - a(t_{k-1})`` (union-bound exact).  The final look
-        follows :attr:`final_level`.
+        applies the plain fixed-N level ``alpha``.
         """
         if not 0 <= look < self.num_looks:
             raise StatsError(
                 f"look index {look} out of range for {self.num_looks} looks"
             )
         if look == self.num_looks - 1:
-            if self.final_level == "fixed-n":
-                return self.alpha
-            previous = self.cumulative_spend(look - 1) if look else 0.0
-            return max(self.alpha - previous, 0.0)
+            return self.alpha
         previous = self.cumulative_spend(look - 1) if look else 0.0
         return max(self.cumulative_spend(look) - previous, 0.0)
 
@@ -235,8 +195,8 @@ class SequentialDesign:
         return {
             "looks": list(self.looks),
             "alpha": self.alpha,
-            "spending": self.spending,
-            "final_level": self.final_level,
+            "spending": "obrien-fleming",
+            "final_level": "fixed-n",
             "levels": [self.level_at(k) for k in range(self.num_looks)],
         }
 

@@ -118,8 +118,10 @@ class TestBitFlips:
         )
         assert payload_crc32({"a": 1}) != payload_crc32({"a": 2})
 
-    def test_legacy_record_without_stamp_still_loads(self, tmp_path):
-        """Pre-stamp journals (earlier PRs) remain readable."""
+    def test_unstamped_record_is_quarantined(self, tmp_path):
+        """Every record is stamped, so one without a stamp is damaged
+        (a flipped bit in the ``"integrity"`` key itself reads this
+        way) and is replayed rather than trusted."""
         store = _store(tmp_path)
         store.save("fuzz/cell", PAYLOAD)
         path = _record_path(store)
@@ -127,8 +129,9 @@ class TestBitFlips:
         record.pop("integrity")
         with open(path, "w") as handle:
             json.dump(record, handle)
-        assert store.has("fuzz/cell") is True
-        assert store.load("fuzz/cell") == PAYLOAD
+        assert store.has("fuzz/cell") is False
+        assert os.path.exists(path + ".corrupt")
+        assert not os.path.exists(path)
 
 
 class TestResumeAfterDamage:

@@ -10,7 +10,7 @@ class TestHierarchy:
         errors.IsaError, errors.AssemblyError, errors.MemorySystemError,
         errors.PredictorError, errors.PipelineError, errors.SimulationError,
         errors.AttackError, errors.ModelError, errors.StatsError,
-        errors.CryptoError, errors.HarnessError, errors.BudgetExceededError,
+        errors.CryptoError, errors.HarnessError,
         errors.FaultInjectionError, errors.InjectedCrashError,
     ])
     def test_all_derive_from_repro_error(self, exc):
@@ -18,11 +18,6 @@ class TestHierarchy:
 
     def test_assembly_error_is_isa_error(self):
         assert issubclass(errors.AssemblyError, errors.IsaError)
-
-    def test_budget_error_is_simulation_error(self):
-        # A blown cycle budget aborts the simulation, so a handler for
-        # SimulationError keeps catching it.
-        assert issubclass(errors.BudgetExceededError, errors.SimulationError)
 
     def test_injected_crash_is_fault_injection_error(self):
         assert issubclass(

@@ -81,6 +81,26 @@ class TestSpecEnumeration:
         )
         assert len({spec.cell_id for spec in specs}) == len(specs)
 
+    def test_serial_run_all_journals_exactly_the_specs(self, tmp_path):
+        # A parallel run prefills the journal with these specs and the
+        # serial assembly then looks cells up by id: an id the two
+        # disagree on would silently re-run after the prefill.
+        artifacts = ["fig5", "fig7", "fig8", "table3"]
+        run_all(str(tmp_path), n_runs=2, seed=0, artifacts=artifacts,
+                workers=1)
+        journaled = {}
+        for path in (tmp_path / "checkpoint" / "cells").glob("*.json"):
+            record = json.loads(path.read_text())
+            journaled[record["cell_id"]] = record["result"]
+        specs = sweep_specs(artifacts, n_runs=2, seed=0)
+        assert sorted(journaled) == sorted(spec.cell_id for spec in specs)
+        for spec in specs:
+            if spec.kind == "experiment":
+                result = journaled[spec.cell_id]
+                assert (result["variant"], result["channel"],
+                        result["predictor"]) == (
+                    spec.variant, spec.channel, spec.predictor)
+
     def test_spec_validation(self):
         with pytest.raises(HarnessError):
             CellSpec(cell_id="x", kind="bogus")

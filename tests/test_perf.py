@@ -45,13 +45,13 @@ class TestPerfCounters:
     def test_global_singleton_counts_simulation(self):
         from repro.core.channels import ChannelType
         from repro.harness.experiment import run_cell
-        from repro.harness.parallel import _variant_by_name
+        from repro.core.variants import variant_by_name
 
         before = COUNTERS.snapshot()
         # backend pinned: warm_resets counts the scalar warm-machine
         # reset protocol, which the batched backend does not use.
         run_cell(
-            _variant_by_name("Train + Test"), ChannelType.TIMING_WINDOW,
+            variant_by_name("Train + Test"), ChannelType.TIMING_WINDOW,
             "lvp", n_runs=2, seed=0, backend="scalar",
         )
         delta = PerfCounters.delta(before, COUNTERS.snapshot())

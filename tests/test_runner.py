@@ -4,11 +4,7 @@ import pytest
 
 from repro.core.channels import ChannelType
 from repro.core.variants import TrainTestAttack
-from repro.errors import (
-    BudgetExceededError,
-    SimulationError,
-    StatsError,
-)
+from repro.errors import SimulationError, StatsError
 from repro.harness.experiment import run_cell
 from repro.harness.faults import FaultInjector, FaultProfile
 from repro.harness.runner import (
@@ -19,12 +15,12 @@ from repro.harness.runner import (
     RetryPolicy,
     reseed,
 )
+from repro.perf.counters import COUNTERS
 
 
 class FakeResult:
-    def __init__(self, pvalue, cycles=0.0):
+    def __init__(self, pvalue):
         self.pvalue = pvalue
-        self.cycles = cycles
 
 
 class TestReseed:
@@ -44,14 +40,6 @@ class TestPolicies:
         from repro.errors import HarnessError
         with pytest.raises(HarnessError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(HarnessError):
-            RetryPolicy(backoff_factor=0.5)
-
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0)
-        assert policy.backoff_before(0) == 0.0
-        assert policy.backoff_before(1) == 0.5
-        assert policy.backoff_before(3) == 2.0
 
     def test_adaptive_band(self):
         adaptive = AdaptivePolicy()
@@ -107,122 +95,67 @@ class TestRetryPath:
         assert cell.result is None
         assert len(cell.attempts) == 3
 
-    def test_fail_fast_reraises(self):
-        def always_fails(seed, n):
-            raise StatsError("nope")
-
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=0), fail_fast=True)
-        )
-        with pytest.raises(StatsError):
-            executor.supervise("c", always_fails, seed=0, n_runs=10)
-
-    def test_backoff_slept_and_recorded(self):
-        slept = []
-
-        def flaky(seed, n):
-            if not slept:
-                raise StatsError("once")
-            return FakeResult(0.9)
-
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=2,
-                                              backoff_base=0.25)),
-            sleep=slept.append,
-        )
-        cell = executor.supervise("c", flaky, seed=0, n_runs=10)
-        assert slept == [0.25]
-        assert cell.attempts[1].backoff_s == 0.25
-
 
 class TestAdaptiveRemeasurement:
-    def test_escalates_out_of_inconclusive_band(self):
-        seen = []
+    """Escalation extends the sample in place, fixed-N cells included."""
 
-        def experiment(seed, n):
-            seen.append((seed, n))
-            return FakeResult(0.06 if n == 10 else 0.001)
+    N = 4
 
+    def _cell(self, adaptive, predictor="none", seed=9, n_runs=N):
         executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=AdaptivePolicy())
+            ExecutionPolicy(adaptive=adaptive, backend="scalar")
         )
-        cell = executor.supervise(
-            "c", experiment, seed=9, n_runs=10,
-            pvalue_of=lambda r: r.pvalue,
+        return executor.run_cell_supervised(
+            "c", TrainTestAttack(), ChannelType.TIMING_WINDOW, predictor,
+            n_runs=n_runs, seed=seed,
         )
-        assert cell.classification is CellClassification.RETRIED
+
+    def test_escalates_out_of_inconclusive_band(self):
+        # A band of [0, 1) declares every p-value inconclusive, so the
+        # fixed-N cell escalates once, from N to 2N trials.
+        adaptive = AdaptivePolicy(
+            band_low=0.0, band_high=1.0, max_escalations=1
+        )
+        before = COUNTERS.snapshot()
+        cell = self._cell(adaptive)
+        # The first N trials are kept: 2 x 2N trials in all, where a
+        # re-run from trial 0 would simulate 2 x 3N.
+        assert COUNTERS.trials - before["trials"] == 2 * 2 * self.N
         assert cell.escalations == 1
-        assert seen == [(9, 10), (9, 20)]  # same seed, doubled runs
-        assert cell.result.pvalue == 0.001
+        cold = run_cell(
+            TrainTestAttack(), ChannelType.TIMING_WINDOW, "none",
+            n_runs=2 * self.N, seed=9, backend="scalar",
+        )
+        assert (cell.result.comparison.mapped.samples
+                == cold.comparison.mapped.samples)
+        assert (cell.result.comparison.unmapped.samples
+                == cold.comparison.unmapped.samples)
+        assert cell.result.pvalue == cold.pvalue
+        # One attempt produced the result, and it records the 2N trials.
+        assert [a.n_runs for a in cell.attempts] == [2 * self.N]
+        assert cell.execution_record()["final_n_runs"] == 2 * self.N
+        assert "sequential" not in cell.to_payload()
 
     def test_still_inconclusive_is_degraded(self):
-        executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=AdaptivePolicy(max_escalations=2))
-        )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.05), seed=0, n_runs=4,
-            pvalue_of=lambda r: r.pvalue,
-        )
+        cell = self._cell(AdaptivePolicy(
+            band_low=0.0, band_high=1.0, max_escalations=2
+        ))
         assert cell.classification is CellClassification.DEGRADED
         assert cell.escalations == 2
         assert cell.result is not None
         assert "inconclusive" in cell.note
+        assert [a.n_runs for a in cell.attempts] == [4 * self.N]
 
     def test_conclusive_pvalue_never_escalates(self):
-        executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=AdaptivePolicy())
+        # Train + Test with an LVP at seed 1 separates its samples
+        # (p < ALPHA / 2) after 8 trials per hypothesis.
+        cell = self._cell(
+            AdaptivePolicy(), predictor="lvp", seed=1, n_runs=8
         )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.0001), seed=0, n_runs=4,
-            pvalue_of=lambda r: r.pvalue,
-        )
+        assert cell.result.pvalue < AdaptivePolicy().band_low
         assert cell.classification is CellClassification.CLEAN
         assert cell.escalations == 0
-
-
-class TestCycleBudget:
-    def test_budget_exhausted_before_first_attempt_fails(self):
-        executor = ResilientExecutor(
-            ExecutionPolicy(cell_cycle_budget=0.0)
-        )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.5), seed=0, n_runs=4,
-            cycles_of=lambda r: r.cycles,
-        )
-        assert cell.classification is CellClassification.FAILED
-        assert cell.attempts[0].error_type == "BudgetExceededError"
-
-    def test_budget_stops_escalation_with_degraded_result(self):
-        executor = ResilientExecutor(
-            ExecutionPolicy(
-                adaptive=AdaptivePolicy(),
-                cell_cycle_budget=100.0,
-            )
-        )
-        cell = executor.supervise(
-            "c", lambda seed, n: FakeResult(0.05, cycles=200.0),
-            seed=0, n_runs=4,
-            pvalue_of=lambda r: r.pvalue,
-            cycles_of=lambda r: r.cycles,
-        )
-        # The first result exists but the budget forbids re-measuring.
-        assert cell.classification is CellClassification.DEGRADED
-        assert cell.result is not None
-        assert cell.escalations == 0
-
-    def test_budget_error_not_retried(self):
-        calls = []
-
-        def fn(seed, n):
-            calls.append(seed)
-            raise BudgetExceededError("gone")
-
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=5))
-        )
-        cell = executor.supervise("c", fn, seed=0, n_runs=4)
-        assert cell.classification is CellClassification.FAILED
-        assert len(calls) == 1
+        assert [a.n_runs for a in cell.attempts] == [8]
 
 
 class TestWatchdog:
@@ -317,3 +250,5 @@ class TestExecutionRecord:
         assert record["final_seed"] == 1
         assert record["final_n_runs"] == 6
         assert len(record["attempts"]) == 1
+        # Retries never wait, but records keep their historical shape.
+        assert record["attempts"][0]["backoff_s"] == 0.0
