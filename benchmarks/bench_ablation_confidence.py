@@ -13,8 +13,6 @@ from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import SpillOverAttack, TrainTestAttack
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 60
@@ -37,8 +35,8 @@ def _evaluate():
     return rows
 
 
-def test_confidence_threshold_ablation(benchmark):
-    rows = run_once(benchmark, _evaluate)
+def test_confidence_threshold_ablation():
+    rows = _evaluate()
     print("\nConfidence-threshold ablation (timing-window, LVP):")
     print(f"{'conf':>5s} {'Attack':14s} {'pvalue':>9s} {'cycles/trial':>13s}")
     for confidence, attack, pvalue, cycles in rows:

@@ -32,8 +32,6 @@ from repro.vp.lvp import LastValuePredictor
 from repro.workloads import gadgets
 from repro.workloads.gadgets import Layout
 
-from benchmarks.conftest import run_once
-
 N_RUNS = 60
 SEED = 1
 
@@ -155,8 +153,8 @@ def _evaluate():
     }
 
 
-def test_index_function_ablation(benchmark):
-    results = run_once(benchmark, _evaluate)
+def test_index_function_ablation():
+    results = _evaluate()
     print("\nIndex-function ablation (timing-window, LVP, Train + Test "
           "unless noted):")
     print(f"  data-address-based index      p={results['data_address']:.4f} "

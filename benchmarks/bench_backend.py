@@ -1,16 +1,16 @@
 """Batched lockstep backend: the Table III sweep, both backends.
 
 The sweep-level companion to ``bench_sim_throughput``'s single-cell
-trials/s number: runs the exact 18-cell Table III sweep under the
+trials/s ratio: runs the exact 18-cell Table III sweep under the
 scalar reference backend and the numpy lockstep backend
 (:mod:`repro.sim`), asserts every checkpointed cell payload is
-byte-identical, and records the comparison as the ``bench_backend``
-entry of ``BENCH_sweep.json``.  A second bench prices one defended
-column of the ROADMAP item-5 Pareto matrix (every Table III cell
-under the D defense) as ``bench_backend_defended``.
+byte-identical and the batched pass >= 10x faster.  A second bench
+prices one defended column of the defense matrix (every Table III
+cell under the D defense): identical p-values, zero fallbacks, and a
+batched pass faster than scalar.
 
-One-shot comparative timing, ``slow``-marked like the other sweep
-benches so the quick CI pass stays quick.
+One-shot timings compared within one process, ``slow``-marked like
+the other sweep benches so the quick CI pass stays quick.
 """
 
 import pytest
@@ -18,8 +18,6 @@ import pytest
 import dataclasses
 import tempfile
 from pathlib import Path
-
-from benchmarks.conftest import run_once
 
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
@@ -51,10 +49,9 @@ def _sweep_pass(backend):
     return stats, payloads
 
 
-def test_backend_sweep_identity_and_speedup(benchmark):
+def test_backend_sweep_identity_and_speedup():
     """18-cell sweep: batched byte-identical to scalar, and faster."""
     from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.perf.observe import write_sweep_trajectory
     from repro.sim import clear_fallback_journal, fallback_journal
 
     pytest.importorskip("numpy")
@@ -64,9 +61,7 @@ def test_backend_sweep_identity_and_speedup(benchmark):
     scalar_stats, scalar_payloads = _sweep_pass("scalar")
     clear_fallback_journal()
     before = COUNTERS.snapshot()
-    batched_stats, batched_payloads = run_once(
-        benchmark, _sweep_pass, "batched"
-    )
+    batched_stats, batched_payloads = _sweep_pass("batched")
     delta = PerfCounters.delta(before, COUNTERS.snapshot())
 
     assert batched_payloads == scalar_payloads, (
@@ -87,20 +82,6 @@ def test_backend_sweep_identity_and_speedup(benchmark):
     for cell, reason in fallback_journal():
         print(f"  fallback: {cell}: {reason}")
 
-    write_sweep_trajectory("bench_backend", {
-        "cells": len(batched_payloads),
-        "n_runs": _N_RUNS,
-        "wall_clock_s": batched_stats.elapsed_s,
-        "cells_per_s": batched_stats.cells_per_s,
-        "trials_simulated": delta.get("trials", 0),
-        "scalar_wall_clock_s": scalar_stats.elapsed_s,
-        "speedup_vs_scalar": speedup,
-        "vector_trials": vector,
-        "fallback_trials": fallback,
-        "vectorized_fraction": vector / covered if covered else 0.0,
-        "byte_identical": True,
-    }, backend="batched")
-
     assert vector > 0, "no trial ran vectorized across the whole sweep"
     assert covered and vector / covered >= 0.95, (
         f"sweep not fully vectorized: {vector}/{covered} trials "
@@ -111,7 +92,7 @@ def test_backend_sweep_identity_and_speedup(benchmark):
     )
 
 
-def test_backend_defended_column_speedup(benchmark):
+def test_backend_defended_column_speedup():
     """One defended column of the item-5 Pareto matrix, batched.
 
     Every Table III cell re-run under the D (delay-side-effects)
@@ -126,7 +107,7 @@ def test_backend_defended_column_speedup(benchmark):
     from repro.defenses.delay_effects import DelaySideEffectsDefense
     from repro.harness.parallel import sweep_specs
     from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.perf.observe import Stopwatch, write_sweep_trajectory
+    from repro.perf.observe import Stopwatch
     from repro.sim import clear_fallback_journal, fallback_journal
 
     pytest.importorskip("numpy")
@@ -170,8 +151,6 @@ def test_backend_defended_column_speedup(benchmark):
     )
     vector = delta.get("batched_vector_trials", 0)
     fallback = delta.get("batched_fallback_trials", 0)
-    covered = vector + fallback
-    trials = 2 * _N_RUNS * len(cells)
     speedup = (
         timings["scalar"] / timings["batched"]
         if timings["batched"] else 0.0
@@ -182,23 +161,6 @@ def test_backend_defended_column_speedup(benchmark):
           f"{vector} vectorized / {fallback} fallback trials")
     for cell, reason in fallback_journal():
         print(f"  fallback: {cell}: {reason}")
-
-    write_sweep_trajectory("bench_backend_defended", {
-        "defense": "D-type (delay side effects)",
-        "cells": len(cells),
-        "n_runs": _N_RUNS,
-        "wall_clock_s": timings["batched"],
-        "cells_per_s": (
-            len(cells) / timings["batched"] if timings["batched"] else 0.0
-        ),
-        "trials_simulated": trials,
-        "scalar_wall_clock_s": timings["scalar"],
-        "speedup_vs_scalar": speedup,
-        "vector_trials": vector,
-        "fallback_trials": fallback,
-        "vectorized_fraction": vector / covered if covered else 0.0,
-        "byte_identical": True,
-    }, backend="batched")
 
     assert fallback == 0, (
         f"the D defense should vectorize fully; journal: "

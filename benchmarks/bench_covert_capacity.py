@@ -14,7 +14,6 @@ from repro.memory.hierarchy import MemoryConfig
 from repro.memory.memsys import DramConfig
 
 from tests.conftest import deterministic_memory_config
-from benchmarks.conftest import run_once
 
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
@@ -50,8 +49,8 @@ def _evaluate():
     return rows
 
 
-def test_covert_channel_capacity(benchmark):
-    rows = run_once(benchmark, _evaluate)
+def test_covert_channel_capacity():
+    rows = _evaluate()
     print("\nCovert-channel capacity (8 bits per Fill Up round, "
           f"{len(MESSAGE)}-byte message):")
     print(f"{'memory':12s} {'sym. err.':>10s} {'raw Kbps':>10s} "

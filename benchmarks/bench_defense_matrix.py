@@ -34,8 +34,6 @@ from repro.defenses import (
 )
 from repro.harness import render_defense_matrix
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 100
@@ -89,8 +87,8 @@ def _evaluate():
     return rows
 
 
-def test_defense_matrix(benchmark):
-    rows = run_once(benchmark, _evaluate)
+def test_defense_matrix():
+    rows = _evaluate()
     print("\n" + render_defense_matrix(rows))
     for row in rows:
         blocked = row["pvalue"] >= 0.05

@@ -22,8 +22,6 @@ from repro.core.variants import TestHitAttack, TrainTestAttack
 from repro.harness import render_defense_sweep, window_sweep
 from repro.pipeline.config import CoreConfig
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 #: Amplified-attacker configuration for the Test + Hit sweep.  The
@@ -49,10 +47,8 @@ def _both_sweeps():
     return train_test, test_hit
 
 
-def test_minimal_secure_windows(benchmark):
-    (tt_rows, tt_secure), (th_rows, th_secure) = run_once(
-        benchmark, _both_sweeps
-    )
+def test_minimal_secure_windows():
+    (tt_rows, tt_secure), (th_rows, th_secure) = _both_sweeps()
     print("\n" + render_defense_sweep("Train + Test", tt_rows, tt_secure))
     print("(paper: minimal secure window 3)\n")
     print(render_defense_sweep("Test + Hit", th_rows, th_secure))

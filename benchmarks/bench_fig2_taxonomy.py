@@ -16,8 +16,6 @@ from repro.core.taxonomy import (
     render_figure2,
 )
 
-from benchmarks.conftest import run_once
-
 
 def _taxonomy_map():
     return {
@@ -26,8 +24,8 @@ def _taxonomy_map():
     }
 
 
-def test_figure2_taxonomy(benchmark):
-    taxonomy = run_once(benchmark, _taxonomy_map)
+def test_figure2_taxonomy():
+    taxonomy = _taxonomy_map()
     print("\n" + render_figure2())
     for category, classes in taxonomy.items():
         print(f"  {category.value:14s} -> "

@@ -7,15 +7,13 @@ the *shape*: no-VP panels above 0.05, LVP panels below.
 
 from repro.harness import figure5_panels, figure_report
 
-from benchmarks.conftest import run_once
-
 PAPER_PVALUES = {
     "(1)": 0.8169, "(2)": 0.0420, "(3)": 0.7521, "(4)": 0.0000,
 }
 
 
-def test_figure5_train_test(benchmark):
-    panels = run_once(benchmark, figure5_panels, n_runs=100, seed=0)
+def test_figure5_train_test():
+    panels = figure5_panels(n_runs=100, seed=0)
     print("\n" + figure_report(
         "Figure 5: Train + Test attacks",
         panels,

@@ -7,11 +7,9 @@ separated bands, success >= 90 %, and a single-digit-Kbps rate.
 
 from repro.harness import figure7_report, figure7_result
 
-from benchmarks.conftest import run_once
 
-
-def test_figure7_rsa_exponent_leak(benchmark):
-    result = run_once(benchmark, figure7_result, seed=7)
+def test_figure7_rsa_exponent_leak():
+    result = figure7_result(seed=7)
     print("\n" + figure7_report(result))
 
     assert len(result.true_bits) == 60  # 60 iterations, as in the paper

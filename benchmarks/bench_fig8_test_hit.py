@@ -8,8 +8,6 @@ import pytest
 
 from repro.harness import figure8_panels, figure_report
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 PAPER_PVALUES = {
@@ -17,8 +15,8 @@ PAPER_PVALUES = {
 }
 
 
-def test_figure8_test_hit(benchmark):
-    panels = run_once(benchmark, figure8_panels, n_runs=100, seed=0)
+def test_figure8_test_hit():
+    panels = figure8_panels(n_runs=100, seed=0)
     print("\n" + figure_report(
         "Figure 8: Test + Hit attacks",
         panels,

@@ -19,8 +19,6 @@ from repro.stats.summary import DistributionComparison
 from repro.vp.lvp import LastValuePredictor
 from repro.vp.nopred import NoPredictor
 
-from benchmarks.conftest import run_once
-
 ADDR = 0x30000
 LOAD_PC = 0x1000
 N_RUNS = 60
@@ -74,8 +72,8 @@ def _evaluate():
     return out
 
 
-def test_flushless_attack_on_non_load_based_vps(benchmark):
-    results = run_once(benchmark, _evaluate)
+def test_flushless_attack_on_non_load_based_vps():
+    results = _evaluate()
     print("\nFlushless attack (predict_on_hit, zero cache misses forced):")
     for predictor, comparison in results.items():
         print(f"  {predictor:5s} {comparison.describe()}")

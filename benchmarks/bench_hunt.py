@@ -6,13 +6,11 @@ trigger) combination, plus certificate assembly — and checks the
 certification invariants (all claims hold, the artifact is
 byte-identical across passes).  Not ``slow``-marked: the static hunt
 touches no simulator and finishes in seconds, so it rides the quick
-CI benchmark leg.  The numbers land in the root-level
-``BENCH_sweep.json`` perf trajectory under ``hunt_static``.
+CI benchmark leg.  The time is printed, not gated: the ``hunt``
+workload of ``bench/`` judges its speed.
 """
 
 import json
-
-from benchmarks.conftest import run_once
 
 
 def _static_pass(out_dir):
@@ -21,16 +19,16 @@ def _static_pass(out_dir):
     return write_certificate(out_dir)
 
 
-def test_hunt_static_certification(benchmark, tmp_path):
-    """Certify all 576 combos; assert determinism and throughput."""
+def test_hunt_static_certification(tmp_path):
+    """Certify all 576 combos; assert the claims and determinism."""
     from repro.harness.hunt import CERTIFICATE_FILENAME
-    from repro.perf.observe import Stopwatch, write_sweep_trajectory
+    from repro.perf.observe import Stopwatch
 
     # Warm pass: module imports and layout setup off the timed run.
     _static_pass(str(tmp_path / "warm"))
 
     with Stopwatch() as watch:
-        certificate = run_once(benchmark, _static_pass, str(tmp_path / "a"))
+        certificate = _static_pass(str(tmp_path / "a"))
     assert certificate["certified"] is True
     assert all(claim["ok"] for claim in certificate["claims"].values())
     combos = certificate["space"]["combos"]
@@ -48,15 +46,3 @@ def test_hunt_static_certification(benchmark, tmp_path):
     print(f"\nStatic hunt: {combos} combos certified in "
           f"{watch.elapsed:.3f} s ({combos_per_s:.0f} combos/s), "
           f"artifact byte-identical across passes")
-
-    # trials=0: static certification inspects the space, simulates none.
-    write_sweep_trajectory("hunt_static", trials=0, payload={
-        "cells": combos,
-        "combos": combos,
-        "wall_clock_s": watch.elapsed,
-        "cells_per_s": combos_per_s,
-        "combos_per_s": combos_per_s,
-        "effective_classes": len(certificate["classes"]),
-        "certified": True,
-        "byte_identical": True,
-    })

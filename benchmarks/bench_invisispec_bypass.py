@@ -18,8 +18,6 @@ from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS, TestHitAttack
 from repro.defenses import InvisiSpecDefense
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 60
@@ -44,8 +42,8 @@ def _evaluate():
     return rows
 
 
-def test_invisispec_bypass(benchmark):
-    rows = run_once(benchmark, _evaluate)
+def test_invisispec_bypass():
+    rows = _evaluate()
     print("\nAttacks under an InvisiSpec-like defense:")
     for attack, channel, pvalue in rows:
         verdict = "BYPASSED" if pvalue < 0.05 else "blocked"

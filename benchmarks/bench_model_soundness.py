@@ -18,8 +18,6 @@ import pytest
 from repro.core.model import all_combos
 from repro.core.synthesis import check_soundness
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 
@@ -34,8 +32,8 @@ def _full_check():
     return cases, mismatches
 
 
-def test_model_soundness_all_576_combos(benchmark):
-    cases, mismatches = run_once(benchmark, _full_check)
+def test_model_soundness_all_576_combos():
+    cases, mismatches = _full_check()
     print(f"\nModel soundness: {cases} (combo, counts, hypothesis) cases "
           f"simulated; {len(mismatches)} disagree with the abstract model")
     for symbol, key, result in mismatches[:10]:

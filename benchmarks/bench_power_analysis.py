@@ -16,8 +16,6 @@ from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import ALL_VARIANTS
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 TRIAL_COUNTS = (5, 10, 20, 50, 100)
@@ -50,8 +48,8 @@ def _evaluate():
     return table
 
 
-def test_statistical_power(benchmark):
-    table = run_once(benchmark, _evaluate)
+def test_statistical_power():
+    table = _evaluate()
     print("\nMedian p-value vs. runs per hypothesis "
           "(timing-window, LVP, 3 seeds):")
     header = "".join(f"{n:>9d}" for n in TRIAL_COUNTS)

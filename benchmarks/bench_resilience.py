@@ -17,8 +17,6 @@ from repro.harness.runner import (
     figure_panels_supervised,
 )
 
-from benchmarks.conftest import run_once
-
 
 def _supervised_sweep():
     executor = ResilientExecutor(
@@ -30,8 +28,8 @@ def _supervised_sweep():
     )
 
 
-def test_supervised_sweep_under_chaos(benchmark):
-    panels = run_once(benchmark, _supervised_sweep)
+def test_supervised_sweep_under_chaos():
+    panels = _supervised_sweep()
     print("\nFigure 5 panels under the 'chaos' fault profile:")
     for title, cell in panels:
         print(f"  {title}: {cell.classification.value} "

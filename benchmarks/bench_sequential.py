@@ -15,9 +15,9 @@ claims are checked:
    stop at or before the half-budget look, and the sweep as a whole
    simulates meaningfully fewer trials than fixed-N.
 
-One-shot comparative timing, ``slow``-marked like the other sweep
-benches; the numbers land in the root-level ``BENCH_sweep.json``
-perf trajectory.
+The single-cell bench adds a fourth: on the flagship decisive cell
+the sequential pass runs faster than fixed-N, timed in one process.
+One-shot timings, ``slow``-marked like the other sweep benches.
 """
 
 import pytest
@@ -26,17 +26,15 @@ import dataclasses
 import tempfile
 from pathlib import Path
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 #: Sweep shape: sweep_specs(["table3"], n_runs=40, seed=0).
 _N_RUNS = 40
 _SEED = 0
 
-#: A cell is "decisive" when its fixed-N p-value clears alpha by an
-#: order of magnitude either way is irrelevant — here we only demand
-#: early exits from cells whose evidence is overwhelming.
+#: A cell is "decisive" when its fixed-N p-value is below this, far
+#: under alpha = 0.05.  Only cells whose evidence is that overwhelming
+#: must exit by the half-budget look.
 _DECISIVE_P = 1e-4
 
 
@@ -65,11 +63,10 @@ def _sweep_pass(sequential=None):
     return stats, cells
 
 
-def test_sequential_sweep_equivalence(benchmark):
+def test_sequential_sweep_equivalence():
     """Sequential Table III: every fixed-N verdict, fewer trials."""
     from repro.harness.runner import SequentialPolicy
     from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.perf.observe import write_sweep_trajectory
 
     # Warm the program/trace caches so neither timed pass pays
     # first-build costs the other skipped.
@@ -77,9 +74,7 @@ def test_sequential_sweep_equivalence(benchmark):
 
     fixed_stats, fixed = _sweep_pass()
     before = COUNTERS.snapshot()
-    seq_stats, sequential = run_once(
-        benchmark, _sweep_pass, SequentialPolicy()
-    )
+    seq_stats, sequential = _sweep_pass(SequentialPolicy())
     delta = PerfCounters.delta(before, COUNTERS.snapshot())
 
     assert set(sequential) == set(fixed)
@@ -139,26 +134,6 @@ def test_sequential_sweep_equivalence(benchmark):
           f"{delta.get('sequential_trials_avoided', 0)} trials avoided, "
           f"{delta.get('sequential_cycles_avoided', 0)} cycles avoided")
 
-    write_sweep_trajectory("bench_sequential_sweep", {
-        "cells": len(fixed),
-        "n_runs": _N_RUNS,
-        "wall_clock_s": seq_stats.elapsed_s,
-        "cells_per_s": (
-            len(fixed) / seq_stats.elapsed_s
-            if seq_stats.elapsed_s > 0 else 0.0
-        ),
-        "fixed_wall_clock_s": fixed_stats.elapsed_s,
-        "speedup_vs_fixed_n": speedup,
-        "trials_planned": planned_trials,
-        "trials_simulated": effective_trials,
-        "trials_avoided": delta.get("sequential_trials_avoided", 0),
-        "cycles_avoided": delta.get("sequential_cycles_avoided", 0),
-        "early_stops": early,
-        "decisive_cells": decisive,
-        "verdicts_identical": True,
-        "prefix_identical": True,
-    })
-
     assert early > 0, "no cell stopped early at n_runs=40"
     assert decisive > 0, "sweep produced no decisive cells to check"
     assert effective_trials < planned_trials, (
@@ -183,7 +158,6 @@ def _measure_sequential(n_runs, seed):
         SequentialPolicy,
         run_sequential_cell,
     )
-    from repro.perf.counters import COUNTERS, PerfCounters
     from repro.perf.observe import Stopwatch
 
     variant = variant_by_name("Train + Test")
@@ -197,7 +171,6 @@ def _measure_sequential(n_runs, seed):
         fixed = run_cell(variant, channel, "lvp", n_runs=n_runs, seed=seed)
     fixed_s = watch.elapsed
 
-    before = COUNTERS.snapshot()
     watch = Stopwatch()
     with watch:
         outcome = run_sequential_cell(
@@ -206,13 +179,11 @@ def _measure_sequential(n_runs, seed):
             AdaptivePolicy(),
         )
     sequential_s = watch.elapsed
-    delta = PerfCounters.delta(before, COUNTERS.snapshot())
     assert outcome.result.attack_succeeds == fixed.attack_succeeds, (
         "sequential verdict diverged from fixed-N: "
         f"{outcome.result.attack_succeeds} != {fixed.attack_succeeds}"
     )
     return {
-        "cell": f"Train + Test / {channel.value} / lvp",
         "n_runs": n_runs,
         "fixed_s": fixed_s,
         "sequential_s": sequential_s,
@@ -220,25 +191,18 @@ def _measure_sequential(n_runs, seed):
         "effective_n": outcome.effective_n,
         "stopped_early": bool(outcome.record["stopped_early"]),
         "looks": len(outcome.record["looks"]),
-        "trials_avoided": delta.get("sequential_trials_avoided", 0),
-        "cycles_avoided": delta.get("sequential_cycles_avoided", 0),
         "verdict_identical": True,
     }
 
 
-def test_sequential_single_cell_speedup(benchmark):
+def test_sequential_single_cell_speedup():
     """The canonical decisive cell: early exit with the same verdict."""
-    from repro.perf.observe import write_sweep_trajectory
-
-    seq = run_once(benchmark, _measure_sequential, n_runs=60, seed=0)
+    seq = _measure_sequential(n_runs=60, seed=0)
     print(f"\nTrain + Test / timing-window (n_runs=60): "
           f"fixed {seq['fixed_s']:.3f}s, sequential "
           f"{seq['sequential_s']:.3f}s, {seq['speedup']:.2f}x; "
           f"effective n {seq['effective_n']}/{seq['n_runs']} after "
           f"{seq['looks']} look(s)")
-    write_sweep_trajectory(
-        "bench_sequential_cell", seq, trials=2 * seq["effective_n"],
-    )
     assert seq["verdict_identical"]
     assert seq["stopped_early"], (
         "the canonical Train + Test cell should be decisive at n=60"

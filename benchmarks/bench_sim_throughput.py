@@ -1,9 +1,11 @@
-"""Simulator microbenchmarks: cost of the substrate itself.
+"""Sweep-engine speedups measured within one process.
 
-Not a paper artifact — these keep the reproduction honest about its
-own performance and catch regressions in the cycle loop, the cache
-model, and the predictors.  Unlike the experiment benches, these use
-pytest-benchmark's normal multi-round timing.
+Not a paper artifact: each bench times the same work two ways in one
+process and asserts the ratio, so the verdict does not depend on how
+fast the host is.  The batched lockstep backend must beat the scalar
+reference on the flagship cell, and a 4-worker sweep must beat a
+serial one where the host has the cores for it.  Both passes must
+also agree byte for byte.
 """
 
 import pytest
@@ -11,105 +13,7 @@ import pytest
 import os
 from pathlib import Path
 
-from repro.isa.builder import ProgramBuilder
-from repro.memory.cache import SetAssociativeCache
-from repro.memory.hierarchy import MemorySystem
-from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import Core
-from repro.vp.base import AccessKey
-from repro.vp.lvp import LastValuePredictor
-from repro.vp.vtage import VtagePredictor
-
-from tests.conftest import deterministic_memory_config
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
-
-
-def _alu_program(length=400):
-    builder = ProgramBuilder(pid=1)
-    builder.li(1, 1)
-    for index in range(length):
-        builder.add(1 + (index % 6), 1, imm=index)
-    return builder.build()
-
-
-def _memory_program(loads=120):
-    builder = ProgramBuilder(pid=1)
-    for index in range(loads):
-        builder.load(2 + (index % 6), imm=0x10000 + index * 64)
-    return builder.build()
-
-
-def test_core_alu_throughput(benchmark):
-    program = _alu_program()
-
-    def run():
-        core = Core(
-            MemorySystem(deterministic_memory_config()),
-            LastValuePredictor(), CoreConfig(),
-        )
-        return core.run(program).retired
-
-    retired = benchmark(run)
-    assert retired == len(program) + 0
-
-
-def test_core_memory_throughput(benchmark):
-    program = _memory_program()
-
-    def run():
-        core = Core(
-            MemorySystem(deterministic_memory_config()),
-            LastValuePredictor(), CoreConfig(),
-        )
-        return core.run(program).retired
-
-    retired = benchmark(run)
-    assert retired == len(program)
-
-
-def test_cache_lookup_throughput(benchmark):
-    cache = SetAssociativeCache("bench", 32 * 1024, 8)
-    addresses = [i * 64 for i in range(512)]
-    for addr in addresses:
-        cache.fill(addr)
-
-    def run():
-        hits = 0
-        for addr in addresses:
-            hits += cache.lookup(addr)
-        return hits
-
-    assert benchmark(run) == 512
-
-
-def test_lvp_train_predict_throughput(benchmark):
-    predictor = LastValuePredictor(confidence_threshold=4, capacity=512)
-    keys = [AccessKey(pc=0x1000 + 4 * i, addr=0x40 * i) for i in range(256)]
-
-    def run():
-        for key in keys:
-            predictor.train(key, 42)
-        return sum(1 for key in keys if predictor.predict(key))
-
-    benchmark(run)
-
-
-def test_vtage_train_predict_throughput(benchmark):
-    predictor = VtagePredictor(confidence_threshold=4)
-    keys = [AccessKey(pc=0x1000 + 4 * i, addr=0x40 * i) for i in range(128)]
-
-    def run():
-        for key in keys:
-            predictor.train(key, 42)
-        return sum(1 for key in keys if predictor.predict(key))
-
-    benchmark(run)
-
-
-# ---------------------------------------------------------------------
-# Sweep-engine speedups (recorded into BENCH_sweep.json)
-# ---------------------------------------------------------------------
 
 
 def test_batched_backend_trials_per_s():
@@ -118,15 +22,14 @@ def test_batched_backend_trials_per_s():
     One-shot comparative timing of the same cell under the scalar
     reference backend and the numpy lockstep backend (``repro.sim``).
     The batched pass must be fully vectorized (no scalar fallbacks) and
-    byte-identical in verdict; the trials/s ratio lands in
-    ``BENCH_sweep.json``.
+    byte-identical in verdict.
     """
     pytest.importorskip("numpy")
     from repro.harness.experiment import run_cell
     from repro.core.variants import variant_by_name
     from repro.core.channels import ChannelType
     from repro.perf.counters import COUNTERS, PerfCounters
-    from repro.perf.observe import Stopwatch, write_sweep_trajectory
+    from repro.perf.observe import Stopwatch
 
     variant = variant_by_name("Train + Hit")
     n_runs = 64
@@ -160,69 +63,19 @@ def test_batched_backend_trials_per_s():
     print(f"\nTrain + Hit / timing-window (n_runs={n_runs}): "
           f"scalar {scalar_tps:.0f} trials/s, batched "
           f"{batched_tps:.0f} trials/s, {speedup:.1f}x")
-
-    record = {
-        "cell": "Train + Hit / timing-window / lvp",
-        "n_runs": n_runs,
-        "wall_clock_s": timings["batched"],
-        "cells": 1,
-        "cells_per_s": (
-            1.0 / timings["batched"] if timings["batched"] else 0.0
-        ),
-        "trials_simulated": trials,
-        "scalar_trials_per_s": scalar_tps,
-        "trials_per_s": batched_tps,
-        "speedup_vs_scalar": speedup,
-        "verdict_identical": True,
-    }
-    write_sweep_trajectory("bench_backend_cell", record, backend="batched")
     assert speedup >= 10.0, (
         f"batched backend below the 10x target: {speedup:.2f}x"
     )
 
 
-def _retract_stale_parallel_record():
-    """Drop a pre-honesty ``bench_parallel_sweep`` trajectory record.
-
-    Records stamped before the honesty pass carry neither the
-    producing ``backend`` nor ``effective_workers``, so there is no
-    way to tell whether their "parallel" number ever reflected real
-    concurrency (the known-bad one was 1.03x on a 1-CPU host).  When
-    this host cannot produce an honest replacement, the stale record
-    is retracted rather than left to masquerade as a measurement.
-    """
-    import json
-
-    from repro.harness.checkpoint import atomic_write_json
-    from repro.perf.observe import SWEEP_TRAJECTORY
-
-    try:
-        document = json.loads(SWEEP_TRAJECTORY.read_text())
-    except (OSError, ValueError):
-        return
-    section = document.get("bench_parallel_sweep")
-    if not isinstance(section, dict) or "effective_workers" in section:
-        return
-    del document["bench_parallel_sweep"]
-    atomic_write_json(str(SWEEP_TRAJECTORY), document)
-
-
 def test_parallel_sweep_speedup():
     """Table III sweep at 4 workers vs serial, byte-identical results.
 
-    The snapshot once recorded ``speedup_vs_serial: 1.03`` — measured
-    on a host where the 4-process pool had effectively one CPU to run
-    on, so the "parallel" number was really a serial number with pool
-    overhead.  The record now carries the requested *and* effective
-    worker counts plus the host CPU count and the producing backend,
-    and the bench refuses to stamp a "parallel" record at all when
-    fewer than 2 workers could actually run concurrently: better no
-    record than a misleading one.  When the workers *were* concurrent
-    but per-cell work is so small that process-pool dispatch overhead
-    dominates (speedup below 1.5x), the record is stamped with
-    ``overhead_bound: true`` instead of masquerading as a parallel
-    scaling result.  The >= 3x wall-clock assertion still only
-    applies on >= 4-core hosts.
+    The >= 3x wall-clock assertion applies only where it can settle:
+    on a host with >= 4 CPUs, and only when the pool beat serial by at
+    least 1.5x.  Below that, per-cell work is so small that
+    process-pool dispatch overhead dominates, and the ratio says
+    nothing about parallel scaling.
     """
     import tempfile
 
@@ -230,13 +83,10 @@ def test_parallel_sweep_speedup():
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
     from repro.harness.runner import ExecutionPolicy
-    from repro.perf.observe import write_sweep_trajectory
-    from repro.sim import resolve_backend_name
 
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
     meta = {"version": __version__, "n_runs": 8, "seed": 0}
     policy = ExecutionPolicy.compat()
-    backend_name = resolve_backend_name(policy.backend)
 
     def one_pass(workers):
         with tempfile.TemporaryDirectory() as scratch:
@@ -257,29 +107,10 @@ def test_parallel_sweep_speedup():
         if parallel.elapsed_s > 0 else 0.0
     )
     host_cpus = os.cpu_count() or 1
-    # Every cell was pending, so the pool ran min(workers, cells) wide.
-    effective_workers = min(parallel.workers, len(specs), host_cpus)
-    if effective_workers < 2:
-        _retract_stale_parallel_record()
-        pytest.skip(
-            "refusing to stamp a 'parallel' bench record with "
-            f"{effective_workers} effective worker(s) "
-            f"(requested {parallel.workers}, host has {host_cpus} CPU(s))"
-        )
-    overhead_bound = speedup < 1.5
-    write_sweep_trajectory("bench_parallel_sweep", {
-        "cells": len(specs),
-        "n_runs": 8,
-        "workers": parallel.workers,
-        "effective_workers": effective_workers,
-        "host_cpus": host_cpus,
-        "wall_clock_s": parallel.elapsed_s,
-        "cells_per_s": parallel.cells_per_s,
-        "trials_simulated": parallel.counters.get("trials", 0),
-        "speedup_vs_serial": speedup,
-        "overhead_bound": overhead_bound,
-    }, backend=backend_name)
-    if host_cpus >= 4 and not overhead_bound:
+    print(f"\nTable III sweep ({len(specs)} cells, n_runs=8): serial "
+          f"{serial.elapsed_s:.3f} s, 4 workers {parallel.elapsed_s:.3f} s, "
+          f"{speedup:.2f}x on {host_cpus} CPU(s)")
+    if host_cpus >= 4 and speedup >= 1.5:
         assert speedup >= 3.0, (
             f"expected >= 3x at 4 workers on a >= 4-core host, "
             f"got {speedup:.2f}x"

@@ -3,11 +3,9 @@
 from repro.core.actions import MODIFY_ACTIONS, TRAIN_ACTIONS, TRIGGER_ACTIONS
 from repro.harness import render_table1
 
-from benchmarks.conftest import run_once
 
-
-def test_table1_action_alphabet(benchmark):
-    text = run_once(benchmark, render_table1)
+def test_table1_action_alphabet():
+    text = render_table1()
     print("\n" + text)
     # The paper's counting: 8 x 9 x 8 = 576 combinations.
     assert len(TRAIN_ACTIONS) == 8

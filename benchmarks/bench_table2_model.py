@@ -8,11 +8,9 @@ from repro.core.model import (
 )
 from repro.harness import render_table2
 
-from benchmarks.conftest import run_once
 
-
-def test_table2_model_enumeration(benchmark):
-    classifications = run_once(benchmark, classify_all)
+def test_table2_model_enumeration():
+    classifications = classify_all()
     assert len(classifications) == 576
 
     effective = [c for c in classifications if c.verdict is Verdict.EFFECTIVE]

@@ -20,8 +20,6 @@ import pytest
 from repro.core.model import AttackCategory
 from repro.harness import table3_report, table3_results
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 PERSISTENT_CATEGORIES = {
@@ -31,8 +29,8 @@ PERSISTENT_CATEGORIES = {
 }
 
 
-def test_table3_all_attack_categories(benchmark):
-    results = run_once(benchmark, table3_results, n_runs=100, seed=0)
+def test_table3_all_attack_categories():
+    results = table3_results(n_runs=100, seed=0)
     print("\n" + table3_report(results))
 
     assert set(results) == set(AttackCategory)

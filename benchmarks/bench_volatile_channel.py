@@ -16,8 +16,6 @@ from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import FillUpAttack, TestHitAttack, TrainTestAttack
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 60
@@ -41,8 +39,8 @@ def _evaluate():
     return rows
 
 
-def test_volatile_channel(benchmark):
-    rows = run_once(benchmark, _evaluate)
+def test_volatile_channel():
+    rows = _evaluate()
     print("\nVolatile (port-contention) channel:")
     print(f"{'Attack':14s} {'VP':5s} {'pvalue':>9s} {'mapped':>8s} {'unmapped':>9s}")
     for attack, predictor, pvalue, mapped, unmapped in rows:

@@ -16,7 +16,6 @@ from repro.workloads.perf import (
 )
 
 from tests.conftest import deterministic_memory_config
-from benchmarks.conftest import run_once
 
 
 def _sweep():
@@ -40,8 +39,8 @@ def _sweep():
     return rows
 
 
-def test_vp_speedup_band(benchmark):
-    rows = run_once(benchmark, _sweep)
+def test_vp_speedup_band():
+    rows = _sweep()
     print("\nValue-prediction speedup vs. value locality:")
     print(f"{'stable':>7s} {'baseline':>9s} {'with VP':>9s} {'speedup':>8s}")
     for fraction, baseline, predicted, speedup in rows:

@@ -15,8 +15,6 @@ from repro.core.variants import TestHitAttack, TrainTestAttack
 from repro.vp.bebop import BebopPredictor
 from repro.vp.stride import StridePredictor
 
-from benchmarks.conftest import run_once
-
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
 N_RUNS = 100
@@ -48,8 +46,8 @@ def _evaluate():
     return rows
 
 
-def test_predictor_type_influence(benchmark):
-    rows = run_once(benchmark, _evaluate)
+def test_predictor_type_influence():
+    rows = _evaluate()
     print("\nPredictor-type influence (timing-window channel):")
     print(f"{'Predictor':28s} {'Attack':14s} {'pvalue':>9s}")
     for label, attack, pvalue in rows:

@@ -248,20 +248,12 @@ def _run_spec_in_worker(spec: CellSpec) -> Dict[str, object]:
 class SweepStats:
     """Telemetry of one parallel (or serial-fallback) prefill pass."""
 
-    workers: int
     cells_total: int = 0
     cells_cached: int = 0
     cells_run: int = 0
     cells_failed: int = 0
     elapsed_s: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def cells_per_s(self) -> float:
-        """Cells completed per wall-clock second."""
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.cells_run / self.elapsed_s
 
 
 def run_cells(
@@ -308,7 +300,7 @@ def run_cells(
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
     policy = policy or ExecutionPolicy.compat()
-    stats = SweepStats(workers=workers, cells_total=len(specs))
+    stats = SweepStats(cells_total=len(specs))
     pending: List[CellSpec] = []
     for spec in specs:
         if store is not None and store.has(spec.cell_id):

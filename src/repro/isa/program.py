@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IsaError
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
-from repro.perf.counters import COUNTERS
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ class Program:
         is execution-independent.
         """
         if self._trace_cache is not None:
-            COUNTERS.trace_cache_hits += 1
             return self._trace_cache
-        COUNTERS.trace_cache_misses += 1
         trace = self._expand(0, len(self._instructions), self.loops)
         self._trace_cache = tuple(trace)
         return self._trace_cache

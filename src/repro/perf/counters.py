@@ -15,14 +15,12 @@ from typing import Dict
 
 @dataclass
 class PerfCounters:
-    """Counters for the program/uop caches and simulation throughput.
+    """Counters for the program cache and simulation throughput.
 
     Attributes:
         program_cache_hits / program_cache_misses: Lookups of the
             memoized attack-program factories
             (:func:`repro.perf.memo.memoize_program`).
-        trace_cache_hits / trace_cache_misses: Lookups of the decoded
-            dynamic-uop trace (:meth:`repro.isa.program.Program.dynamic_trace`).
         trials: Attack trials executed (one hypothesis run each).
         warm_resets: Trials served by the warm-machine reset protocol
             instead of cold construction.
@@ -60,8 +58,6 @@ class PerfCounters:
     program_cache_hits: int = 0
     program_cache_misses: int = 0
     program_cache_evictions: int = 0
-    trace_cache_hits: int = 0
-    trace_cache_misses: int = 0
     trials: int = 0
     warm_resets: int = 0
     simulated_cycles: int = 0

@@ -145,7 +145,6 @@ class TestWorkerCountInvariance:
         assert stats.cells_total == len(specs)
         assert stats.cells_failed == 0
         assert stats.elapsed_s > 0
-        assert stats.cells_per_s > 0
         assert stats.counters["trials"] > 0
         assert stats.counters["simulated_cycles"] > 0
 

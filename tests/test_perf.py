@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.perf.memo import memoize_program
-from repro.perf.observe import Stopwatch, write_bench_snapshot
+from repro.perf.observe import Stopwatch
 
 
 class TestPerfCounters:
@@ -149,16 +147,3 @@ class TestObserve:
                 pass
         assert watch.laps == 2
         assert watch.elapsed >= 0.0
-
-    def test_snapshot_merges_sections(self, tmp_path):
-        path = tmp_path / "bench" / "BENCH.json"
-        write_bench_snapshot(path, "alpha", {"x": 1})
-        merged = write_bench_snapshot(path, "beta", {"y": 2})
-        assert merged == {"alpha": {"x": 1}, "beta": {"y": 2}}
-        assert json.loads(path.read_text()) == merged
-
-    def test_snapshot_survives_corrupt_file(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text("not json{")
-        merged = write_bench_snapshot(path, "alpha", {"x": 1})
-        assert merged == {"alpha": {"x": 1}}

@@ -554,85 +554,6 @@ def test_vectorized_cell_journals_nothing():
 
 
 # ---------------------------------------------------------------------------
-# Bench-record honesty (repro.perf.observe)
-# ---------------------------------------------------------------------------
-
-
-class TestSweepTrajectoryRecords:
-    def _write(self, path, payload, **kwargs):
-        from repro.perf.observe import write_sweep_trajectory
-
-        return write_sweep_trajectory(
-            "section", payload, path=path, **kwargs
-        )
-
-    def test_records_are_stamped(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv("REPRO_BENCH_FORCE", raising=False)
-        target = tmp_path / "BENCH_sweep.json"
-        document = self._write(target, {"cells_per_s": 10.0}, trials=40)
-        assert document["section"]["backend"] == "scalar"
-        assert document["section"]["trials"] == 40
-
-    def test_trial_count_is_mandatory(self, tmp_path):
-        target = tmp_path / "BENCH_sweep.json"
-        with pytest.raises(ValueError, match="trial count"):
-            self._write(target, {"cells_per_s": 10.0})
-        # trials_simulated in the payload satisfies it.
-        document = self._write(
-            target, {"cells_per_s": 10.0, "trials_simulated": 8}
-        )
-        assert document["section"]["trials"] == 8
-
-    def test_regression_overwrite_refused(self, tmp_path, monkeypatch):
-        from repro.perf.observe import BenchRegressionError
-
-        monkeypatch.delenv("REPRO_BENCH_FORCE", raising=False)
-        target = tmp_path / "BENCH_sweep.json"
-        self._write(target, {"cells_per_s": 10.0}, trials=40)
-        # Within 20%: allowed.
-        self._write(target, {"cells_per_s": 8.5}, trials=40)
-        with pytest.raises(BenchRegressionError, match="cells_per_s"):
-            self._write(target, {"cells_per_s": 6.0}, trials=40)
-        # force records the regression anyway.
-        document = self._write(
-            target, {"cells_per_s": 6.0}, trials=40, force=True
-        )
-        assert document["section"]["cells_per_s"] == 6.0
-
-    def test_force_env_and_backend_change_allow_overwrite(
-        self, tmp_path, monkeypatch
-    ):
-        target = tmp_path / "BENCH_sweep.json"
-        self._write(
-            target, {"cells_per_s": 10.0}, trials=40, backend="batched"
-        )
-        # A different backend is a different experiment, not a
-        # regression — the overwrite is allowed and re-stamped.
-        document = self._write(
-            target, {"cells_per_s": 1.0}, trials=40, backend="scalar"
-        )
-        assert document["section"]["backend"] == "scalar"
-        self._write(
-            target, {"cells_per_s": 10.0}, trials=40, backend="scalar"
-        )
-        monkeypatch.setenv("REPRO_BENCH_FORCE", "1")
-        document = self._write(
-            target, {"cells_per_s": 1.0}, trials=40, backend="scalar"
-        )
-        assert document["section"]["cells_per_s"] == 1.0
-
-    def test_speedup_keys_are_guarded_too(self, tmp_path, monkeypatch):
-        from repro.perf.observe import BenchRegressionError
-
-        monkeypatch.delenv("REPRO_BENCH_FORCE", raising=False)
-        target = tmp_path / "BENCH_sweep.json"
-        self._write(target, {"speedup_vs_scalar": 40.0}, trials=40)
-        with pytest.raises(BenchRegressionError, match="speedup_vs_scalar"):
-            self._write(target, {"speedup_vs_scalar": 4.0}, trials=40)
-
-
-# ---------------------------------------------------------------------------
 # Scalar default is untouched
 # ---------------------------------------------------------------------------
 
