@@ -49,10 +49,12 @@ class PerfCounters:
             their sum is every trial the batched backend handled.
         batched_lanes_retired: Uop-lanes retired across all vectorized
             chunks (a column retiring in L lanes counts L).
-        batched_partitions: Lockstep passes regrouped because their
-            lanes disagreed on a per-trial draw (an R-window offset or
-            a post-split prediction); each group re-ran as its own
-            pass.
+        batched_partitions: Lockstep passes regrouped because shared
+            state would have become lane-dependent (a transient memory
+            access in some lanes only or at lane-varying addresses,
+            such as the persistent encode load under R); each group
+            re-ran as its own pass.  A lane-varying prediction alone
+            regroups nothing.
     """
 
     program_cache_hits: int = 0

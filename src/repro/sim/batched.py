@@ -13,12 +13,15 @@ Byte-identity with the scalar backend is a construction invariant, not
 an aspiration: a scalar trial is a pure function of its seed, the seed
 schedule is replicated exactly (one trial seed per lane), and anything
 the lockstep engine cannot prove schedule-exact and lane-uniform raises
-:class:`~repro.sim.lockstep.LaneDivergence`.  Lanes that only disagree
-on a per-trial draw (the R defense's window offsets, or post-split
-predictions) raise :class:`~repro.sim.lockstep.LanePartition` instead:
-the hypothesis's lanes re-run as one batch per group of agreeing lanes
-and the rows merge back in lane order, which is exact because a batch
-may hold any subset of a cell's trials.  Divergence — or *any*
+:class:`~repro.sim.lockstep.LaneDivergence`.  A per-trial draw the lanes
+disagree on (the R defense's window offsets) is a lane value, verified
+lane by lane, and splits nothing.  Only shared state that would become
+lane-dependent — a transient memory access in some lanes only or at
+lane-varying addresses — raises
+:class:`~repro.sim.lockstep.LanePartition`: the hypothesis's lanes
+re-run as one batch per group of agreeing lanes and the rows merge back
+in lane order, which is exact because a batch may hold any subset of a
+cell's trials.  Divergence — or *any*
 failure of the vectorized attempt — falls the whole chunk back to the
 scalar backend's canonical interleaved loop, so a genuine error
 reproduces with authentic scalar semantics and a benign divergence
@@ -186,9 +189,8 @@ class BatchedBackend:
         Returns the rows in ``indices`` order and the passes' summed
         ``(simulated cycles, retired)`` totals — counters,
         not machines, so no sub-batch machine outlives its pass.  Each
-        group re-runs from the start, replays the draws its lanes agree
-        on, and recurses on later splits; a one-lane batch never
-        partitions, so the recursion ends.
+        group re-runs from the start and recurses on later partitions;
+        a one-lane batch never partitions, so the recursion ends.
         """
         try:
             rows, machine = self._run_batch(runner, mapped, indices)

@@ -49,48 +49,64 @@ it would bind (greedy-with-caps then differs from unconstrained, so the
 chunk is replayed on the scalar backend — never silently wrong).
 
 Beyond the straight-line schedule, the engine models the scalar core's
-out-of-envelope machinery in lane-uniform form:
+out-of-envelope machinery, keeping shared state lane-uniform:
 
-* **Squash windows execute transiently.**  A mispredicted load's
-  younger window (up to the next FENCE) is replayed against a rename
-  *overlay* seeded with the predicted value; each transient op's
-  dispatch/issue cycles follow the same recurrences, and an op is
-  "issued" only when its issue cycle precedes the squash cycle in
-  *every* lane (a straddle diverges).  Transient loads walk the real
-  caches — the persistent channel's footprint — and enqueue *masked*
-  trainings (a lane trains only where the load completed before the
-  squash).  A transient op whose issue never happens blocks all
-  younger transient memory ops, exactly like the scalar issue stage's
-  ``memory_blocked``.
+* **A prediction is a lane value.**  Every trial is a pure function of
+  its seed, the R defense's window draws included: lane ``k`` draws
+  from the stream :func:`~repro.vp.base.trial_stream` derives from its
+  own trial seed.  A draw the lanes disagree on comes back as uint64
+  two's-complement offsets, so the R wrapper's own arithmetic yields a
+  lane-valued prediction; post-split replicas that all predict give one
+  too (:class:`_SplitPrediction`), and the loaded value it is checked
+  against may be a lane vector (the backing store's per-lane
+  defaults).  Verification yields a per-lane mask: lanes that predicted
+  right keep the early value-ready cycle, and only the others take the
+  squash stall and run the transient window.
+* **Squash windows execute transiently, in the lanes that squash.**  A
+  mispredicted load's younger window (up to the next FENCE) is replayed
+  against a rename *overlay* seeded with the predicted value; each
+  transient op's dispatch/issue cycles follow the same recurrences, and
+  an op is "issued" only when its issue cycle precedes the squash cycle
+  in *every* lane of the window (a straddle diverges).  Lanes outside
+  the window never count toward the issue-width and port guards.
+  Transient loads walk the real caches — the persistent channel's
+  footprint — and enqueue *masked* trainings (a lane trains only where
+  the load completed before the squash).  A transient load may itself
+  be predicted when its next trace entry is a FENCE: no younger op can
+  read that value, so it is only a training.  A transient op whose issue
+  never happens blocks all younger transient memory ops, exactly like
+  the scalar issue stage's ``memory_blocked``.
 * **The training ledger is masked and order-free.**  Pending trainings
   carry per-lane completion vectors, optional per-lane masks, and a
   sequence number; they apply in ``(completion, seq)`` order.  While
   the order and values are lane-uniform the one shared predictor
-  suffices; the first non-uniform application *splits* the predictor
-  into per-lane deepcopies and replays each lane's schedule
-  independently.  Per-lane predictions that disagree partition the
-  batch (below).
+  suffices.  A lane-valued prediction trains it only through a wrapper
+  that drops its own prediction before training its inner predictor
+  (the lanes then differ only in what the wrappers' stats count).  The
+  first other non-uniform application *splits* the predictor into
+  per-lane deepcopies and replays each lane's schedule independently;
+  replica ``k`` owns lane ``k``'s streams.
 * **Deferred fills are an event queue.**  Under the D defense a
   speculative load's fill waits for its speculation source's verify
   cycle; under InvisiSpec every load's fill waits for its retire
   cycle.  The engine records ``(cycle vector, paddr)`` events and
   applies them to the shared hierarchy before every later structural
   access whose issue is past the event in every lane (a straddle, or
-  a cross-lane reorder of two events, diverges).
-* **Per-trial predictor streams draw per lane; disagreement
-  partitions.**  Every trial is a pure function of its seed, the R
-  defense's window draws included: lane ``k`` draws from the stream
-  :func:`~repro.vp.base.trial_stream` derives from its own trial seed
-  (after a lane split, replica ``k`` owns that stream).  When one draw
-  — or one post-split prediction — differs between lanes, the engine
-  raises :class:`LanePartition` with one key per lane; the backend
-  re-runs each group of agreeing lanes as its own batch and merges the
-  rows back in lane order.  Exact by construction, since a batch may
-  hold any subset of a cell's trials.
+  a cross-lane reorder of two events, diverges).  A verification that
+  straddles a consumer's issue leaves a speculation source in some
+  lanes only; values and cycles carry that lane set along.
+* **One partition remains.**  A transient memory access that runs in
+  only some lanes, or at lane-varying addresses, would make the shared
+  caches and predictor lane-dependent; so would a load whose D-defense
+  source is unverified in some lanes only.  The engine raises
+  :class:`LanePartition` with one key per lane; the backend re-runs
+  each group of agreeing lanes as its own batch and merges the rows
+  back in lane order.  Exact by construction, since a batch may hold
+  any subset of a cell's trials.
 
 Everything the engine cannot prove lane-uniform or schedule-exact —
-stores, non-uniform addresses, nested speculation, SMT co-runners,
-cycle-budget proximity — raises
+stores, non-uniform main-pass addresses, a nested prediction a younger
+op could read, SMT co-runners, cycle-budget proximity — raises
 :class:`LaneDivergence` the same way.  Correctness never depends on
 the eligibility analysis being complete, only on these runtime guards
 being conservative.
@@ -111,12 +127,15 @@ from __future__ import annotations
 import copy
 import random
 import weakref
+from dataclasses import replace
 from typing import (
     Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
+from repro.defenses.always_predict import AlwaysPredictWrapper
+from repro.defenses.random_window import RandomWindowWrapper
 from repro.isa.instructions import AluOp, Instruction, Opcode
 from repro.memory.address import line_address
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
@@ -124,6 +143,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import EA_MASK, _alu_compute
 from repro.vp.base import AccessKey, Prediction, ValuePredictor, trial_stream
 from repro.vp.nopred import NoPredictor
+from repro.vp.oracle import OracleTargetPredictor
 
 _VALUE_MASK = (1 << 64) - 1
 
@@ -151,25 +171,29 @@ class LaneDivergence(Exception):
 
 
 class LanePartition(Exception):
-    """The lanes agree up to a draw that splits them into groups.
+    """The lanes agree up to an event that would split shared state.
 
-    Raised when one per-trial random draw, or one post-split
-    prediction, differs between lanes.  ``keys[k]`` is lane ``k``'s
-    outcome; lanes with equal keys run on together in a sub-batch.  Like
-    :class:`LaneDivergence`, internal control flow of the batched
-    backend.
+    Raised when a transient memory access runs in only some lanes or
+    at lane-varying addresses, when a load's D-defense speculation
+    source is unverified in only some lanes, or when post-split
+    replicas disagree on whether to predict.  ``keys[k]`` is lane
+    ``k``'s outcome; lanes with equal keys run on together in a
+    sub-batch.  Like :class:`LaneDivergence`, internal control flow of
+    the batched backend.
     """
 
     def __init__(self, keys: Sequence[Hashable]) -> None:
-        super().__init__("lanes disagree on a per-trial draw")
+        super().__init__("lanes disagree on shared state")
         self.keys = list(keys)
 
 
 class _LaneStream:
     """One randomising wrapper's per-lane streams behind one ``randint``.
 
-    Each lane draws from its own trial's stream; a draw all lanes agree
-    on is returned, a split one raises :class:`LanePartition`.
+    Each lane draws from its own trial's stream.  A draw every lane
+    agrees on is an int; a split one is a lane value of uint64
+    two's-complement offsets, so a wrapper's ``(value + offset) & mask``
+    stays exact mod 2**64 in every lane.
     """
 
     __slots__ = ("rngs",)
@@ -177,12 +201,93 @@ class _LaneStream:
     def __init__(self, rngs: List[random.Random]) -> None:
         self.rngs = rngs
 
-    def randint(self, low: int, high: int) -> int:
+    def randint(self, low: int, high: int) -> object:
         draws = [rng.randint(low, high) for rng in self.rngs]
         head = draws[0]
-        if any(draw != head for draw in draws):
-            raise LanePartition(draws)
-        return head
+        if all(draw == head for draw in draws):
+            return head
+        return np.array(draws, dtype=np.int64).astype(np.uint64)
+
+
+class _SplitPrediction:
+    """Post-split replicas' predictions for one load, one per lane.
+
+    ``value`` is an int where every lane predicts the same value, else a
+    uint64 lane vector; replica ``k`` trains with ``lanes[k]``, its own
+    prediction.
+    """
+
+    __slots__ = ("value", "lanes")
+
+    def __init__(self, lanes: List[Prediction]) -> None:
+        self.lanes = lanes
+        head = lanes[0].value
+        self.value: object = (
+            head if all(p.value == head for p in lanes)
+            else np.array([p.value for p in lanes], dtype=np.uint64)
+        )
+
+
+def _lane_prediction(prediction: object, lane: int) -> Optional[Prediction]:
+    """Lane ``lane``'s own prediction, as its scalar trial made it."""
+    if isinstance(prediction, _SplitPrediction):
+        return prediction.lanes[lane]
+    if prediction is not None and isinstance(
+        prediction.value, np.ndarray  # type: ignore[attr-defined]
+    ):
+        return replace(
+            prediction,  # type: ignore[arg-type]
+            value=int(prediction.value[lane]),  # type: ignore[attr-defined]
+        )
+    return prediction  # type: ignore[return-value]
+
+
+#: Wrappers whose ``train`` reads a prediction only to count it in
+#: their stats and to decide whether to forward it to ``inner``.
+_FORWARDING_WRAPPERS = (
+    AlwaysPredictWrapper, OracleTargetPredictor, RandomWindowWrapper,
+)
+
+#: Of those, the ones that drop their own prediction before training
+#: ``inner``.
+_DROPPING_WRAPPERS = (AlwaysPredictWrapper, RandomWindowWrapper)
+
+
+# A lane set is True (every lane), False (none) or a bool lane mask
+# with both values in it.
+def _lanes(mask: np.ndarray) -> object:
+    """``mask`` as a lane set."""
+    if mask.all():
+        return True
+    if not mask.any():
+        return False
+    return mask
+
+
+def _lanes_and(a: object, b: object) -> object:
+    if a is False or b is False:
+        return False
+    if a is True:
+        return b
+    if b is True:
+        return a
+    return _lanes(a & b)  # type: ignore[operator]
+
+
+def _lanes_or(a: object, b: object) -> object:
+    if a is True or b is True:
+        return True
+    if a is False:
+        return b
+    if b is False:
+        return a
+    return _lanes(a | b)  # type: ignore[operator]
+
+
+def _lanes_not(a: object) -> object:
+    if isinstance(a, np.ndarray):
+        return ~a
+    return not a
 
 
 class _LaneMeasurement(Exception):
@@ -246,6 +351,16 @@ def _uniform_int(value: object, what: str) -> int:
     return int(first)
 
 
+def _effective_address(base: object, imm: int) -> object:
+    """``(base + imm) & EA_MASK``, per lane when ``base`` is a vector."""
+    if isinstance(base, np.ndarray):
+        with np.errstate(over="ignore"):
+            return (
+                base.astype(np.uint64) + np.uint64(imm & _VALUE_MASK)
+            ) & np.uint64(EA_MASK)
+    return (int(base) + imm) & EA_MASK  # type: ignore[call-overload]
+
+
 class _LaneInt:
     """An integer-per-lane quantity that refuses to become one float.
 
@@ -290,7 +405,7 @@ class LaneRunResult:
 
     __slots__ = (
         "program_name", "pid", "start_cycles", "end_cycles",
-        "retired", "squashes", "rdtsc_values",
+        "retired", "rdtsc_values",
     )
 
     def __init__(
@@ -300,7 +415,6 @@ class LaneRunResult:
         start_cycles: np.ndarray,
         end_cycles: np.ndarray,
         retired: int,
-        squashes: int,
         rdtsc_values: List[Tuple[int, _LaneInt]],
     ) -> None:
         self.program_name = program_name
@@ -308,7 +422,6 @@ class LaneRunResult:
         self.start_cycles = start_cycles
         self.end_cycles = end_cycles
         self.retired = retired
-        self.squashes = squashes
         #: ``(pc, _LaneInt)`` pairs: consumers that subtract two
         #: readings (directly or via ``probe_latencies_from_rdtsc``)
         #: get a :class:`_LaneInt` back, so the eventual ``float()``
@@ -364,7 +477,10 @@ class _Col:
     a column object exists only for what a later consumer reads.
     """
 
-    __slots__ = ("VR", "C", "R", "result", "seq", "spec_col", "pred_load")
+    __slots__ = (
+        "VR", "C", "R", "result", "seq", "spec_col", "spec_lanes",
+        "pred_load",
+    )
 
     def __init__(self) -> None:
         self.VR: Optional[np.ndarray] = None
@@ -374,8 +490,11 @@ class _Col:
         #: Program-order position; ordering key for speculation sources.
         self.seq: int = -1
         #: Youngest unverified predicted-load ancestor at issue time
-        #: (only tracked when the D defense is active).
+        #: (only tracked when the D defense is active), and the lane
+        #: set where it is one: a verification that straddles the
+        #: issue leaves it a source in some lanes only.
         self.spec_col: Optional["_Col"] = None
+        self.spec_lanes: object = False
         #: True for loads that issued with a value prediction.
         self.pred_load: bool = False
 
@@ -503,7 +622,7 @@ class _PendingTrain:
         complete: np.ndarray,
         key: AccessKey,
         value: object,
-        prediction: Optional[Prediction],
+        prediction: object,
         mask: Optional[np.ndarray],
         seq: int,
         done: Optional[np.ndarray],
@@ -755,7 +874,7 @@ class LockstepMachine:
         self,
         key: AccessKey,
         value: object,
-        prediction: Optional[Prediction],
+        prediction: object,
         complete: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> None:
@@ -847,7 +966,15 @@ class LockstepMachine:
                     self._begin_split()
                     return
                 value = int(head)
-            self.predictor.train(first.key, int(value), first.prediction)
+            prediction = first.prediction
+            if prediction is not None and isinstance(
+                prediction.value, np.ndarray
+            ):
+                prediction = self._stand_in(prediction)
+                if prediction is None:
+                    self._begin_split()
+                    return
+            self.predictor.train(first.key, int(value), prediction)
             self._applied_max = (
                 first.complete.copy() if self._applied_max is None
                 else np.maximum(self._applied_max, first.complete)
@@ -877,7 +1004,9 @@ class LockstepMachine:
                     int(value[lane]) if isinstance(value, np.ndarray)
                     else int(value)
                 )
-                replicas[lane].train(train.key, value, train.prediction)
+                replicas[lane].train(
+                    train.key, value, _lane_prediction(train.prediction, lane)
+                )
                 self._applied_max[lane] = max(
                     self._applied_max[lane], int(train.complete[lane])
                 )
@@ -886,15 +1015,33 @@ class LockstepMachine:
             if train.done is None or not bool(np.all(train.done))
         ]
 
+    def _stand_in(self, prediction: Prediction) -> Optional[Prediction]:
+        """A one-value stand-in for a lane-valued prediction, or None.
+
+        The shared chain can train on a lane-valued prediction only when
+        the wrapper that made it drops it before training its inner
+        predictor, and every wrapper above that one only counts the
+        prediction in its stats and forwards it.  The lanes then differ
+        in nothing but those stats, which no result reads, and lane 0's
+        prediction stands in for all of them, so ``_record_train`` never
+        sees a lane vector.  None means the chain must split.
+        """
+        link: object = self.predictor
+        while type(link) in _FORWARDING_WRAPPERS:
+            if link.name == prediction.source:  # type: ignore[attr-defined]
+                if type(link) not in _DROPPING_WRAPPERS:
+                    return None
+                return _lane_prediction(prediction, 0)
+            link = link.inner  # type: ignore[attr-defined]
+        return None
+
     def _apply_due(self, issue: Optional[np.ndarray]) -> None:
         if self._split is None:
             self._apply_due_shared(issue)
         if self._split is not None:
             self._apply_due_split(issue)
 
-    def _consult_predictor(
-        self, key: AccessKey, issue: np.ndarray
-    ) -> Optional[Prediction]:
+    def _consult_predictor(self, key: AccessKey, issue: np.ndarray) -> object:
         """Predict for a VPS-engaged load, applying due trainings first.
 
         The scalar core trains at each load's completion cycle and
@@ -904,6 +1051,9 @@ class LockstepMachine:
         applied-max guard catches the converse: a training already
         applied *after* this issue in some lane means that lane's
         scalar machine would not have seen it yet.
+
+        Returns None, a :class:`Prediction` (whose value may be a lane
+        vector) or, after a split, a :class:`_SplitPrediction`.
         """
         self._apply_due(issue)
         if self._applied_max is not None and bool(
@@ -914,10 +1064,10 @@ class LockstepMachine:
             predictions = [
                 replica.predict(key) for replica in self._split
             ]
-            head = predictions[0]
-            if any(p != head for p in predictions):
-                raise LanePartition(predictions)
-            return head
+            predicting = [p is not None for p in predictions]
+            if any(predicting) and not all(predicting):
+                raise LanePartition(predicting)
+            return _SplitPrediction(predictions) if predicting[0] else None
         return self.predictor.predict(key)
 
     def drain_trains(self) -> None:
@@ -965,13 +1115,15 @@ class LockstepMachine:
         last_mem: Optional[np.ndarray] = None
         prev_mem: Optional[np.ndarray] = None
         rdtsc_values: List[Tuple[int, _LaneInt]] = []
-        squashes = 0
         # Issue-cycle logs (single rows and blocks of rows) for the
         # post-hoc width/port oversubscription guards (the recurrences
         # assume the caps never bind).
         width_issues: List[np.ndarray] = []
         alu_issues: List[np.ndarray] = []
         mul_issues: List[np.ndarray] = []
+        # Rows logged for a masked squash window so far: each gets its
+        # own negative sentinel in the lanes outside the window.
+        off_window_rows = 0
 
         def source_ready(base: np.ndarray, regs: Tuple[int, ...]) -> np.ndarray:
             ready = base
@@ -990,45 +1142,58 @@ class LockstepMachine:
                 raise LaneDivergence("consumer scheduled before producer")
             return producer.result
 
-        def unverified_at(load_col: _Col, issue: np.ndarray) -> bool:
-            """Whether a predicted load is still unverified at ``issue``.
+        def unverified(load_col: _Col, issue: np.ndarray) -> object:
+            """The lanes where a predicted load is unverified at ``issue``.
 
             Verification happens at the load's completion, which runs
-            before the issue stage within a cycle; a verdict that
-            differs between lanes diverges.
+            before the issue stage within a cycle.
             """
             assert load_col.C is not None
-            before = issue < load_col.C
-            if bool(np.all(before)):
-                return True
-            if not bool(np.any(before)):
-                return False
-            raise LaneDivergence(
-                "prediction verification straddles a consumer's issue"
-            )
+            return _lanes(issue < load_col.C)
 
         def spec_source(
             regs: Tuple[int, ...], issue: np.ndarray
-        ) -> Optional[_Col]:
+        ) -> Tuple[Optional[_Col], object]:
             """Youngest unverified predicted-load ancestor (scalar
-            ``_speculative_source``), tracked only under the D defense."""
-            best: Optional[_Col] = None
+            ``_speculative_source``), tracked only under the D defense,
+            and the lanes where it is one.
+
+            A verification that straddles the issue leaves a source in
+            some lanes only; an older source in the other lanes would
+            make the source itself lane-varying, which diverges.
+            """
+            found: Dict[int, Tuple[_Col, object]] = {}
+
+            def note(source: _Col, live: object) -> None:
+                if live is not False:
+                    prior = found.get(source.seq)
+                    if prior is not None:
+                        live = _lanes_or(prior[1], live)
+                    found[source.seq] = (source, live)
+
             for reg in regs:
                 producer = rename.get(reg)
                 if producer is None:
                     continue
-                candidate: Optional[_Col] = None
-                if producer.pred_load and unverified_at(producer, issue):
-                    candidate = producer
-                elif producer.spec_col is not None and unverified_at(
-                    producer.spec_col, issue
-                ):
-                    candidate = producer.spec_col
-                if candidate is not None and (
-                    best is None or candidate.seq > best.seq
-                ):
-                    best = candidate
-            return best
+                if producer.pred_load:
+                    note(producer, unverified(producer, issue))
+                if producer.spec_col is not None:
+                    # Where the producer is itself a live prediction,
+                    # the younger producer wins below anyway.
+                    note(producer.spec_col, _lanes_and(
+                        producer.spec_lanes,
+                        unverified(producer.spec_col, issue),
+                    ))
+            if not found:
+                return None, False
+            order = sorted(found, reverse=True)
+            best, live = found[order[0]]
+            for seq in order[1:]:
+                if _lanes_and(found[seq][1], _lanes_not(live)) is not False:
+                    raise LaneDivergence(
+                        "speculation source differs across lanes"
+                    )
+            return best, live
 
         def dispatch_at(n: int) -> np.ndarray:
             """Dispatch row of column ``n``, recorded in ``D``."""
@@ -1107,24 +1272,6 @@ class LockstepMachine:
                 alu_issues.append(issue[~mul])
                 mul_issues.append(issue[mul])
 
-        def spec_through(source: _Col, issue: np.ndarray) -> Optional[_Col]:
-            """The chain's speculation source after ops issued at ``issue``.
-
-            Each op inherits its predecessor's source while that load is
-            unverified at the op's issue (``unverified_at`` row by row).
-            Issue grows along the chain in every lane, so a straddling
-            row diverges wherever it lies, and the first row past the
-            verification ends the source for the rest of the chain.
-            """
-            assert source.C is not None
-            unverified = issue < source.C
-            every = unverified.all(axis=1)
-            if bool(np.any(unverified.any(axis=1) & ~every)):
-                raise LaneDivergence(
-                    "prediction verification straddles a consumer's issue"
-                )
-            return source if bool(every.all()) else None
-
         def retire_rows(first: int, ready: np.ndarray) -> None:
             """Retire rows of a chain's columns ``first ..``.
 
@@ -1146,6 +1293,7 @@ class LockstepMachine:
             regs = run.head.source_registers()
             latency = run.latencies(config)
             spec: Optional[_Col] = None
+            live: object = False
             ready = start
             for lo in range(0, run.length, rob_size):
                 count = min(rob_size, run.length - lo)
@@ -1155,25 +1303,28 @@ class LockstepMachine:
                 else:
                     head = source_ready(dispatch[0] + one, regs)
                     if track_spec:
-                        spec = spec_source(regs, head)
+                        spec, live = spec_source(regs, head)
                 issue, ready = issue_rows(
                     dispatch, head, latency[lo:lo + count]
                 )
                 retire_rows(first + lo, ready)
                 log_issues(issue, run.mul[lo:lo + count])
-                if spec is not None:
-                    # Op 0 found its own source; later ops inherit it.
-                    spec = spec_through(spec, issue[0 if lo else 1:])
             col = _Col()
             col.seq = first + run.length - 1
             col.VR = col.C = ready[-1]
-            col.spec_col = spec
+            if spec is not None:
+                # Op 0 found its own source; each later op inherits it
+                # while it is unverified at that op's issue.  Issue grows
+                # along the run in every lane, so the last op decides.
+                live = _lanes_and(live, unverified(spec, issue[-1]))
+                if live is not False:
+                    col.spec_col, col.spec_lanes = spec, live
             col.result = run.value(source_value)
             return col
 
         def run_transient_window(
-            load_col: _Col, prediction: Prediction, pred_vr: np.ndarray,
-            window_start: int,
+            load_col: _Col, predicted: object, pred_vr: np.ndarray,
+            window_start: int, window: Optional[np.ndarray],
         ) -> None:
             """Execute the mispredicted load's squash window transiently.
 
@@ -1182,36 +1333,69 @@ class LockstepMachine:
             issue follow the same recurrences over the combined
             main+transient column sequence, and an op takes effect only
             when its issue cycle precedes the squash cycle ``C`` in
-            every lane.  Register writes go to a local rename overlay
-            (seeded with the predicted value) that the main pass never
-            sees — the post-squash refetch re-executes the same trace
-            entries architecturally.  Side effects that survive the
-            squash — cache/TLB walks of issued loads, and their masked
-            trainings — land on the shared structures and the ledger.
+            every lane of the window.  Register writes go to a local
+            rename overlay (seeded with the predicted value) that the
+            main pass never sees — the post-squash refetch re-executes
+            the same trace entries architecturally.  Side effects that
+            survive the squash — cache/TLB walks of issued loads, and
+            their masked trainings — land on the shared structures and
+            the ledger.
+
+            ``window`` is None when every lane squashes, else the mask
+            of the lanes that do.  The others verified correct and never
+            run this window: their rows here are placeholders the main
+            pass overwrites, the issue-width and port guards never count
+            them, and a transient memory access that runs in only some
+            lanes partitions the batch.
             """
             squash_c = load_col.C
             assert squash_c is not None
+            outside: Optional[np.ndarray] = None
+            if window is not None:
+                outside = ~window
+                # Outside the window, every cycle is past the squash.
+                squash_c = np.where(window, squash_c, _INT64_MIN)
             far = np.full(lanes, _FAR, dtype=np.int64)
             need_taint = config.delay_speculative_fills
             n_load = window_start - 1
             trigger_dest = trace[n_load].instruction.destination_register()
             # reg -> (value-ready vector | None if never ready, value,
-            #         speculatively tainted)
-            overlay: Dict[int, Tuple[Optional[np.ndarray], object, bool]] = {}
+            #         lanes where it is speculatively tainted)
+            overlay: Dict[int, Tuple[Optional[np.ndarray], object, object]] = {}
             if trigger_dest is not None:
-                overlay[trigger_dest] = (pred_vr, prediction.value, True)
+                overlay[trigger_dest] = (pred_vr, predicted, True)
             t_last_mem, t_prev_mem = last_mem, prev_mem
+
+            def every(pre: np.ndarray) -> np.ndarray:
+                """``pre`` in every lane of the window, per row."""
+                if outside is not None:
+                    pre = pre | outside
+                return pre.all(axis=-1)
 
             def pre_squash(cycles: np.ndarray) -> bool:
                 """all(< C) -> True; all(>= C) -> False; mixed diverges."""
                 pre = cycles < squash_c
-                if bool(np.all(pre)):
+                if bool(every(pre)):
                     return True
                 if not bool(np.any(pre)):
                     return False
                 raise LaneDivergence(
                     "squash window edge straddles lanes"
                 )
+
+            def counted(rows: np.ndarray) -> np.ndarray:
+                """Issue rows as the width and port guards count them.
+
+                Lanes outside the window get negative sentinels, one per
+                row, which no cycle and no other sentinel can equal.
+                """
+                nonlocal off_window_rows
+                if outside is None:
+                    return rows
+                rows = np.atleast_2d(rows)
+                marks = off_window_rows + 1 + np.arange(len(rows))
+                off_window_rows += len(rows)
+                return np.where(outside, -marks[:, None], rows)
 
             def t_source_vr(
                 base: np.ndarray, regs: Tuple[int, ...]
@@ -1235,28 +1419,30 @@ class LockstepMachine:
                     return overlay[reg][1]
                 return source_value(reg)
 
-            def t_tainted(regs: Tuple[int, ...], issue: np.ndarray) -> bool:
+            def t_tainted(regs: Tuple[int, ...], issue: np.ndarray) -> object:
+                """The lanes where a source is an unverified prediction."""
+                taint: object = False
                 for reg in regs:
                     if reg in overlay:
-                        if overlay[reg][2]:
-                            return True
+                        taint = _lanes_or(taint, overlay[reg][2])
                         continue
                     producer = rename.get(reg)
                     if producer is None:
                         continue
-                    if producer.pred_load and unverified_at(producer, issue):
-                        return True
-                    if producer.spec_col is not None and unverified_at(
-                        producer.spec_col, issue
-                    ):
-                        return True
-                return False
+                    if producer.pred_load:
+                        taint = _lanes_or(taint, unverified(producer, issue))
+                    if producer.spec_col is not None:
+                        taint = _lanes_or(taint, _lanes_and(
+                            producer.spec_lanes,
+                            unverified(producer.spec_col, issue),
+                        ))
+                return taint
 
             def first_late(pre: np.ndarray) -> int:
                 """Index of the first row not pre-squash in every lane."""
-                every = pre.all(axis=1)
-                return len(every) if bool(every.all()) else int(
-                    np.argmin(every)
+                rows = every(pre)
+                return len(rows) if bool(rows.all()) else int(
+                    np.argmin(rows)
                 )
 
             def transient_run(first: int, run: _Run) -> bool:
@@ -1279,7 +1465,7 @@ class LockstepMachine:
                 regs = run.head.source_registers()
                 head = t_source_vr(dispatch[0] + one, regs)
                 issued = 0
-                taint = False
+                taint: object = False
                 if head is not None:
                     issue, ready = issue_rows(
                         dispatch, head, run.latencies(config)[:count]
@@ -1287,8 +1473,9 @@ class LockstepMachine:
                     i_pre = issue < squash_c
                     issued = first_late(i_pre)
                     if issued:
-                        log_issues(issue[:issued], run.mul[:issued])
-                        taint = need_taint and t_tainted(regs, issue[0])
+                        log_issues(counted(issue[:issued]), run.mul[:issued])
+                        if need_taint:
+                            taint = t_tainted(regs, issue[0])
                     if issued < late_d and bool(i_pre[issued].any()):
                         raise LaneDivergence(
                             "squash window edge straddles lanes"
@@ -1340,12 +1527,12 @@ class LockstepMachine:
                 if sop in (Opcode.NOP, Opcode.HALT):
                     issue = dispatch + one
                     if pre_squash(issue):
-                        width_issues.append(issue)
+                        width_issues.append(counted(issue))
                     continue
                 if sop is Opcode.LI:
                     issue = dispatch + one
                     if pre_squash(issue):
-                        width_issues.append(issue)
+                        width_issues.append(counted(issue))
                         if dreg is not None:
                             overlay[dreg] = (
                                 issue + config.alu_latency,
@@ -1376,17 +1563,33 @@ class LockstepMachine:
                         if dreg is not None:
                             overlay[dreg] = (None, None, False)
                         continue
-                    width_issues.append(issue)
+                    width_issues.append(counted(issue))
                     t_prev_mem, t_last_mem = t_last_mem, issue
                     base: object = 0
                     if sinstr.src1 is not None:
                         base = t_source_value(sinstr.src1)
-                    addr = _uniform_int(base, "transient effective address")
-                    addr = (addr + sinstr.imm) & EA_MASK
+                    addr = _effective_address(base, sinstr.imm)
                     taint = (
                         t_tainted(sinstr.source_registers(), issue)
                         if need_taint else False
                     )
+                    if (
+                        outside is not None
+                        or isinstance(addr, np.ndarray)
+                        or isinstance(taint, np.ndarray)
+                    ):
+                        # Shared caches and predictor state stay exact
+                        # only for an access every lane makes alike.
+                        addrs = np.broadcast_to(addr, (lanes,))
+                        taints = np.broadcast_to(taint, (lanes,))
+                        keys = [
+                            None if outside is not None and outside[k]
+                            else (int(addrs[k]), bool(taints[k]))
+                            for k in range(lanes)
+                        ]
+                        if outside is not None or len(set(keys)) > 1:
+                            raise LanePartition(keys)
+                        addr, taint = keys[0]  # type: ignore[misc]
                     self._apply_fill_events(issue)
                     nofill = config.invisispec or (
                         config.delay_speculative_fills and taint
@@ -1404,7 +1607,7 @@ class LockstepMachine:
                     value = self._value_at(paddr)
                     done = issue + latency
                     key: Optional[AccessKey] = None
-                    nested: Optional[Prediction] = None
+                    nested: object = None
                     if l1_hit:
                         if config.train_on_hit or config.predict_on_hit:
                             key = AccessKey(pc=spec.pc, addr=addr, pid=pid)
@@ -1417,7 +1620,14 @@ class LockstepMachine:
                         key = AccessKey(pc=spec.pc, addr=addr, pid=pid)
                         if config.value_prediction:
                             nested = self._consult_predictor(key, issue)
-                    if nested is not None:
+                    if nested is not None and (
+                        n == trace_length
+                        or trace[n].instruction.op is not Opcode.FENCE
+                    ):
+                        # Only a FENCE next keeps a nested prediction's
+                        # value from every younger op: then it is just
+                        # a training, and a nested squash refetches
+                        # nothing the outer squash does not refetch.
                         raise LaneDivergence(
                             "nested speculation in a squash window"
                         )
@@ -1426,7 +1636,7 @@ class LockstepMachine:
                         # where the load completed strictly before the
                         # squash (ties verify the older trigger first).
                         self._enqueue_train(
-                            key, value, None, done, mask=done < squash_c
+                            key, value, nested, done, mask=done < squash_c
                         )
                     if dreg is not None:
                         overlay[dreg] = (done, value, taint)
@@ -1449,8 +1659,8 @@ class LockstepMachine:
             col.seq = index
             dispatch = dispatch_at(index)
 
-            squashed_here = False
-            trig_pred: Optional[Prediction] = None
+            squash: object = False
+            predicted: object = None
             trig_vr: Optional[np.ndarray] = None
             if op in (Opcode.FENCE, Opcode.RDTSC):
                 # Serialising: executes at the ROB head once drained.
@@ -1489,21 +1699,22 @@ class LockstepMachine:
                 base: object = 0
                 if instr.src1 is not None:
                     base = source_value(instr.src1)
-                addr = _uniform_int(base, "effective address")
-                addr = (addr + instr.imm) & EA_MASK
+                addr = _uniform_int(
+                    _effective_address(base, instr.imm), "effective address"
+                )
                 if op is Opcode.FLUSH:
                     self._apply_fill_events(issue)
                     self.mem.flush(pid, addr)
                     col.VR = col.C = issue + self.mem.config.flush_latency
                     col.R = retire_cycle(col.C)
                 else:
-                    spec_col = (
+                    spec_col, spec_lanes = (
                         spec_source(instr.source_registers(), issue)
-                        if track_spec else None
+                        if track_spec else (None, False)
                     )
-                    squashed_here, trig_pred, trig_vr = self._load_column(
+                    squash, predicted, trig_vr = self._load_column(
                         col, pid, placed.pc, addr, issue, retire_cycle,
-                        spec_col,
+                        spec_col, spec_lanes,
                     )
             else:  # pragma: no cover - exhaustive over Opcode
                 raise LaneDivergence(f"unhandled opcode {op}")
@@ -1513,19 +1724,23 @@ class LockstepMachine:
             if destination is not None:
                 rename[destination] = col
 
-            if squashed_here:
+            if squash is not False:
                 # The scalar core dispatched (and possibly issued)
                 # younger ops between the load's issue and its
                 # verification; squashing discards their register
                 # results, but an issued transient *memory* op has
                 # already walked the caches — the persistent channel.
                 # Execute the window transiently, then refetch right
-                # after the load with the penalty applied.
-                assert trig_pred is not None and trig_vr is not None
-                run_transient_window(col, trig_pred, trig_vr, index + 1)
-                squashes += 1
-                assert col.C is not None
+                # after the load with the penalty applied, in the lanes
+                # that squash.
+                assert trig_vr is not None and col.C is not None
+                window = None if squash is True else squash
+                run_transient_window(
+                    col, predicted, trig_vr, index + 1, window,  # type: ignore[arg-type]
+                )
                 penalty = col.C + config.squash_penalty
+                if window is not None:
+                    penalty = np.where(window, penalty, 0)
                 stall = (
                     penalty if stall is None else np.maximum(stall, penalty)
                 )
@@ -1558,7 +1773,6 @@ class LockstepMachine:
             start_cycles=start,
             end_cycles=end,
             retired=trace_length,
-            squashes=squashes,
             rdtsc_values=rdtsc_values,
         )
 
@@ -1572,14 +1786,16 @@ class LockstepMachine:
         issue: np.ndarray,
         retire_cycle,
         spec_col: Optional[_Col],
-    ) -> Tuple[bool, Optional[Prediction], Optional[np.ndarray]]:
+        spec_lanes: object,
+    ) -> Tuple[object, object, Optional[np.ndarray]]:
         """Schedule one load column.
 
-        Returns ``(squashed, prediction, speculative value-ready)``:
-        the last two feed the transient-window overlay when the load
-        mispredicts (consumers issued pre-squash saw the predicted
-        value at the *early* value-ready cycle, not the post-verify
-        one stored on the column).
+        Returns ``(squash, predicted value, speculative value-ready)``.
+        ``squash`` is the lane set whose prediction was wrong: False,
+        True (every lane) or a mask.  The last two feed the transient
+        window's overlay (consumers issued pre-squash saw the predicted
+        value at the *early* value-ready cycle, not the post-verify one
+        stored on the column).
         """
         config = self.config
         invisi = config.invisispec
@@ -1588,96 +1804,78 @@ class LockstepMachine:
             and config.delay_speculative_fills
             and spec_col is not None
         )
-        if defer and spec_col is not None and spec_col.spec_col is not None:
-            # The scalar core re-keys the deferred fill to the
-            # grandparent prediction at verify time; model the common
-            # flat case only.
-            raise LaneDivergence("nested speculative fill deferral")
+        if defer:
+            assert spec_col is not None
+            if spec_lanes is not True:
+                # Deferred in some lanes, filled now in the others: the
+                # caches would differ per lane.
+                raise LanePartition(spec_lanes.tolist())  # type: ignore[attr-defined]
+            if spec_col.spec_col is not None:
+                # The scalar core re-keys the deferred fill to the
+                # grandparent prediction at verify time; model the
+                # common flat case only.
+                raise LaneDivergence("nested speculative fill deferral")
         self._apply_fill_events(issue)
         if invisi or defer:
             latency, l1_hit, paddr = self._load_access_nofill(pid, addr)
         else:
             latency, l1_hit, paddr = self._load_access(pid, addr)
         value = self._value_at(paddr)
-        col.spec_col = spec_col
+        col.spec_col, col.spec_lanes = spec_col, spec_lanes
         done = issue + latency
-
-        def post_fill() -> None:
-            """Schedule the deferred fill this nofill walk owes."""
-            if invisi:
-                # InvisiSpec: every load re-fills at its retire.
-                assert col.R is not None
-                self._schedule_fill(col.R, paddr, pid, addr)
-            elif defer:
-                # D defense: the fill lands when the speculation
-                # source verifies (correct — a mispredicting source
-                # would have squashed this load into a transient).
-                assert spec_col is not None and spec_col.C is not None
-                self._schedule_fill(spec_col.C, paddr, pid, addr)
+        col.C = done
 
         key: Optional[AccessKey] = None
-        prediction: Optional[Prediction] = None
+        prediction: object = None
         if l1_hit:
             if config.train_on_hit or config.predict_on_hit:
                 key = AccessKey(pc=pc, addr=addr, pid=pid)
                 if config.predict_on_hit and config.value_prediction:
+                    # Footnote 2's non-load-based VPS: hits predict too,
+                    # and mispredicted hits still squash.
                     prediction = self._consult_predictor(key, issue)
-            if prediction is None:
-                col.result = value
-                col.VR = col.C = done
-                col.R = retire_cycle(col.C)
-                if key is not None:
-                    self._enqueue_train(key, value, None, done)
-                post_fill()
-                return False, None, None
-            # Footnote 2's non-load-based VPS: hits predict too, and
-            # mispredicted hits still squash.
-            actual = _uniform_int(value, "predicted-load value")
-            self._enqueue_train(key, actual, prediction, done)
-            col.C = done
-            col.pred_load = True
-            col.result = actual
             early_vr = np.minimum(issue + config.predict_latency, done)
-            if prediction.value == actual:
-                col.VR = early_vr
-                col.R = retire_cycle(col.C)
-                post_fill()
-                return False, None, None
-            col.VR = done
-            col.R = retire_cycle(col.C)
-            post_fill()
-            return True, prediction, early_vr
-
-        # L1 miss: the Value Prediction System is engaged.
-        memory_return = done
-        key = AccessKey(pc=pc, addr=addr, pid=pid)
-        if config.value_prediction:
-            prediction = self._consult_predictor(key, issue)
+        else:
+            # L1 miss: the Value Prediction System is engaged.
+            key = AccessKey(pc=pc, addr=addr, pid=pid)
+            if config.value_prediction:
+                prediction = self._consult_predictor(key, issue)
+            early_vr = issue + config.predict_latency
+        col.result = value
+        squash: object = False
         if prediction is None:
-            col.result = value
-            col.VR = col.C = memory_return
-            col.R = retire_cycle(col.C)
-            self._enqueue_train(key, value, None, memory_return)
-            post_fill()
-            return False, None, None
-        actual = _uniform_int(value, "predicted-load value")
-        self._enqueue_train(key, actual, prediction, memory_return)
-        col.C = memory_return
-        col.pred_load = True
-        col.result = actual
-        early_vr = issue + config.predict_latency
-        if prediction.value == actual:
-            # Verified correct: consumers saw the early value.
-            col.VR = early_vr
-            col.R = retire_cycle(col.C)
-            post_fill()
-            return False, None, None
-        # Misprediction: the squash is lane-uniform (shared predictor,
-        # uniform actual), so every lane kills the same younger window.
-        col.VR = memory_return
+            col.VR = done
+        else:
+            # Verification, per lane: the predicted value, the loaded
+            # value, or both may be lane vectors.  Lanes that predicted
+            # right saw the value early; the others squash.
+            col.pred_load = True
+            wrong = prediction.value != value  # type: ignore[attr-defined]
+            squash = (
+                _lanes(wrong) if isinstance(wrong, np.ndarray)
+                else bool(wrong)
+            )
+            if squash is False:
+                col.VR = early_vr
+            elif squash is True:
+                col.VR = done
+            else:
+                col.VR = np.where(squash, done, early_vr)
+        if key is not None:
+            self._enqueue_train(key, value, prediction, done)
         col.R = retire_cycle(col.C)
-        post_fill()
-        return True, prediction, early_vr
+        if invisi:
+            # InvisiSpec: every load re-fills at its retire.
+            self._schedule_fill(col.R, paddr, pid, addr)
+        elif defer:
+            # D defense: the fill lands when the speculation source
+            # verifies (correct — a mispredicting source would have
+            # squashed this load into a transient).
+            assert spec_col is not None and spec_col.C is not None
+            self._schedule_fill(spec_col.C, paddr, pid, addr)
+        if squash is False:
+            return False, None, None
+        return squash, prediction.value, early_vr  # type: ignore[attr-defined]
 
     # -- guards ---------------------------------------------------------
     def _check_oversubscription(

@@ -22,9 +22,16 @@ import pytest
 
 from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
-from repro.core.variants import ALL_VARIANTS, variant_by_name
+from repro.core.variants import (
+    ALL_VARIANTS,
+    VALUE_RECEIVER_KNOWN,
+    VALUE_SENDER_KNOWN,
+    TrainTestAttack,
+    variant_by_name,
+)
 from repro.errors import BackendUnavailableError, SimBackendError
 from repro.harness.runner import SequentialPolicy
+from repro.isa.builder import ProgramBuilder
 from repro.sim import (
     BACKEND_ENV,
     BACKEND_NAMES,
@@ -34,6 +41,7 @@ from repro.sim import (
     get_backend,
     resolve_backend_name,
 )
+from repro.workloads import gadgets
 
 numpy = pytest.importorskip("numpy")
 
@@ -161,10 +169,10 @@ class TestBackendRegistry:
 def test_trial_streams_identical(variant, channel, defense):
     """Table II matrix x channels x the full defense column.
 
-    Byte-identical streams whether the cell vectorizes (none, D,
-    InvisiSpec everywhere; R through lane partitions; A on timing
-    cells) or takes the journaled runtime fallback (nested speculation
-    under A on persistent cells): identity is the contract either way.
+    Byte-identical streams whether the cell vectorizes (every cell here
+    does: R's predictions are lane values, and A's nested predictions
+    before a FENCE are masked trainings) or would take the journaled
+    runtime fallback: identity is the contract either way.
     """
     if channel not in variant.supported_channels:
         pytest.skip(f"{variant.name} has no {channel.value} receiver")
@@ -324,21 +332,26 @@ _MATRIX_SPECS = (
 #: Its R-type specs.
 _R_MATRIX_SPECS = ("R[3]", "R[8]", "R[3]+D")
 
+#: Its A-type specs.
+_A_MATRIX_SPECS = ("A[history]", "A[fixed]", "A[fixed]+D", "A[history]+D")
 
-def _matrix_cases(specs=_MATRIX_SPECS):
+
+def _matrix_cases(specs=_MATRIX_SPECS, channels=None):
     """The matrix's cells: variant/channel x defense spec x predictor."""
     for variant in ALL_VARIANTS:
-        channels = [ChannelType.TIMING_WINDOW]
+        supported = [ChannelType.TIMING_WINDOW]
         if ChannelType.PERSISTENT in variant.supported_channels:
-            channels.append(ChannelType.PERSISTENT)
-        for channel in channels:
+            supported.append(ChannelType.PERSISTENT)
+        for channel in supported:
+            if channels is not None and channel not in channels:
+                continue
             for spec in specs:
                 for predictor in ("lvp", "vtage"):
                     yield variant, channel, spec, predictor
 
 
-def _r_matrix_payloads(backend):
-    """Payloads of the defense matrix's R cells at a small n_runs."""
+def _matrix_payloads(backend, cases):
+    """Payloads of defense-matrix cells at a small n_runs."""
     from repro.cli import parse_defense
     from repro.harness.checkpoint import serialize_result
     from repro.harness.experiment import run_cell
@@ -350,13 +363,31 @@ def _r_matrix_payloads(backend):
                 defense=parse_defense(spec), backend=backend,
             ))
         )
-        for variant, channel, spec, predictor in _matrix_cases(_R_MATRIX_SPECS)
+        for variant, channel, spec, predictor in cases
     }
+
+
+def _r_matrix_payloads(backend):
+    """Payloads of the defense matrix's R cells."""
+    return _matrix_payloads(backend, _matrix_cases(_R_MATRIX_SPECS))
+
+
+def _a_persistent_payloads(backend):
+    """Payloads of the defense matrix's A cells on the persistent
+    channel, whose squash windows hold a nested prediction."""
+    return _matrix_payloads(backend, _matrix_cases(
+        _A_MATRIX_SPECS, channels=(ChannelType.PERSISTENT,),
+    ))
 
 
 @pytest.fixture(scope="module")
 def r_matrix_reference():
     return _r_matrix_payloads("scalar")
+
+
+@pytest.fixture(scope="module")
+def a_persistent_reference():
+    return _a_persistent_payloads("scalar")
 
 
 @pytest.mark.parametrize("lanes", [1, 7, 128])
@@ -371,6 +402,24 @@ def test_r_matrix_cells_identical_at_any_lane_width(
     monkeypatch.setattr(batched_module, "CHUNK_LANES", lanes)
     clear_fallback_journal()
     assert _r_matrix_payloads("batched") == r_matrix_reference
+    assert fallback_journal() == []
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 128])
+def test_a_persistent_cells_identical_at_any_lane_width(
+    monkeypatch, a_persistent_reference, lanes
+):
+    """The defense matrix's 24 A cells on the persistent channel:
+    batched equals scalar at lane widths 1, 7 and 128, and none falls
+    back.  Their squash windows predict the encode load again (a nested
+    prediction before a FENCE), and Test + Hit under A[fixed] predicts
+    a probe load whose value differs per lane."""
+    import repro.sim.batched as batched_module
+
+    assert len(a_persistent_reference) == 24
+    monkeypatch.setattr(batched_module, "CHUNK_LANES", lanes)
+    clear_fallback_journal()
+    assert _a_persistent_payloads("batched") == a_persistent_reference
     assert fallback_journal() == []
 
 
@@ -408,95 +457,124 @@ def test_unsupported_config_falls_back_with_journal():
     assert "replacement policy 'random'" in reason
 
 
+class _NestedConsumer(TrainTestAttack):
+    """Train + Test whose persistent trigger reads the encode load's
+    value before the FENCE, so a nested prediction would reach a
+    younger op: a shape the engine does not model."""
+
+    name = "Nested Consumer"
+
+    def run_measured(self, env, mapped):
+        if env.channel is not ChannelType.PERSISTENT:
+            return super().run_measured(env, mapped)
+        layout = env.layout
+        builder = ProgramBuilder(
+            "nested-trigger", pid=layout.receiver_pid,
+            base_pc=layout.receiver_base_pc,
+        )
+        for line in (VALUE_SENDER_KNOWN, VALUE_RECEIVER_KNOWN):
+            builder.flush(imm=layout.probe_line_addr(line))
+        builder.flush(imm=layout.receiver_known_addr)
+        builder.fence()
+        builder.pin_pc(layout.collide_pc)
+        builder.load(gadgets.REG_LOADED, imm=layout.receiver_known_addr)
+        builder.shl(gadgets.REG_SHIFTED, gadgets.REG_LOADED,
+                    layout.probe_stride_shift)
+        builder.load(gadgets.REG_ENCODED, base=gadgets.REG_SHIFTED,
+                     imm=layout.probe_base)
+        builder.add(gadgets.REG_CHAIN, gadgets.REG_ENCODED, imm=1)
+        builder.fence()
+        env.core.run(builder.build())
+        return self._probe_line_latency(env, VALUE_SENDER_KNOWN)
+
+
 def test_runtime_divergence_journals_reason():
     """A shape the engine cannot model fails at run time, not
-    statically, and the journaled reason says why: the A defense's
-    always-on prediction nests speculation inside a persistent-channel
-    squash window.  R cells partition instead and journal nothing."""
-    from repro.perf.counters import COUNTERS, PerfCounters
+    statically, and the journaled reason says why.
 
-    clear_fallback_journal()
-    before = COUNTERS.batched_fallback_trials
+    Under the A defense the persistent trigger's squash window predicts
+    its encode load again.  With a FENCE next, that nested prediction
+    is only a masked training and the cell vectorizes; when a younger
+    op reads its value first, the chunk falls back."""
+    from repro.perf.counters import COUNTERS
+
     variant = variant_by_name("Train + Test")
+    clear_fallback_journal()
     scalar = _stream(_runner(variant, "scalar", defense="A",
                              channel=ChannelType.PERSISTENT))
     batched = _stream(_runner(variant, "batched", defense="A",
                               channel=ChannelType.PERSISTENT))
     assert batched == scalar
+    assert fallback_journal() == []
+
+    nested = _NestedConsumer()
+    before = COUNTERS.batched_fallback_trials
+    scalar = _stream(_runner(nested, "scalar", defense="A",
+                             channel=ChannelType.PERSISTENT))
+    batched = _stream(_runner(nested, "batched", defense="A",
+                              channel=ChannelType.PERSISTENT))
+    assert batched == scalar
     assert COUNTERS.batched_fallback_trials > before
     journal = fallback_journal()
     assert journal, "runtime fallback produced no journal entry"
-    _, reason = journal[-1]
-    assert "nested speculation" in reason
+    assert {reason for _, reason in journal} == {
+        "LaneDivergence: nested speculation in a squash window"
+    }
 
+
+def test_r_cells_partition_only_on_transient_encode_loads():
+    """R cells journal nothing.  A lane that predicts right skips the
+    squash window, so on the timing channel the batch never splits;
+    on the persistent channel the window's encode load runs in some
+    lanes only, or at lane-varying addresses, and partitions."""
+    from repro.perf.counters import COUNTERS, PerfCounters
+
+    variant = variant_by_name("Train + Test")
     clear_fallback_journal()
-    before = COUNTERS.snapshot()
+    partitions = {}
     for channel in (ChannelType.TIMING_WINDOW, ChannelType.PERSISTENT):
+        before = COUNTERS.snapshot()
         _stream(_runner(variant, "batched", defense="R", channel=channel))
+        delta = PerfCounters.delta(before, COUNTERS.snapshot())
+        assert delta.get("batched_fallback_trials", 0) == 0
+        partitions[channel] = delta.get("batched_partitions", 0)
     assert fallback_journal() == []
-    delta = PerfCounters.delta(before, COUNTERS.snapshot())
-    assert delta.get("batched_fallback_trials", 0) == 0
-    assert delta.get("batched_partitions", 0) > 0
-
-
-_NESTED = "LaneDivergence: nested speculation in a squash window"
-_NON_UNIFORM = (
-    "LaneDivergence: non-uniform predicted-load value across lanes"
-)
-
-
-def _pinned_matrix_fallbacks():
-    """The defense matrix's fallbacks at n_runs=10, seed 0, per cell.
-
-    Every A-type cell on a persistent channel, one chunk each: Test +
-    Hit under A[fixed] predicts a lane-varying value, the rest nest a
-    prediction inside a squash window.
-    """
-    pinned = {}
-    for name in ("Fill Up", "Test + Hit", "Train + Test"):
-        for spec in ("A[fixed]", "A[history]", "A[fixed]+D", "A[history]+D"):
-            for predictor in ("lvp", "vtage"):
-                reason = (
-                    _NON_UNIFORM
-                    if name == "Test + Hit" and spec.startswith("A[fixed]")
-                    else _NESTED
-                )
-                cell = (f"{name}/persistent/vp={predictor}/defense={spec}"
-                        "/seed=0")
-                pinned[f"{name}/persistent/{spec}/{predictor}"] = [
-                    (cell, reason)
-                ]
-    return pinned
+    assert partitions[ChannelType.TIMING_WINDOW] == 0
+    assert partitions[ChannelType.PERSISTENT] > 0
 
 
 def test_defense_matrix_fallbacks_are_pinned():
-    """The benchmark's 180 defended cells fall back exactly where they
-    did: 20 nested-speculation and 4 non-uniform-value chunks.
+    """The benchmark's 180 defended cells vectorize outright: nothing
+    is journaled, and one pass makes at most one partition per
+    hypothesis of a persistent R cell (36), none elsewhere.
 
     The scalar replay keeps results identical, so a guard the engine
     newly trips would otherwise show only as lost speed.
     """
-    from collections import Counter
-
     from repro.cli import parse_defense
     from repro.harness.experiment import run_cell
+    from repro.perf.counters import COUNTERS
 
     cells = list(_matrix_cases())
     assert len(cells) == 180
     journals = {}
+    partitions = {}
     for variant, channel, spec, predictor in cells:
+        cell = f"{variant.name}/{channel.value}/{spec}/{predictor}"
         clear_fallback_journal()
+        before = COUNTERS.batched_partitions
         run_cell(variant, channel, predictor, 10, 0,
                  defense=parse_defense(spec), backend="batched")
         if fallback_journal():
-            journals[f"{variant.name}/{channel.value}/{spec}/{predictor}"] = (
-                fallback_journal()
-            )
-    assert journals == _pinned_matrix_fallbacks()
-    reasons = Counter(
-        reason for journal in journals.values() for _, reason in journal
-    )
-    assert reasons == {_NESTED: 20, _NON_UNIFORM: 4}
+            journals[cell] = fallback_journal()
+        if COUNTERS.batched_partitions > before:
+            partitions[cell] = COUNTERS.batched_partitions - before
+    assert journals == {}
+    assert sum(partitions.values()) <= 36
+    assert all(
+        "/persistent/R[" in cell and count <= 2
+        for cell, count in partitions.items()
+    ), partitions
 
 
 def test_injected_divergence_falls_back_then_genuine_errors_reraise(
