@@ -68,14 +68,29 @@ def test_batched_backend_trials_per_s():
     )
 
 
+#: Least 4-worker/serial ratio on a host with >= 2 CPUs.  On a 2-CPU
+#: host this test read 1.58-1.99x with scipy imported at startup (6
+#: runs) and 1.51-1.96x with scipy loaded at the first statistic (12
+#: runs).  With the pool forced to one worker, which runs no two cells
+#: at once, it read 0.79-0.96x (5 runs).  The floor sits 14% below the
+#: smallest healthy reading and 35% above the largest broken one.
+PARALLEL_FLOOR = 1.3
+
+
 def test_parallel_sweep_speedup():
     """Table III sweep at 4 workers vs serial, byte-identical results.
 
-    The >= 3x wall-clock assertion applies only where it can settle:
-    on a host with >= 4 CPUs, and only when the pool beat serial by at
-    least 1.5x.  Below that, per-cell work is so small that
-    process-pool dispatch overhead dominates, and the ratio says
-    nothing about parallel scaling.
+    An untimed serial pass first warms the process (imports, scipy,
+    program and preflight memos), since the workers fork from it and
+    would otherwise start warmer than the timed serial pass.  Then
+    serial and 4-worker passes alternate twice, and the ratio is the
+    faster serial pass over the faster parallel one, so a slow
+    stretch of a shared host that hits one pass does not decide it.
+
+    Any host with >= 2 CPUs must reach :data:`PARALLEL_FLOOR`; one CPU
+    cannot run two cells at once, so no floor holds there.  A >= 4-CPU
+    host that beats serial by 1.5x must also reach 3x; that claim has
+    not been measured on a host that size.
     """
     import tempfile
 
@@ -97,19 +112,25 @@ def test_parallel_sweep_speedup():
             payloads = {
                 spec.cell_id: store.load(spec.cell_id) for spec in specs
             }
-        return stats, payloads
+        return stats.elapsed_s, payloads
 
-    serial, serial_payloads = one_pass(1)
-    parallel, parallel_payloads = one_pass(4)
-    assert serial_payloads == parallel_payloads
-    speedup = (
-        serial.elapsed_s / parallel.elapsed_s
-        if parallel.elapsed_s > 0 else 0.0
-    )
+    _, reference = one_pass(1)
+    elapsed = {1: [], 4: []}
+    for _ in range(2):
+        for workers in (1, 4):
+            seconds, payloads = one_pass(workers)
+            assert payloads == reference
+            elapsed[workers].append(seconds)
+    speedup = min(elapsed[1]) / min(elapsed[4])
     host_cpus = os.cpu_count() or 1
     print(f"\nTable III sweep ({len(specs)} cells, n_runs=8): serial "
-          f"{serial.elapsed_s:.3f} s, 4 workers {parallel.elapsed_s:.3f} s, "
+          f"{min(elapsed[1]):.3f} s, 4 workers {min(elapsed[4]):.3f} s, "
           f"{speedup:.2f}x on {host_cpus} CPU(s)")
+    if host_cpus >= 2:
+        assert speedup >= PARALLEL_FLOOR, (
+            f"4 workers beat serial by {speedup:.2f}x, below the "
+            f"{PARALLEL_FLOOR}x floor"
+        )
     if host_cpus >= 4 and speedup >= 1.5:
         assert speedup >= 3.0, (
             f"expected >= 3x at 4 workers on a >= 4-core host, "

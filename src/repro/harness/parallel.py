@@ -60,7 +60,9 @@ from repro.perf.observe import now
 from repro.sim import (
     clear_fallback_journal,
     fallback_journal,
+    get_backend,
     record_fallbacks,
+    resolve_backend_name,
 )
 
 #: Environment variable consulted for a default worker count (used by
@@ -330,6 +332,14 @@ def run_cells(
         return stats
 
     from repro.harness.supervisor import SupervisorPolicy, WorkerSupervisor
+    from repro.stats import _special
+
+    # Workers fork from this process.  Load the special functions the
+    # t-tests need and build the sweep's backend (numpy, under batched)
+    # once here, so that every worker inherits them instead of
+    # importing its own copy.
+    _special.load()
+    get_backend(resolve_backend_name(policy.backend))
 
     outcomes: "queue.Queue" = queue.Queue()
     supervisor = WorkerSupervisor(

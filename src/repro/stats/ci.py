@@ -1,7 +1,9 @@
 """Confidence intervals.
 
 The paper reports "averages over 100 runs for each attack, with a
-95%-confidence interval calculated using the Student's t-test".
+95%-confidence interval calculated using the Student's t-test".  The
+t quantile comes from :mod:`repro.stats._special`, which loads its
+library at the first interval, not at import.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import special
-
 from repro.errors import StatsError
+from repro.stats import _special
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class ConfidenceInterval:
 
 def _t_quantile(probability: float, dof: int) -> float:
     """Inverse Student-t CDF via stdtrit."""
-    return float(special.stdtrit(dof, probability))
+    return float(_special.stdtrit(dof, probability))
 
 
 def mean_confidence_interval(

@@ -39,7 +39,10 @@ test in ``tests/test_sequential.py`` pins this down).
 
 Everything here is pure deterministic arithmetic over p-values; the
 simulator side (trial streaming, seed schedules) lives in
-:mod:`repro.core.attack` and :mod:`repro.harness.runner`.
+:mod:`repro.core.attack` and :mod:`repro.harness.runner`.  The normal
+CDF and its inverse behind the spending function come from
+:mod:`repro.stats._special`, which loads its library at the first
+spending level, not at import.
 """
 
 from __future__ import annotations
@@ -48,9 +51,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from scipy import special
-
 from repro.errors import StatsError
+from repro.stats import _special
 from repro.stats.ttest import ALPHA, welch_t_test
 
 #: Default interim-look schedule as fractions of the trial budget.
@@ -71,8 +73,8 @@ def obrien_fleming_spending(t: float, alpha: float = ALPHA) -> float:
         return 0.0
     if t >= 1.0:
         return alpha
-    z = float(special.ndtri(1.0 - alpha / 2.0))
-    return float(2.0 * (1.0 - special.ndtr(z / math.sqrt(t))))
+    z = float(_special.ndtri(1.0 - alpha / 2.0))
+    return float(2.0 * (1.0 - _special.ndtr(z / math.sqrt(t))))
 
 
 def default_looks(

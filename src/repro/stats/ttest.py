@@ -7,8 +7,9 @@ differentiable and the attack succeeds" (Section IV-D), using
 Student's t-test [Gosset 1908] with averages over 100 runs.
 
 Both the classic pooled-variance Student test and the Welch
-(unequal-variance) variant are provided; statistics are computed here
-and only the t-distribution CDF comes from SciPy.
+(unequal-variance) variant are provided.  Statistics are computed
+here; only the t-distribution CDF comes from :mod:`repro.stats._special`,
+which loads its library at the first p-value, not at import.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import special
-
 from repro.errors import StatsError
+from repro.stats import _special
 
 #: The paper's significance threshold.
 ALPHA = 0.05
@@ -73,7 +73,7 @@ def _two_sided_p(statistic: float, dof: float) -> float:
     if math.isinf(statistic):
         return 0.0
     # stdtr is the Student t CDF.
-    return 2.0 * (1.0 - special.stdtr(dof, abs(statistic)))
+    return 2.0 * (1.0 - _special.stdtr(dof, abs(statistic)))
 
 
 def _validate(sample_a: Sequence[float], sample_b: Sequence[float]) -> None:
