@@ -77,14 +77,6 @@ PID_OF_ACTOR: Dict[Actor, int] = {Actor.SENDER: 1, Actor.RECEIVER: 2}
 
 BASE_PC_OF_ACTOR: Dict[Actor, int] = {Actor.SENDER: 0x200, Actor.RECEIVER: 0x400}
 
-# Deprecated aliases (pre-hunt private names); new code should use the
-# public names above.
-_INDEX_PCS = INDEX_PCS
-_VALUE_INTS = VALUE_INTS
-_DATA_BASE = DATA_BASE
-_PID_OF_ACTOR = PID_OF_ACTOR
-_BASE_PC_OF_ACTOR = BASE_PC_OF_ACTOR
-
 
 @dataclass(frozen=True)
 class GroundedAccess:
@@ -158,9 +150,6 @@ def ground_access(action: Action, mapped: bool, question: str) -> GroundedAccess
     )
 
 
-_slot_address = slot_address
-
-
 def _ground(action: Action, mapped: bool, question: str) -> Tuple[int, int, int, int]:
     """(pid, load PC, data address, value) for one access."""
     grounded = ground_access(action, mapped, question)
@@ -212,7 +201,7 @@ def synthesize_trial(
         if count < 1:
             continue
         core.run(gadgets.train_program(
-            f"step{step_number}", pid, _BASE_PC_OF_ACTOR[action.actor],
+            f"step{step_number}", pid, BASE_PC_OF_ACTOR[action.actor],
             pc, addr, count,
         ))
 
@@ -220,7 +209,7 @@ def synthesize_trial(
         combo.trigger, mapped, question
     )
     program = gadgets.plain_trigger_program(
-        "trigger", trigger_pid, _BASE_PC_OF_ACTOR[combo.trigger.actor],
+        "trigger", trigger_pid, BASE_PC_OF_ACTOR[combo.trigger.actor],
         trigger_pc, trigger_addr, chain_length=4,
     )
     result = core.run(program)

@@ -144,6 +144,17 @@ class SetAssociativeCache:
         entry = self._sets.get(set_index)
         return entry is not None and tag in entry[0]
 
+    def set_index(self, addr: int) -> int:
+        """The set the line containing ``addr`` maps to."""
+        return self._index_tag(addr)[0]
+
+    def set_occupancy(self, addr: int) -> int:
+        """Valid lines in the set the line containing ``addr`` maps to."""
+        entry = self._sets.get(self._index_tag(addr)[0])
+        return 0 if entry is None else sum(
+            tag is not None for tag in entry[0]
+        )
+
     def fill(self, addr: int) -> Optional[int]:
         """Bring the line containing ``addr`` in.
 

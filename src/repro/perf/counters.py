@@ -48,13 +48,8 @@ class PerfCounters:
             (statically ineligible configs count as fallback too);
             their sum is every trial the batched backend handled.
         batched_lanes_retired: Uop-lanes retired across all vectorized
-            chunks (a column retiring in L lanes counts L).
-        batched_partitions: Lockstep passes regrouped because shared
-            state would have become lane-dependent (a transient memory
-            access in some lanes only or at lane-varying addresses,
-            such as the persistent encode load under R); each group
-            re-ran as its own pass.  A lane-varying prediction alone
-            regroups nothing.
+            chunks (a column retiring in L lanes counts L).  Each chunk
+            runs one lockstep pass per hypothesis.
     """
 
     program_cache_hits: int = 0
@@ -72,7 +67,6 @@ class PerfCounters:
     batched_vector_trials: int = 0
     batched_fallback_trials: int = 0
     batched_lanes_retired: int = 0
-    batched_partitions: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """The counter values as a plain dict (JSON- and pickle-safe)."""

@@ -15,13 +15,10 @@ schedule is replicated exactly (one trial seed per lane), and anything
 the lockstep engine cannot prove schedule-exact and lane-uniform raises
 :class:`~repro.sim.lockstep.LaneDivergence`.  A per-trial draw the lanes
 disagree on (the R defense's window offsets) is a lane value, verified
-lane by lane, and splits nothing.  Only shared state that would become
-lane-dependent — a transient memory access in some lanes only or at
-lane-varying addresses — raises
-:class:`~repro.sim.lockstep.LanePartition`: the hypothesis's lanes
-re-run as one batch per group of agreeing lanes and the rows merge back
-in lane order, which is exact because a batch may hold any subset of a
-cell's trials.  Divergence — or *any*
+lane by lane, and a cache line or TLB page that only some lanes fill
+(the persistent encode load under R) is lane-private in the machine's
+overlay, so each hypothesis's chunk runs as one pass from the trial's
+start to its measurement.  Divergence — or *any*
 failure of the vectorized attempt — falls the whole chunk back to the
 scalar backend's canonical interleaved loop, so a genuine error
 reproduces with authentic scalar semantics and a benign divergence
@@ -34,7 +31,7 @@ is an observable fact, never a silent perf cliff.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.core.channels import ChannelType
 from repro.errors import BackendUnavailableError
@@ -154,10 +151,10 @@ class BatchedBackend:
         """One chunk, vectorized; any failure replays it on scalar."""
         indices = range(start, stop)
         try:
-            mapped_rows, mapped_totals = self._run_grouped(
+            mapped_rows, mapped_totals = self._run_batch(
                 runner, True, indices
             )
-            unmapped_rows, unmapped_totals = self._run_grouped(
+            unmapped_rows, unmapped_totals = self._run_batch(
                 runner, False, indices
             )
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -181,48 +178,19 @@ class BatchedBackend:
             COUNTERS.batched_lanes_retired += retired
         return list(zip(mapped_rows, unmapped_rows))
 
-    def _run_grouped(
-        self, runner: "AttackRunner", mapped: bool, indices: Sequence[int]
-    ) -> Tuple[List["TrialResult"], Tuple[int, int]]:
-        """One hypothesis's trials, regrouped on every lane partition.
-
-        Returns the rows in ``indices`` order and the passes' summed
-        ``(simulated cycles, retired)`` totals — counters,
-        not machines, so no sub-batch machine outlives its pass.  Each
-        group re-runs from the start and recurses on later partitions;
-        a one-lane batch never partitions, so the recursion ends.
-        """
-        try:
-            rows, machine = self._run_batch(runner, mapped, indices)
-        except self._lockstep.LanePartition as request:
-            COUNTERS.batched_partitions += 1
-            groups: Dict[Any, List[int]] = {}
-            for index, key in zip(indices, request.keys):
-                groups.setdefault(key, []).append(index)
-            by_index: Dict[int, "TrialResult"] = {}
-            totals = [0, 0]
-            for group in groups.values():
-                group_rows, group_totals = self._run_grouped(
-                    runner, mapped, group
-                )
-                by_index.update(zip(group, group_rows))
-                totals = [a + b for a, b in zip(totals, group_totals)]
-            cycles, retired = totals
-            return [by_index[i] for i in indices], (cycles, retired)
-        return rows, (machine.simulated_cycles, machine.total_retired)
-
     def _run_batch(
         self,
         runner: "AttackRunner",
         mapped: bool,
         indices: Sequence[int],
-    ) -> Tuple[List["TrialResult"], Any]:
+    ) -> Tuple[List["TrialResult"], Tuple[int, int]]:
         """All of one hypothesis's trials in the chunk, in lockstep.
 
         Lane ``k`` runs trial ``indices[k]`` under its scalar trial
-        seed.  Returns ``(rows, machine)``: one row per lane, in
-        ``indices`` order, and the finished machine whose totals feed
-        the counters.
+        seed.  Returns ``(rows, totals)``: one row per lane, in
+        ``indices`` order, and the pass's ``(simulated cycles,
+        retired)`` — counters, not the machine, so none outlives its
+        pass.
         """
         from repro.core.attack import TrialResult, attack_dram_config
 
@@ -274,4 +242,4 @@ class BatchedBackend:
             )
             for lane in range(len(seeds))
         ]
-        return rows, machine
+        return rows, (machine.simulated_cycles, machine.total_retired)

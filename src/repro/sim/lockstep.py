@@ -61,7 +61,8 @@ out-of-envelope machinery, keeping shared state lane-uniform:
   against may be a lane vector (the backing store's per-lane
   defaults).  Verification yields a per-lane mask: lanes that predicted
   right keep the early value-ready cycle, and only the others take the
-  squash stall and run the transient window.
+  squash stall and run the transient window.  A load that hits in L1 in
+  some lanes only consults the predictor in the others.
 * **Squash windows execute transiently, in the lanes that squash.**  A
   mispredicted load's younger window (up to the next FENCE) is replayed
   against a rename *overlay* seeded with the predicted value; each
@@ -69,13 +70,14 @@ out-of-envelope machinery, keeping shared state lane-uniform:
   an op is "issued" only when its issue cycle precedes the squash cycle
   in *every* lane of the window (a straddle diverges).  Lanes outside
   the window never count toward the issue-width and port guards.
-  Transient loads walk the real caches — the persistent channel's
-  footprint — and enqueue *masked* trainings (a lane trains only where
-  the load completed before the squash).  A transient load may itself
-  be predicted when its next trace entry is a FENCE: no younger op can
-  read that value, so it is only a training.  A transient op whose issue
-  never happens blocks all younger transient memory ops, exactly like
-  the scalar issue stage's ``memory_blocked``.
+  Transient loads walk the caches in the window's lanes, at each lane's
+  own address — the persistent channel's footprint — and enqueue
+  *masked* trainings (a lane trains only where the load completed
+  before the squash).  A transient load may itself be predicted when its
+  next trace entry is a FENCE: no younger op can read that value, so it
+  is only a training.  A transient op whose issue never happens blocks
+  all younger transient memory ops, exactly like the scalar issue
+  stage's ``memory_blocked``.
 * **The training ledger is masked and order-free.**  Pending trainings
   carry per-lane completion vectors, optional per-lane masks, and a
   sequence number; they apply in ``(completion, seq)`` order.  While
@@ -90,24 +92,28 @@ out-of-envelope machinery, keeping shared state lane-uniform:
   speculative load's fill waits for its speculation source's verify
   cycle; under InvisiSpec every load's fill waits for its retire
   cycle.  The engine records ``(cycle vector, paddr)`` events and
-  applies them to the shared hierarchy before every later structural
-  access whose issue is past the event in every lane (a straddle, or
-  a cross-lane reorder of two events, diverges).  A verification that
-  straddles a consumer's issue leaves a speculation source in some
-  lanes only; values and cycles carry that lane set along.
-* **One partition remains.**  A transient memory access that runs in
-  only some lanes, or at lane-varying addresses, would make the shared
-  caches and predictor lane-dependent; so would a load whose D-defense
-  source is unverified in some lanes only.  The engine raises
-  :class:`LanePartition` with one key per lane; the backend re-runs
-  each group of agreeing lanes as its own batch and merges the rows
-  back in lane order.  Exact by construction, since a batch may hold
-  any subset of a cell's trials.
+  applies them before every later structural access, in each lane
+  whose issue is past the event (lane-private while other lanes still
+  wait; a cross-lane reorder of two events diverges).  A verification
+  that straddles a consumer's issue leaves a speculation source in
+  some lanes only; values and cycles carry that lane set along, and a
+  load on it defers its fill in those lanes and fills now in the
+  others.
+* **Lane-private lines.**  An access that runs in some lanes only, or
+  at lane-varying addresses, fills lines (and TLB pages) that only some
+  lanes hold.  The shared caches and TLB keep what every lane holds; a
+  :class:`_Level` overlay per structure keeps each lane-private line's
+  lane mask, so later walks hit or miss per lane, and only the lanes
+  that miss draw L2 jitter or DRAM latency — each lane's draws stay
+  aligned with its scalar machine.  A set such an access touched no
+  longer has one recency order across lanes, so a fill that would
+  evict from it diverges.
 
 Everything the engine cannot prove lane-uniform or schedule-exact —
 stores, non-uniform main-pass addresses, a nested prediction a younger
-op could read, SMT co-runners, cycle-budget proximity — raises
-:class:`LaneDivergence` the same way.  Correctness never depends on
+op could read, post-split replicas that disagree on whether to predict,
+SMT co-runners, cycle-budget proximity — raises :class:`LaneDivergence`
+the same way.  Correctness never depends on
 the eligibility analysis being complete, only on these runtime guards
 being conservative.
 
@@ -129,7 +135,7 @@ import random
 import weakref
 from dataclasses import replace
 from typing import (
-    Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+    Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -142,6 +148,7 @@ from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import EA_MASK, _alu_compute
 from repro.vp.base import AccessKey, Prediction, ValuePredictor, trial_stream
+from repro.vp.indexing import IndexSource
 from repro.vp.nopred import NoPredictor
 from repro.vp.oracle import OracleTargetPredictor
 
@@ -170,61 +177,60 @@ class LaneDivergence(Exception):
     """
 
 
-class LanePartition(Exception):
-    """The lanes agree up to an event that would split shared state.
-
-    Raised when a transient memory access runs in only some lanes or
-    at lane-varying addresses, when a load's D-defense speculation
-    source is unverified in only some lanes, or when post-split
-    replicas disagree on whether to predict.  ``keys[k]`` is lane
-    ``k``'s outcome; lanes with equal keys run on together in a
-    sub-batch.  Like :class:`LaneDivergence`, internal control flow of
-    the batched backend.
-    """
-
-    def __init__(self, keys: Sequence[Hashable]) -> None:
-        super().__init__("lanes disagree on shared state")
-        self.keys = list(keys)
-
-
 class _LaneStream:
     """One randomising wrapper's per-lane streams behind one ``randint``.
 
-    Each lane draws from its own trial's stream.  A draw every lane
-    agrees on is an int; a split one is a lane value of uint64
-    two's-complement offsets, so a wrapper's ``(value + offset) & mask``
-    stays exact mod 2**64 in every lane.
+    Each lane draws from its own trial's stream, and only while it
+    consults the predictor: ``active`` is None when every lane does,
+    else the mask of those that do.  A draw every such lane agrees on is
+    an int; a split one is a lane value of uint64 two's-complement
+    offsets, so a wrapper's ``(value + offset) & mask`` stays exact mod
+    2**64 in every lane (the other lanes hold a placeholder).
     """
 
-    __slots__ = ("rngs",)
+    __slots__ = ("rngs", "active")
 
     def __init__(self, rngs: List[random.Random]) -> None:
         self.rngs = rngs
+        self.active: Optional[np.ndarray] = None
 
     def randint(self, low: int, high: int) -> object:
-        draws = [rng.randint(low, high) for rng in self.rngs]
+        active = self.active
+        rngs = self.rngs if active is None else [
+            rng for rng, on in zip(self.rngs, active) if on
+        ]
+        draws = [rng.randint(low, high) for rng in rngs]
         head = draws[0]
         if all(draw == head for draw in draws):
             return head
-        return np.array(draws, dtype=np.int64).astype(np.uint64)
+        lanes = np.array(draws, dtype=np.int64)
+        if active is not None:
+            lanes = np.full(len(self.rngs), head, dtype=np.int64)
+            lanes[active] = draws
+        return lanes.astype(np.uint64)
 
 
 class _SplitPrediction:
     """Post-split replicas' predictions for one load, one per lane.
 
-    ``value`` is an int where every lane predicts the same value, else a
+    ``lanes[k]`` is None where lane ``k`` did not consult.  ``value`` is
+    an int where every consulting lane predicts the same value, else a
     uint64 lane vector; replica ``k`` trains with ``lanes[k]``, its own
     prediction.
     """
 
     __slots__ = ("value", "lanes")
 
-    def __init__(self, lanes: List[Prediction]) -> None:
+    def __init__(self, lanes: List[Optional[Prediction]]) -> None:
         self.lanes = lanes
-        head = lanes[0].value
+        values = [p.value for p in lanes if p is not None]
+        head = values[0]
         self.value: object = (
-            head if all(p.value == head for p in lanes)
-            else np.array([p.value for p in lanes], dtype=np.uint64)
+            head if all(value == head for value in values)
+            else np.array(
+                [head if p is None else p.value for p in lanes],
+                dtype=np.uint64,
+            )
         )
 
 
@@ -288,6 +294,30 @@ def _lanes_not(a: object) -> object:
     if isinstance(a, np.ndarray):
         return ~a
     return not a
+
+
+def _same_lanes(a: object, b: object) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return a is b
+
+
+def _lane_mask(a: object, lanes: int) -> np.ndarray:
+    """A lane set as a bool mask of ``lanes`` lanes."""
+    if isinstance(a, np.ndarray):
+        return a
+    return np.full(lanes, bool(a))
+
+
+def _reads_address(predictor: ValuePredictor) -> bool:
+    """Whether any link of a predictor chain indexes by data address."""
+    link: object = predictor
+    while link is not None:
+        index = getattr(link, "index_function", None)
+        if index is not None and index.source is not IndexSource.PC:
+            return True
+        link = getattr(link, "inner", None)
+    return False
 
 
 class _LaneMeasurement(Exception):
@@ -495,8 +525,8 @@ class _Col:
         #: issue leaves it a source in some lanes only.
         self.spec_col: Optional["_Col"] = None
         self.spec_lanes: object = False
-        #: True for loads that issued with a value prediction.
-        self.pred_load: bool = False
+        #: The lane set where a load issued with a value prediction.
+        self.pred_load: object = False
 
 
 class _Run:
@@ -637,25 +667,134 @@ class _PendingTrain:
 
 
 class _FillEvent:
-    """A cache/TLB fill deferred to a future per-lane cycle vector."""
+    """A cache/TLB fill deferred to a future per-lane cycle vector.
 
-    __slots__ = ("cycle", "paddr", "pid", "vaddr")
+    ``lanes`` is the lane set still waiting for it.
+    """
+
+    __slots__ = ("cycle", "paddr", "pid", "vaddr", "lanes")
 
     def __init__(
-        self, cycle: np.ndarray, paddr: int, pid: int, vaddr: int
+        self, cycle: np.ndarray, paddr: int, pid: int, vaddr: int,
+        lanes: object,
     ) -> None:
         self.cycle = cycle
         self.paddr = paddr
         self.pid = pid
         self.vaddr = vaddr
+        self.lanes = lanes
+
+
+class _Level:
+    """One shared cache (or the TLB) and the entries only some lanes hold.
+
+    The shared structure holds what every lane holds; ``private`` maps a
+    line (or page) present in some lanes only to its lane mask.  A set
+    that a lane-dependent access touched goes into ``sets``: its shared
+    recency order no longer speaks for every lane, so later accesses to
+    it take the per-lane path and a fill that would evict from it
+    diverges.  The hooks give the shared structure's presence test,
+    recency touch, fill, set of a key, valid entries in that set, and
+    associativity.
+    """
+
+    __slots__ = (
+        "name", "lanes", "ways", "private", "sets",
+        "_contains", "_touch", "_fill", "_slot", "_used",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        lanes: int,
+        ways: int,
+        contains: Callable[[Hashable], bool],
+        touch: Callable[[Hashable], object],
+        fill: Callable[[Hashable], object],
+        slot: Callable[[Hashable], Hashable],
+        used: Callable[[Hashable], int],
+    ) -> None:
+        self.name = name
+        self.lanes = lanes
+        self.ways = ways
+        self.private: Dict[Hashable, np.ndarray] = {}
+        self.sets: Set[Hashable] = set()
+        self._contains = contains
+        self._touch = touch
+        self._fill = fill
+        self._slot = slot
+        self._used = used
+
+    def clean(self, key: Hashable) -> bool:
+        """True while every lane agrees on ``key``'s set."""
+        return not self.sets or self._slot(key) not in self.sets
+
+    def present(self, key: Hashable) -> np.ndarray:
+        """The lanes that hold ``key``."""
+        if self._contains(key):
+            return np.ones(self.lanes, dtype=bool)
+        mask = self.private.get(key)
+        return np.zeros(self.lanes, dtype=bool) if mask is None else mask
+
+    def touch(self, key: Hashable, lanes: np.ndarray) -> None:
+        """A hit's recency update in ``lanes`` (which all hold ``key``)."""
+        if not lanes.any():
+            return
+        slot = self._slot(key)
+        if lanes.all() and slot not in self.sets:
+            self._touch(key)
+        else:
+            self.sets.add(slot)
+
+    def fill(self, key: Hashable, lanes: np.ndarray) -> None:
+        """Install ``key`` in ``lanes``; where present it only refreshes."""
+        if not lanes.any():
+            return
+        slot = self._slot(key)
+        if lanes.all() and slot not in self.sets:
+            # Every lane alike: the shared structure's fill is exact,
+            # eviction included.
+            self._fill(key)
+            return
+        self.sets.add(slot)
+        need = lanes & ~self.present(key)
+        if not need.any():
+            return
+        held = np.full(self.lanes, self._used(key), dtype=np.int64)
+        for other, mask in self.private.items():
+            if self._slot(other) == slot:
+                held += mask
+        if bool(np.any(held[need] >= self.ways)):
+            raise LaneDivergence(
+                f"a lane-private fill would evict from {self.name}"
+            )
+        mask = need | self.private.get(key, False)
+        if mask.all():
+            # Every lane holds it now; the shared set has a free way
+            # (the check above), so the shared fill evicts nothing.
+            self.private.pop(key, None)
+            self._fill(key)
+        else:
+            self.private[key] = mask
+
+    def discard(self, key: Hashable) -> None:
+        """Forget ``key`` in every lane (the shared side is invalidated
+        by the caller)."""
+        self.private.pop(key, None)
 
 
 class LockstepMachine:
     """Lockstep simulation of many same-program trials (one hypothesis).
 
+    Every lane of a cell's chunk runs in this one machine, from the
+    trial's start to its measurement: an access that would make the
+    caches or TLB lane-dependent fills lane-private entries of the
+    :class:`_Level` overlays instead of splitting the batch.
+
     Args:
         core_config: Effective core configuration (defense-adjusted).
-        memory_config: Effective memory configuration.
+        memory_config: Effective memory configuration; the hierarchy it
+            builds is shared by every lane, with the overlays on top.
         predictor: The shared value predictor chain.  Its state stays
             lane-uniform as long as every applied training is uniform;
             the first non-uniform training splits it into per-lane
@@ -684,6 +823,9 @@ class LockstepMachine:
         #: bumps an aggregate counter that never reaches a result), so
         #: non-uniform train values need no collapse and no lane split.
         self._train_value_blind = type(predictor) is NoPredictor
+        #: A predictor key carries one address; lanes may disagree on
+        #: it only where no link of the chain indexes by address.
+        self._keys_read_address = _reads_address(predictor)
         self.cycle = np.zeros(self.lanes, dtype=np.int64)
         self.simulated_cycles = 0
         self.total_retired = 0
@@ -713,6 +855,27 @@ class LockstepMachine:
         # :func:`~repro.vp.base.trial_stream` under ``seed_k``.
         self._rng_mem = [random.Random(s ^ 0xC0FFEE) for s in lane_seeds]
         self._rng_dram = [random.Random(s ^ 0x33) for s in lane_seeds]
+        # The lane-private overlays: TLB pages keyed (pid, page base),
+        # cache lines keyed by line address.
+        mem = self.mem
+        tlb = mem.tlb
+        self._tlb = _Level(
+            "the TLB", self.lanes, tlb.entries,
+            contains=lambda page: tlb.contains(*page),
+            touch=lambda page: tlb.access(*page),
+            fill=lambda page: tlb.access(*page),
+            slot=lambda page: 0,
+            used=lambda page: tlb.occupancy(),
+        )
+        self._l1, self._l2 = (
+            _Level(
+                cache.name, self.lanes, cache.ways,
+                contains=cache.contains, touch=cache.lookup,
+                fill=cache.fill, slot=cache.set_index,
+                used=cache.set_occupancy,
+            )
+            for cache in (mem.l1, mem.l2)
+        )
 
         def lane_stream(salt: int) -> _LaneStream:
             stream = _LaneStream(
@@ -724,11 +887,18 @@ class LockstepMachine:
         predictor.bind_streams(lane_stream)
 
     # -- value plumbing -------------------------------------------------
-    def _value_at(self, paddr: int) -> object:
-        """Architectural value at ``paddr``: shared write or lane default."""
+    def _value_at(self, paddr: object) -> object:
+        """Architectural value at ``paddr`` (an int or a lane vector):
+        shared write or lane default."""
         store = self.mem.store_values
-        if store.is_written(paddr):
-            return store.read(paddr)
+        if isinstance(paddr, np.ndarray):
+            values = _splitmix64_vec(paddr ^ self._lane_default_seeds)
+            for address in np.unique(paddr).tolist():
+                if store.is_written(address):
+                    values[paddr == address] = store.read(address)
+            return values
+        if store.is_written(paddr):  # type: ignore[arg-type]
+            return store.read(paddr)  # type: ignore[arg-type]
         return _splitmix64_vec(np.uint64(paddr) ^ self._lane_default_seeds)
 
     # -- per-lane latency draws ----------------------------------------
@@ -740,26 +910,23 @@ class LockstepMachine:
             count=self.lanes,
         )
 
-    def _draw_dram(self) -> np.ndarray:
-        """Per-lane DRAM latency, mirroring ``DramModel.access_latency``."""
+    def _dram_latency(self, rng: random.Random) -> int:
+        """One DRAM latency, mirroring ``DramModel.access_latency``."""
         config = self.mem.config.dram
-        base = config.base_latency
-        jitter = config.jitter
-        tail_extra = config.tail_extra
-        tail_probability = config.tail_probability
+        latency = config.base_latency
+        if config.jitter:
+            latency += rng.randint(0, config.jitter)
+        if config.tail_extra and rng.random() < config.tail_probability:
+            latency += config.tail_extra
+        return latency
 
-        def one(rng: random.Random) -> int:
-            latency = base
-            if jitter:
-                latency += rng.randint(0, jitter)
-            if tail_extra and rng.random() < tail_probability:
-                latency += tail_extra
-            return latency
-
-        out = np.empty(self.lanes, dtype=np.int64)
-        for lane, rng in enumerate(self._rng_dram):
-            out[lane] = one(rng)
-        return out
+    def _draw_dram(self) -> np.ndarray:
+        """Per-lane DRAM latency."""
+        return np.fromiter(
+            (self._dram_latency(rng) for rng in self._rng_dram),
+            dtype=np.int64,
+            count=self.lanes,
+        )
 
     def _load_access(self, pid: int, vaddr: int) -> Tuple[object, bool, int]:
         """The timed-load structural walk, with lane-vector latencies.
@@ -820,21 +987,156 @@ class LockstepMachine:
             latency = latency + self._draw_dram()
         return latency, False, paddr
 
+    # -- lane-private walks ----------------------------------------------
+    def _page(self, pid: int, vaddr: int) -> Tuple[int, int]:
+        size = self.mem.tlb.page_size
+        return pid, vaddr - vaddr % size
+
+    def _shared_only(
+        self, pid: int, vaddr: int, paddr: Optional[int] = None,
+    ) -> bool:
+        """True while every lane agrees on the TLB page and both cache
+        sets an access to ``vaddr`` touches."""
+        if not (self._tlb.sets or self._l1.sets or self._l2.sets):
+            return True
+        if paddr is None:
+            paddr = self.mem.translate(pid, vaddr)
+        line = line_address(paddr, self.mem.config.line_size)
+        return (
+            self._tlb.clean(self._page(pid, vaddr))
+            and self._l1.clean(line) and self._l2.clean(line)
+        )
+
+    def _walk(
+        self, pid: int, vaddr: object, lanes: object, fill: object,
+    ) -> Tuple[object, object, object]:
+        """The timed-load walk of ``MemorySystem.load`` in ``lanes``.
+
+        ``vaddr`` is an int or a lane vector; ``fill`` is the lane set
+        that takes the fill path, and the other lanes of ``lanes`` take
+        the ``fill=False`` one.  An access every lane makes alike, to
+        sets every lane agrees on, runs the shared walks above; any
+        other walks each address's lanes through the overlays (exact
+        for the first kind too, but slower).  Returns ``(latency,
+        l1_hit, paddr)``: the hit is a lane set, the latency and the
+        physical address an int or a lane vector (placeholders outside
+        ``lanes``).
+        """
+        if (
+            lanes is True and isinstance(fill, bool)
+            and not isinstance(vaddr, np.ndarray)
+            and self._shared_only(pid, vaddr)  # type: ignore[arg-type]
+        ):
+            if fill:
+                return self._load_access(pid, vaddr)  # type: ignore[arg-type]
+            return self._load_access_nofill(pid, vaddr)  # type: ignore[arg-type]
+        count = self.lanes
+        walking = _lane_mask(lanes, count)
+        filling = walking & _lane_mask(fill, count)
+        addrs = np.broadcast_to(np.asarray(vaddr, dtype=np.uint64), (count,))
+        latency = np.zeros(count, dtype=np.int64)
+        hit = np.zeros(count, dtype=bool)
+        paddrs = np.zeros(count, dtype=np.uint64)
+        for address in np.unique(addrs[walking]).tolist():
+            group = walking & (addrs == address)
+            paddr = self.mem.translate(pid, address)
+            self._walk_lanes(
+                pid, address, paddr, group, filling & group, latency, hit,
+            )
+            paddrs[group] = paddr
+        if not isinstance(vaddr, np.ndarray):
+            return latency, _lanes(hit), paddr
+        return latency, _lanes(hit), paddrs
+
+    def _walk_lanes(
+        self, pid: int, vaddr: int, paddr: int, lanes: np.ndarray,
+        fill: np.ndarray, latency: np.ndarray, hit: np.ndarray,
+    ) -> None:
+        """One address's walk in ``lanes``, stage for stage like
+        ``MemorySystem.load``; writes their latency and L1 hit."""
+        config = self.mem.config
+        page = self._page(pid, vaddr)
+        tlb_hit = self._tlb.present(page)
+        self._tlb.fill(page, fill)
+        line = line_address(paddr, config.line_size)
+        l1_hit = self._l1.present(line) & lanes
+        self._l1.touch(line, fill & l1_hit)
+        miss = lanes & ~l1_hit
+        l2_hit = self._l2.present(line) & miss
+        self._l2.touch(line, fill & l2_hit)
+        latency[lanes] = config.l1_hit_latency + np.where(
+            tlb_hit[lanes], 0, self.mem.tlb.walk_latency
+        )
+        latency[miss] += config.l2_hit_latency
+        # Each lane draws exactly where its scalar machine would.
+        if config.l2_jitter:
+            for lane in np.flatnonzero(l2_hit).tolist():
+                latency[lane] += self._rng_mem[lane].randint(
+                    0, config.l2_jitter
+                )
+        for lane in np.flatnonzero(miss & ~l2_hit).tolist():
+            latency[lane] += self._dram_latency(self._rng_dram[lane])
+        hit |= l1_hit
+        self._l2.fill(line, fill & miss)
+        self._l1.fill(line, fill & miss)
+
+    def _flush(self, pid: int, vaddr: int) -> None:
+        """``MemorySystem.flush`` in every lane, lane-private lines too."""
+        mem = self.mem
+        mem.flush(pid, vaddr)
+        line = line_address(mem.translate(pid, vaddr), mem.config.line_size)
+        self._l1.discard(line)
+        self._l2.discard(line)
+
+    def _key_address(self, addr: object, lanes: object) -> int:
+        """The one address a predictor key carries for ``lanes``.
+
+        The lanes may disagree on it only where no link of the chain
+        indexes by address (then the key's address is never read).
+        """
+        if not isinstance(addr, np.ndarray):
+            return addr  # type: ignore[return-value]
+        picked = addr if lanes is True else addr[lanes]  # type: ignore[index]
+        head = int(picked[0])
+        if self._keys_read_address and not bool(np.all(picked == head)):
+            raise LaneDivergence(
+                "lane-varying address indexes the value predictor"
+            )
+        return head
+
     # -- deferred fill events -------------------------------------------
     def _schedule_fill(
-        self, cycle: np.ndarray, paddr: int, pid: int, vaddr: int
+        self, cycle: np.ndarray, paddr: int, pid: int, vaddr: int,
+        lanes: object = True,
     ) -> None:
-        self._fill_events.append(_FillEvent(cycle, paddr, pid, vaddr))
+        self._fill_events.append(_FillEvent(cycle, paddr, pid, vaddr, lanes))
 
-    def _apply_fill_events(self, issue: Optional[np.ndarray]) -> None:
+    def _deferred_fill(self, event: _FillEvent, lanes: object) -> None:
+        """``MemorySystem.apply_deferred_fill`` in ``lanes``."""
+        if lanes is True and self._shared_only(
+            event.pid, event.vaddr, event.paddr
+        ):
+            self.mem.apply_deferred_fill(event.paddr, event.pid, event.vaddr)
+            return
+        mask = _lane_mask(lanes, self.lanes)
+        self._tlb.fill(self._page(event.pid, event.vaddr), mask)
+        line = line_address(event.paddr, self.mem.config.line_size)
+        self._l2.fill(line, mask)
+        self._l1.fill(line, mask)
+
+    def _apply_fill_events(
+        self, issue: Optional[np.ndarray], lanes: object = True,
+    ) -> None:
         """Apply every due deferred fill before an access at ``issue``.
 
-        A fill is due when its cycle precedes the access in every lane
-        (verify and commit both run before issue within a cycle, so
-        equality counts).  A fill due in some lanes only, or two due
-        fills whose order crosses between lanes, would evolve the
-        shared replacement state differently per lane — divergence.
-        ``issue=None`` (end of run) applies everything.
+        A fill is due in each accessing lane (of ``lanes``) that still
+        waits for it and whose issue is past its cycle (verify and
+        commit both run before issue within a cycle, so equality
+        counts).  It lands in those lanes — lane-private where the
+        others keep waiting — so each lane fills between the same two
+        of its accesses as its scalar machine.  Two due fills whose
+        order crosses in some lane diverge.  ``issue=None`` (end of
+        run) applies everything.
         """
         events = self._fill_events
         if not events:
@@ -842,30 +1144,30 @@ class LockstepMachine:
         remaining: List[_FillEvent] = []
         last_applied: Optional[np.ndarray] = None
         for event in events:
-            if issue is None:
-                due = True
-            else:
-                mask = event.cycle <= issue
-                if bool(np.all(mask)):
-                    due = True
-                elif not bool(np.any(mask)):
-                    due = False
-                else:
-                    raise LaneDivergence(
-                        "deferred fill straddles a memory access"
-                    )
-            if due:
-                if last_applied is not None and not bool(
-                    np.all(last_applied <= event.cycle)
-                ):
+            due = _lanes_and(event.lanes, lanes)
+            if issue is not None and due is not False:
+                due = _lanes_and(due, _lanes(event.cycle <= issue))
+            if due is False:
+                remaining.append(event)
+                continue
+            if last_applied is not None:
+                behind = last_applied > event.cycle
+                if due is not True:
+                    behind &= due  # type: ignore[operator]
+                if bool(np.any(behind)):
                     raise LaneDivergence(
                         "deferred fills reorder across lanes"
                     )
-                self.mem.apply_deferred_fill(
-                    event.paddr, event.pid, event.vaddr
-                )
+            self._deferred_fill(event, due)
+            if due is True:
                 last_applied = event.cycle
             else:
+                last_applied = np.where(
+                    due, event.cycle,  # type: ignore[arg-type]
+                    _INT64_MIN if last_applied is None else last_applied,
+                )
+            event.lanes = _lanes_and(event.lanes, _lanes_not(due))
+            if event.lanes is not False:
                 remaining.append(event)
         self._fill_events = remaining
 
@@ -906,7 +1208,9 @@ class LockstepMachine:
         if self._applied_max is None:
             self._applied_max = np.full(self.lanes, -1, dtype=np.int64)
 
-    def _apply_due_shared(self, issue: Optional[np.ndarray]) -> None:
+    def _apply_due_shared(
+        self, issue: Optional[np.ndarray], lanes: object = True,
+    ) -> None:
         """Apply due trainings to the one shared predictor, in order.
 
         The scalar core verifies/trains in ``(complete_cycle, seq)``
@@ -914,7 +1218,9 @@ class LockstepMachine:
         first by that order across lanes *and* uniformly due.  Any
         ambiguity — crossing completions, a straddling mask, a
         non-uniform trained value — forks the predictor per lane
-        (:meth:`_begin_split`) instead of guessing.
+        (:meth:`_begin_split`) instead of guessing.  Only the consulting
+        ``lanes`` know their issue cycle, so a training due there while
+        other lanes do not consult is a straddle too.
         """
         while self._split is None:
             pending = [
@@ -946,6 +1252,8 @@ class LockstepMachine:
                 return
             if issue is not None:
                 due = first.complete <= issue
+                if lanes is not True:
+                    due &= lanes  # type: ignore[operator]
                 if not bool(np.any(due)):
                     return
                 if not bool(np.all(due)):
@@ -981,14 +1289,19 @@ class LockstepMachine:
             )
             self._pending_trains.remove(first)
 
-    def _apply_due_split(self, issue: Optional[np.ndarray]) -> None:
-        """Per-lane replay of due trainings in (complete, seq) order."""
+    def _apply_due_split(
+        self, issue: Optional[np.ndarray], lanes: object = True,
+    ) -> None:
+        """Per-lane replay of due trainings in (complete, seq) order, in
+        the consulting ``lanes``."""
         pending = self._pending_trains
         if not pending:
             return
         replicas = self._split
         assert replicas is not None and self._applied_max is not None
         for lane in range(self.lanes):
+            if lanes is not True and not lanes[lane]:  # type: ignore[index]
+                continue
             todo = [
                 train for train in pending
                 if train.done is not None and not train.done[lane]
@@ -1035,13 +1348,17 @@ class LockstepMachine:
             link = link.inner  # type: ignore[attr-defined]
         return None
 
-    def _apply_due(self, issue: Optional[np.ndarray]) -> None:
+    def _apply_due(
+        self, issue: Optional[np.ndarray], lanes: object = True,
+    ) -> None:
         if self._split is None:
-            self._apply_due_shared(issue)
+            self._apply_due_shared(issue, lanes)
         if self._split is not None:
-            self._apply_due_split(issue)
+            self._apply_due_split(issue, lanes)
 
-    def _consult_predictor(self, key: AccessKey, issue: np.ndarray) -> object:
+    def _consult_predictor(
+        self, key: AccessKey, issue: np.ndarray, lanes: object = True,
+    ) -> object:
         """Predict for a VPS-engaged load, applying due trainings first.
 
         The scalar core trains at each load's completion cycle and
@@ -1052,23 +1369,47 @@ class LockstepMachine:
         applied *after* this issue in some lane means that lane's
         scalar machine would not have seen it yet.
 
-        Returns None, a :class:`Prediction` (whose value may be a lane
-        vector) or, after a split, a :class:`_SplitPrediction`.
+        Only ``lanes`` consult (the others hit in L1 or run no squash
+        window): the shared chain's random streams draw in them alone,
+        and its other side effects are stats no result reads.  Returns
+        None, a :class:`Prediction` (whose value may be a lane vector)
+        or, after a split, a :class:`_SplitPrediction`; post-split
+        replicas that disagree on whether to predict diverge.
         """
-        self._apply_due(issue)
-        if self._applied_max is not None and bool(
-            np.any(self._applied_max > issue)
-        ):
-            raise LaneDivergence("train/predict order differs across lanes")
+        self._apply_due(issue, lanes)
+        if self._applied_max is not None:
+            late = self._applied_max > issue
+            if lanes is not True:
+                late &= lanes  # type: ignore[operator]
+            if bool(np.any(late)):
+                raise LaneDivergence(
+                    "train/predict order differs across lanes"
+                )
         if self._split is not None:
             predictions = [
-                replica.predict(key) for replica in self._split
+                replica.predict(key)
+                if lanes is True or lanes[lane] else None  # type: ignore[index]
+                for lane, replica in enumerate(self._split)
             ]
-            predicting = [p is not None for p in predictions]
-            if any(predicting) and not all(predicting):
-                raise LanePartition(predicting)
-            return _SplitPrediction(predictions) if predicting[0] else None
-        return self.predictor.predict(key)
+            predicting = {
+                prediction is not None
+                for lane, prediction in enumerate(predictions)
+                if lanes is True or lanes[lane]  # type: ignore[index]
+            }
+            if len(predicting) > 1:
+                raise LaneDivergence(
+                    "post-split replicas disagree on whether to predict"
+                )
+            return _SplitPrediction(predictions) if True in predicting else None
+        if lanes is True:
+            return self.predictor.predict(key)
+        for stream in self._lane_streams:
+            stream.active = lanes  # type: ignore[assignment]
+        try:
+            return self.predictor.predict(key)
+        finally:
+            for stream in self._lane_streams:
+                stream.active = None
 
     def drain_trains(self) -> None:
         """Apply every still-pending training (end of the measured code).
@@ -1175,8 +1516,10 @@ class LockstepMachine:
                 producer = rename.get(reg)
                 if producer is None:
                     continue
-                if producer.pred_load:
-                    note(producer, unverified(producer, issue))
+                if producer.pred_load is not False:
+                    note(producer, _lanes_and(
+                        producer.pred_load, unverified(producer, issue),
+                    ))
                 if producer.spec_col is not None:
                     # Where the producer is itself a live prediction,
                     # the younger producer wins below anyway.
@@ -1338,15 +1681,15 @@ class LockstepMachine:
             main pass never sees — the post-squash refetch re-executes
             the same trace entries architecturally.  Side effects that
             survive the squash — cache/TLB walks of issued loads, and
-            their masked trainings — land on the shared structures and
-            the ledger.
+            their masked trainings — land on the caches (lane-private
+            where the lanes differ) and the ledger.
 
             ``window`` is None when every lane squashes, else the mask
             of the lanes that do.  The others verified correct and never
             run this window: their rows here are placeholders the main
             pass overwrites, the issue-width and port guards never count
-            them, and a transient memory access that runs in only some
-            lanes partitions the batch.
+            them, and a transient memory access walks, consults and
+            trains in the window's lanes alone.
             """
             squash_c = load_col.C
             assert squash_c is not None
@@ -1429,8 +1772,10 @@ class LockstepMachine:
                     producer = rename.get(reg)
                     if producer is None:
                         continue
-                    if producer.pred_load:
-                        taint = _lanes_or(taint, unverified(producer, issue))
+                    if producer.pred_load is not False:
+                        taint = _lanes_or(taint, _lanes_and(
+                            producer.pred_load, unverified(producer, issue),
+                        ))
                     if producer.spec_col is not None:
                         taint = _lanes_or(taint, _lanes_and(
                             producer.spec_lanes,
@@ -1573,53 +1918,30 @@ class LockstepMachine:
                         t_tainted(sinstr.source_registers(), issue)
                         if need_taint else False
                     )
-                    if (
-                        outside is not None
-                        or isinstance(addr, np.ndarray)
-                        or isinstance(taint, np.ndarray)
-                    ):
-                        # Shared caches and predictor state stay exact
-                        # only for an access every lane makes alike.
-                        addrs = np.broadcast_to(addr, (lanes,))
-                        taints = np.broadcast_to(taint, (lanes,))
-                        keys = [
-                            None if outside is not None and outside[k]
-                            else (int(addrs[k]), bool(taints[k]))
-                            for k in range(lanes)
-                        ]
-                        if outside is not None or len(set(keys)) > 1:
-                            raise LanePartition(keys)
-                        addr, taint = keys[0]  # type: ignore[misc]
-                    self._apply_fill_events(issue)
-                    nofill = config.invisispec or (
-                        config.delay_speculative_fills and taint
-                    )
                     # The transient walk is the attack's persistent
                     # footprint: a fill survives the squash; deferred
                     # (D) and invisible (InvisiSpec) fills never land
                     # because the load never verifies nor retires.
-                    if nofill:
-                        latency, l1_hit, paddr = self._load_access_nofill(
-                            pid, addr
-                        )
-                    else:
-                        latency, l1_hit, paddr = self._load_access(pid, addr)
+                    # Lanes that walk alike share it; the others fill
+                    # lane-private lines.
+                    access: object = True if window is None else window
+                    fill = False if config.invisispec else _lanes_and(
+                        access, _lanes_not(taint)
+                    )
+                    self._apply_fill_events(issue, access)
+                    latency, l1_hit, paddr = self._walk(
+                        pid, addr, access, fill
+                    )
                     value = self._value_at(paddr)
                     done = issue + latency
-                    key: Optional[AccessKey] = None
-                    nested: object = None
-                    if l1_hit:
-                        if config.train_on_hit or config.predict_on_hit:
-                            key = AccessKey(pc=spec.pc, addr=addr, pid=pid)
-                            if (
-                                config.predict_on_hit
-                                and config.value_prediction
-                            ):
-                                nested = self._consult_predictor(key, issue)
-                    else:
-                        key = AccessKey(pc=spec.pc, addr=addr, pid=pid)
-                        if config.value_prediction:
-                            nested = self._consult_predictor(key, issue)
+                    keyed, asks = self._vps_lanes(access, l1_hit)
+                    key = AccessKey(
+                        pc=spec.pc, addr=self._key_address(addr, keyed),
+                        pid=pid,
+                    ) if keyed is not False else None
+                    nested = self._consult_predictor(
+                        key, issue, asks,  # type: ignore[arg-type]
+                    ) if asks is not False else None
                     if nested is not None and (
                         n == trace_length
                         or trace[n].instruction.op is not Opcode.FENCE
@@ -1635,8 +1957,12 @@ class LockstepMachine:
                         # The VPS observes the value only in lanes
                         # where the load completed strictly before the
                         # squash (ties verify the older trigger first).
+                        self._check_trained_lanes(nested, asks, keyed)
+                        mask = done < squash_c
+                        if keyed is not True:
+                            mask &= keyed  # type: ignore[operator]
                         self._enqueue_train(
-                            key, value, nested, done, mask=done < squash_c
+                            key, value, nested, done, mask=mask
                         )
                     if dreg is not None:
                         overlay[dreg] = (done, value, taint)
@@ -1704,7 +2030,7 @@ class LockstepMachine:
                 )
                 if op is Opcode.FLUSH:
                     self._apply_fill_events(issue)
-                    self.mem.flush(pid, addr)
+                    self._flush(pid, addr)
                     col.VR = col.C = issue + self.mem.config.flush_latency
                     col.R = retire_cycle(col.C)
                 else:
@@ -1799,48 +2125,42 @@ class LockstepMachine:
         """
         config = self.config
         invisi = config.invisispec
-        defer = (
-            not invisi
-            and config.delay_speculative_fills
-            and spec_col is not None
+        # Under D, the fill waits for the speculation source's verify
+        # in the lanes where the source is live, and lands now in the
+        # others.
+        defer: object = (
+            spec_lanes if not invisi and config.delay_speculative_fills
+            and spec_col is not None else False
         )
-        if defer:
+        if defer is not False:
             assert spec_col is not None
-            if spec_lanes is not True:
-                # Deferred in some lanes, filled now in the others: the
-                # caches would differ per lane.
-                raise LanePartition(spec_lanes.tolist())  # type: ignore[attr-defined]
             if spec_col.spec_col is not None:
                 # The scalar core re-keys the deferred fill to the
                 # grandparent prediction at verify time; model the
                 # common flat case only.
                 raise LaneDivergence("nested speculative fill deferral")
         self._apply_fill_events(issue)
-        if invisi or defer:
-            latency, l1_hit, paddr = self._load_access_nofill(pid, addr)
-        else:
-            latency, l1_hit, paddr = self._load_access(pid, addr)
+        latency, l1_hit, paddr = self._walk(
+            pid, addr, True, False if invisi else _lanes_not(defer),
+        )
         value = self._value_at(paddr)
         col.spec_col, col.spec_lanes = spec_col, spec_lanes
         done = issue + latency
         col.C = done
 
-        key: Optional[AccessKey] = None
-        prediction: object = None
-        if l1_hit:
-            if config.train_on_hit or config.predict_on_hit:
-                key = AccessKey(pc=pc, addr=addr, pid=pid)
-                if config.predict_on_hit and config.value_prediction:
-                    # Footnote 2's non-load-based VPS: hits predict too,
-                    # and mispredicted hits still squash.
-                    prediction = self._consult_predictor(key, issue)
-            early_vr = np.minimum(issue + config.predict_latency, done)
-        else:
-            # L1 miss: the Value Prediction System is engaged.
-            key = AccessKey(pc=pc, addr=addr, pid=pid)
-            if config.value_prediction:
-                prediction = self._consult_predictor(key, issue)
-            early_vr = issue + config.predict_latency
+        # L1 misses engage the Value Prediction System; hits only under
+        # footnote 2's non-load-based VPS (``predict_on_hit``), where
+        # mispredicted hits still squash.
+        keyed, asks = self._vps_lanes(True, l1_hit)
+        key = AccessKey(pc=pc, addr=addr, pid=pid)
+        prediction = self._consult_predictor(
+            key, issue, asks
+        ) if asks is not False else None
+        early_vr = issue + config.predict_latency
+        if l1_hit is True:
+            early_vr = np.minimum(early_vr, done)
+        elif l1_hit is not False:
+            early_vr = np.where(l1_hit, np.minimum(early_vr, done), early_vr)
         col.result = value
         squash: object = False
         if prediction is None:
@@ -1849,33 +2169,59 @@ class LockstepMachine:
             # Verification, per lane: the predicted value, the loaded
             # value, or both may be lane vectors.  Lanes that predicted
             # right saw the value early; the others squash.
-            col.pred_load = True
+            self._check_trained_lanes(prediction, asks, keyed)
+            col.pred_load = asks
             wrong = prediction.value != value  # type: ignore[attr-defined]
-            squash = (
+            squash = _lanes_and(asks, (
                 _lanes(wrong) if isinstance(wrong, np.ndarray)
                 else bool(wrong)
+            ))
+            right = _lanes_and(asks, _lanes_not(squash))
+            col.VR = (
+                early_vr if right is True else done if right is False
+                else np.where(right, early_vr, done)  # type: ignore[arg-type]
             )
-            if squash is False:
-                col.VR = early_vr
-            elif squash is True:
-                col.VR = done
-            else:
-                col.VR = np.where(squash, done, early_vr)
-        if key is not None:
-            self._enqueue_train(key, value, prediction, done)
+        if keyed is not False:
+            self._enqueue_train(
+                key, value, prediction, done,
+                mask=None if keyed is True else keyed,  # type: ignore[arg-type]
+            )
         col.R = retire_cycle(col.C)
         if invisi:
             # InvisiSpec: every load re-fills at its retire.
             self._schedule_fill(col.R, paddr, pid, addr)
-        elif defer:
+        elif defer is not False:
             # D defense: the fill lands when the speculation source
             # verifies (correct — a mispredicting source would have
             # squashed this load into a transient).
             assert spec_col is not None and spec_col.C is not None
-            self._schedule_fill(spec_col.C, paddr, pid, addr)
+            self._schedule_fill(spec_col.C, paddr, pid, addr, defer)
         if squash is False:
             return False, None, None
         return squash, prediction.value, early_vr  # type: ignore[attr-defined]
+
+    def _vps_lanes(
+        self, lanes: object, l1_hit: object,
+    ) -> Tuple[object, object]:
+        """Of the accessing ``lanes``: those whose load the VPS observes
+        (it trains at completion) and those that consult it."""
+        config = self.config
+        miss = _lanes_and(lanes, _lanes_not(l1_hit))
+        keyed = lanes if config.train_on_hit or config.predict_on_hit else miss
+        asks: object = False
+        if config.value_prediction:
+            asks = lanes if config.predict_on_hit else miss
+        return keyed, asks
+
+    @staticmethod
+    def _check_trained_lanes(
+        prediction: object, asks: object, keyed: object,
+    ) -> None:
+        """A prediction trains as one with every lane it trains in."""
+        if prediction is not None and not _same_lanes(asks, keyed):
+            raise LaneDivergence(
+                "a load predicted in only some of the lanes it trains in"
+            )
 
     # -- guards ---------------------------------------------------------
     def _check_oversubscription(

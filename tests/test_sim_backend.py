@@ -87,6 +87,22 @@ def _runner(variant, backend, *, channel=ChannelType.TIMING_WINDOW,
     ))
 
 
+def counting_builds(patch):
+    """Count ``LockstepMachine`` constructions, one per lockstep pass,
+    under a ``MonkeyPatch``; returns the growing list of builds."""
+    from repro.sim import lockstep
+
+    builds = []
+    init = lockstep.LockstepMachine.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    patch.setattr(lockstep.LockstepMachine, "__init__", counting)
+    return builds
+
+
 def _stream(runner, start=0, stop=None):
     """The (measurement, sim_cycles) pair stream for a trial range."""
     stop = runner.config.n_runs if stop is None else stop
@@ -522,59 +538,56 @@ def test_runtime_divergence_journals_reason():
     }
 
 
-def test_r_cells_partition_only_on_transient_encode_loads():
-    """R cells journal nothing.  A lane that predicts right skips the
-    squash window, so on the timing channel the batch never splits;
-    on the persistent channel the window's encode load runs in some
-    lanes only, or at lane-varying addresses, and partitions."""
-    from repro.perf.counters import COUNTERS, PerfCounters
-
+def test_r_cells_run_in_one_pass():
+    """R cells run each hypothesis's chunk as one lockstep pass, on
+    both channels.  A lane that predicts right skips the squash window;
+    on the persistent channel the window's encode load runs in the
+    other lanes only, at lane-varying addresses, and fills lines that
+    those lanes alone hold, so nothing regroups the lanes."""
     variant = variant_by_name("Train + Test")
-    clear_fallback_journal()
-    partitions = {}
     for channel in (ChannelType.TIMING_WINDOW, ChannelType.PERSISTENT):
-        before = COUNTERS.snapshot()
-        _stream(_runner(variant, "batched", defense="R", channel=channel))
-        delta = PerfCounters.delta(before, COUNTERS.snapshot())
-        assert delta.get("batched_fallback_trials", 0) == 0
-        partitions[channel] = delta.get("batched_partitions", 0)
-    assert fallback_journal() == []
-    assert partitions[ChannelType.TIMING_WINDOW] == 0
-    assert partitions[ChannelType.PERSISTENT] > 0
+        scalar = _stream(_runner(variant, "scalar", defense="R",
+                                 channel=channel))
+        clear_fallback_journal()
+        with pytest.MonkeyPatch.context() as patch:
+            builds = counting_builds(patch)
+            batched = _stream(_runner(variant, "batched", defense="R",
+                                      channel=channel))
+        assert batched == scalar
+        assert fallback_journal() == []
+        assert len(builds) == 2, channel
 
 
 def test_defense_matrix_fallbacks_are_pinned():
     """The benchmark's 180 defended cells vectorize outright: nothing
-    is journaled, and one pass makes at most one partition per
-    hypothesis of a persistent R cell (36), none elsewhere.
+    is journaled, and every hypothesis of every chunk is one lockstep
+    pass — 360 machines for the 180 one-chunk cells at n_runs=10, R
+    cells included.
 
     The scalar replay keeps results identical, so a guard the engine
     newly trips would otherwise show only as lost speed.
     """
     from repro.cli import parse_defense
     from repro.harness.experiment import run_cell
-    from repro.perf.counters import COUNTERS
 
     cells = list(_matrix_cases())
     assert len(cells) == 180
     journals = {}
-    partitions = {}
-    for variant, channel, spec, predictor in cells:
-        cell = f"{variant.name}/{channel.value}/{spec}/{predictor}"
-        clear_fallback_journal()
-        before = COUNTERS.batched_partitions
-        run_cell(variant, channel, predictor, 10, 0,
-                 defense=parse_defense(spec), backend="batched")
-        if fallback_journal():
-            journals[cell] = fallback_journal()
-        if COUNTERS.batched_partitions > before:
-            partitions[cell] = COUNTERS.batched_partitions - before
+    passes = {}
+    with pytest.MonkeyPatch.context() as patch:
+        builds = counting_builds(patch)
+        for variant, channel, spec, predictor in cells:
+            cell = f"{variant.name}/{channel.value}/{spec}/{predictor}"
+            clear_fallback_journal()
+            before = len(builds)
+            run_cell(variant, channel, predictor, 10, 0,
+                     defense=parse_defense(spec), backend="batched")
+            if fallback_journal():
+                journals[cell] = fallback_journal()
+            passes[cell] = len(builds) - before
     assert journals == {}
-    assert sum(partitions.values()) <= 36
-    assert all(
-        "/persistent/R[" in cell and count <= 2
-        for cell, count in partitions.items()
-    ), partitions
+    assert len(builds) == 360
+    assert set(passes.values()) == {2}, passes
 
 
 def test_injected_divergence_falls_back_then_genuine_errors_reraise(
