@@ -40,6 +40,7 @@ from repro.defenses import (
 )
 from repro.errors import ReproError
 from repro.harness import (
+    PROFILES,
     figure5_panels,
     figure7_report,
     figure7_result,
@@ -516,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--max-retries", type=int, default=None,
                         help="supervise the cell: retries per cell")
     attack.add_argument("--fault-profile", default=None,
-                        help="inject faults, e.g. crash, dram-noise, chaos")
+                        choices=sorted(PROFILES),
+                        help="inject faults (robustness testing)")
     attack.add_argument(
         "--strict-preflight", action="store_true",
         help="treat any static/dynamic verdict disagreement as a hard "
@@ -647,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--max-retries", type=int, default=2,
                             help="per-cell retries before giving up")
     everything.add_argument(
-        "--fault-profile", default=None,
-        help="inject faults (robustness testing), e.g. crash, chaos",
+        "--fault-profile", default=None, choices=sorted(PROFILES),
+        help="inject faults (robustness testing)",
     )
     everything.add_argument(
         "--workers", type=int, default=None,

@@ -8,10 +8,14 @@ fault profile)`` inputs:
 * trial seeds derive only from the cell's base seed and trial index;
 * fault-injection draws are keyed by ``(profile, seed, cell_id,
   attempt)`` (order-independent by construction, see
-  :mod:`repro.harness.faults`);
+  :mod:`repro.harness.faults`), and they only decide which attempt
+  crashes or which dispatch dies: no fault perturbs a measurement;
 * retry reseeding mixes in the cell id
   (:func:`repro.harness.runner.cell_seed_index`), so retry streams do
   not depend on which cells ran before.
+
+So a retried cell's result is the clean run at the seed its successful
+attempt recorded.
 
 Cells can therefore execute in any order, in any process, and produce
 byte-identical journal payloads.  This module exploits that: it shards

@@ -174,7 +174,10 @@ def run_all(
             by a previous (interrupted) run with the same parameters.
         max_retries: Per-cell retries of the default policy.
         fault_profile_name: Optional fault profile to inject (mainly
-            for robustness testing of the harness itself).
+            for robustness testing of the harness itself).  Any profile
+            but ``none`` is recorded in the checkpoint manifest (not in
+            artifact metadata), so a ``--resume`` across profiles is
+            rejected.
         policy: Full execution policy; overrides ``max_retries``.
         checkpoint_dir: Journal location; default
             ``<out_dir>/checkpoint``.
@@ -220,7 +223,9 @@ def run_all(
 
     Raises:
         HarnessError: For unknown artifact names, a missing out_dir,
-            or a resume against an incompatible checkpoint.
+            a worker count below 1, or a resume against an incompatible
+            checkpoint.
+        FaultInjectionError: For an unknown fault profile name.
     """
     if not os.path.isdir(out_dir):
         raise HarnessError(f"output directory {out_dir!r} does not exist")
@@ -229,6 +234,9 @@ def run_all(
     for name in chosen:
         if name not in known:
             raise HarnessError(f"unknown artifact {name!r}; choose from {known}")
+    if workers is not None and workers < 1:
+        raise HarnessError(f"workers must be >= 1, got {workers}")
+    profile = fault_profile(fault_profile_name) if fault_profile_name else None
 
     written: Dict[str, str] = {}
     meta: Dict[str, object] = {
@@ -247,12 +255,14 @@ def run_all(
     executor: Optional[ResilientExecutor] = None
     processed: List[SupervisedCell] = []
     if supervised_chosen:
+        manifest = dict(meta)
+        if profile is not None and profile.name != "none":
+            # In the manifest only: artifact meta keeps its bytes, and
+            # the compatibility check rejects a resume across profiles.
+            manifest["fault_profile"] = profile.name
         store = CheckpointStore.open(
             checkpoint_dir or os.path.join(out_dir, "checkpoint"),
-            meta, resume=resume,
-        )
-        profile = (
-            fault_profile(fault_profile_name) if fault_profile_name else None
+            manifest, resume=resume,
         )
         injector = (
             FaultInjector(profile, seed=seed) if profile is not None else None
@@ -279,10 +289,6 @@ def run_all(
         effective_workers = (
             workers if workers is not None else default_workers()
         )
-        if effective_workers < 1:
-            raise HarnessError(
-                f"workers must be >= 1, got {effective_workers}"
-            )
         if effective_workers > 1:
             # Parallel prefill: shard the supervised cells across a
             # process pool, journaling through the store (single

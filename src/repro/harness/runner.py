@@ -30,8 +30,11 @@ through one protocol, :func:`run_sequential_cell`, and
 
 Every cell carries a **failure classification** into its artifact
 record: ``clean`` (first attempt, no intervention), ``retried``
-(recovered after retries or escalation), ``degraded`` (produced a
-result with weakened guarantees) or ``failed`` (no result).
+(recovered after retries or escalation), ``degraded`` (a result whose
+p-value stayed inconclusive after every extension) or ``failed`` (no
+result).  A retried cell's result is a pure function of the seed its
+successful attempt recorded: injected faults crash attempts, they
+never perturb a measurement.
 """
 
 from __future__ import annotations
@@ -40,15 +43,11 @@ import copy
 import functools
 import re
 import zlib
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.attack import (
-    AttackRunner,
-    ExperimentResult,
-    make_predictor,
-)
+from repro.core.attack import AttackRunner, ExperimentResult
 from repro.core.channels import ChannelType
 from repro.core.model import AttackCategory
 from repro.core.variants import ALL_VARIANTS, AttackVariant
@@ -63,7 +62,6 @@ from repro.harness.checkpoint import (
 from repro.harness.faults import FaultInjector
 from repro.memory.hierarchy import MemoryConfig
 from repro.perf.counters import COUNTERS
-from repro.stats.distributions import TimingDistribution
 from repro.stats.sequential import (
     DEFAULT_LOOK_FRACTIONS,
     GroupSequentialTest,
@@ -71,7 +69,6 @@ from repro.stats.sequential import (
     SequentialDesign,
     default_looks,
 )
-from repro.stats.summary import DistributionComparison
 from repro.stats.ttest import ALPHA
 
 
@@ -645,8 +642,6 @@ class ResilientExecutor:
         under :attr:`ExecutionPolicy.sequential` with that policy's
         interim looks, otherwise with the one-look fixed-N design.
         Either way an inconclusive cell extends its sample in place.
-        Injected sample faults drop or duplicate samples after the
-        measurement, so escalation is decided on the simulated sample.
         """
         from repro.harness.experiment import cell_runner
 
@@ -654,69 +649,22 @@ class ResilientExecutor:
             cell_id, variant, channel, predictor, overrides
         )
 
-        injector = self.injector
         seq_policy = self.policy.sequential
-
-        def build_kwargs(seed_now: int) -> Tuple[Dict[str, object], object]:
-            kwargs = dict(overrides)
-            if self.policy.max_trial_cycles is not None:
-                kwargs.setdefault(
-                    "max_trial_cycles", self.policy.max_trial_cycles
-                )
-            if self.policy.backend is not None:
-                kwargs.setdefault("backend", self.policy.backend)
-            predictor_arg: object = predictor
-            if injector is not None:
-                if injector.profile.perturbs_dram:
-                    memory_config = kwargs.get("memory_config")
-                    if memory_config is None:
-                        from repro.core.attack import attack_dram_config
-                        memory_config = MemoryConfig(
-                            dram=attack_dram_config()
-                        )
-                    kwargs["memory_config"] = dc_replace(
-                        memory_config,
-                        dram=injector.perturb_dram(memory_config.dram),
-                    )
-                if injector.profile.vp_corrupt_rate:
-                    def corrupting_factory(confidence: int):
-                        return injector.wrap_predictor(
-                            make_predictor(predictor, confidence),
-                            cell_id, seed_now,
-                        )
-                    # Preserve the reported predictor name.
-                    corrupting_factory.__name__ = predictor
-                    predictor_arg = corrupting_factory
-            return kwargs, predictor_arg
+        kwargs = dict(overrides)
+        if self.policy.max_trial_cycles is not None:
+            kwargs.setdefault("max_trial_cycles", self.policy.max_trial_cycles)
+        if self.policy.backend is not None:
+            kwargs.setdefault("backend", self.policy.backend)
 
         def attempt_fn(seed_now: int, n_runs_now: int) -> SequentialOutcome:
-            kwargs, predictor_arg = build_kwargs(seed_now)
             runner = cell_runner(
-                variant, channel, predictor_arg, n_runs_now, seed_now,
-                **kwargs,
+                variant, channel, predictor, n_runs_now, seed_now, **kwargs,
             )
             if seq_policy is None:
                 design = SequentialDesign(looks=(n_runs_now,))
             else:
                 design = seq_policy.design_for(n_runs_now)
-            outcome = run_sequential_cell(
-                runner, design, self.policy.adaptive
-            )
-            if injector is not None and injector.profile.perturbs_samples:
-                corrupted = _apply_sample_faults(
-                    injector, outcome.result, cell_id, seed_now
-                )
-                survivors = min(
-                    len(corrupted.comparison.mapped),
-                    len(corrupted.comparison.unmapped),
-                )
-                if survivors < outcome.effective_n and not outcome.note:
-                    outcome.note = (
-                        f"only {survivors}/{outcome.effective_n} "
-                        "samples survived fault injection"
-                    )
-                outcome.result = corrupted
-            return outcome
+            return run_sequential_cell(runner, design, self.policy.adaptive)
 
         cell = self.supervise(
             cell_id, attempt_fn, seed=seed, n_runs=n_runs,
@@ -726,7 +674,7 @@ class ResilientExecutor:
         return cell
 
     def _enforce_static_agreement(
-        self, cell: "SupervisedCell", predictor: object
+        self, cell: "SupervisedCell", predictor: str
     ) -> None:
         """Under ``strict_preflight``, verify static == dynamic verdict.
 
@@ -748,11 +696,7 @@ class ResilientExecutor:
         static_effective = classification.get("effective")
         if static_effective is None:
             return
-        predictor_name = (
-            predictor if isinstance(predictor, str)
-            else getattr(predictor, "__name__", "custom")
-        )
-        predicted = bool(static_effective) and predictor_name not in ("none", "")
+        predicted = bool(static_effective) and predictor not in ("none", "")
         dynamic = bool(cell.result.attack_succeeds)
         if predicted != dynamic:
             from repro.errors import AnalysisSoundnessError
@@ -761,7 +705,7 @@ class ResilientExecutor:
                 f"cell {cell.cell_id!r}: static analysis predicts "
                 f"{'effective' if predicted else 'ineffective'} "
                 f"({classification.get('symbol', '?')}, predictor "
-                f"{predictor_name!r}) but the measurement is "
+                f"{predictor!r}) but the measurement is "
                 f"{'effective' if dynamic else 'ineffective'} "
                 f"(p={cell.result.pvalue:.3g})"
             )
@@ -793,12 +737,8 @@ class ResilientExecutor:
         for key in ("confidence", "chain_length", "modify_mode", "layout"):
             if overrides.get(key) is not None:
                 kwargs[key] = overrides[key]
-        predictor_name = (
-            predictor if isinstance(predictor, str)
-            else getattr(predictor, "__name__", "custom")
-        )
         return copy.deepcopy(
-            _passing_preflight(variant, channel, predictor_name, **kwargs)
+            _passing_preflight(variant, channel, predictor, **kwargs)
         )
 
     def run_rsa_supervised(
@@ -810,59 +750,17 @@ class ResilientExecutor:
         **config_overrides,
     ) -> SupervisedCell:
         """Supervised version of the Figure 7 RSA exponent leak."""
-        injector = self.injector
+        kwargs = dict(config_overrides)
+        if self.policy.max_trial_cycles is not None:
+            kwargs.setdefault("max_trial_cycles", self.policy.max_trial_cycles)
 
         def attempt_fn(seed_now: int, n_runs_now: Optional[int]):
-            mem = memory_config
-            if (
-                injector is not None
-                and injector.profile.perturbs_dram
-                and mem is not None
-            ):
-                mem = dc_replace(
-                    mem, dram=injector.perturb_dram(mem.dram)
-                )
-            kwargs = dict(config_overrides)
-            if self.policy.max_trial_cycles is not None:
-                kwargs.setdefault(
-                    "max_trial_cycles", self.policy.max_trial_cycles
-                )
             config = RsaAttackConfig(
-                seed=seed_now, memory_config=mem, **kwargs
+                seed=seed_now, memory_config=memory_config, **kwargs
             )
             return RsaVpAttack(config).run(Mpi.from_int(exponent))
 
         return self.supervise(cell_id, attempt_fn, seed=seed)
-
-
-def _apply_sample_faults(
-    injector: FaultInjector,
-    result: ExperimentResult,
-    cell_id: str,
-    attempt_seed: int,
-) -> ExperimentResult:
-    """Rebuild a result after dropping/duplicating timing samples.
-
-    Raises (via the t-test) :class:`~repro.errors.StatsError` when too
-    few samples survive — the empty-sample degraded path the executor
-    retries.
-    """
-    comparison = result.comparison
-    mapped = TimingDistribution(
-        comparison.mapped.label,
-        injector.corrupt_samples(
-            comparison.mapped.samples, cell_id, attempt_seed, "mapped"
-        ),
-    )
-    unmapped = TimingDistribution(
-        comparison.unmapped.label,
-        injector.corrupt_samples(
-            comparison.unmapped.samples, cell_id, attempt_seed, "unmapped"
-        ),
-    )
-    return dc_replace(
-        result, comparison=DistributionComparison.compare(mapped, unmapped)
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Value Prediction Systems (VPS).
 
-Implements the predictor zoo the paper discusses: the baseline
+Implements the predictors the paper discusses: the baseline
 (non-secure) LVP [Lipasti et al. 1996], VTAGE [Perais & Seznec 2014],
-an oracle wrapper matching the paper's experimental setup, plus
-stride/FCM/hybrid extensions and the "no VP" control.
+an oracle wrapper matching the paper's experimental setup, plus the
+stride and BeBoP extensions and the "no VP" control.
 """
 
 from repro.vp.base import AccessKey, Prediction, PredictorStats, ValuePredictor
 from repro.vp.bebop import BebopPredictor
-from repro.vp.composite import FilteredPredictor, HybridPredictor
-from repro.vp.fcm import FcmPredictor
 from repro.vp.indexing import (
     DATA_ADDRESS_INDEX,
     PC_INDEX,
@@ -28,9 +26,6 @@ __all__ = [
     "AccessKey",
     "BebopPredictor",
     "DATA_ADDRESS_INDEX",
-    "FcmPredictor",
-    "FilteredPredictor",
-    "HybridPredictor",
     "IndexFunction",
     "IndexSource",
     "LastValuePredictor",

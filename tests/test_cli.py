@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main, parse_defense
@@ -165,20 +167,38 @@ class TestResilienceFlags:
         assert "Fill Up" in out
 
     def test_attack_with_fault_profile(self, capsys):
+        # At seed 5 the crash profile crashes this cell's attempt 0.
         code = main([
-            "attack", "--variant", "Fill Up", "--runs", "6", "--seed", "1",
-            "--fault-profile", "dram-noise",
+            "attack", "--variant", "Fill Up", "--runs", "6", "--seed", "5",
+            "--max-retries", "1", "--fault-profile", "crash",
         ])
         assert code == 0
-        assert "execution:" in capsys.readouterr().out
+        assert "execution: retried (2 attempt(s))" in capsys.readouterr().out
 
     def test_attack_unknown_fault_profile_fails_cleanly(self, capsys):
-        code = main([
-            "attack", "--variant", "Fill Up", "--runs", "6",
-            "--fault-profile", "bogus",
-        ])
-        assert code == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "attack", "--variant", "Fill Up", "--runs", "6",
+                "--fault-profile", "bogus",
+            ])
+        assert exit_info.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["attack", "all"])
+    @pytest.mark.parametrize("profile", [
+        "dram-noise", "sample-loss", "vp-corruption", "chaos",
+    ])
+    def test_removed_fault_profiles_exit_2(
+        self, tmp_path, capsys, command, profile
+    ):
+        target = (["--variant", "Fill Up"] if command == "attack"
+                  else ["--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, "--fault-profile", profile])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'crash', 'none', 'worker-kill'" in err
+        assert os.listdir(tmp_path) == []
 
     def test_all_resume_round_trip(self, tmp_path, capsys):
         args = [

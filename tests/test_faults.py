@@ -5,21 +5,32 @@ import pytest
 from repro.errors import FaultInjectionError, InjectedCrashError
 from repro.harness.faults import (
     PROFILES,
-    CorruptingPredictor,
     FaultInjector,
     FaultProfile,
     fault_profile,
     no_faults,
 )
-from repro.memory.memsys import DramConfig
-from repro.vp.base import AccessKey
-from repro.vp.lvp import LastValuePredictor
+
+
+def _crashes(injector, cell_id, attempts=range(40)):
+    """Which attempts of ``cell_id`` the injector crashes."""
+    outcomes = []
+    for attempt in attempts:
+        try:
+            injector.maybe_crash(cell_id, attempt)
+            outcomes.append(False)
+        except InjectedCrashError:
+            outcomes.append(True)
+    return outcomes
+
+
+def _process_faults(injector, task_id, dispatches=range(40)):
+    return [injector.process_fault(task_id, d) for d in dispatches]
 
 
 class TestProfiles:
-    def test_registry_contains_none_and_chaos(self):
-        assert "none" in PROFILES
-        assert "chaos" in PROFILES
+    def test_registry_holds_exactly_the_kept_profiles(self):
+        assert sorted(PROFILES) == ["crash", "none", "worker-kill"]
 
     def test_lookup(self):
         assert fault_profile("crash").crash_rate > 0
@@ -30,39 +41,43 @@ class TestProfiles:
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(FaultInjectionError):
-            FaultProfile(name="bad", sample_drop_rate=1.5)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            FaultProfile(name="bad", dram_jitter_scale=-1.0)
+            FaultProfile(name="bad", crash_rate=1.5)
 
     def test_none_profile_perturbs_nothing(self):
         profile = PROFILES["none"]
-        assert not profile.perturbs_dram
-        assert not profile.perturbs_samples
+        assert not profile.perturbs_process
         assert profile.crash_rate == 0.0
 
 
 class TestDeterminism:
+    """Keyed draws: what keeps ``--workers N`` byte-identical under faults."""
+
     def test_same_seed_same_draws(self):
-        a = FaultInjector(PROFILES["sample-loss"], seed=5)
-        b = FaultInjector(PROFILES["sample-loss"], seed=5)
-        samples = [float(i) for i in range(50)]
-        assert a.corrupt_samples(samples, "cell", 0, "mapped") == \
-            b.corrupt_samples(samples, "cell", 0, "mapped")
+        a = FaultInjector(PROFILES["crash"], seed=5)
+        b = FaultInjector(PROFILES["crash"], seed=5)
+        assert _crashes(a, "cell") == _crashes(b, "cell")
+        assert any(_crashes(a, "cell"))
+        a = FaultInjector(PROFILES["worker-kill"], seed=5)
+        b = FaultInjector(PROFILES["worker-kill"], seed=5)
+        assert _process_faults(a, "task") == _process_faults(b, "task")
+        assert "kill" in _process_faults(a, "task")
 
     def test_different_cells_different_draws(self):
-        injector = FaultInjector(PROFILES["sample-loss"], seed=5)
-        samples = [float(i) for i in range(200)]
-        assert injector.corrupt_samples(samples, "cell-a", 0, "mapped") != \
-            injector.corrupt_samples(samples, "cell-b", 0, "mapped")
+        injector = FaultInjector(PROFILES["crash"], seed=5)
+        assert _crashes(injector, "cell-a") != _crashes(injector, "cell-b")
+        injector = FaultInjector(PROFILES["worker-kill"], seed=5)
+        assert (_process_faults(injector, "task-a")
+                != _process_faults(injector, "task-b"))
 
     def test_draws_independent_of_call_order(self):
-        injector = FaultInjector(PROFILES["sample-loss"], seed=5)
-        samples = [float(i) for i in range(50)]
-        first = injector.corrupt_samples(samples, "cell", 0, "mapped")
-        injector.corrupt_samples(samples, "other", 3, "unmapped")
-        assert injector.corrupt_samples(samples, "cell", 0, "mapped") == first
+        crash = FaultInjector(PROFILES["crash"], seed=5)
+        kill = FaultInjector(PROFILES["worker-kill"], seed=5)
+        first = _crashes(crash, "cell"), _process_faults(kill, "task")
+        _crashes(crash, "other")
+        _process_faults(kill, "other")
+        reversed_crashes = _crashes(crash, "cell", range(39, -1, -1))
+        reversed_faults = _process_faults(kill, "task", range(39, -1, -1))
+        assert first == (reversed_crashes[::-1], reversed_faults[::-1])
 
 
 class TestCrashInjection:
@@ -75,22 +90,10 @@ class TestCrashInjection:
         injector.maybe_crash("innocent", 0)
 
     def test_crash_rate_deterministic(self):
-        injector = FaultInjector(PROFILES["crash"], seed=11)
-        outcomes = []
-        for attempt in range(20):
-            try:
-                injector.maybe_crash("cell", attempt)
-                outcomes.append(False)
-            except InjectedCrashError:
-                outcomes.append(True)
-        replay = []
-        injector2 = FaultInjector(PROFILES["crash"], seed=11)
-        for attempt in range(20):
-            try:
-                injector2.maybe_crash("cell", attempt)
-                replay.append(False)
-            except InjectedCrashError:
-                replay.append(True)
+        outcomes = _crashes(FaultInjector(PROFILES["crash"], seed=11),
+                            "cell", range(20))
+        replay = _crashes(FaultInjector(PROFILES["crash"], seed=11),
+                          "cell", range(20))
         assert outcomes == replay
         assert any(outcomes)  # 25 % rate over 20 draws
 
@@ -98,72 +101,3 @@ class TestCrashInjection:
         injector = no_faults()
         for attempt in range(50):
             injector.maybe_crash("cell", attempt)
-
-
-class TestDramPerturbation:
-    def test_scales_jitter_and_tail(self):
-        injector = FaultInjector(PROFILES["dram-noise"], seed=0)
-        base = DramConfig(base_latency=180, jitter=100,
-                          tail_probability=0.02, tail_extra=60)
-        noisy = injector.perturb_dram(base)
-        assert noisy.jitter == 250
-        assert noisy.tail_probability == pytest.approx(0.10)
-        assert noisy.tail_extra == 120
-        assert noisy.base_latency == base.base_latency
-
-    def test_tail_probability_clamped(self):
-        profile = FaultProfile(name="t", dram_tail_boost=1.0)
-        noisy = FaultInjector(profile, seed=0).perturb_dram(DramConfig())
-        assert noisy.tail_probability == 1.0
-
-    def test_none_profile_is_identity(self):
-        base = DramConfig()
-        assert no_faults().perturb_dram(base) is base
-
-
-class TestSampleCorruption:
-    def test_drop_and_duplicate(self):
-        profile = FaultProfile(name="t", sample_drop_rate=0.5,
-                               sample_dup_rate=0.5)
-        injector = FaultInjector(profile, seed=1)
-        samples = [float(i) for i in range(1000)]
-        out = injector.corrupt_samples(samples, "cell", 0, "mapped")
-        assert out != samples
-        assert set(out) <= set(samples)
-
-    def test_total_loss_possible(self):
-        profile = FaultProfile(name="t", sample_drop_rate=1.0)
-        injector = FaultInjector(profile, seed=1)
-        assert injector.corrupt_samples([1.0, 2.0], "cell", 0, "m") == []
-
-
-class TestVpCorruption:
-    def test_wrapper_corrupts_trained_values(self):
-        inner = LastValuePredictor(confidence_threshold=2)
-        injector = FaultInjector(
-            FaultProfile(name="t", vp_corrupt_rate=1.0), seed=0
-        )
-        wrapped = injector.wrap_predictor(inner, "cell", 0)
-        assert isinstance(wrapped, CorruptingPredictor)
-        key = AccessKey(pc=0x40, addr=0x1000)
-        for _ in range(8):
-            wrapped.train(key, 42)
-        assert wrapped.corruptions == 8
-        # Every train saw a (differently) flipped value, so the entry
-        # never stabilises at full confidence.
-        assert wrapped.predict(key) is None or \
-            wrapped.predict(key).value != 42
-
-    def test_zero_rate_returns_inner(self):
-        inner = LastValuePredictor()
-        assert no_faults().wrap_predictor(inner, "cell", 0) is inner
-
-    def test_wrapper_forwards_reset(self):
-        inner = LastValuePredictor(confidence_threshold=1)
-        wrapped = CorruptingPredictor(inner, 0.0, __import__("random").Random(0))
-        key = AccessKey(pc=0x40, addr=0x1000)
-        wrapped.train(key, 7)
-        wrapped.train(key, 7)
-        assert wrapped.predict(key) is not None
-        wrapped.reset()
-        assert wrapped.predict(key) is None

@@ -116,15 +116,15 @@ class TestWorkerCountInvariance:
         _, par4 = _run(tmp_path, specs, "par4", workers=4)
         assert _digest(serial) == _digest(par2) == _digest(par4)
 
-    def test_parallel_matches_under_chaos_faults(self, tmp_path):
+    def test_parallel_matches_under_crash_faults(self, tmp_path):
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
         _, serial = _run(
             tmp_path, specs, "serial", workers=1,
-            fault_profile=fault_profile("chaos"), fault_seed=0,
+            fault_profile=fault_profile("crash"), fault_seed=0,
         )
         _, par = _run(
             tmp_path, specs, "par", workers=2,
-            fault_profile=fault_profile("chaos"), fault_seed=0,
+            fault_profile=fault_profile("crash"), fault_seed=0,
         )
         assert _digest(serial) == _digest(par)
 
@@ -198,8 +198,8 @@ class TestRunAllParallel:
         assert (self._artifact_digests(serial_dir)
                 == self._artifact_digests(par_dir))
 
-    def test_crash_resume_under_chaos_matches_serial(self, tmp_path):
-        """Mid-sweep crash + --resume with workers under fault chaos.
+    def test_crash_resume_under_crash_faults_matches_serial(self, tmp_path):
+        """Mid-sweep crash + --resume with workers under injected crashes.
 
         A partial parallel prefill stands in for the crash: the journal
         holds some cells, the process died, and the resumed parallel
@@ -207,7 +207,7 @@ class TestRunAllParallel:
         serial run under the same fault profile.
         """
         kwargs = dict(n_runs=4, seed=0, artifacts=["fig5"],
-                      fault_profile_name="chaos")
+                      fault_profile_name="crash")
         serial_dir = tmp_path / "serial"
         serial_dir.mkdir()
         run_all(str(serial_dir), **kwargs)
@@ -220,7 +220,8 @@ class TestRunAllParallel:
 
         partial = CheckpointStore.open(
             str(resumed_dir / "checkpoint"),
-            {"version": __version__, "n_runs": 4, "seed": 0},
+            {"version": __version__, "n_runs": 4, "seed": 0,
+             "fault_profile": "crash"},
             resume=False,
         )
         # Same policy run_all supervises with, so the prefilled half
@@ -230,7 +231,7 @@ class TestRunAllParallel:
         )
         run_cells(
             specs[: len(specs) // 2], partial, policy,
-            workers=2, fault_profile=fault_profile("chaos"), fault_seed=0,
+            workers=2, fault_profile=fault_profile("crash"), fault_seed=0,
         )
         run_all(str(resumed_dir), resume=True, workers=2, **kwargs)
         assert (self._artifact_digests(serial_dir)

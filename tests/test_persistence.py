@@ -137,6 +137,23 @@ class TestRunAll:
             run_all(str(tmp_path), n_runs=4, seed=1, artifacts=["fig5"],
                     resume=True)
 
+    @pytest.mark.parametrize("written, resumed", [
+        ("crash", None), (None, "crash"),
+    ])
+    def test_resume_across_fault_profiles_rejected(
+        self, tmp_path, written, resumed
+    ):
+        run_all(str(tmp_path), n_runs=4, seed=0, artifacts=["fig5"],
+                fault_profile_name=written)
+        with pytest.raises(HarnessError, match="'fault_profile'"):
+            run_all(str(tmp_path), n_runs=4, seed=0, artifacts=["fig5"],
+                    fault_profile_name=resumed, resume=True)
+
+    def test_bad_worker_count_rejected_before_any_write(self, tmp_path):
+        with pytest.raises(HarnessError, match="workers"):
+            run_all(str(tmp_path), artifacts=["table1"], workers=0)
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_artifact_rejected(self, tmp_path):
         with pytest.raises(HarnessError):
             run_all(str(tmp_path), artifacts=["bogus"])

@@ -1,11 +1,9 @@
-"""Unit tests for stride, FCM, VTAGE, oracle, hybrid and no-VP predictors."""
+"""Unit tests for stride, VTAGE, oracle and no-VP predictors."""
 
 import pytest
 
 from repro.errors import PredictorError
 from repro.vp.base import AccessKey
-from repro.vp.composite import FilteredPredictor, HybridPredictor
-from repro.vp.fcm import FcmPredictor
 from repro.vp.lvp import LastValuePredictor
 from repro.vp.nopred import NoPredictor
 from repro.vp.oracle import OracleTargetPredictor
@@ -63,34 +61,6 @@ class TestStride:
             StridePredictor(confidence_threshold=0)
         with pytest.raises(PredictorError):
             StridePredictor(capacity=0)
-
-
-class TestFcm:
-    def test_learns_repeating_sequence(self):
-        predictor = FcmPredictor(order=2, confidence_threshold=1)
-        sequence = [1, 2, 3] * 4
-        for value in sequence:
-            predictor.train(key(), value)
-        # History is now (2, 3); next in pattern is 1.
-        prediction = predictor.predict(key())
-        assert prediction is not None
-        assert prediction.value == 1
-
-    def test_no_prediction_without_history(self):
-        predictor = FcmPredictor(order=3)
-        predictor.train(key(), 1)
-        assert predictor.predict(key()) is None
-
-    def test_reset(self):
-        predictor = FcmPredictor(order=1, confidence_threshold=1)
-        for value in (5, 5, 5):
-            predictor.train(key(), value)
-        predictor.reset()
-        assert predictor.predict(key()) is None
-
-    def test_validation(self):
-        with pytest.raises(PredictorError):
-            FcmPredictor(order=0)
 
 
 class TestVtage:
@@ -161,41 +131,3 @@ class TestOracle:
     def test_requires_inner(self):
         with pytest.raises(PredictorError):
             OracleTargetPredictor(None)
-
-
-class TestHybrid:
-    def test_picks_most_confident(self):
-        lvp = LastValuePredictor(confidence_threshold=1)
-        stride = StridePredictor(confidence_threshold=1)
-        hybrid = HybridPredictor([lvp, stride])
-        for value in (10, 20, 30, 40, 50):
-            hybrid.train(key(), value)
-        prediction = hybrid.predict(key())
-        # Stride (confident, correct pattern) must win over stale LVP.
-        assert prediction.value == 60
-
-    def test_requires_components(self):
-        with pytest.raises(PredictorError):
-            HybridPredictor([])
-
-    def test_reset_propagates(self):
-        lvp = LastValuePredictor(confidence_threshold=1)
-        hybrid = HybridPredictor([lvp])
-        hybrid.train(key(), 1)
-        hybrid.reset()
-        assert hybrid.predict(key()) is None
-
-
-class TestFiltered:
-    def test_filters_until_min_misses(self):
-        inner = LastValuePredictor(confidence_threshold=1)
-        filtered = FilteredPredictor(inner, min_misses=3)
-        filtered.train(key(), 42)
-        assert filtered.predict(key()) is None  # 1 miss < 3
-        filtered.train(key(), 42)
-        filtered.train(key(), 42)
-        assert filtered.predict(key()) is not None
-
-    def test_validation(self):
-        with pytest.raises(PredictorError):
-            FilteredPredictor(NoPredictor(), min_misses=-1)

@@ -197,47 +197,6 @@ class TestInjectedFaultsEndToEnd:
         # The recovery attempt ran under a fresh seed.
         assert cell.attempts[1].seed != cell.attempts[0].seed
 
-    def test_total_sample_loss_raises_stats_error_then_fails(self):
-        profile = FaultProfile(name="t", sample_drop_rate=1.0)
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=1)),
-            injector=FaultInjector(profile, seed=0),
-        )
-        cell = executor.run_cell_supervised(
-            "lossy", TrainTestAttack(), ChannelType.TIMING_WINDOW,
-            "lvp", n_runs=3, seed=1,
-        )
-        assert cell.classification is CellClassification.FAILED
-        assert all(a.error_type == "StatsError" for a in cell.attempts)
-
-    def test_partial_sample_loss_degrades(self):
-        profile = FaultProfile(name="t", sample_drop_rate=0.3)
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=2)),
-            injector=FaultInjector(profile, seed=2),
-        )
-        cell = executor.run_cell_supervised(
-            "partial", TrainTestAttack(), ChannelType.TIMING_WINDOW,
-            "lvp", n_runs=8, seed=1,
-        )
-        assert cell.result is not None
-        assert cell.classification is CellClassification.DEGRADED
-        assert "survived fault injection" in cell.note
-
-    def test_vp_corruption_profile_still_yields_result(self):
-        profile = FaultProfile(name="t", vp_corrupt_rate=0.05)
-        executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=2)),
-            injector=FaultInjector(profile, seed=0),
-        )
-        cell = executor.run_cell_supervised(
-            "corrupt", TrainTestAttack(), ChannelType.TIMING_WINDOW,
-            "lvp", n_runs=3, seed=1,
-        )
-        assert cell.result is not None
-        # The reported predictor name survives the corruption wrapper.
-        assert cell.result.predictor_name == "lvp"
-
 
 class TestExecutionRecord:
     def test_record_carries_classification_and_attempts(self):
