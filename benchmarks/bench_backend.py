@@ -30,11 +30,12 @@ _N_RUNS = 64
 
 
 def _sweep_pass(backend):
-    """Run the Table III sweep serially; returns (stats, payloads)."""
+    """Run the Table III sweep serially; returns (seconds, payloads)."""
     from repro._version import __version__
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
     from repro.harness.runner import ExecutionPolicy
+    from repro.perf.observe import Stopwatch
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=0)
     policy = dataclasses.replace(ExecutionPolicy.compat(), backend=backend)
@@ -44,9 +45,11 @@ def _sweep_pass(backend):
             {"version": __version__, "n_runs": _N_RUNS, "seed": 0},
             resume=False,
         )
-        stats = run_cells(specs, store, policy, workers=1)
+        watch = Stopwatch()
+        with watch:
+            run_cells(specs, store, policy, workers=1)
         payloads = {spec.cell_id: store.load(spec.cell_id) for spec in specs}
-    return stats, payloads
+    return watch.elapsed, payloads
 
 
 def test_backend_sweep_identity_and_speedup():
@@ -58,10 +61,10 @@ def test_backend_sweep_identity_and_speedup():
 
     _sweep_pass("batched")  # warm-up: gadget/trace caches + numpy import
 
-    scalar_stats, scalar_payloads = _sweep_pass("scalar")
+    scalar_s, scalar_payloads = _sweep_pass("scalar")
     clear_fallback_journal()
     before = COUNTERS.snapshot()
-    batched_stats, batched_payloads = _sweep_pass("batched")
+    batched_s, batched_payloads = _sweep_pass("batched")
     delta = PerfCounters.delta(before, COUNTERS.snapshot())
 
     assert batched_payloads == scalar_payloads, (
@@ -71,13 +74,10 @@ def test_backend_sweep_identity_and_speedup():
     vector = delta.get("batched_vector_trials", 0)
     fallback = delta.get("batched_fallback_trials", 0)
     covered = vector + fallback
-    speedup = (
-        scalar_stats.elapsed_s / batched_stats.elapsed_s
-        if batched_stats.elapsed_s > 0 else 0.0
-    )
+    speedup = scalar_s / batched_s if batched_s > 0 else 0.0
     print(f"\nTable III sweep ({len(batched_payloads)} cells, "
-          f"n_runs={_N_RUNS}): scalar {scalar_stats.elapsed_s:.3f} s, "
-          f"batched {batched_stats.elapsed_s:.3f} s, {speedup:.2f}x; "
+          f"n_runs={_N_RUNS}): scalar {scalar_s:.3f} s, "
+          f"batched {batched_s:.3f} s, {speedup:.2f}x; "
           f"{vector} vectorized / {fallback} fallback trials")
     for cell, reason in fallback_journal():
         print(f"  fallback: {cell}: {reason}")

@@ -11,12 +11,12 @@ faults replay deterministically.
 
 from repro.core.variants import TrainTestAttack
 from repro.harness.checkpoint import serialize_result
-from repro.harness.faults import FaultInjector, fault_profile
+from repro.harness.faults import fault_profile
+from repro.harness.parallel import run_cells, slots, sweep_specs
 from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
     ResilientExecutor,
-    figure_panels_supervised,
 )
 
 POLICY = ExecutionPolicy.robust(max_retries=3)
@@ -24,12 +24,11 @@ N_RUNS = 40
 
 
 def _supervised_sweep():
-    executor = ResilientExecutor(
-        POLICY, injector=FaultInjector(fault_profile("crash"), seed=0),
+    specs = sweep_specs(["fig5"], n_runs=N_RUNS, seed=0)
+    cells = run_cells(
+        specs, None, POLICY, fault_profile=fault_profile("crash"),
     )
-    return figure_panels_supervised(
-        executor, TrainTestAttack(), "fig5", n_runs=N_RUNS, seed=0
-    )
+    return slots(specs, cells, "fig5")
 
 
 def test_supervised_sweep_under_crash():

@@ -39,11 +39,12 @@ _DECISIVE_P = 1e-4
 
 
 def _sweep_pass(sequential=None):
-    """Run the Table III sweep serially; returns (stats, cells)."""
+    """Run the Table III sweep serially; returns (seconds, cells)."""
     from repro._version import __version__
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
-    from repro.harness.runner import ExecutionPolicy, SupervisedCell
+    from repro.harness.runner import ExecutionPolicy
+    from repro.perf.observe import Stopwatch
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=_SEED)
     policy = ExecutionPolicy.compat()
@@ -55,12 +56,10 @@ def _sweep_pass(sequential=None):
         store = CheckpointStore.open(
             str(Path(scratch) / "checkpoint"), meta, resume=False
         )
-        stats = run_cells(specs, store, policy, workers=1)
-        cells = {
-            spec.cell_id: SupervisedCell.from_payload(store.load(spec.cell_id))
-            for spec in specs
-        }
-    return stats, cells
+        watch = Stopwatch()
+        with watch:
+            cells = run_cells(specs, store, policy, workers=1)
+    return watch.elapsed, cells
 
 
 def test_sequential_sweep_equivalence():
@@ -72,9 +71,9 @@ def test_sequential_sweep_equivalence():
     # first-build costs the other skipped.
     _sweep_pass()
 
-    fixed_stats, fixed = _sweep_pass()
+    fixed_s, fixed = _sweep_pass()
     before = COUNTERS.snapshot()
-    seq_stats, sequential = _sweep_pass(SequentialPolicy())
+    seq_s, sequential = _sweep_pass(SequentialPolicy())
     delta = PerfCounters.delta(before, COUNTERS.snapshot())
 
     assert set(sequential) == set(fixed)
@@ -118,15 +117,12 @@ def test_sequential_sweep_equivalence():
                 f"{effective_n}/{planned_n} runs"
             )
 
-    speedup = (
-        fixed_stats.elapsed_s / seq_stats.elapsed_s
-        if seq_stats.elapsed_s > 0 else 0.0
-    )
+    speedup = fixed_s / seq_s if seq_s > 0 else 0.0
     print(f"\nGroup-sequential Table III sweep "
           f"({len(fixed)} cells, n_runs={_N_RUNS}):")
-    print(f"  fixed-N    : {fixed_stats.elapsed_s:8.3f} s  "
+    print(f"  fixed-N    : {fixed_s:8.3f} s  "
           f"({planned_trials} trials)")
-    print(f"  sequential : {seq_stats.elapsed_s:8.3f} s  "
+    print(f"  sequential : {seq_s:8.3f} s  "
           f"({effective_trials} trials, {early} early stops)")
     print(f"  speedup    : {speedup:7.2f} x   "
           f"({decisive} decisive cells all stopped at <= half budget)")

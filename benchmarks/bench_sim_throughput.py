@@ -98,6 +98,7 @@ def test_parallel_sweep_speedup():
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
     from repro.harness.runner import ExecutionPolicy
+    from repro.perf.observe import Stopwatch
 
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
     meta = {"version": __version__, "n_runs": 8, "seed": 0}
@@ -108,11 +109,13 @@ def test_parallel_sweep_speedup():
             store = CheckpointStore.open(
                 str(Path(scratch) / "checkpoint"), dict(meta), resume=False
             )
-            stats = run_cells(specs, store, policy, workers=workers)
+            watch = Stopwatch()
+            with watch:
+                run_cells(specs, store, policy, workers=workers)
             payloads = {
                 spec.cell_id: store.load(spec.cell_id) for spec in specs
             }
-        return stats.elapsed_s, payloads
+        return watch.elapsed, payloads
 
     _, reference = one_pass(1)
     elapsed = {1: [], 4: []}

@@ -516,8 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["retrain", "invalidate"])
     attack.add_argument("--max-retries", type=int, default=None,
                         help="supervise the cell: retries per cell")
+    # `attack` starts no worker pool, so only in-process profiles apply.
     attack.add_argument("--fault-profile", default=None,
-                        choices=sorted(PROFILES),
+                        choices=sorted(
+                            name for name, profile in PROFILES.items()
+                            if not profile.perturbs_process
+                        ),
                         help="inject faults (robustness testing)")
     attack.add_argument(
         "--strict-preflight", action="store_true",

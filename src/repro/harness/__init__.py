@@ -52,11 +52,6 @@ from repro.harness.runner import (
     ResilientExecutor,
     RetryPolicy,
     SupervisedCell,
-    figure7_supervised,
-    figure_panels_supervised,
-    plain_panels,
-    plain_results,
-    table3_supervised,
 )
 from repro.harness.tables import (
     render_defense_matrix,
@@ -88,12 +83,8 @@ __all__ = [
     "figure5_panels",
     "figure7_report",
     "figure7_result",
-    "figure7_supervised",
     "figure8_panels",
-    "figure_panels_supervised",
     "figure_report",
-    "plain_panels",
-    "plain_results",
     "predictor_comparison",
     "render_defense_matrix",
     "render_defense_sweep",
@@ -111,6 +102,5 @@ __all__ = [
     "run_cell",
     "table3_report",
     "table3_results",
-    "table3_supervised",
     "window_sweep",
 ]

@@ -7,7 +7,8 @@ over these.  Runs are deterministic for a given seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attack import AttackConfig, AttackRunner, ExperimentResult
 from repro.core.channels import ChannelType
@@ -78,22 +79,40 @@ def run_cell(
     ).run_experiment()
 
 
-def _default_executor(executor):
-    """The behaviour-preserving supervised executor used by drivers.
+def _artifact_results(
+    artifact: str, n_runs: int, seed: int,
+) -> Tuple[list, Dict[str, Any]]:
+    """One artifact's plan, and its cells' results by cell id.
 
-    Every driver below runs its cells through the resilient execution
-    layer; the default :meth:`ExecutionPolicy.compat` policy only
-    intervenes on errors, so results are identical to the historical
-    fire-and-forget harness unless something actually fails.
+    The cells run serially through
+    :func:`repro.harness.parallel.run_cells` under
+    :meth:`~repro.harness.runner.ExecutionPolicy.compat` — retries
+    only, no adaptive escalation — so the numbers are identical to an
+    unsupervised run unless something actually fails.  A failed cell's
+    result is ``None``.
     """
-    if executor is not None:
-        return executor
-    from repro.harness.runner import ResilientExecutor
-    return ResilientExecutor()
+    from repro.harness.parallel import run_cells, sweep_specs
+
+    specs = sweep_specs([artifact], n_runs=n_runs, seed=seed)
+    cells = run_cells(specs, None)
+    return specs, {cell_id: cell.result for cell_id, cell in cells.items()}
+
+
+def _figure_panels(
+    figure: str, n_runs: int, seed: int,
+) -> List[Tuple[str, ExperimentResult]]:
+    """A figure's (panel title, result) pairs, dropping failed cells."""
+    from repro.harness.parallel import slots
+
+    specs, results = _artifact_results(figure, n_runs, seed)
+    return [
+        (title, result) for title, result in slots(specs, results, figure)
+        if result is not None
+    ]
 
 
 def figure5_panels(
-    n_runs: int = 100, seed: int = 0, executor=None,
+    n_runs: int = 100, seed: int = 0,
 ) -> List[Tuple[str, ExperimentResult]]:
     """Figure 5: Train + Test with/without a VP, both channels.
 
@@ -101,46 +120,31 @@ def figure5_panels(
     no-VP, persistent LVP.  Expected shape: the no-VP p-values are
     above 0.05 and the LVP ones below.
     """
-    from repro.harness.runner import figure_panels_supervised, plain_panels
-
-    return plain_panels(figure_panels_supervised(
-        _default_executor(executor), TrainTestAttack(), "fig5",
-        n_runs, seed,
-    ))
+    return _figure_panels("fig5", n_runs, seed)
 
 
 def figure8_panels(
-    n_runs: int = 100, seed: int = 0, executor=None,
+    n_runs: int = 100, seed: int = 0,
 ) -> List[Tuple[str, ExperimentResult]]:
     """Figure 8: Test + Hit, same four panels as Figure 5."""
-    from repro.harness.runner import figure_panels_supervised, plain_panels
-
-    return plain_panels(figure_panels_supervised(
-        _default_executor(executor), TestHitAttack(), "fig8",
-        n_runs, seed,
-    ))
+    return _figure_panels("fig8", n_runs, seed)
 
 
 def table3_results(
-    n_runs: int = 100, seed: int = 0, predictor: str = "lvp",
-    executor=None,
+    n_runs: int = 100, seed: int = 0,
 ) -> Dict[AttackCategory, Dict[str, Optional[ExperimentResult]]]:
     """Table III: every category x channel x {no VP, VP} cell."""
-    from repro.harness.runner import plain_results, table3_supervised
+    from repro.harness.parallel import table3_grid
 
-    return plain_results(table3_supervised(
-        _default_executor(executor), n_runs, seed, predictor
-    ))
+    return table3_grid(*_artifact_results("table3", n_runs, seed))
 
 
-def figure7_result(seed: int = 7, exponent: int = FIGURE7_EXPONENT,
-                   executor=None) -> RsaAttackResult:
+def figure7_result(seed: int = 7) -> RsaAttackResult:
     """Figure 7: the per-iteration RSA exponent leak."""
-    from repro.harness.runner import figure7_supervised
+    from repro.harness.parallel import run_cells, sweep_specs
 
-    cell = figure7_supervised(
-        _default_executor(executor), seed=seed, exponent=exponent
-    )
+    spec = dataclasses.replace(sweep_specs(["fig7"])[0], seed=seed)
+    cell = run_cells([spec], None)[spec.cell_id]
     if cell.result is None:
         raise HarnessError(
             f"Figure 7 cell failed permanently: {cell.note or 'no result'}"

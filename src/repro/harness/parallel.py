@@ -1,9 +1,19 @@
-"""Process-parallel execution of supervised sweep cells.
+"""The sweep plan of ``repro all`` and the one loop that runs it.
 
 The paper's artifacts decompose into independent *cells* — one
-(variant, channel, predictor) experiment or the Figure 7 RSA run —
-and every cell is a pure function of its ``(cell_id, seed, policy,
-fault profile)`` inputs:
+(variant, channel, predictor) experiment or the Figure 7 RSA run.
+:func:`sweep_specs` is the plan: it enumerates the cells behind the
+chosen artifacts and names each cell's slot in its artifact (a panel
+title or a Table III column).  :func:`run_cells` is the loop, at any
+worker count: it returns each cell's
+:class:`~repro.harness.runner.SupervisedCell` by id, in plan order.
+``repro all`` (:func:`repro.harness.persistence.run_all`), the
+``table3``/``fig5``/``fig8``/``fig7`` commands and the plain drivers
+of :mod:`repro.harness.experiment` all render from those cells, via
+:func:`slots` and :func:`table3_grid`.
+
+Every cell is a pure function of its ``(cell_id, seed, policy, fault
+profile)`` inputs:
 
 * trial seeds derive only from the cell's base seed and trial index;
 * fault-injection draws are keyed by ``(profile, seed, cell_id,
@@ -15,25 +25,23 @@ fault profile)`` inputs:
   not depend on which cells ran before.
 
 So a retried cell's result is the clean run at the seed its successful
-attempt recorded.
+attempt recorded, and cells can execute in any order, in any process,
+and produce byte-identical journal payloads.  With ``workers > 1``,
+:func:`run_cells` shards the cells not yet journaled across a
+supervised persistent worker pool (:mod:`repro.harness.supervisor` —
+heartbeats, hang detection, per-cell deadlines, restart backoff), with
+the **parent as the single writer**: workers run cells against no
+store and ship each cell's journal payload back; the parent journals
+it through the :class:`~repro.harness.checkpoint.CheckpointStore`
+(atomic per-cell files) and decodes it with
+:meth:`~repro.harness.runner.SupervisedCell.from_payload`, the decoder
+``--resume`` uses.  Every other cell — all of them at ``workers=1`` —
+runs through one store-bound executor in the parent, which reuses a
+journaled cell verbatim.
 
-Cells can therefore execute in any order, in any process, and produce
-byte-identical journal payloads.  This module exploits that: it shards
-the cell list across a supervised persistent worker pool
-(:mod:`repro.harness.supervisor` — heartbeats, hang detection, per-cell
-deadlines, restart backoff), with the **parent as the single writer**
-— workers run cells against no store and ship the journal payload
-back; the parent persists each payload through the existing
-:class:`~repro.harness.checkpoint.CheckpointStore` (atomic per-cell
-files).  A later serial pass (the artifact assembly in
-:func:`repro.harness.persistence.run_all`) then finds every cell
-already journaled and reuses it verbatim, which is exactly the
-checkpoint-resume path — so parallel runs inherit the resume
-machinery's byte-identity guarantee instead of re-implementing it.
-
-Failed cells are deliberately **not** journaled (matching the serial
-executor): the assembly pass re-attempts them, deterministically
-reproducing the same failure record.
+A cell that fails in a worker is decoded from its payload like any
+other, and is not journaled, matching the serial executor: the parent
+does not run it again, and a ``--resume`` re-attempts it.
 """
 
 from __future__ import annotations
@@ -42,25 +50,27 @@ import os
 import queue
 import signal
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.core.channels import ChannelType
-from repro.core.variants import variant_by_name
+from repro.core.model import AttackCategory
+from repro.core.variants import ALL_VARIANTS, variant_by_name
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
+from repro.harness.experiment import FIGURE7_EXPONENT, RSA_DRAM
 from repro.harness.faults import FaultInjector, FaultProfile
 from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
     ResilientExecutor,
     SupervisedCell,
-    _PANEL_SPECS,
-    table3_plan,
+    _slug,
 )
 from repro.memory.hierarchy import MemoryConfig
 from repro.perf.counters import COUNTERS, PerfCounters
-from repro.perf.observe import now
 from repro.sim import (
     clear_fallback_journal,
     fallback_journal,
@@ -74,7 +84,7 @@ from repro.sim import (
 #: without threading a flag through every entry point).
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Default per-cell wall-clock budget in the parallel path.  Generous —
+#: Default per-cell wall-clock budget in the worker pool.  Generous —
 #: the slowest Table III cell is seconds, not minutes — but finite, so
 #: a hung worker can no longer stall a sweep forever.
 DEFAULT_CELL_TIMEOUT_S = 600.0
@@ -103,8 +113,26 @@ def default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Cell specifications
+# The plan
 # ----------------------------------------------------------------------
+
+#: The four Figure 5/8 panels in paper order: (title, channel, predictor).
+_PANELS: Tuple[Tuple[str, ChannelType, str], ...] = (
+    ("(1) Timing-Window Channel (no VP)", ChannelType.TIMING_WINDOW, "none"),
+    ("(2) Timing-Window Channel (LVP)", ChannelType.TIMING_WINDOW, "lvp"),
+    ("(3) Persistent Channel (no VP)", ChannelType.PERSISTENT, "none"),
+    ("(4) Persistent Channel (LVP)", ChannelType.PERSISTENT, "lvp"),
+)
+
+#: The Table III columns in paper order: (key, channel, predictor).  A
+#: variant gets a cell only in the columns whose channel it supports.
+_TABLE3_COLUMNS: Tuple[Tuple[str, ChannelType, str], ...] = (
+    ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
+    ("tw_vp", ChannelType.TIMING_WINDOW, "lvp"),
+    ("pc_novp", ChannelType.PERSISTENT, "none"),
+    ("pc_vp", ChannelType.PERSISTENT, "lvp"),
+)
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -114,6 +142,8 @@ class CellSpec:
     ``"rsa"`` (the Figure 7 exponent leak).  Variants are referenced by
     their public name and resolved in the executing process, so a spec
     never carries live simulator state across the process boundary.
+    ``slot`` names the cell's place in its artifact: a Figure 5/8
+    panel title or a Table III column key.
     """
 
     cell_id: str
@@ -123,7 +153,7 @@ class CellSpec:
     predictor: str = ""
     n_runs: int = 100
     seed: int = 0
-    exponent: Optional[int] = None
+    slot: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("experiment", "rsa"):
@@ -131,67 +161,97 @@ class CellSpec:
         if self.kind == "experiment" and not self.variant:
             raise HarnessError(f"cell {self.cell_id!r} names no variant")
 
+    @property
+    def artifact(self) -> str:
+        """The artifact the cell belongs to (its cell id's prefix)."""
+        return self.cell_id.split("/", 1)[0]
+
 
 def sweep_specs(
-    artifacts: Sequence[str],
-    n_runs: int = 100,
-    seed: int = 0,
-    predictor: str = "lvp",
+    artifacts: Sequence[str], n_runs: int = 100, seed: int = 0,
 ) -> List[CellSpec]:
     """The supervised cells behind the chosen ``repro all`` artifacts.
 
-    Mirrors the enumeration of
-    :func:`~repro.harness.runner.figure_panels_supervised` and
-    :func:`~repro.harness.runner.figure7_supervised`, and enumerates
-    the same :func:`~repro.harness.runner.table3_plan` as
-    :func:`~repro.harness.runner.table3_supervised` — same cell ids,
-    same per-cell parameters — so prefilling these specs populates
-    exactly the journal entries the serial assembly pass will look up.
+    Figures 5 and 8 come first (four panels each), then the Figure 7
+    RSA run (which pins its own seed, 7), then Table III in paper
+    order.  Artifacts without cells (``table1``, ``table2``) add none.
     """
     specs: List[CellSpec] = []
-    figure_variants = {"fig5": "Train + Test", "fig8": "Test + Hit"}
-    for figure, variant_name in figure_variants.items():
+    for figure, variant_name in (("fig5", "Train + Test"),
+                                 ("fig8", "Test + Hit")):
         if figure not in artifacts:
             continue
-        for _, channel, panel_predictor in _PANEL_SPECS:
+        for title, channel, predictor in _PANELS:
             specs.append(CellSpec(
-                cell_id=f"{figure}/{channel.value}-{panel_predictor}",
+                cell_id=f"{figure}/{channel.value}-{predictor}",
                 variant=variant_name,
                 channel=channel.value,
-                predictor=panel_predictor,
+                predictor=predictor,
                 n_runs=n_runs,
                 seed=seed,
+                slot=title,
             ))
     if "fig7" in artifacts:
-        from repro.harness.experiment import FIGURE7_EXPONENT
-
-        specs.append(CellSpec(
-            cell_id="fig7/rsa", kind="rsa", seed=7,
-            exponent=FIGURE7_EXPONENT,
-        ))
+        specs.append(CellSpec(cell_id="fig7/rsa", kind="rsa", seed=7))
     if "table3" in artifacts:
-        for cell_id, variant, _, channel, cell_predictor in table3_plan(
-            predictor
-        ):
-            specs.append(CellSpec(
-                cell_id=cell_id,
-                variant=variant.name,
-                channel=channel.value,
-                predictor=cell_predictor,
-                n_runs=n_runs,
-                seed=seed,
-            ))
+        for variant in ALL_VARIANTS:
+            slug = _slug(variant.category.value)
+            for key, channel, predictor in _TABLE3_COLUMNS:
+                if channel not in variant.supported_channels:
+                    continue
+                specs.append(CellSpec(
+                    cell_id=f"table3/{slug}/{key}",
+                    variant=variant.name,
+                    channel=channel.value,
+                    predictor=predictor,
+                    n_runs=n_runs,
+                    seed=seed,
+                    slot=key,
+                ))
     return specs
 
 
-def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
-    """Run one spec through an executor, exactly as the serial drivers do."""
-    if spec.kind == "rsa":
-        from repro.harness.experiment import RSA_DRAM
+_T = TypeVar("_T")
 
+
+def slots(
+    specs: Sequence[CellSpec], values: Mapping[str, _T], artifact: str,
+) -> List[Tuple[str, _T]]:
+    """``(slot, value)`` for each cell of ``artifact``, in plan order.
+
+    ``values`` maps cell ids to whatever the caller renders: the cells
+    :func:`run_cells` returned, or their results.
+    """
+    return [
+        (spec.slot, values[spec.cell_id])
+        for spec in specs if spec.artifact == artifact
+    ]
+
+
+def table3_grid(
+    specs: Sequence[CellSpec], values: Mapping[str, _T],
+) -> Dict[AttackCategory, Dict[str, Optional[_T]]]:
+    """Table III's values by category and column, in paper order.
+
+    A column whose channel a variant does not support stays ``None``.
+    """
+    grid: Dict[AttackCategory, Dict[str, Optional[_T]]] = {
+        variant.category: {key: None for key, _, _ in _TABLE3_COLUMNS}
+        for variant in ALL_VARIANTS
+    }
+    for spec in specs:
+        if spec.artifact == "table3":
+            category = variant_by_name(spec.variant).category
+            grid[category][spec.slot] = values[spec.cell_id]
+    return grid
+
+
+def execute_spec(spec: CellSpec, executor: ResilientExecutor) -> SupervisedCell:
+    """Run one spec through an executor."""
+    if spec.kind == "rsa":
         return executor.run_rsa_supervised(
             spec.cell_id,
-            spec.exponent if spec.exponent is not None else 0,
+            FIGURE7_EXPONENT,
             seed=spec.seed,
             memory_config=MemoryConfig(dram=RSA_DRAM),
         )
@@ -234,11 +294,8 @@ def _run_spec_in_worker(spec: CellSpec) -> Dict[str, object]:
     before = COUNTERS.snapshot()
     fallback_mark = len(fallback_journal())
     cell = execute_spec(spec, _WORKER_EXECUTOR)
-    failed = cell.classification is CellClassification.FAILED
     return {
-        "cell_id": spec.cell_id,
-        "failed": failed,
-        "payload": None if failed else cell.to_payload(),
+        "payload": cell.to_payload(),
         "counters": PerfCounters.delta(before, COUNTERS.snapshot()),
         # Batched-backend fallbacks are journaled process-locally; ship
         # this cell's events so the parent sees the sweep-wide truth.
@@ -249,18 +306,6 @@ def _run_spec_in_worker(spec: CellSpec) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-
-@dataclass
-class SweepStats:
-    """Telemetry of one parallel (or serial-fallback) prefill pass."""
-
-    cells_total: int = 0
-    cells_cached: int = 0
-    cells_run: int = 0
-    cells_failed: int = 0
-    elapsed_s: float = 0.0
-    counters: Dict[str, int] = field(default_factory=dict)
-
 
 def run_cells(
     specs: Sequence[CellSpec],
@@ -273,68 +318,84 @@ def run_cells(
     cell_timeout_s: Optional[float] = DEFAULT_CELL_TIMEOUT_S,
     max_dispatches: int = DEFAULT_CELL_DISPATCHES,
     progress: Optional[Callable[[str], None]] = None,
-) -> SweepStats:
-    """Execute ``specs``, journaling results into ``store``.
+) -> Dict[str, SupervisedCell]:
+    """Run ``specs``, journaling into ``store``; their cells by id.
 
-    With ``workers > 1`` the cells run on a supervised persistent
-    worker pool (:class:`repro.harness.supervisor.WorkerSupervisor`) and
-    the parent is the only process that writes the checkpoint journal.
-    The supervisor adds the robustness the bare process pool lacked: a
-    per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
+    The returned mapping holds one cell per spec, in plan order.
+    Cells already journaled in ``store`` are reused verbatim (resume
+    semantics), and every completed cell is journaled as it completes;
+    failed cells are not journaled, so a resumed sweep re-attempts
+    them.
+
+    With ``workers > 1`` the cells not yet journaled, when there are at
+    least two, run first on a supervised persistent worker pool
+    (:class:`repro.harness.supervisor.WorkerSupervisor`), and the parent
+    is the only process that writes the journal.  The supervisor adds
+    a per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
     hang detection, and deterministic redispatch after a worker death —
-    a redispatched cell reruns the identical spec and journals the
+    a redispatched cell reruns the identical spec and ships the
     byte-identical payload.  A cell that exhausts ``max_dispatches``
     or raises out of the executor fails the sweep loudly.  Every exit
     (success, failure, SIGINT) stops the pool, cancelling whatever is
-    still pending or in flight.
+    still pending or in flight.  When called from the main thread,
+    SIGINT cancels the outstanding cells, leaves the completed ones
+    journaled, and raises ``KeyboardInterrupt`` so the CLI exits
+    nonzero and ``--resume`` picks up from the journal.
 
-    With ``workers == 1`` the cells run in-process through an executor
-    bound directly to the store — the exact serial code path, kept as
-    the fallback so the two modes cannot drift apart.  (No wall-clock
-    deadline applies there: the parent cannot preempt itself.)
+    Every other cell runs in this process through one executor bound to
+    ``store``, in plan order.  No wall-clock deadline applies there:
+    the parent cannot preempt itself.
 
-    When called from the main thread with ``workers > 1``, SIGINT is
-    handled cleanly: outstanding cells are cancelled, already-completed
-    payloads stay journaled (flushed incrementally), and
-    ``KeyboardInterrupt`` is raised so the CLI exits nonzero and
-    ``--resume`` picks up from the flushed journal.
-
-    Cells already present in the store are skipped (resume semantics).
-    The journal payloads are byte-identical for any worker count; the
+    ``progress``, when given, is called with ``"<cell id>:
+    <classification>"`` as each cell settles.  The cells and their
+    journal payloads are byte-identical for any worker count; the
     determinism tests hash them across worker counts to enforce this.
     """
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
     policy = policy or ExecutionPolicy.compat()
-    stats = SweepStats(cells_total=len(specs))
-    pending: List[CellSpec] = []
-    for spec in specs:
-        if store is not None and store.has(spec.cell_id):
-            stats.cells_cached += 1
-        else:
-            pending.append(spec)
-    started = now()
-    counters = PerfCounters()
-
-    if workers == 1 or len(pending) <= 1:
-        injector = (
+    pooled: Dict[str, SupervisedCell] = {}
+    if workers > 1:
+        pending = [
+            spec for spec in specs
+            if store is None or not store.has(spec.cell_id)
+        ]
+        if len(pending) > 1:
+            pooled = _run_pool(
+                pending, store, policy, workers, fault_profile, fault_seed,
+                cell_timeout_s, max_dispatches, progress,
+            )
+    executor = ResilientExecutor(
+        policy,
+        injector=(
             FaultInjector(fault_profile, seed=fault_seed)
             if fault_profile is not None else None
-        )
-        serial = ResilientExecutor(policy, injector=injector, store=store)
-        before = COUNTERS.snapshot()
-        for spec in pending:
-            cell = execute_spec(spec, serial)
-            stats.cells_run += 1
-            if cell.classification is CellClassification.FAILED:
-                stats.cells_failed += 1
+        ),
+        store=store,
+    )
+    cells: Dict[str, SupervisedCell] = {}
+    for spec in specs:
+        cell = pooled.get(spec.cell_id)
+        if cell is None:
+            cell = execute_spec(spec, executor)
             if progress is not None:
                 progress(f"{spec.cell_id}: {cell.classification.value}")
-        stats.elapsed_s = now() - started
-        counters.add(PerfCounters.delta(before, COUNTERS.snapshot()))
-        stats.counters = counters.snapshot()
-        return stats
+        cells[spec.cell_id] = cell
+    return cells
 
+
+def _run_pool(
+    pending: Sequence[CellSpec],
+    store: Optional[CheckpointStore],
+    policy: ExecutionPolicy,
+    workers: int,
+    fault_profile: Optional[FaultProfile],
+    fault_seed: int,
+    cell_timeout_s: Optional[float],
+    max_dispatches: int,
+    progress: Optional[Callable[[str], None]],
+) -> Dict[str, SupervisedCell]:
+    """Run ``pending`` on a supervised worker pool; its cells by id."""
     from repro.harness.supervisor import SupervisorPolicy, WorkerSupervisor
     from repro.stats import _special
 
@@ -374,53 +435,46 @@ def run_cells(
 
         previous_handler = signal.signal(signal.SIGINT, _on_sigint)
 
+    cells: Dict[str, SupervisedCell] = {}
     failure: Optional[str] = None
     try:
         for spec in pending:
             supervisor.submit(spec.cell_id, spec, outcomes.put)
-        received = 0
-        while received < len(pending) and not interrupted.is_set():
+        while len(cells) < len(pending) and not interrupted.is_set():
             try:
                 outcome = outcomes.get(timeout=0.2)
             except queue.Empty:
                 continue
-            received += 1
-            if outcome.status == "done":
-                result = outcome.value
-                stats.cells_run += 1
-                counters.add(result["counters"])
-                # Fold the worker's fallbacks into this process's
-                # journal, so `fallback_journal()` stays the one
-                # source of truth regardless of sharding.
-                record_fallbacks(result.get("fallbacks") or [])
-                if result["failed"]:
-                    stats.cells_failed += 1
-                elif store is not None:
-                    # Flush incrementally: an interrupt or crash later
-                    # loses nothing already completed.
-                    store.save(str(result["cell_id"]), result["payload"])
-                if progress is not None:
-                    status = "failed" if result["failed"] else "done"
-                    progress(f"{outcome.task_id}: {status}")
-            else:  # "error" or "lost": fail the sweep loudly
+            if outcome.status != "done":  # "error" or "lost"
                 failure = (
                     f"cell {outcome.task_id!r} {outcome.status} after "
                     f"{outcome.dispatches} dispatch(es): {outcome.error}"
                 )
                 break
+            shipped = outcome.value
+            # Fold the worker's counters and fallbacks into this
+            # process's, so a caller's before/after snapshot and
+            # `fallback_journal()` see the whole sweep regardless of
+            # sharding.
+            COUNTERS.add(shipped["counters"])
+            record_fallbacks(shipped["fallbacks"])
+            cell = SupervisedCell.from_payload(shipped["payload"])
+            if (store is not None
+                    and cell.classification is not CellClassification.FAILED):
+                # Flush incrementally: an interrupt or crash later
+                # loses nothing already completed.
+                store.save(outcome.task_id, shipped["payload"])
+            cells[outcome.task_id] = cell
+            if progress is not None:
+                progress(f"{outcome.task_id}: {cell.classification.value}")
     finally:
         supervisor.stop()
         supervisor.join(timeout=30.0)
         if in_main_thread:
             signal.signal(signal.SIGINT, previous_handler)
 
-    stats.elapsed_s = now() - started
-    stats.counters = counters.snapshot()
-    # Fold worker counters into this process's totals so a caller's
-    # before/after snapshot sees the whole sweep regardless of sharding.
-    COUNTERS.add(stats.counters)
     if failure is not None:
         raise HarnessError(failure)
     if interrupted.is_set():
         raise KeyboardInterrupt
-    return stats
+    return cells

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 from repro._version import __version__
 from repro.core.attack import ExperimentResult
 from repro.core.model import verdict_summary
-from repro.core.variants import TestHitAttack, TrainTestAttack
 from repro.crypto.leak import RsaAttackResult
 from repro.errors import HarnessError
 from repro.harness.checkpoint import (
@@ -36,20 +35,14 @@ from repro.harness.checkpoint import (
     atomic_write_json,
     atomic_write_text,
 )
-from repro.harness.faults import FaultInjector, fault_profile
+from repro.harness.faults import fault_profile
 from repro.harness.report import figure7_report, figure_report, table3_report
 from repro.harness.runner import (
     AdaptivePolicy,
     ExecutionPolicy,
-    ResilientExecutor,
     RetryPolicy,
     SequentialPolicy,
     SupervisedCell,
-    figure7_supervised,
-    figure_panels_supervised,
-    plain_panels,
-    plain_results,
-    table3_supervised,
 )
 from repro.harness.tables import render_table1, render_table2
 
@@ -155,7 +148,6 @@ def run_all(
     max_retries: int = 2,
     fault_profile_name: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
-    checkpoint_dir: Optional[str] = None,
     workers: Optional[int] = None,
     cell_timeout_s: Optional[float] = None,
     sequential: Optional[SequentialPolicy] = None,
@@ -163,6 +155,12 @@ def run_all(
     backend: Optional[str] = None,
 ) -> Dict[str, str]:
     """Regenerate and persist the selected artifacts, resumably.
+
+    The supervised cells behind the chosen artifacts
+    (:func:`repro.harness.parallel.sweep_specs`) run in one
+    :func:`repro.harness.parallel.run_cells` call, journaled to
+    ``<out_dir>/checkpoint``, and every artifact renders from the cells
+    it returns.
 
     Args:
         out_dir: Existing directory to write into.
@@ -179,22 +177,20 @@ def run_all(
             artifact metadata), so a ``--resume`` across profiles is
             rejected.
         policy: Full execution policy; overrides ``max_retries``.
-        checkpoint_dir: Journal location; default
-            ``<out_dir>/checkpoint``.
-        workers: Process-pool width for the experiment cells; ``None``
-            reads :data:`repro.harness.parallel.WORKERS_ENV` and falls
-            back to 1 (serial).  With more than one worker the cells
-            are prefilled into the checkpoint journal by
-            :func:`repro.harness.parallel.run_cells` and the artifact
-            assembly below then reuses every journaled cell — the
-            resume path — so records are byte-identical to a serial
-            run for any worker count.
-        cell_timeout_s: Per-cell wall-clock deadline for the parallel
-            prefill (``None`` uses
+        workers: Worker-pool width for the cells; ``None`` reads
+            :data:`repro.harness.parallel.WORKERS_ENV` and falls back
+            to 1 (serial).  Resolved and checked before anything is
+            written.  With more than one worker, the cells not yet
+            journaled run on a supervised worker pool, and each
+            pooled cell, failed or not, renders from its worker's
+            payload; records are byte-identical to a serial run for
+            any worker count.
+        cell_timeout_s: Per-cell wall-clock deadline in the worker pool
+            (``None`` uses
             :data:`repro.harness.parallel.DEFAULT_CELL_TIMEOUT_S`).
             A hung worker is killed at the deadline and the cell is
-            redispatched deterministically.  Serial runs cannot
-            preempt themselves, so the deadline only applies with
+            redispatched deterministically.  Cells run in this process
+            cannot be preempted, so the deadline only applies with
             ``workers > 1``.
         sequential: Optional group-sequential early-stopping policy
             (:class:`repro.harness.runner.SequentialPolicy`) applied to
@@ -223,10 +219,20 @@ def run_all(
 
     Raises:
         HarnessError: For unknown artifact names, a missing out_dir,
-            a worker count below 1, or a resume against an incompatible
-            checkpoint.
+            a worker count below 1 (``workers`` or
+            :data:`~repro.harness.parallel.WORKERS_ENV`), or a resume
+            against an incompatible checkpoint.
         FaultInjectionError: For an unknown fault profile name.
     """
+    from repro.harness.parallel import (
+        DEFAULT_CELL_TIMEOUT_S,
+        default_workers,
+        run_cells,
+        slots,
+        sweep_specs,
+        table3_grid,
+    )
+
     if not os.path.isdir(out_dir):
         raise HarnessError(f"output directory {out_dir!r} does not exist")
     known = ("table1", "table2", "fig5", "fig7", "fig8", "table3")
@@ -234,7 +240,9 @@ def run_all(
     for name in chosen:
         if name not in known:
             raise HarnessError(f"unknown artifact {name!r}; choose from {known}")
-    if workers is not None and workers < 1:
+    if workers is None:
+        workers = default_workers()
+    if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
     profile = fault_profile(fault_profile_name) if fault_profile_name else None
 
@@ -249,65 +257,36 @@ def run_all(
         # fixed-N/sequential modes (or differing look schedules) is
         # rejected by the compatibility check.
         meta["sequential"] = seq_policy.to_meta()
-    supervised_chosen = [
-        name for name in chosen if name in ("fig5", "fig7", "fig8", "table3")
-    ]
-    executor: Optional[ResilientExecutor] = None
-    processed: List[SupervisedCell] = []
-    if supervised_chosen:
+    specs = sweep_specs(chosen, n_runs=n_runs, seed=seed)
+    store: Optional[CheckpointStore] = None
+    if specs:
         manifest = dict(meta)
         if profile is not None and profile.name != "none":
             # In the manifest only: artifact meta keeps its bytes, and
             # the compatibility check rejects a resume across profiles.
             manifest["fault_profile"] = profile.name
         store = CheckpointStore.open(
-            checkpoint_dir or os.path.join(out_dir, "checkpoint"),
-            manifest, resume=resume,
+            os.path.join(out_dir, "checkpoint"), manifest, resume=resume,
         )
-        injector = (
-            FaultInjector(profile, seed=seed) if profile is not None else None
-        )
-        effective_policy = policy or ExecutionPolicy(
+    cells = run_cells(
+        specs,
+        store,
+        policy or ExecutionPolicy(
             retry=RetryPolicy(max_retries=max_retries),
             adaptive=AdaptivePolicy(),
             sequential=sequential,
             strict_preflight=strict_preflight,
             backend=backend,
-        )
-        executor = ResilientExecutor(
-            effective_policy,
-            injector=injector,
-            store=store,
-        )
-        from repro.harness.parallel import (
-            DEFAULT_CELL_TIMEOUT_S,
-            default_workers,
-            run_cells,
-            sweep_specs,
-        )
-
-        effective_workers = (
-            workers if workers is not None else default_workers()
-        )
-        if effective_workers > 1:
-            # Parallel prefill: shard the supervised cells across a
-            # process pool, journaling through the store (single
-            # writer).  The assembly code below then finds every cell
-            # cached and reuses it byte-for-byte.
-            run_cells(
-                sweep_specs(
-                    supervised_chosen, n_runs=n_runs, seed=seed,
-                ),
-                store,
-                effective_policy,
-                workers=effective_workers,
-                fault_profile=profile,
-                fault_seed=seed,
-                cell_timeout_s=(
-                    cell_timeout_s if cell_timeout_s is not None
-                    else DEFAULT_CELL_TIMEOUT_S
-                ),
-            )
+        ),
+        workers=workers,
+        fault_profile=profile,
+        fault_seed=seed,
+        cell_timeout_s=(
+            cell_timeout_s if cell_timeout_s is not None
+            else DEFAULT_CELL_TIMEOUT_S
+        ),
+    )
+    results = {cell_id: cell.result for cell_id, cell in cells.items()}
 
     if "table1" in chosen:
         path = os.path.join(out_dir, "table1.txt")
@@ -324,43 +303,31 @@ def run_all(
             }},
         )
         written["table2"] = path
-    if "fig5" in chosen:
-        panels = figure_panels_supervised(
-            executor, TrainTestAttack(), "fig5", n_runs=n_runs, seed=seed,
-        )
-        processed.extend(cell for _, cell in panels)
-        path = os.path.join(out_dir, "fig5.txt")
+    for figure, title, mapped_label, unmapped_label in (
+        ("fig5", "Figure 5: Train + Test attacks",
+         "mapped index", "unmapped index"),
+        ("fig8", "Figure 8: Test + Hit attacks",
+         "mapped data", "unmapped data"),
+    ):
+        if figure not in chosen:
+            continue
+        path = os.path.join(out_dir, f"{figure}.txt")
         save_text(path, figure_report(
-            "Figure 5: Train + Test attacks", plain_panels(panels),
-            mapped_label="mapped index", unmapped_label="unmapped index",
+            title,
+            [(panel, result)
+             for panel, result in slots(specs, results, figure)
+             if result is not None],
+            mapped_label=mapped_label, unmapped_label=unmapped_label,
         ))
         save_json(
-            os.path.join(out_dir, "fig5.json"),
+            os.path.join(out_dir, f"{figure}.json"),
             {**meta, "panels": {
-                title: cell_record(cell) for title, cell in panels
+                panel: cell_record(cell)
+                for panel, cell in slots(specs, cells, figure)
             }},
         )
-        written["fig5"] = path
-    if "fig8" in chosen:
-        panels = figure_panels_supervised(
-            executor, TestHitAttack(), "fig8", n_runs=n_runs, seed=seed,
-        )
-        processed.extend(cell for _, cell in panels)
-        path = os.path.join(out_dir, "fig8.txt")
-        save_text(path, figure_report(
-            "Figure 8: Test + Hit attacks", plain_panels(panels),
-            mapped_label="mapped data", unmapped_label="unmapped data",
-        ))
-        save_json(
-            os.path.join(out_dir, "fig8.json"),
-            {**meta, "panels": {
-                title: cell_record(cell) for title, cell in panels
-            }},
-        )
-        written["fig8"] = path
-    if "fig7" in chosen:
-        cell = figure7_supervised(executor)
-        processed.append(cell)
+        written[figure] = path
+    for _, cell in slots(specs, cells, "fig7"):
         path = os.path.join(out_dir, "fig7.txt")
         if cell.result is not None:
             save_text(path, figure7_report(cell.result))
@@ -376,36 +343,29 @@ def run_all(
             )
         written["fig7"] = path
     if "table3" in chosen:
-        supervised = table3_supervised(
-            executor, n_runs=n_runs, seed=seed,
-        )
-        processed.extend(
-            cell for cells in supervised.values()
-            for cell in cells.values() if cell is not None
-        )
         path = os.path.join(out_dir, "table3.txt")
-        save_text(path, table3_report(plain_results(supervised)))
+        save_text(path, table3_report(table3_grid(specs, results)))
         save_json(
             os.path.join(out_dir, "table3.json"),
             {**meta, "cells": {
                 category.value: {
-                    key: cell_record(cell) for key, cell in cells.items()
+                    key: cell_record(cell) for key, cell in row.items()
                 }
-                for category, cells in supervised.items()
+                for category, row in table3_grid(specs, cells).items()
             }},
         )
         written["table3"] = path
 
-    if supervised_chosen:
+    if specs:
         summary: Dict[str, int] = {}
-        for cell in processed:
+        for cell in cells.values():
             label = cell.classification.value
             summary[label] = summary.get(label, 0) + 1
         payload: Dict[str, object] = {
-            **meta, "cells": len(processed), "classifications": summary,
+            **meta, "cells": len(cells), "classifications": summary,
         }
         seq_records = [
-            cell.sequential for cell in processed
+            cell.sequential for cell in cells.values()
             if cell.sequential is not None
         ]
         if seq_records:

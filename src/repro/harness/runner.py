@@ -49,8 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.attack import AttackRunner, ExperimentResult
 from repro.core.channels import ChannelType
-from repro.core.model import AttackCategory
-from repro.core.variants import ALL_VARIANTS, AttackVariant
+from repro.core.variants import AttackVariant
 from repro.crypto.leak import RsaAttackConfig, RsaVpAttack
 from repro.crypto.mpi import Mpi
 from repro.errors import HarnessError, ReproError
@@ -509,7 +508,7 @@ def _passing_preflight(
 
     The analysis never sees the seed, so without a memo every sweep
     repeats it for every cell.  The memo is per process rather than
-    per executor because each sweep (``run_all``, ``run_cells``) builds
+    per executor because each sweep (each ``run_cells`` call) builds
     its own executor.  It is keyed on the variant (by identity, so the
     shared ``ALL_VARIANTS`` instances hit), channel, predictor name and
     the ``confidence``, ``chain_length``, ``modify_mode`` and
@@ -763,136 +762,9 @@ class ResilientExecutor:
         return self.supervise(cell_id, attempt_fn, seed=seed)
 
 
-# ----------------------------------------------------------------------
-# Resilient sweep drivers (supervised analogues of experiment.py)
-# ----------------------------------------------------------------------
-
 def _slug(text: str) -> str:
     collapsed = re.sub(
         r"-+", "-",
         "".join(ch if ch.isalnum() else "-" for ch in text.lower()),
     )
     return collapsed.strip("-")
-
-
-#: The four Figure 5/8 panel specifications, in paper order.
-_PANEL_SPECS: Tuple[Tuple[str, ChannelType, str], ...] = (
-    ("(1) Timing-Window Channel (no VP)", ChannelType.TIMING_WINDOW, "none"),
-    ("(2) Timing-Window Channel (LVP)", ChannelType.TIMING_WINDOW, "lvp"),
-    ("(3) Persistent Channel (no VP)", ChannelType.PERSISTENT, "none"),
-    ("(4) Persistent Channel (LVP)", ChannelType.PERSISTENT, "lvp"),
-)
-
-
-def figure_panels_supervised(
-    executor: ResilientExecutor,
-    variant: AttackVariant,
-    figure: str,
-    n_runs: int = 100,
-    seed: int = 0,
-) -> List[Tuple[str, SupervisedCell]]:
-    """Supervised Figure 5/8 panels for ``variant``."""
-    panels: List[Tuple[str, SupervisedCell]] = []
-    for title, channel, predictor in _PANEL_SPECS:
-        cell_id = f"{figure}/{channel.value}-{predictor}"
-        panels.append((
-            title,
-            executor.run_cell_supervised(
-                cell_id, variant, channel, predictor, n_runs, seed,
-            ),
-        ))
-    return panels
-
-
-def table3_plan(
-    predictor: str = "lvp",
-) -> List[Tuple[str, AttackVariant, str, ChannelType, str]]:
-    """The Table III cells in paper order.
-
-    Each entry is ``(cell_id, variant, key, channel, cell_predictor)``,
-    where ``key`` names the table column (``tw_novp``, ``tw_vp``,
-    ``pc_novp``, ``pc_vp``); persistent-channel cells appear only for
-    variants that support that channel.  The serial sweep
-    (:func:`table3_supervised`) and the parallel prefill
-    (:func:`repro.harness.parallel.sweep_specs`) both enumerate this
-    plan, so the prefill journals exactly the ids the sweep looks up.
-    """
-    plan: List[Tuple[str, AttackVariant, str, ChannelType, str]] = []
-    for variant in ALL_VARIANTS:
-        slug = _slug(variant.category.value)
-        columns = [
-            ("tw_novp", ChannelType.TIMING_WINDOW, "none"),
-            ("tw_vp", ChannelType.TIMING_WINDOW, predictor),
-        ]
-        if ChannelType.PERSISTENT in variant.supported_channels:
-            columns += [
-                ("pc_novp", ChannelType.PERSISTENT, "none"),
-                ("pc_vp", ChannelType.PERSISTENT, predictor),
-            ]
-        for key, channel, cell_predictor in columns:
-            plan.append(
-                (f"table3/{slug}/{key}", variant, key, channel, cell_predictor)
-            )
-    return plan
-
-
-def table3_supervised(
-    executor: ResilientExecutor,
-    n_runs: int = 100,
-    seed: int = 0,
-    predictor: str = "lvp",
-) -> Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]]:
-    """Supervised Table III sweep; resumes over the executor's store."""
-    results: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]] = {
-        variant.category: dict.fromkeys(
-            ("tw_novp", "tw_vp", "pc_novp", "pc_vp")
-        )
-        for variant in ALL_VARIANTS
-    }
-    for cell_id, variant, key, channel, cell_predictor in table3_plan(
-        predictor
-    ):
-        results[variant.category][key] = executor.run_cell_supervised(
-            cell_id, variant, channel, cell_predictor, n_runs, seed,
-        )
-    return results
-
-
-def figure7_supervised(
-    executor: ResilientExecutor,
-    seed: int = 7,
-    exponent: Optional[int] = None,
-) -> SupervisedCell:
-    """Supervised Figure 7 RSA exponent leak."""
-    from repro.harness.experiment import FIGURE7_EXPONENT, RSA_DRAM
-
-    return executor.run_rsa_supervised(
-        "fig7/rsa",
-        exponent if exponent is not None else FIGURE7_EXPONENT,
-        seed=seed,
-        memory_config=MemoryConfig(dram=RSA_DRAM),
-    )
-
-
-def plain_results(
-    supervised: Dict[AttackCategory, Dict[str, Optional[SupervisedCell]]],
-) -> Dict[AttackCategory, Dict[str, Optional[ExperimentResult]]]:
-    """Strip supervision metadata: the classic table3_results shape."""
-    return {
-        category: {
-            key: (cell.result if cell is not None else None)
-            for key, cell in cells.items()
-        }
-        for category, cells in supervised.items()
-    }
-
-
-def plain_panels(
-    panels: List[Tuple[str, SupervisedCell]],
-) -> List[Tuple[str, ExperimentResult]]:
-    """Strip supervision metadata from figure panels, dropping failures."""
-    return [
-        (title, cell.result)
-        for title, cell in panels
-        if cell.result is not None
-    ]

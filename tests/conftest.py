@@ -42,3 +42,25 @@ def lvp_core(det_memory) -> Core:
     return Core(
         det_memory, LastValuePredictor(confidence_threshold=4), CoreConfig()
     )
+
+
+@pytest.fixture
+def journaled_ids(monkeypatch):
+    """``journaled_ids(store)``: the ids ``store`` journals from then on.
+
+    Cells reused from the journal are never saved again, so the list
+    tells which cells a sweep actually ran.
+    """
+
+    def watch(store) -> list:
+        saved: list = []
+        save = store.save
+
+        def spy(cell_id, payload):
+            saved.append(cell_id)
+            save(cell_id, payload)
+
+        monkeypatch.setattr(store, "save", spy)
+        return saved
+
+    return watch

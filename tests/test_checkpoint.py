@@ -19,14 +19,12 @@ from repro.harness.checkpoint import (
     serialize_result,
 )
 from repro.harness.experiment import run_cell
+from repro.harness.parallel import run_cells, sweep_specs
 from repro.harness.persistence import run_all
 from repro.harness.runner import (
     AdaptivePolicy,
     ExecutionPolicy,
-    ResilientExecutor,
     RetryPolicy,
-    figure_panels_supervised,
-    table3_supervised,
 )
 
 
@@ -146,11 +144,8 @@ class TestResumeFromPartialCheckpoint:
     def test_missing_cells_recomputed_journaled_cells_reused(self, tmp_path):
         meta = {"version": "1", "n_runs": 2, "seed": 0}
         run_dir = str(tmp_path / "run")
-        store = CheckpointStore.open(run_dir, meta)
-        executor = ResilientExecutor(store=store)
-        original = figure_panels_supervised(
-            executor, TrainTestAttack(), "fig5", n_runs=2, seed=0
-        )
+        specs = sweep_specs(["fig5"], n_runs=2, seed=0)
+        original = run_cells(specs, CheckpointStore.open(run_dir, meta))
         cells_dir = os.path.join(run_dir, "cells")
         journaled = {
             name: open(os.path.join(cells_dir, name)).read()
@@ -162,10 +157,8 @@ class TestResumeFromPartialCheckpoint:
         lost = "fig5-persistent-lvp.json"
         os.unlink(os.path.join(cells_dir, lost))
 
-        resumed_store = CheckpointStore.open(run_dir, meta, resume=True)
-        resumed = figure_panels_supervised(
-            ResilientExecutor(store=resumed_store),
-            TrainTestAttack(), "fig5", n_runs=2, seed=0,
+        resumed = run_cells(
+            specs, CheckpointStore.open(run_dir, meta, resume=True)
         )
         after = {
             name: open(os.path.join(cells_dir, name)).read()
@@ -174,24 +167,12 @@ class TestResumeFromPartialCheckpoint:
         # Reused cells byte-identical; the lost cell was recomputed to
         # the identical payload (deterministic seeds).
         assert after == journaled
-        for (title_a, cell_a), (title_b, cell_b) in zip(original, resumed):
-            assert title_a == title_b
+        assert list(original) == list(resumed)
+        for cell_id, cell_a in original.items():
+            cell_b = resumed[cell_id]
             assert cell_a.result.pvalue == cell_b.result.pvalue
             assert cell_a.result.comparison.mapped.samples == \
                 cell_b.result.comparison.mapped.samples
-
-
-class _InterruptingExecutor(ResilientExecutor):
-    """Raises ``KeyboardInterrupt`` (a Ctrl-C) on reaching one cell."""
-
-    def __init__(self, interrupt_at, **kwargs):
-        super().__init__(**kwargs)
-        self.interrupt_at = interrupt_at
-
-    def run_cell_supervised(self, cell_id, *args, **kwargs):
-        if cell_id == self.interrupt_at:
-            raise KeyboardInterrupt
-        return super().run_cell_supervised(cell_id, *args, **kwargs)
 
 
 class TestCrashResumeAcceptance:
@@ -215,16 +196,21 @@ class TestCrashResumeAcceptance:
         store = CheckpointStore.open(
             str(out_dir / "checkpoint"), meta
         )
-        interrupted = _InterruptingExecutor(
-            "table3/test-hit/tw_vp",
-            policy=ExecutionPolicy(
-                retry=RetryPolicy(max_retries=0),
-                adaptive=AdaptivePolicy(),
-            ),
-            store=store,
-        )
+
+        def interrupt_after(message):
+            # A Ctrl-C right after this cell completes.
+            if message.startswith("table3/test-hit/tw_novp:"):
+                raise KeyboardInterrupt
+
         with pytest.raises(KeyboardInterrupt):
-            table3_supervised(interrupted, n_runs=n_runs, seed=seed)
+            run_cells(
+                sweep_specs(["table3"], n_runs=n_runs, seed=seed), store,
+                ExecutionPolicy(
+                    retry=RetryPolicy(max_retries=0),
+                    adaptive=AdaptivePolicy(),
+                ),
+                progress=interrupt_after,
+            )
         completed = store.completed_cells()
         assert 0 < len(completed) < 18  # genuinely interrupted mid-sweep
 

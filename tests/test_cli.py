@@ -197,8 +197,22 @@ class TestResilienceFlags:
             main([command, *target, "--fault-profile", profile])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "'crash', 'none', 'worker-kill'" in err
+        if command == "attack":
+            # attack starts no worker pool: in-process profiles only.
+            assert "'crash', 'none'" in err
+            assert "worker-kill" not in err
+        else:
+            assert "'crash', 'none', 'worker-kill'" in err
         assert os.listdir(tmp_path) == []
+
+    def test_attack_refuses_process_fault_profiles(self, capsys):
+        # A process fault fires only inside a pool worker, and attack
+        # starts none, so worker-kill would inject nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["attack", "--variant", "Fill Up", "--runs", "6",
+                  "--seed", "1", "--fault-profile", "worker-kill"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'worker-kill'" in capsys.readouterr().err
 
     def test_all_resume_round_trip(self, tmp_path, capsys):
         args = [

@@ -26,7 +26,7 @@ from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.faults import FaultProfile, fault_profile
 from repro.harness.parallel import run_cells, sweep_specs
-from repro.harness.runner import ExecutionPolicy
+from repro.harness.runner import CellClassification, ExecutionPolicy
 
 META = {"version": "test", "n_runs": 4, "seed": 0}
 
@@ -41,8 +41,8 @@ def _run(tmp_path, specs, name, **kwargs):
     store = CheckpointStore.open(
         str(tmp_path / name / "checkpoint"), dict(META), resume=False
     )
-    stats = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
-    return stats, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
+    cells = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
+    return cells, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
 
 class TestProcessFaultsAreInvisible:
@@ -61,12 +61,13 @@ class TestProcessFaultsAreInvisible:
             name="test-hang", hang_cells=(specs[0].cell_id,)
         )
         _, clean = _run(tmp_path, specs, "clean", workers=1)
-        stats, hung = _run(
+        cells, hung = _run(
             tmp_path, specs, "hung", workers=2,
             fault_profile=profile, cell_timeout_s=30.0,
         )
         assert _digest(clean) == _digest(hung)
-        assert stats.cells_run == len(specs)
+        assert all(cell.classification is not CellClassification.FAILED
+                   for cell in cells.values())
 
     def test_exhausted_dispatch_budget_fails_loudly(self, tmp_path):
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
@@ -84,7 +85,9 @@ class TestProcessFaultsAreInvisible:
 
 
 class TestSigintMidSweep:
-    def test_interrupt_flushes_journal_and_resume_completes(self, tmp_path):
+    def test_interrupt_flushes_journal_and_resume_completes(
+        self, tmp_path, journaled_ids
+    ):
         # Eight cells on two workers: with only four, the rest could
         # all finish before the interrupt lands, leaving nothing to
         # resume.
@@ -124,10 +127,12 @@ class TestSigintMidSweep:
             str(tmp_path / "interrupted" / "checkpoint"), dict(META),
             resume=True,
         )
-        stats = run_cells(
-            specs, resumed, ExecutionPolicy.compat(), workers=2
+        saved = journaled_ids(resumed)
+        run_cells(specs, resumed, ExecutionPolicy.compat(), workers=2)
+        # Only the cells the interrupt cancelled ran again.
+        assert sorted(saved) == sorted(
+            spec.cell_id for spec in specs if spec.cell_id not in flushed
         )
-        assert stats.cells_cached == len(flushed)
         final = {
             spec.cell_id: resumed.load(spec.cell_id) for spec in specs
         }

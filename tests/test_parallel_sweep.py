@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.faults import fault_profile
+from repro.harness.faults import FaultInjector, FaultProfile, fault_profile
 from repro.harness.parallel import (
     CellSpec,
     WORKERS_ENV,
@@ -29,11 +29,13 @@ from repro.harness.parallel import (
 from repro.harness.persistence import run_all
 from repro.harness.runner import (
     AdaptivePolicy,
+    CellClassification,
     ExecutionPolicy,
     RetryPolicy,
     cell_seed_index,
     reseed,
 )
+from repro.perf.counters import COUNTERS, PerfCounters
 from repro.sim import clear_fallback_journal, fallback_journal
 
 META = {"version": "test", "n_runs": 4, "seed": 0}
@@ -49,8 +51,8 @@ def _run(tmp_path, specs, name, **kwargs):
     store = CheckpointStore.open(
         str(tmp_path / name / "checkpoint"), dict(META), resume=False
     )
-    stats = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
-    return stats, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
+    cells = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
+    return cells, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
 
 class TestSpecEnumeration:
@@ -63,10 +65,17 @@ class TestSpecEnumeration:
         assert "fig7/rsa" in ids
         rsa = next(spec for spec in specs if spec.kind == "rsa")
         assert rsa.seed == 7  # Figure 7 pins its own seed
-        assert rsa.exponent is not None
+        assert rsa.artifact == "fig7"
         for spec in specs:
             if spec.kind == "experiment":
                 assert spec.n_runs == 8 and spec.seed == 3
+        # Each panel names its slot: the figure's panel title.
+        assert [spec.slot for spec in specs if spec.artifact == "fig5"] == [
+            "(1) Timing-Window Channel (no VP)",
+            "(2) Timing-Window Channel (LVP)",
+            "(3) Persistent Channel (no VP)",
+            "(4) Persistent Channel (LVP)",
+        ]
 
     def test_table3_covers_all_variants(self):
         from repro.core.variants import ALL_VARIANTS
@@ -80,11 +89,15 @@ class TestSpecEnumeration:
             for v in ALL_VARIANTS
         )
         assert len({spec.cell_id for spec in specs}) == len(specs)
+        # Each cell names its slot: the Table III column it fills.
+        assert {spec.slot for spec in specs} == {
+            "tw_novp", "tw_vp", "pc_novp", "pc_vp",
+        }
+        assert all(spec.cell_id.endswith("/" + spec.slot) for spec in specs)
 
     def test_serial_run_all_journals_exactly_the_specs(self, tmp_path):
-        # A parallel run prefills the journal with these specs and the
-        # serial assembly then looks cells up by id: an id the two
-        # disagree on would silently re-run after the prefill.
+        # run_all runs exactly the plan: one journal record per spec,
+        # each measuring the spec's variant, channel and predictor.
         artifacts = ["fig5", "fig7", "fig8", "table3"]
         run_all(str(tmp_path), n_runs=2, seed=0, artifacts=artifacts,
                 workers=1)
@@ -111,10 +124,16 @@ class TestSpecEnumeration:
 class TestWorkerCountInvariance:
     def test_parallel_matches_serial_fallback(self, tmp_path):
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
-        _, serial = _run(tmp_path, specs, "serial", workers=1)
-        _, par2 = _run(tmp_path, specs, "par2", workers=2)
-        _, par4 = _run(tmp_path, specs, "par4", workers=4)
-        assert _digest(serial) == _digest(par2) == _digest(par4)
+        digests = set()
+        for workers in (1, 2, 4):
+            cells, journal = _run(tmp_path, specs, str(workers),
+                                  workers=workers)
+            # The cells come back by id, in plan order, as journaled.
+            assert list(cells) == [spec.cell_id for spec in specs]
+            assert {cell_id: cell.to_payload()
+                    for cell_id, cell in cells.items()} == journal
+            digests.add(_digest(journal))
+        assert len(digests) == 1
 
     def test_parallel_matches_under_crash_faults(self, tmp_path):
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
@@ -128,25 +147,61 @@ class TestWorkerCountInvariance:
         )
         assert _digest(serial) == _digest(par)
 
-    def test_cached_cells_are_skipped(self, tmp_path):
+    def test_cached_cells_are_skipped(self, tmp_path, journaled_ids):
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
         store = CheckpointStore.open(
             str(tmp_path / "checkpoint"), dict(META), resume=False
         )
-        first = run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
-        second = run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
-        assert first.cells_run == len(specs)
-        assert second.cells_cached == len(specs)
-        assert second.cells_run == 0
+        saved = journaled_ids(store)
+        run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        assert sorted(saved) == sorted(spec.cell_id for spec in specs)
+        saved.clear()
+        run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        assert saved == []
 
     def test_stats_telemetry(self, tmp_path):
+        # Worker counters fold into this process's, so a before/after
+        # snapshot sees the whole sweep.
         specs = sweep_specs(["fig5"], n_runs=4, seed=0)
-        stats, _ = _run(tmp_path, specs, "stats", workers=2)
-        assert stats.cells_total == len(specs)
-        assert stats.cells_failed == 0
-        assert stats.elapsed_s > 0
-        assert stats.counters["trials"] > 0
-        assert stats.counters["simulated_cycles"] > 0
+        before = COUNTERS.snapshot()
+        cells, _ = _run(tmp_path, specs, "stats", workers=2)
+        delta = PerfCounters.delta(before, COUNTERS.snapshot())
+        assert len(cells) == len(specs)
+        assert all(cell.classification is not CellClassification.FAILED
+                   for cell in cells.values())
+        assert delta["trials"] > 0
+        assert delta["simulated_cycles"] > 0
+
+    def test_pool_failure_is_not_rerun_in_parent(self, tmp_path, monkeypatch):
+        # A cell that fails in a worker comes back decoded from the
+        # worker's payload, identical to a serial failure, and the
+        # parent never attempts it again.
+        specs = sweep_specs(["fig5"], n_runs=4, seed=0)
+        doomed = specs[0].cell_id
+        profile = FaultProfile(name="test-crash", crash_cells=(doomed,))
+        policy = ExecutionPolicy(retry=RetryPolicy(max_retries=0))
+        serial = run_cells(specs, None, policy, workers=1,
+                           fault_profile=profile)
+        assert serial[doomed].classification is CellClassification.FAILED
+
+        parent_draws = []
+        maybe_crash = FaultInjector.maybe_crash
+
+        def spy(self, cell_id, attempt):
+            # Forked workers append to their own copy of the list.
+            parent_draws.append(cell_id)
+            maybe_crash(self, cell_id, attempt)
+
+        monkeypatch.setattr(FaultInjector, "maybe_crash", spy)
+        store = CheckpointStore.open(
+            str(tmp_path / "checkpoint"), dict(META), resume=False
+        )
+        pooled = run_cells(specs, store, policy, workers=2,
+                           fault_profile=profile)
+        assert pooled[doomed].classification is CellClassification.FAILED
+        assert pooled[doomed].to_payload() == serial[doomed].to_payload()
+        assert doomed not in parent_draws
+        assert not store.has(doomed)
 
     def test_fallback_journal_reaches_parent(self):
         # The volatile channel always falls back statically, so each
@@ -201,7 +256,7 @@ class TestRunAllParallel:
     def test_crash_resume_under_crash_faults_matches_serial(self, tmp_path):
         """Mid-sweep crash + --resume with workers under injected crashes.
 
-        A partial parallel prefill stands in for the crash: the journal
+        A partial parallel run stands in for the crash: the journal
         holds some cells, the process died, and the resumed parallel
         run must complete the sweep byte-identically to an uninterrupted
         serial run under the same fault profile.
@@ -224,7 +279,7 @@ class TestRunAllParallel:
              "fault_profile": "crash"},
             resume=False,
         )
-        # Same policy run_all supervises with, so the prefilled half
+        # Same policy run_all supervises with, so the journaled half
         # retries/escalates exactly as the uninterrupted run would.
         policy = ExecutionPolicy(
             retry=RetryPolicy(max_retries=2), adaptive=AdaptivePolicy()

@@ -154,6 +154,14 @@ class TestRunAll:
             run_all(str(tmp_path), artifacts=["table1"], workers=0)
         assert os.listdir(tmp_path) == []
 
+    def test_bad_worker_env_rejected_before_any_write(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        with pytest.raises(HarnessError, match="REPRO_WORKERS"):
+            run_all(str(tmp_path), artifacts=["fig5"])
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_artifact_rejected(self, tmp_path):
         with pytest.raises(HarnessError):
             run_all(str(tmp_path), artifacts=["bogus"])
