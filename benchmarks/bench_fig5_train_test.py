@@ -5,7 +5,8 @@ Paper values: pvalue = 0.8169 (TW no VP), 0.0420 (TW LVP), 0.7521
 the *shape*: no-VP panels above 0.05, LVP panels below.
 """
 
-from repro.harness import figure5_panels, figure_report
+from repro.harness import figure5_panels
+from repro.harness.parallel import _figure_text
 
 PAPER_PVALUES = {
     "(1)": 0.8169, "(2)": 0.0420, "(3)": 0.7521, "(4)": 0.0000,
@@ -14,12 +15,7 @@ PAPER_PVALUES = {
 
 def test_figure5_train_test():
     panels = figure5_panels(n_runs=100, seed=0)
-    print("\n" + figure_report(
-        "Figure 5: Train + Test attacks",
-        panels,
-        mapped_label="mapped index",
-        unmapped_label="unmapped index",
-    ))
+    print("\n" + _figure_text("fig5", panels))
     print("\npaper p-values for comparison:", PAPER_PVALUES)
 
     (_, tw_novp), (_, tw_lvp), (_, pc_novp), (_, pc_lvp) = panels

@@ -6,7 +6,8 @@ Paper values: pvalue = 0.2630 (TW no VP), 0.0072 (TW LVP), 0.6111
 
 import pytest
 
-from repro.harness import figure8_panels, figure_report
+from repro.harness import figure8_panels
+from repro.harness.parallel import _figure_text
 
 pytestmark = pytest.mark.slow  # full regeneration; excluded from the quick CI pass
 
@@ -17,12 +18,7 @@ PAPER_PVALUES = {
 
 def test_figure8_test_hit():
     panels = figure8_panels(n_runs=100, seed=0)
-    print("\n" + figure_report(
-        "Figure 8: Test + Hit attacks",
-        panels,
-        mapped_label="mapped data",
-        unmapped_label="unmapped data",
-    ))
+    print("\n" + _figure_text("fig8", panels))
     print("\npaper p-values for comparison:", PAPER_PVALUES)
 
     (_, tw_novp), (_, tw_lvp), (_, pc_novp), (_, pc_lvp) = panels

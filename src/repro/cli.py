@@ -45,7 +45,6 @@ from repro.harness import (
     figure7_report,
     figure7_result,
     figure8_panels,
-    figure_report,
     render_defense_sweep,
     render_table1,
     render_table2,
@@ -226,19 +225,15 @@ def _cmd_table3(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> None:
-    panels = figure5_panels(n_runs=args.runs, seed=args.seed)
-    print(figure_report(
-        "Figure 5: Train + Test attacks", panels,
-        mapped_label="mapped index", unmapped_label="unmapped index",
-    ))
+    from repro.harness.parallel import _figure_text
+
+    print(_figure_text("fig5", figure5_panels(n_runs=args.runs, seed=args.seed)))
 
 
 def _cmd_fig8(args: argparse.Namespace) -> None:
-    panels = figure8_panels(n_runs=args.runs, seed=args.seed)
-    print(figure_report(
-        "Figure 8: Test + Hit attacks", panels,
-        mapped_label="mapped data", unmapped_label="unmapped data",
-    ))
+    from repro.harness.parallel import _figure_text
+
+    print(_figure_text("fig8", figure8_panels(n_runs=args.runs, seed=args.seed)))
 
 
 def _cmd_fig7(args: argparse.Namespace) -> None:

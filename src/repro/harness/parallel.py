@@ -26,8 +26,9 @@ profile)`` inputs:
 
 So a retried cell's result is the clean run at the seed its successful
 attempt recorded, and cells can execute in any order, in any process,
-and produce byte-identical journal payloads.  With ``workers > 1``,
-:func:`run_cells` shards the cells not yet journaled across a
+and produce byte-identical journal payloads.  :func:`run_cells` reads
+each journaled cell once and reuses it verbatim.  With ``workers > 1``
+it shards every cell not yet journaled — a lone one too — across a
 supervised persistent worker pool (:mod:`repro.harness.supervisor` —
 heartbeats, hang detection, per-cell deadlines, restart backoff), with
 the **parent as the single writer**: workers run cells against no
@@ -35,9 +36,8 @@ store and ship each cell's journal payload back; the parent journals
 it through the :class:`~repro.harness.checkpoint.CheckpointStore`
 (atomic per-cell files) and decodes it with
 :meth:`~repro.harness.runner.SupervisedCell.from_payload`, the decoder
-``--resume`` uses.  Every other cell — all of them at ``workers=1`` —
-runs through one store-bound executor in the parent, which reuses a
-journaled cell verbatim.
+``--resume`` uses.  At ``workers=1`` the cells run through one
+store-bound executor in the parent.
 
 A cell that fails in a worker is decoded from its payload like any
 other, and is not journaled, matching the serial executor: the parent
@@ -55,6 +55,7 @@ from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
 )
 
+from repro.core.attack import ExperimentResult
 from repro.core.channels import ChannelType
 from repro.core.model import AttackCategory
 from repro.core.variants import ALL_VARIANTS, variant_by_name
@@ -62,6 +63,7 @@ from repro.errors import HarnessError
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiment import FIGURE7_EXPONENT, RSA_DRAM
 from repro.harness.faults import FaultInjector, FaultProfile
+from repro.harness.report import figure_report
 from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
@@ -115,6 +117,15 @@ def default_workers() -> int:
 # ----------------------------------------------------------------------
 # The plan
 # ----------------------------------------------------------------------
+
+#: Figures 5 and 8 in paper order: artifact -> (attacked variant,
+#: figure title, mapped label, unmapped label).
+_FIGURES: Dict[str, Tuple[str, str, str, str]] = {
+    "fig5": ("Train + Test", "Figure 5: Train + Test attacks",
+             "mapped index", "unmapped index"),
+    "fig8": ("Test + Hit", "Figure 8: Test + Hit attacks",
+             "mapped data", "unmapped data"),
+}
 
 #: The four Figure 5/8 panels in paper order: (title, channel, predictor).
 _PANELS: Tuple[Tuple[str, ChannelType, str], ...] = (
@@ -177,8 +188,7 @@ def sweep_specs(
     order.  Artifacts without cells (``table1``, ``table2``) add none.
     """
     specs: List[CellSpec] = []
-    for figure, variant_name in (("fig5", "Train + Test"),
-                                 ("fig8", "Test + Hit")):
+    for figure, (variant_name, *_) in _FIGURES.items():
         if figure not in artifacts:
             continue
         for title, channel, predictor in _PANELS:
@@ -212,6 +222,17 @@ def sweep_specs(
 
 
 _T = TypeVar("_T")
+
+
+def _figure_text(
+    figure: str, panels: Sequence[Tuple[str, ExperimentResult]],
+) -> str:
+    """Figure 5 or 8 as text: ``panels`` under the figure's title and
+    axis labels."""
+    _, title, mapped, unmapped = _FIGURES[figure]
+    return figure_report(
+        title, list(panels), mapped_label=mapped, unmapped_label=unmapped,
+    )
 
 
 def slots(
@@ -322,13 +343,13 @@ def run_cells(
     """Run ``specs``, journaling into ``store``; their cells by id.
 
     The returned mapping holds one cell per spec, in plan order.
-    Cells already journaled in ``store`` are reused verbatim (resume
-    semantics), and every completed cell is journaled as it completes;
-    failed cells are not journaled, so a resumed sweep re-attempts
-    them.
+    Cells already journaled in ``store`` are read once and reused
+    verbatim (resume semantics), and every completed cell is journaled
+    as it completes; failed cells are not journaled, so a resumed sweep
+    re-attempts them.
 
-    With ``workers > 1`` the cells not yet journaled, when there are at
-    least two, run first on a supervised persistent worker pool
+    With ``workers > 1`` every cell not yet journaled runs on a
+    supervised persistent worker pool
     (:class:`repro.harness.supervisor.WorkerSupervisor`), and the parent
     is the only process that writes the journal.  The supervisor adds
     a per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
@@ -342,9 +363,9 @@ def run_cells(
     journaled, and raises ``KeyboardInterrupt`` so the CLI exits
     nonzero and ``--resume`` picks up from the journal.
 
-    Every other cell runs in this process through one executor bound to
-    ``store``, in plan order.  No wall-clock deadline applies there:
-    the parent cannot preempt itself.
+    At ``workers=1`` the cells run in this process through one executor
+    bound to ``store``, in plan order.  No wall-clock deadline applies
+    there: the parent cannot preempt itself.
 
     ``progress``, when given, is called with ``"<cell id>:
     <classification>"`` as each cell settles.  The cells and their
@@ -354,17 +375,6 @@ def run_cells(
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
     policy = policy or ExecutionPolicy.compat()
-    pooled: Dict[str, SupervisedCell] = {}
-    if workers > 1:
-        pending = [
-            spec for spec in specs
-            if store is None or not store.has(spec.cell_id)
-        ]
-        if len(pending) > 1:
-            pooled = _run_pool(
-                pending, store, policy, workers, fault_profile, fault_seed,
-                cell_timeout_s, max_dispatches, progress,
-            )
     executor = ResilientExecutor(
         policy,
         injector=(
@@ -373,11 +383,27 @@ def run_cells(
         ),
         store=store,
     )
+    # Each journaled cell is read once: here when the pool takes the
+    # others, else where the executor reaches it.
+    journaled: Dict[str, Optional[SupervisedCell]] = {}
+    pooled: Dict[str, SupervisedCell] = {}
+    if workers > 1:
+        journaled = {spec.cell_id: executor._journaled(spec.cell_id) for spec in specs}
+        pending = [spec for spec in specs if journaled[spec.cell_id] is None]
+        if pending:
+            pooled = _run_pool(
+                pending, store, policy, workers, fault_profile, fault_seed,
+                cell_timeout_s, max_dispatches, progress,
+            )
     cells: Dict[str, SupervisedCell] = {}
     for spec in specs:
         cell = pooled.get(spec.cell_id)
         if cell is None:
-            cell = execute_spec(spec, executor)
+            cell = journaled.get(spec.cell_id)
+            if cell is None:
+                cell = execute_spec(spec, executor)
+            else:
+                executor._enforce_static_agreement(cell, spec.predictor)
             if progress is not None:
                 progress(f"{spec.cell_id}: {cell.classification.value}")
         cells[spec.cell_id] = cell

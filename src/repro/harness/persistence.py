@@ -36,7 +36,7 @@ from repro.harness.checkpoint import (
     atomic_write_text,
 )
 from repro.harness.faults import fault_profile
-from repro.harness.report import figure7_report, figure_report, table3_report
+from repro.harness.report import figure7_report, table3_report
 from repro.harness.runner import (
     AdaptivePolicy,
     ExecutionPolicy,
@@ -225,7 +225,9 @@ def run_all(
         FaultInjectionError: For an unknown fault profile name.
     """
     from repro.harness.parallel import (
+        _FIGURES,
         DEFAULT_CELL_TIMEOUT_S,
+        _figure_text,
         default_workers,
         run_cells,
         slots,
@@ -303,22 +305,14 @@ def run_all(
             }},
         )
         written["table2"] = path
-    for figure, title, mapped_label, unmapped_label in (
-        ("fig5", "Figure 5: Train + Test attacks",
-         "mapped index", "unmapped index"),
-        ("fig8", "Figure 8: Test + Hit attacks",
-         "mapped data", "unmapped data"),
-    ):
+    for figure in _FIGURES:
         if figure not in chosen:
             continue
         path = os.path.join(out_dir, f"{figure}.txt")
-        save_text(path, figure_report(
-            title,
-            [(panel, result)
-             for panel, result in slots(specs, results, figure)
-             if result is not None],
-            mapped_label=mapped_label, unmapped_label=unmapped_label,
-        ))
+        save_text(path, _figure_text(figure, [
+            (panel, result) for panel, result in slots(specs, results, figure)
+            if result is not None
+        ]))
         save_json(
             os.path.join(out_dir, f"{figure}.json"),
             {**meta, "panels": {

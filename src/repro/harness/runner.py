@@ -566,9 +566,35 @@ class ResilientExecutor:
             preflight: Static-classification payload to attach to (and
                 journal with) the cell.
         """
-        if self.store is not None and self.store.has(cell_id):
-            return SupervisedCell.from_payload(self.store.load(cell_id))
+        journaled = self._journaled(cell_id)
+        if journaled is not None:
+            return journaled
+        return self._attempts(cell_id, attempt_fn, seed, n_runs, preflight)
 
+    def _journaled(self, cell_id: str) -> Optional[SupervisedCell]:
+        """The cell as journaled in the store, or None.
+
+        Reads and validates the record once.  A missing record and a
+        damaged one (which :meth:`CheckpointStore.load` quarantines) are
+        both None, so the cell runs again.
+        """
+        if self.store is None:
+            return None
+        try:
+            payload = self.store.load(cell_id)
+        except HarnessError:
+            return None
+        return SupervisedCell.from_payload(payload)
+
+    def _attempts(
+        self,
+        cell_id: str,
+        attempt_fn: Callable[[int, Optional[int]], object],
+        seed: int,
+        n_runs: Optional[int],
+        preflight: Optional[Dict[str, object]],
+    ) -> SupervisedCell:
+        """:meth:`supervise` for a cell the store does not hold."""
         attempts: List[AttemptRecord] = []
         cell_index = cell_seed_index(cell_id)
         for attempt in range(self.policy.retry.max_retries + 1):
@@ -644,10 +670,6 @@ class ResilientExecutor:
         """
         from repro.harness.experiment import cell_runner
 
-        preflight_payload = self._preflight_payload(
-            cell_id, variant, channel, predictor, overrides
-        )
-
         seq_policy = self.policy.sequential
         kwargs = dict(overrides)
         if self.policy.max_trial_cycles is not None:
@@ -665,10 +687,12 @@ class ResilientExecutor:
                 design = seq_policy.design_for(n_runs_now)
             return run_sequential_cell(runner, design, self.policy.adaptive)
 
-        cell = self.supervise(
-            cell_id, attempt_fn, seed=seed, n_runs=n_runs,
-            preflight=preflight_payload,
-        )
+        cell = self._journaled(cell_id)
+        if cell is None:
+            cell = self._attempts(
+                cell_id, attempt_fn, seed, n_runs,
+                self._preflight_payload(variant, channel, predictor, overrides),
+            )
         self._enforce_static_agreement(cell, predictor)
         return cell
 
@@ -711,7 +735,6 @@ class ResilientExecutor:
 
     def _preflight_payload(
         self,
-        cell_id: str,
         variant: AttackVariant,
         channel: ChannelType,
         predictor: str,
@@ -729,8 +752,6 @@ class ResilientExecutor:
                 :meth:`~repro.analysis.preflight.PreflightReport.raise_if_failed`).
         """
         if not self.policy.preflight:
-            return None
-        if self.store is not None and self.store.has(cell_id):
             return None
         kwargs: Dict[str, object] = {}
         for key in ("confidence", "chain_length", "modify_mode", "layout"):

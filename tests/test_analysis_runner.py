@@ -102,10 +102,10 @@ class TestPreflightMemo:
     def test_hits_equal_a_fresh_analysis_for_every_table3_cell(self):
         executor = ResilientExecutor()
         for cell_id, variant, channel, predictor in _table3_cells():
-            executor._preflight_payload(cell_id, variant, channel, predictor, {})
+            executor._preflight_payload(variant, channel, predictor, {})
             hits = _passing_preflight.cache_info().hits
             payload = executor._preflight_payload(
-                cell_id, variant, channel, predictor, {}
+                variant, channel, predictor, {}
             )
             assert _passing_preflight.cache_info().hits == hits + 1
             fresh = preflight_cell(variant, channel, predictor=predictor)
@@ -114,12 +114,12 @@ class TestPreflightMemo:
     def test_mutating_a_payload_leaves_the_next_hit_intact(self):
         executor = ResilientExecutor()
         variant = variant_by_name("Train + Test")
-        first = executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        first = executor._preflight_payload(variant, CHANNEL, "lvp", {})
         expected = preflight_cell(variant, CHANNEL, predictor="lvp")
         first["ok"] = False
         first["issues"].append({"rule": "forged"})
         first["classification"]["effective"] = False
-        second = executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        second = executor._preflight_payload(variant, CHANNEL, "lvp", {})
         assert second == expected.to_payload()
 
     def test_failing_preflight_raises_on_every_call(self, monkeypatch):
@@ -141,10 +141,10 @@ class TestPreflightMemo:
         variant = TrainTestAttack()
         for _ in range(3):
             with pytest.raises(AnalysisError, match="indistinguishable"):
-                executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+                executor._preflight_payload(variant, CHANNEL, "lvp", {})
         assert calls == [variant] * 3
         monkeypatch.undo()
-        payload = executor._preflight_payload("c", variant, CHANNEL, "lvp", {})
+        payload = executor._preflight_payload(variant, CHANNEL, "lvp", {})
         assert payload["ok"] is True
 
     def test_worker_count_leaves_static_records_unchanged(self, tmp_path):

@@ -168,4 +168,8 @@ def test_numpy_is_imported_only_by_the_lockstep_engine_and_its_probe():
     assert importers == {
         os.path.join("sim", "batched.py"): ["__init__"],
         os.path.join("sim", "lockstep.py"): ["<module>"],
+        os.path.join("sim", "_lanes.py"): ["<module>"],
+        os.path.join("sim", "_memory.py"): ["<module>"],
+        os.path.join("sim", "_pass.py"): ["<module>"],
+        os.path.join("sim", "_solve.py"): ["<module>"],
     }

@@ -29,11 +29,14 @@ from repro.core.channels import ChannelType  # noqa: E402
 from repro.core.variants import ALL_VARIANTS, variant_by_name  # noqa: E402
 from repro.harness.checkpoint import serialize_result  # noqa: E402
 from repro.harness.experiment import run_cell  # noqa: E402
+from repro.isa.builder import ProgramBuilder  # noqa: E402
 from repro.isa.instructions import AluOp  # noqa: E402
 from repro.memory.hierarchy import MemoryConfig  # noqa: E402
 from repro.pipeline.config import CoreConfig  # noqa: E402
 from repro.sim import clear_fallback_journal, fallback_journal  # noqa: E402
 from repro.sim import lockstep  # noqa: E402
+from repro.sim._lanes import _lane_mask  # noqa: E402
+from repro.sim._pass import _Col, _Pass  # noqa: E402
 from repro.vp.nopred import NoPredictor  # noqa: E402
 from tests.test_lockstep_runs import _probe, _stream  # noqa: E402
 from tests.test_sim_backend import counting_builds  # noqa: E402
@@ -155,30 +158,29 @@ def test_load_on_a_partial_speculation_source_defers_per_lane():
         lane_seeds=[11, 12, 13],
         shared_region=(1 << 20, 4096),
     )
-    source = lockstep._Col()
+    source = _Col()
     source.seq = 0
     source.C = np.array([50, 50, 50], dtype=np.int64)
     issue = np.array([10, 60, 10], dtype=np.int64)
     live = np.array([True, False, True])
-    machine._load_column(
-        lockstep._Col(), 1, 0x400, 0x8000, issue, lambda c: c,
-        source, live,
-    )
+    # Column 0 retires as it completes, like a load at the ROB head.
+    load = _Pass(machine, ProgramBuilder(pid=1, base_pc=0x400).load(
+        3, imm=0x8000,
+    ).build())
+    load._load_column(0, _Col(), 0x8000, issue, source, live)
+    memory = machine.memory
 
     def hits():
-        return machine._walk(1, 0x8000, True, False)[1]
+        return memory.walk(1, 0x8000, True, False)[1]
 
     assert hits().tolist() == [False, True, False]
-    machine._apply_fill_events(np.array([55, 55, 40], dtype=np.int64))
+    memory.apply_fill_events(np.array([55, 55, 40], dtype=np.int64))
     assert hits().tolist() == [True, True, False]
-    machine._apply_fill_events(np.array([55, 55, 55], dtype=np.int64))
+    memory.apply_fill_events(np.array([55, 55, 55], dtype=np.int64))
     assert hits() is True
     # The same source in every lane defers the fill in every lane.
-    machine._load_column(
-        lockstep._Col(), 1, 0x400, 0x9000, issue, lambda c: c,
-        source, True,
-    )
-    assert machine._walk(1, 0x9000, True, False)[1] is False
+    load._load_column(0, _Col(), 0x9000, issue, source, True)
+    assert memory.walk(1, 0x9000, True, False)[1] is False
 
 
 def test_lane_private_line_hits_in_exactly_its_lanes():
@@ -208,20 +210,20 @@ def test_lane_private_line_hits_in_exactly_its_lanes():
         [base + line_a, base + line_b, base + line_a, base + line_b, 0],
         dtype=np.uint64,
     )
-    machine._walk(1, transient, window, window)
+    machine.memory.walk(1, transient, window, window)
     for lane, memory in enumerate(scalars):
         if window[lane]:
             memory.load(1, int(transient[lane]))
     for address in (base + line_a, base + line_c, base + line_b):
-        latency, hit, _ = machine._walk(1, address, True, True)
+        latency, hit, _ = machine.memory.walk(1, address, True, True)
         expected = [memory.load(1, address) for memory in scalars]
         assert np.broadcast_to(latency, (len(seeds),)).tolist() == [
             result.latency for result in expected
         ]
-        assert lockstep._lane_mask(hit, len(seeds)).tolist() == [
+        assert _lane_mask(hit, len(seeds)).tolist() == [
             result.l1_hit for result in expected
         ]
-    assert machine._walk(1, base + line_a, True, True)[1] is True
+    assert machine.memory.walk(1, base + line_a, True, True)[1] is True
 
 
 def test_a_partial_consult_draws_only_in_its_lanes():

@@ -230,6 +230,47 @@ class TestWorkerCountInvariance:
             run_cells([], None, workers=0)
 
 
+class TestCellDeadline:
+    """``--cell-timeout`` is the pool's deadline: it applies to every
+    cell the pool runs, a lone one too, and to none run in-process."""
+
+    def test_in_process_cell_has_no_deadline(self):
+        spec = sweep_specs(["fig5"], n_runs=4, seed=0)[0]
+        cells = run_cells([spec], None, workers=1, cell_timeout_s=0.001)
+        assert cells[spec.cell_id].result is not None
+
+    def test_lone_pooled_cell_is_lost_at_the_deadline(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main([
+            "all", "--out", str(tmp_path), "--artifacts", "fig7",
+            "--workers", "2", "--cell-timeout", "0.001",
+        ]) == 1
+        assert "cell 'fig7/rsa' lost" in capsys.readouterr().err
+
+
+class TestJournalReads:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_validates_each_journaled_cell_once(
+        self, tmp_path, monkeypatch, workers
+    ):
+        kwargs = dict(n_runs=4, seed=0, artifacts=["fig5"], workers=workers)
+        run_all(str(tmp_path), **kwargs)
+        reads = []
+        validated = CheckpointStore._validated_record
+
+        def spy(self, path):
+            reads.append(os.path.basename(path))
+            return validated(self, path)
+
+        monkeypatch.setattr(CheckpointStore, "_validated_record", spy)
+        run_all(str(tmp_path), resume=True, **kwargs)
+        assert sorted(reads) == sorted(
+            f"{spec.cell_id.replace('/', '-')}.json"
+            for spec in sweep_specs(["fig5"])
+        )
+
+
 class TestRunAllParallel:
     def _artifact_digests(self, out_dir):
         digests = {}
