@@ -52,7 +52,6 @@ from repro.core.model import (
     _EVAL_CONFIDENCE,
     _MODIFY_COUNTS,
     _TRAIN_COUNTS,
-    AttackCategory,
     Classification,
     Combo,
     TriggerOutcome,
@@ -668,8 +667,3 @@ def dynamic_targets(records: List[ComboVerdict]) -> List[ComboVerdict]:
         if r.timing_leak and not r.terminal_effective
     )
     return targets
-
-
-def hunt_category(record: ComboVerdict) -> Optional[AttackCategory]:
-    """The Table II category a combo's reduction chain lands in."""
-    return record.terminal.category

@@ -22,9 +22,7 @@ malicious attacker that invalidates or flushes the cache").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.crypto.mpi import Mpi
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import AluOp
 from repro.isa.program import Program
@@ -102,21 +100,3 @@ def victim_iteration_program(
         builder.store(7, imm=layout.pointer_addr + 8)              # rp = xp
         builder.fence()
     return builder.build()
-
-
-def victim_programs_for_exponent(
-    exponent: Mpi,
-    layout: RsaLayout,
-    work_loads: int = 8,
-    work_muls: int = 6,
-) -> List[Program]:
-    """One victim program per exponent bit, MSB first."""
-    from repro.crypto.powm import exponent_bits
-
-    return [
-        victim_iteration_program(
-            bit, layout, work_loads=work_loads, work_muls=work_muls,
-            iteration=index,
-        )
-        for index, bit in enumerate(exponent_bits(exponent))
-    ]

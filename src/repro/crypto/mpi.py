@@ -74,11 +74,6 @@ class Mpi:
         """Little-endian limb tuple (no trailing zeros)."""
         return self._limbs
 
-    @property
-    def nlimbs(self) -> int:
-        """Number of significant limbs."""
-        return len(self._limbs)
-
     def bit_length(self) -> int:
         """Number of significant bits."""
         if not self._limbs:

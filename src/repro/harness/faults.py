@@ -47,8 +47,9 @@ class FaultProfile:
             deterministically (redispatches succeed).
         hang_cells: Task ids whose first dispatch hangs
             deterministically — the worker process freezes, heartbeats
-            and all, until the supervisor kills it (redispatches
-            succeed).
+            and all, until the pool's heartbeat deadline lapses and
+            :func:`repro.harness.supervisor.run_pool` kills it
+            (redispatches succeed).
     """
 
     name: str
@@ -147,7 +148,7 @@ class FaultInjector:
         Returns ``"kill"``, ``"hang"`` or ``None``.  The
         draw is keyed by ``(profile, seed, task_id, dispatch)`` so a
         redispatched task sees a fresh, order-independent draw — the
-        supervisor's retry path is deterministic and testable.  Unlike
+        pool's redispatch path is deterministic and testable.  Unlike
         :meth:`maybe_crash` (which aborts an *attempt* inside the cell,
         changing its retry seed), a process fault is invisible to the
         simulation: the redispatch reruns the identical task.

@@ -29,8 +29,8 @@ attempt recorded, and cells can execute in any order, in any process,
 and produce byte-identical journal payloads.  :func:`run_cells` reads
 each journaled cell once and reuses it verbatim.  With ``workers > 1``
 it shards every cell not yet journaled — a lone one too — across a
-supervised persistent worker pool (:mod:`repro.harness.supervisor` —
-heartbeats, hang detection, per-cell deadlines, restart backoff), with
+worker pool (:func:`repro.harness.supervisor.run_pool` — heartbeats,
+hang detection, per-cell deadlines, deterministic redispatch), with
 the **parent as the single writer**: workers run cells against no
 store and ship each cell's journal payload back; the parent journals
 it through the :class:`~repro.harness.checkpoint.CheckpointStore`
@@ -47,13 +47,9 @@ does not run it again, and a ``--resume`` re-attempts it.
 from __future__ import annotations
 
 import os
-import queue
-import signal
-import threading
+from contextlib import closing
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.attack import ExperimentResult
 from repro.core.channels import ChannelType
@@ -90,12 +86,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: the slowest Table III cell is seconds, not minutes — but finite, so
 #: a hung worker can no longer stall a sweep forever.
 DEFAULT_CELL_TIMEOUT_S = 600.0
-
-#: Dispatch attempts per cell before the sweep gives up loudly.
-#: Redispatches are deterministic (the cell payload is a pure function
-#: of its spec), so retrying after a worker death cannot change the
-#: result — only recover it.
-DEFAULT_CELL_DISPATCHES = 5
 
 
 def default_workers() -> int:
@@ -337,8 +327,6 @@ def run_cells(
     fault_profile: Optional[FaultProfile] = None,
     fault_seed: int = 0,
     cell_timeout_s: Optional[float] = DEFAULT_CELL_TIMEOUT_S,
-    max_dispatches: int = DEFAULT_CELL_DISPATCHES,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, SupervisedCell]:
     """Run ``specs``, journaling into ``store``; their cells by id.
 
@@ -348,29 +336,25 @@ def run_cells(
     as it completes; failed cells are not journaled, so a resumed sweep
     re-attempts them.
 
-    With ``workers > 1`` every cell not yet journaled runs on a
-    supervised persistent worker pool
-    (:class:`repro.harness.supervisor.WorkerSupervisor`), and the parent
-    is the only process that writes the journal.  The supervisor adds
-    a per-cell wall-clock deadline (``cell_timeout_s``), heartbeat-based
-    hang detection, and deterministic redispatch after a worker death —
-    a redispatched cell reruns the identical spec and ships the
-    byte-identical payload.  A cell that exhausts ``max_dispatches``
-    or raises out of the executor fails the sweep loudly.  Every exit
-    (success, failure, SIGINT) stops the pool, cancelling whatever is
-    still pending or in flight.  When called from the main thread,
-    SIGINT cancels the outstanding cells, leaves the completed ones
-    journaled, and raises ``KeyboardInterrupt`` so the CLI exits
-    nonzero and ``--resume`` picks up from the journal.
+    With ``workers > 1`` every cell not yet journaled runs on a worker
+    pool (:func:`repro.harness.supervisor.run_pool`), and the parent is
+    the only process that writes the journal.  The pool adds a per-cell
+    wall-clock deadline (``cell_timeout_s``), heartbeat-based hang
+    detection, and deterministic redispatch after a worker death — a
+    redispatched cell reruns the identical spec and ships the
+    byte-identical payload.  A cell that exhausts its dispatches or
+    raises out of the executor fails the sweep loudly.  Every exit
+    (success, failure, ``KeyboardInterrupt``) kills the pool's
+    workers; the completed cells are already journaled, so after a
+    Ctrl-C ``--resume`` picks up from the journal.
 
     At ``workers=1`` the cells run in this process through one executor
     bound to ``store``, in plan order.  No wall-clock deadline applies
     there: the parent cannot preempt itself.
 
-    ``progress``, when given, is called with ``"<cell id>:
-    <classification>"`` as each cell settles.  The cells and their
-    journal payloads are byte-identical for any worker count; the
-    determinism tests hash them across worker counts to enforce this.
+    The cells and their journal payloads are byte-identical for any
+    worker count; the determinism tests hash them across worker counts
+    to enforce this.
     """
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
@@ -393,7 +377,7 @@ def run_cells(
         if pending:
             pooled = _run_pool(
                 pending, store, policy, workers, fault_profile, fault_seed,
-                cell_timeout_s, max_dispatches, progress,
+                cell_timeout_s,
             )
     cells: Dict[str, SupervisedCell] = {}
     for spec in specs:
@@ -404,8 +388,6 @@ def run_cells(
                 cell = execute_spec(spec, executor)
             else:
                 executor._enforce_static_agreement(cell, spec.predictor)
-            if progress is not None:
-                progress(f"{spec.cell_id}: {cell.classification.value}")
         cells[spec.cell_id] = cell
     return cells
 
@@ -418,11 +400,9 @@ def _run_pool(
     fault_profile: Optional[FaultProfile],
     fault_seed: int,
     cell_timeout_s: Optional[float],
-    max_dispatches: int,
-    progress: Optional[Callable[[str], None]],
 ) -> Dict[str, SupervisedCell]:
-    """Run ``pending`` on a supervised worker pool; its cells by id."""
-    from repro.harness.supervisor import SupervisorPolicy, WorkerSupervisor
+    """Run ``pending`` on a worker pool; its cells by id."""
+    from repro.harness.supervisor import run_pool
     from repro.stats import _special
 
     # Workers fork from this process.  Load the special functions the
@@ -432,51 +412,24 @@ def _run_pool(
     _special.load()
     get_backend(resolve_backend_name(policy.backend))
 
-    outcomes: "queue.Queue" = queue.Queue()
-    supervisor = WorkerSupervisor(
-        SupervisorPolicy(
-            workers=workers,
-            job_timeout_s=cell_timeout_s,
-            max_dispatches=max_dispatches,
-        ),
-        run_fn=_run_spec_in_worker,
+    cells: Dict[str, SupervisedCell] = {}
+    outcomes = run_pool(
+        {spec.cell_id: spec for spec in pending},
+        _run_spec_in_worker,
+        workers=workers,
         init_fn=_init_worker,
         init_args=(policy, fault_profile, fault_seed),
+        job_timeout_s=cell_timeout_s,
         fault_profile=fault_profile,
         fault_seed=fault_seed,
-    ).start()
-
-    interrupted = threading.Event()
-    previous_handler: Any = None
-    in_main_thread = (
-        threading.current_thread() is threading.main_thread()
     )
-    if in_main_thread:
-        # The handler only flags the interrupt: it runs on this thread,
-        # which may hold the supervisor's inbox lock mid-submit.  The
-        # loop below notices the flag within one poll and the
-        # ``finally`` stops the pool.
-        def _on_sigint(signum: int, frame: object) -> None:
-            interrupted.set()
-
-        previous_handler = signal.signal(signal.SIGINT, _on_sigint)
-
-    cells: Dict[str, SupervisedCell] = {}
-    failure: Optional[str] = None
-    try:
-        for spec in pending:
-            supervisor.submit(spec.cell_id, spec, outcomes.put)
-        while len(cells) < len(pending) and not interrupted.is_set():
-            try:
-                outcome = outcomes.get(timeout=0.2)
-            except queue.Empty:
-                continue
+    with closing(outcomes):
+        for outcome in outcomes:
             if outcome.status != "done":  # "error" or "lost"
-                failure = (
+                raise HarnessError(
                     f"cell {outcome.task_id!r} {outcome.status} after "
                     f"{outcome.dispatches} dispatch(es): {outcome.error}"
                 )
-                break
             shipped = outcome.value
             # Fold the worker's counters and fallbacks into this
             # process's, so a caller's before/after snapshot and
@@ -491,16 +444,4 @@ def _run_pool(
                 # loses nothing already completed.
                 store.save(outcome.task_id, shipped["payload"])
             cells[outcome.task_id] = cell
-            if progress is not None:
-                progress(f"{outcome.task_id}: {cell.classification.value}")
-    finally:
-        supervisor.stop()
-        supervisor.join(timeout=30.0)
-        if in_main_thread:
-            signal.signal(signal.SIGINT, previous_handler)
-
-    if failure is not None:
-        raise HarnessError(failure)
-    if interrupted.is_set():
-        raise KeyboardInterrupt
     return cells

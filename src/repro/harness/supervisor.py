@@ -1,40 +1,46 @@
-"""Supervised persistent worker pool with heartbeats and restarts.
+"""One loop that drives a pool of forked worker processes.
 
-The pool runs the cells of ``repro all --workers N``
-(:func:`repro.harness.parallel.run_cells`).  It differs from a bare
+:func:`run_pool` runs the cells of ``repro all --workers N``
+(:func:`repro.harness.parallel.run_cells`).  It is a generator that the
+caller's own thread drives: it forks the workers, gives each idle
+worker the next task, waits on every worker pipe at once with
+:func:`multiprocessing.connection.wait`, and yields each task's
+:class:`TaskOutcome` as it settles.  It differs from a bare
 ``ProcessPoolExecutor`` in exactly the ways a long sweep needs:
 
-* **Heartbeats** — every worker beats over its pipe on a fixed
-  interval; a lapsed heartbeat deadline means the worker is hung (not
-  merely slow) and it is killed and replaced.
+* **Heartbeats** — every worker beats over its pipe every
+  :data:`HEARTBEAT_INTERVAL_S`; a worker silent for
+  :data:`HEARTBEAT_TIMEOUT_S` is hung (not merely slow), and is killed
+  and replaced.
 * **Per-job wall-clock timeouts** — ``max_trial_cycles`` bounds a trial
-  in *simulated* time; the supervisor adds the process-level analogue,
-  killing workers whose current job exceeds its wall-clock budget.
-* **Automatic restart with capped exponential backoff** — a crashing
-  worker slot backs off ``base * 2**streak`` (capped) between
-  respawns.
-* **Deterministic redispatch** — a job interrupted by a process-level
-  fault is re-sent *unchanged*: cell results are pure functions of
-  ``(cell_id, seed, policy, fault profile)``, so the redispatch
-  produces the byte-identical payload a clean run would (unlike
-  cell-level retries, which deliberately reseed).
-  ``tests/test_parallel_faults.py`` asserts this end to end.
-* **One stop path** — :meth:`WorkerSupervisor.stop` cancels every
-  pending and in-flight task and tears the workers down.
+  in *simulated* time; ``job_timeout_s`` is the process-level analogue:
+  a worker whose task overruns it is killed and replaced.
+* **Deterministic redispatch** — the task of a worker that died, hung
+  or overran is sent again *unchanged*, up to :data:`MAX_DISPATCHES`
+  dispatches: cell results are pure functions of ``(cell_id, seed,
+  policy, fault profile)``, so the redispatch produces the
+  byte-identical payload a clean run would (unlike cell-level retries,
+  which deliberately reseed).  ``tests/test_parallel_faults.py``
+  asserts this end to end.
+* **A worker that fails without a task ends the pool** — a worker that
+  dies or goes silent while it holds no task (its ``init_fn`` raised,
+  say) would fail the same way again, so the pool raises
+  :class:`~repro.errors.HarnessError` instead of replacing it.
 
-The parent never simulates and never blocks on a single worker: one
-monitor thread multiplexes every worker pipe with
-:func:`multiprocessing.connection.wait`, so a hung worker cannot stall
-dispatch to the others.  All host-time reads go through
-:func:`repro.perf.observe.now` (deadlines only — nothing simulated
-ever sees them).
+The pool never runs more workers than it has unsettled tasks.  Wrap
+the generator in :func:`contextlib.closing`: then every exit — the
+last outcome, an exception in the caller's loop, a
+``KeyboardInterrupt`` out of the wait — kills every worker.  The
+parent starts no thread and installs no signal handler; the workers
+ignore SIGINT, so a Ctrl-C interrupts only the caller.  All host-time
+reads go through :func:`repro.perf.observe.now` (deadlines only —
+nothing simulated ever sees them).
 
 Process-level fault injection (the ``worker-kill`` profile and the
 ``kill_cells`` / ``hang_cells`` fields of a
 :class:`~repro.harness.faults.FaultProfile`) happens *inside the
-worker*, before the job runs, so the injected carnage exercises
-precisely the supervision machinery above while leaving the
-simulation untouched.
+worker*, before the task runs, so the injected failures exercise
+precisely the recovery above while leaving the simulation untouched.
 """
 
 from __future__ import annotations
@@ -46,77 +52,41 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from multiprocessing import get_context
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from multiprocessing import get_all_start_methods, get_context
+from typing import (
+    Any, Callable, Deque, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from repro.errors import HarnessError, ReproError
 from repro.harness.faults import FaultInjector, FaultProfile
 from repro.perf.observe import now
 
 #: Exit code used by injected worker kills (distinguishable from real
-#: crashes in logs; the supervisor treats both identically).
+#: crashes in logs; the pool treats both identically).
 INJECTED_KILL_EXIT = 137
 
+#: Worker beat period.
+HEARTBEAT_INTERVAL_S = 0.05
 
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Supervision knobs for one :class:`WorkerSupervisor`.
+#: A worker silent for this long is declared hung and killed: 40 beat
+#: periods, so a slow stretch of a busy host is not taken for a hang.
+HEARTBEAT_TIMEOUT_S = 2.0
 
-    Attributes:
-        workers: Worker process count (>= 1).
-        heartbeat_interval_s: Worker beat period.
-        heartbeat_timeout_s: Parent-side deadline: a worker silent for
-            this long is declared hung and killed.  Must exceed the
-            interval with margin.
-        job_timeout_s: Wall-clock budget per job *dispatch*; ``None``
-            disables process-level timeouts.
-        max_dispatches: Total dispatch attempts per job before the
-            supervisor gives it up as lost.
-        restart_backoff_base_s: First-respawn delay after a worker
-            death; doubles per consecutive failure of the same slot.
-        restart_backoff_cap_s: Upper bound on the backoff delay.
-    """
-
-    workers: int = 2
-    heartbeat_interval_s: float = 0.05
-    heartbeat_timeout_s: float = 2.0
-    job_timeout_s: Optional[float] = None
-    max_dispatches: int = 5
-    restart_backoff_base_s: float = 0.05
-    restart_backoff_cap_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise HarnessError(f"workers must be >= 1, got {self.workers}")
-        if self.heartbeat_interval_s <= 0:
-            raise HarnessError("heartbeat_interval_s must be > 0")
-        if self.heartbeat_timeout_s <= 2 * self.heartbeat_interval_s:
-            raise HarnessError(
-                "heartbeat_timeout_s must exceed twice the interval "
-                f"({self.heartbeat_timeout_s} vs "
-                f"{self.heartbeat_interval_s})"
-            )
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise HarnessError("job_timeout_s must be > 0 when set")
-        if self.max_dispatches < 1:
-            raise HarnessError("max_dispatches must be >= 1")
-        if self.restart_backoff_base_s < 0 or self.restart_backoff_cap_s < 0:
-            raise HarnessError("restart backoff must be >= 0")
+#: Dispatches per task before the pool gives it up as lost.
+MAX_DISPATCHES = 5
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """Terminal state of one submitted task.
+    """How one task settled.
 
     ``status`` is one of:
 
     * ``"done"`` — ``run_fn`` returned ``value``;
     * ``"error"`` — ``run_fn`` raised a :class:`ReproError`
       (deterministic task failure; not redispatched);
-    * ``"lost"`` — the dispatch budget was exhausted by worker deaths,
-      hangs, or timeouts;
-    * ``"cancelled"`` — the task was still pending or in flight when
-      the supervisor was stopped.
+    * ``"lost"`` — worker deaths, hangs or timeouts used up the task's
+      :data:`MAX_DISPATCHES` dispatches.
     """
 
     task_id: str
@@ -130,23 +100,19 @@ class TaskOutcome:
 class _Task:
     task_id: str
     payload: Any
-    callback: Callable[[TaskOutcome], None]
     dispatches: int = 0
 
 
 @dataclass
-class _Slot:
-    """One worker slot: a process that is respawned in place."""
+class _Worker:
+    """One forked worker, as the parent sees it."""
 
-    index: int
-    proc: Any = None
-    conn: Any = None
-    state: str = "down"  # down | starting | idle | busy | dead
+    proc: Any
+    conn: Any
+    heard: float  # host time of its last message
+    ready: bool = False  # its init_fn has returned
     task: Optional[_Task] = None
-    last_hb: float = 0.0
-    task_deadline: Optional[float] = None
-    restart_at: Optional[float] = None
-    fail_streak: int = 0
+    deadline: Optional[float] = None  # when ``task`` overruns
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +126,6 @@ def _worker_main(
     run_fn: Callable[[Any], Any],
     profile: Optional[FaultProfile],
     fault_seed: int,
-    heartbeat_interval_s: float,
 ) -> None:
     """Worker process entry: beat, receive tasks, run, reply.
 
@@ -169,17 +134,19 @@ def _worker_main(
     so an injected kill or hang never leaves a partially-perturbed
     simulation behind.
     """
-    # The parent coordinates interrupts; a Ctrl-C must not take the
-    # workers down mid-write of a reply.
+    # Ctrl-C is the parent's to handle: it kills the workers itself.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop_beats = threading.Event()
     send_lock = threading.Lock()
 
+    def _send(message: Tuple[Any, ...]) -> None:
+        with send_lock:
+            conn.send(message)
+
     def _beat() -> None:
-        while not stop_beats.wait(heartbeat_interval_s):
+        while not stop_beats.wait(HEARTBEAT_INTERVAL_S):
             try:
-                with send_lock:
-                    conn.send(("hb",))
+                _send(("hb",))
             except OSError:
                 return
 
@@ -192,16 +159,12 @@ def _worker_main(
         FaultInjector(profile, seed=fault_seed)
         if profile is not None and profile.perturbs_process else None
     )
-    with send_lock:
-        conn.send(("ready",))
+    _send(("ready",))
     while True:
         try:
-            message = conn.recv()
+            task_id, payload, dispatch = conn.recv()
         except (EOFError, OSError):
-            break
-        if message[0] == "stop":
-            break
-        _, task_id, payload, dispatch = message
+            return
         fault = injector.process_fault(task_id, dispatch) if injector else None
         if fault == "kill":
             os._exit(INJECTED_KILL_EXIT)
@@ -214,342 +177,171 @@ def _worker_main(
         try:
             value = run_fn(payload)
         except ReproError as exc:
-            with send_lock:
-                conn.send((
-                    "task-error", task_id,
-                    f"{type(exc).__name__}: {exc}",
-                ))
+            _send(("error", f"{type(exc).__name__}: {exc}"))
         else:
-            with send_lock:
-                conn.send(("done", task_id, value))
-    conn.close()
+            _send(("done", value))
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
 
-class WorkerSupervisor:
-    """Supervises a persistent pool of worker processes.
+def run_pool(
+    tasks: Mapping[str, Any],
+    run_fn: Callable[[Any], Any],
+    *,
+    workers: int,
+    init_fn: Optional[Callable[..., None]] = None,
+    init_args: Tuple[Any, ...] = (),
+    job_timeout_s: Optional[float] = None,
+    fault_profile: Optional[FaultProfile] = None,
+    fault_seed: int = 0,
+) -> Iterator[TaskOutcome]:
+    """Run ``tasks`` (payloads by task id) on up to ``workers`` forked
+    processes, yielding each :class:`TaskOutcome` as it settles.
 
-    ``init_fn(*init_args)`` runs once in each (re)spawned worker;
-    ``run_fn(payload)`` executes one task and its return value is
-    shipped back to the parent.  Both must be module-level picklable
-    callables.  Results are delivered by invoking each task's callback
-    with a :class:`TaskOutcome` **on the monitor thread** — callbacks
-    must be quick and thread-safe (append to a queue, set an event...).
+    ``init_fn(*init_args)`` runs once in each worker and
+    ``run_fn(payload)`` runs one task; both must be module-level
+    callables.  Tasks are dispatched in ``tasks`` order.
+    ``job_timeout_s`` bounds one dispatch (``None``: no bound).
 
-    Thread-safe: :meth:`submit` and :meth:`stop` may be called from
-    any thread.
+    Raises:
+        HarnessError: For ``workers < 1`` or ``job_timeout_s <= 0``,
+            and when a worker dies or goes silent while it holds no
+            task.
     """
-
-    def __init__(
-        self,
-        policy: SupervisorPolicy,
-        run_fn: Callable[[Any], Any],
-        init_fn: Optional[Callable[..., None]] = None,
-        init_args: Tuple[Any, ...] = (),
-        fault_profile: Optional[FaultProfile] = None,
-        fault_seed: int = 0,
-    ) -> None:
-        self.policy = policy
-        self._run_fn = run_fn
-        self._init_fn = init_fn
-        self._init_args = init_args
-        self._fault_profile = fault_profile
-        self._fault_seed = fault_seed
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = get_context("fork") if "fork" in methods else get_context()
-        self._slots = [_Slot(index=i) for i in range(policy.workers)]
-        self._pending: Deque[_Task] = deque()
-        self._inbox: Deque[Tuple[str, Any]] = deque()
-        self._inbox_lock = threading.Lock()
-        self._wake_r, self._wake_w = os.pipe()
-        self._monitor: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
-        self._phase = "new"  # new | running | stopping | stopped
-
-    # -- public API ----------------------------------------------------
-
-    def start(self) -> "WorkerSupervisor":
-        """Spawn the workers and the monitor thread."""
-        if self._phase != "new":
-            raise HarnessError("supervisor already started")
-        self._phase = "running"
-        for slot in self._slots:
-            self._spawn(slot)
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-supervisor", daemon=True
-        )
-        self._monitor.start()
-        return self
-
-    def submit(
-        self,
-        task_id: str,
-        payload: Any,
-        callback: Callable[[TaskOutcome], None],
-    ) -> None:
-        """Queue one task; its callback fires exactly once."""
-        if self._phase not in ("new", "running"):
-            raise HarnessError(
-                f"supervisor is {self._phase}; not accepting tasks"
-            )
-        task = _Task(task_id=task_id, payload=payload, callback=callback)
-        self._post(("submit", task))
-
-    def stop(self) -> None:
-        """Cancel every pending and in-flight task and stop the workers.
-
-        Each cancelled task's callback fires with status
-        ``"cancelled"``; :meth:`join` waits for the teardown.
-        """
-        self._post(("stop", None))
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the monitor thread to finish tearing down."""
-        self._stopped.wait(timeout)
-
-    # -- monitor internals ---------------------------------------------
-
-    def _post(self, command: Tuple[str, Any]) -> None:
-        with self._inbox_lock:
-            self._inbox.append(command)
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:
-            pass
-
-    def _spawn(self, slot: _Slot) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn, self._init_fn, self._init_args, self._run_fn,
-                self._fault_profile, self._fault_seed,
-                self.policy.heartbeat_interval_s,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        slot.proc = proc
-        slot.conn = parent_conn
-        slot.state = "starting"
-        slot.task = None
-        slot.last_hb = now()
-        slot.task_deadline = None
-        slot.restart_at = None
-
-    def _kill_slot(self, slot: _Slot) -> None:
-        if slot.proc is not None:
-            try:
-                slot.proc.kill()
-            except (OSError, AttributeError, ValueError):
-                pass
-            slot.proc.join(1.0)
-        if slot.conn is not None:
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
-        slot.proc = None
-        slot.conn = None
-
-    def _deliver(self, task: _Task, outcome: TaskOutcome) -> None:
-        try:
-            task.callback(outcome)
-        except Exception:
-            # A broken callback must not take the monitor down; the
-            # supervisor's contract is "callback fires once", not
-            # "callback succeeds".
-            pass
-
-    def _fail_task(self, task: _Task, status: str, error: str) -> None:
-        self._deliver(task, TaskOutcome(
-            task_id=task.task_id, status=status, error=error,
-            dispatches=task.dispatches,
-        ))
-
-    def _requeue_or_fail(self, task: _Task, why: str) -> None:
-        if task.dispatches >= self.policy.max_dispatches:
-            self._fail_task(
-                task, "lost",
-                f"dispatch budget exhausted after {task.dispatches} "
-                f"attempts (last: {why})",
-            )
-            return
-        self._pending.appendleft(task)
-
-    def _on_slot_death(self, slot: _Slot, why: str) -> None:
-        task = slot.task
-        slot.task = None
-        slot.task_deadline = None
-        self._kill_slot(slot)
-        slot.fail_streak += 1
-        if task is not None:
-            self._requeue_or_fail(task, why)
-        backoff = min(
-            self.policy.restart_backoff_cap_s,
-            self.policy.restart_backoff_base_s * (2 ** (slot.fail_streak - 1)),
-        )
-        slot.state = "down"
-        slot.restart_at = now() + backoff
-
-    def _pump_slot(self, slot: _Slot) -> None:
-        """Drain every message the slot's pipe currently holds."""
+    if workers < 1:
+        raise HarnessError(f"workers must be >= 1, got {workers}")
+    if job_timeout_s is not None and job_timeout_s <= 0:
+        raise HarnessError("job_timeout_s must be > 0 when set")
+    context = (
+        get_context("fork") if "fork" in get_all_start_methods()
+        else get_context()
+    )
+    worker_args = (init_fn, init_args, run_fn, fault_profile, fault_seed)
+    pending: Deque[_Task] = deque(
+        _Task(task_id, payload) for task_id, payload in tasks.items()
+    )
+    unsettled = len(pending)
+    pool: List[_Worker] = []
+    settled: List[TaskOutcome] = []
+    try:
         while True:
-            try:
-                if not slot.conn.poll():
-                    return
-                message = slot.conn.recv()
-            except (EOFError, OSError):
-                self._on_slot_death(slot, "worker process died")
+            # Staff the pool before handing the caller the outcomes
+            # that settled last round, so the workers keep busy while
+            # it handles them.
+            idle = [worker for worker in pool if worker.task is None]
+            for worker in idle[:max(0, len(pool) - unsettled)]:
+                pool.remove(worker)
+                _kill(worker)
+            while len(pool) < min(workers, unsettled):
+                pool.append(_spawn(context, worker_args))
+            for worker in pool:
+                if pending and worker.ready and worker.task is None:
+                    _dispatch(worker, pending.popleft(), job_timeout_s)
+            yield from settled
+            if not unsettled:
                 return
-            kind = message[0]
-            slot.last_hb = now()
-            if kind == "hb":
-                continue
-            if kind == "ready":
-                slot.state = "idle"
-                continue
-            task = slot.task
-            slot.task = None
-            slot.task_deadline = None
-            slot.state = "idle"
-            slot.fail_streak = 0
-            if task is None:
-                continue  # late reply from a task already written off
-            if kind == "done":
-                _, task_id, value = message
-                self._deliver(task, TaskOutcome(
-                    task_id=task_id, status="done", value=value,
+            deadlines = [worker.heard + HEARTBEAT_TIMEOUT_S for worker in pool]
+            deadlines += [
+                worker.deadline for worker in pool
+                if worker.deadline is not None
+            ]
+            ready = mp_connection.wait(
+                [worker.conn for worker in pool],
+                timeout=max(0.0, min(deadlines) - now()),
+            )
+            settled = []
+            for worker in list(pool):
+                why = _read(worker, settled) if worker.conn in ready else None
+                why = why or _overdue(worker)
+                if why is None:
+                    continue
+                pool.remove(worker)
+                code = _kill(worker)
+                task = worker.task
+                if task is None:
+                    raise HarnessError(
+                        f"a pool worker {why} while it held no task "
+                        f"(exit code {code})"
+                    )
+                if task.dispatches < MAX_DISPATCHES:
+                    pending.appendleft(task)
+                    continue
+                settled.append(TaskOutcome(
+                    task_id=task.task_id, status="lost",
+                    error=(
+                        f"dispatch budget exhausted after "
+                        f"{task.dispatches} attempts; the last worker {why}"
+                    ),
                     dispatches=task.dispatches,
                 ))
-            elif kind == "task-error":
-                _, _task_id, error = message
-                self._fail_task(task, "error", error)
+            unsettled -= len(settled)
+    finally:
+        for worker in pool:
+            _kill(worker)
 
-    def _dispatch(self) -> None:
-        for slot in self._slots:
-            if not self._pending:
-                return
-            if slot.state != "idle":
-                continue
-            task = self._pending.popleft()
-            task.dispatches += 1
-            try:
-                slot.conn.send((
-                    "task", task.task_id, task.payload, task.dispatches - 1,
+
+def _spawn(context: Any, worker_args: Tuple[Any, ...]) -> _Worker:
+    parent_conn, child_conn = context.Pipe()
+    proc = context.Process(
+        target=_worker_main, args=(child_conn, *worker_args), daemon=True,
+    )
+    proc.start()
+    child_conn.close()
+    return _Worker(proc=proc, conn=parent_conn, heard=now())
+
+
+def _dispatch(
+    worker: _Worker, task: _Task, job_timeout_s: Optional[float],
+) -> None:
+    worker.task = task
+    task.dispatches += 1
+    if job_timeout_s is not None:
+        worker.deadline = now() + job_timeout_s
+    try:
+        worker.conn.send((task.task_id, task.payload, task.dispatches - 1))
+    except OSError:
+        pass  # it died: the wait sees its pipe close
+
+
+def _kill(worker: _Worker) -> Optional[int]:
+    """Kill and reap ``worker`` and close its pipe; its exit code."""
+    worker.proc.kill()
+    worker.proc.join(1.0)
+    worker.conn.close()
+    return worker.proc.exitcode
+
+
+def _read(worker: _Worker, settled: List[TaskOutcome]) -> Optional[str]:
+    """Take every message ``worker`` has sent, settling its task on a
+    reply; why it is lost, if its pipe closed."""
+    worker.heard = now()
+    try:
+        while worker.conn.poll():
+            kind, *body = worker.conn.recv()
+            if kind == "ready":
+                worker.ready = True
+            elif kind != "hb":
+                task = worker.task
+                assert task is not None, "a reply answers a dispatch"
+                worker.task = worker.deadline = None
+                settled.append(TaskOutcome(
+                    task_id=task.task_id, status=kind,
+                    value=body[0] if kind == "done" else None,
+                    error=body[0] if kind == "error" else None,
+                    dispatches=task.dispatches,
                 ))
-            except (OSError, BrokenPipeError):
-                self._on_slot_death(slot, "pipe broke on dispatch")
-                continue
-            slot.state = "busy"
-            slot.task = task
-            if self.policy.job_timeout_s is not None:
-                slot.task_deadline = now() + self.policy.job_timeout_s
+    except (EOFError, OSError):
+        return "died"
+    return None
 
-    def _check_deadlines(self) -> None:
-        current = now()
-        for slot in self._slots:
-            if slot.state not in ("starting", "idle", "busy"):
-                continue
-            if current - slot.last_hb > self.policy.heartbeat_timeout_s:
-                self._on_slot_death(slot, "heartbeat deadline lapsed")
-                continue
-            if (slot.task_deadline is not None
-                    and current > slot.task_deadline):
-                self._on_slot_death(slot, "job wall-clock timeout")
 
-    def _restart_due(self) -> None:
-        current = now()
-        for slot in self._slots:
-            if slot.state == "down" and slot.restart_at is not None:
-                if current >= slot.restart_at:
-                    self._spawn(slot)
-
-    def _cancel_all(self) -> None:
-        while self._pending:
-            task = self._pending.popleft()
-            self._fail_task(task, "cancelled", "supervisor stopped")
-        for slot in self._slots:
-            if slot.task is not None:
-                task = slot.task
-                slot.task = None
-                slot.task_deadline = None
-                self._fail_task(task, "cancelled", "supervisor stopped")
-
-    def _process_inbox(self) -> None:
-        while True:
-            with self._inbox_lock:
-                if not self._inbox:
-                    return
-                kind, arg = self._inbox.popleft()
-            if kind == "submit":
-                if self._phase == "running":
-                    self._pending.append(arg)
-                else:
-                    self._fail_task(
-                        arg, "cancelled", f"supervisor {self._phase}"
-                    )
-            elif kind == "stop":
-                self._phase = "stopping"
-
-    def _next_timeout(self) -> float:
-        deadlines: List[float] = []
-        for slot in self._slots:
-            if slot.state in ("starting", "idle", "busy"):
-                deadlines.append(
-                    slot.last_hb + self.policy.heartbeat_timeout_s
-                )
-            if slot.task_deadline is not None:
-                deadlines.append(slot.task_deadline)
-            if slot.state == "down" and slot.restart_at is not None:
-                deadlines.append(slot.restart_at)
-        if not deadlines:
-            return 0.5
-        return max(0.0, min(0.5, min(deadlines) - now()))
-
-    def _monitor_loop(self) -> None:
-        try:
-            while True:
-                self._process_inbox()
-                if self._phase == "stopping":
-                    break
-                self._restart_due()
-                self._dispatch()
-                readers = [
-                    slot.conn for slot in self._slots
-                    if slot.conn is not None
-                ]
-                readers.append(self._wake_r)
-                ready = mp_connection.wait(
-                    readers, timeout=self._next_timeout()
-                )
-                if self._wake_r in ready:
-                    try:
-                        os.read(self._wake_r, 4096)
-                    except OSError:
-                        pass
-                for slot in list(self._slots):
-                    if slot.conn is not None and slot.conn in ready:
-                        self._pump_slot(slot)
-                self._check_deadlines()
-        finally:
-            self._teardown()
-
-    def _teardown(self) -> None:
-        self._cancel_all()
-        for slot in self._slots:
-            if slot.conn is not None and slot.state == "idle":
-                try:
-                    slot.conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-            self._kill_slot(slot)
-            slot.state = "dead"
-        self._phase = "stopped"
-        self._stopped.set()
+def _overdue(worker: _Worker) -> Optional[str]:
+    """Why ``worker`` is past a deadline, if it is."""
+    current = now()
+    if current - worker.heard > HEARTBEAT_TIMEOUT_S:
+        return "went silent"
+    if worker.deadline is not None and current > worker.deadline:
+        return "overran the job timeout"
+    return None

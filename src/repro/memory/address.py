@@ -114,11 +114,6 @@ class AddressMapper:
         """True if ``vaddr`` falls in any shared region."""
         return any(region.contains(vaddr) for region in self._shared)
 
-    @property
-    def shared_regions(self) -> Tuple[SharedRegion, ...]:
-        """The registered shared regions."""
-        return tuple(self._shared)
-
 
 def _round_up(value: int, multiple: int) -> int:
     return ((value + multiple - 1) // multiple) * multiple

@@ -197,11 +197,15 @@ class TestCrashResumeAcceptance:
             str(out_dir / "checkpoint"), meta
         )
 
-        def interrupt_after(message):
-            # A Ctrl-C right after this cell completes.
-            if message.startswith("table3/test-hit/tw_novp:"):
+        save = store.save
+
+        def save_then_interrupt(cell_id, payload):
+            # A Ctrl-C right after this cell is journaled.
+            save(cell_id, payload)
+            if cell_id == "table3/test-hit/tw_novp":
                 raise KeyboardInterrupt
 
+        store.save = save_then_interrupt
         with pytest.raises(KeyboardInterrupt):
             run_cells(
                 sweep_specs(["table3"], n_runs=n_runs, seed=seed), store,
@@ -209,7 +213,6 @@ class TestCrashResumeAcceptance:
                     retry=RetryPolicy(max_retries=0),
                     adaptive=AdaptivePolicy(),
                 ),
-                progress=interrupt_after,
             )
         completed = store.completed_cells()
         assert 0 < len(completed) < 18  # genuinely interrupted mid-sweep
