@@ -15,7 +15,6 @@ the other sweep benches so the quick CI pass stays quick.
 
 import pytest
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -38,7 +37,7 @@ def _sweep_pass(backend):
     from repro.perf.observe import Stopwatch
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=0)
-    policy = dataclasses.replace(ExecutionPolicy.compat(), backend=backend)
+    policy = ExecutionPolicy(backend=backend)
     with tempfile.TemporaryDirectory() as scratch:
         store = CheckpointStore.open(
             str(Path(scratch) / "checkpoint"),

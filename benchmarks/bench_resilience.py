@@ -17,9 +17,10 @@ from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
     ResilientExecutor,
+    RetryPolicy,
 )
 
-POLICY = ExecutionPolicy.robust(max_retries=3)
+POLICY = ExecutionPolicy(retry=RetryPolicy(max_retries=3))
 N_RUNS = 40
 
 

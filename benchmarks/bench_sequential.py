@@ -22,7 +22,6 @@ One-shot timings, ``slow``-marked like the other sweep benches.
 
 import pytest
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -47,10 +46,9 @@ def _sweep_pass(sequential=None):
     from repro.perf.observe import Stopwatch
 
     specs = sweep_specs(["table3"], n_runs=_N_RUNS, seed=_SEED)
-    policy = ExecutionPolicy.compat()
+    policy = ExecutionPolicy(sequential=sequential)
     meta = {"version": __version__, "n_runs": _N_RUNS, "seed": _SEED}
     if sequential is not None:
-        policy = dataclasses.replace(policy, sequential=sequential)
         meta["sequential"] = sequential.to_meta()
     with tempfile.TemporaryDirectory() as scratch:
         store = CheckpointStore.open(

@@ -102,7 +102,7 @@ def test_parallel_sweep_speedup():
 
     specs = sweep_specs(["table3"], n_runs=8, seed=0)
     meta = {"version": __version__, "n_runs": 8, "seed": 0}
-    policy = ExecutionPolicy.compat()
+    policy = ExecutionPolicy()
 
     def one_pass(workers):
         with tempfile.TemporaryDirectory() as scratch:

@@ -27,7 +27,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import variant_by_name
 from repro.defenses import (
@@ -41,6 +40,11 @@ from repro.defenses import (
 from repro.errors import ReproError
 from repro.harness import (
     PROFILES,
+    ExecutionPolicy,
+    FaultInjector,
+    ResilientExecutor,
+    RetryPolicy,
+    fault_profile,
     figure5_panels,
     figure7_report,
     figure7_result,
@@ -68,9 +72,9 @@ def parse_defense(text: Optional[str]) -> Optional[Defense]:
         token = token.strip()
         lowered = token.lower()
         if lowered.startswith("r[") and lowered.endswith("]"):
-            components.append(
-                RandomWindowDefense(window_size=int(token[2:-1]))
-            )
+            components.append(RandomWindowDefense(window_size=_integer(
+                token[2:-1], f"defense component {token!r}"
+            )))
         elif lowered.startswith("a[") and lowered.endswith("]"):
             components.append(AlwaysPredictDefense(mode=lowered[2:-1]))
         elif lowered == "d":
@@ -80,6 +84,14 @@ def parse_defense(text: Optional[str]) -> Optional[Defense]:
         else:
             raise ReproError(f"unknown defense component {token!r}")
     return DefenseStack(components)
+
+
+def _integer(text: str, what: str) -> int:
+    """``text`` as an int, or a :class:`ReproError` naming ``what``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ReproError(f"{what}: {text!r} is not an integer") from None
 
 
 def _sequential_policy(args: argparse.Namespace):
@@ -95,15 +107,10 @@ def _sequential_policy(args: argparse.Namespace):
         return None
     looks = None
     if args.interim_looks:
-        try:
-            looks = tuple(
-                int(part) for part in args.interim_looks.split(",")
-            )
-        except ValueError:
-            raise ReproError(
-                "--interim-looks must be comma-separated trial counts, "
-                f"got {args.interim_looks!r}"
-            ) from None
+        looks = tuple(
+            _integer(part, "--interim-looks")
+            for part in args.interim_looks.split(",")
+        )
     return SequentialPolicy(looks=looks)
 
 
@@ -147,71 +154,42 @@ def _cmd_fig2(args: argparse.Namespace) -> None:
 
 def _cmd_attack(args: argparse.Namespace) -> None:
     variant = variant_by_name(args.variant)
-    seq_policy = _sequential_policy(args)
-    if seq_policy is not None or args.fault_profile or (
-        args.max_retries is not None
-    ) or args.strict_preflight:
-        # Route through the resilient executor: retries, adaptive
-        # re-measurement, sequential early stopping and (optional)
-        # fault injection.
-        import dataclasses
-
-        from repro.harness.faults import FaultInjector, fault_profile
-        from repro.harness.runner import ExecutionPolicy, ResilientExecutor
-
-        policy = ExecutionPolicy.robust(
-            max_retries=(
-                args.max_retries if args.max_retries is not None else 2
-            )
-        )
-        if seq_policy is not None:
-            policy = dataclasses.replace(policy, sequential=seq_policy)
-        if args.strict_preflight:
-            policy = dataclasses.replace(policy, strict_preflight=True)
-        if args.backend is not None:
-            policy = dataclasses.replace(policy, backend=args.backend)
-        executor = ResilientExecutor(
-            policy,
-            injector=(
-                FaultInjector(fault_profile(args.fault_profile),
-                              seed=args.seed)
-                if args.fault_profile else None
-            ),
-        )
-        cell = executor.run_cell_supervised(
-            f"attack/{args.variant}", variant, ChannelType(args.channel),
-            args.predictor, args.runs, args.seed,
-            confidence=args.confidence,
-            defense=parse_defense(args.defense),
-            use_oracle=args.oracle,
-            modify_mode=args.modify_mode,
-        )
-        print(f"execution: {cell.classification.value} "
-              f"({len(cell.attempts)} attempt(s)"
-              f"{', ' + cell.note if cell.note else ''})")
-        if cell.sequential is not None:
-            seq = cell.sequential
-            stopped = ", stopped early" if seq["stopped_early"] else ""
-            print(f"sequential: effective n "
-                  f"{seq['effective_n']}/{seq['planned_n']} after "
-                  f"{len(seq['looks'])} look(s){stopped}, "
-                  f"{seq['trials_avoided']} trial(s) avoided")
-        if cell.result is None:
-            raise ReproError(f"cell failed permanently: {cell.note}")
-        result = cell.result
-    else:
-        config = AttackConfig(
-            n_runs=args.runs,
-            channel=ChannelType(args.channel),
-            predictor=args.predictor,
-            confidence=args.confidence,
-            seed=args.seed,
-            defense=parse_defense(args.defense),
-            use_oracle=args.oracle,
-            modify_mode=args.modify_mode,
+    executor = ResilientExecutor(
+        ExecutionPolicy(
+            retry=RetryPolicy(max_retries=args.max_retries),
+            sequential=_sequential_policy(args),
             backend=args.backend,
+            strict_preflight=args.strict_preflight,
+        ),
+        injector=(
+            FaultInjector(fault_profile(args.fault_profile), seed=args.seed)
+            if args.fault_profile else None
+        ),
+    )
+    cell = executor.run_cell_supervised(
+        f"attack/{args.variant}", variant, ChannelType(args.channel),
+        args.predictor, args.runs, args.seed,
+        confidence=args.confidence,
+        defense=parse_defense(args.defense),
+        use_oracle=args.oracle,
+        modify_mode=args.modify_mode,
+    )
+    print(f"execution: {cell.classification.value} "
+          f"({len(cell.attempts)} attempt(s)"
+          f"{', ' + cell.note if cell.note else ''})")
+    if cell.sequential is not None:
+        seq = cell.sequential
+        stopped = ", stopped early" if seq["stopped_early"] else ""
+        print(f"sequential: effective n "
+              f"{seq['effective_n']}/{seq['planned_n']} after "
+              f"{len(seq['looks'])} look(s){stopped}, "
+              f"{seq['trials_avoided']} trial(s) avoided")
+    if cell.result is None:
+        raise ReproError(
+            f"cell failed permanently: {cell.note} (last error: "
+            f"{cell.attempts[-1].error})"
         )
-        result = AttackRunner(variant, config).run_experiment()
+    result = cell.result
     print(result.describe())
     print(f"  mapped   mean: {result.comparison.mapped.mean:8.1f} cycles "
           f"(n={len(result.comparison.mapped)})")
@@ -242,7 +220,9 @@ def _cmd_fig7(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     variant = variant_by_name(args.variant)
-    windows = [int(part) for part in args.windows.split(",")]
+    windows = [
+        _integer(part, "--windows") for part in args.windows.split(",")
+    ]
     rows, secure_at = window_sweep(
         variant, windows, n_runs=args.runs,
         seeds=tuple(args.seed + i for i in range(args.median_seeds)),
@@ -509,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="predict only for the trigger PC")
     attack.add_argument("--modify-mode", default="retrain",
                         choices=["retrain", "invalidate"])
-    attack.add_argument("--max-retries", type=int, default=None,
-                        help="supervise the cell: retries per cell")
+    attack.add_argument("--max-retries", type=int, default=2,
+                        help="retries of the cell before giving up")
     # `attack` starts no worker pool, so only in-process profiles apply.
     attack.add_argument("--fault-profile", default=None,
                         choices=sorted(

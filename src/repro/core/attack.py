@@ -106,10 +106,10 @@ class AttackConfig:
             probe line (the receiver reloads the full probe array,
             Figure 4 lines 18-24; the experiment itself only needs the
             target line's latency).
-        seed: Base seed; each trial derives its own.
-        max_trial_cycles: Per-trial cycle watchdog; when set it
-            overrides the core's ``max_cycles`` safety bound, so a
-            runaway simulation aborts with
+        seed: Base seed; each trial derives its own
+            (:func:`trial_seed`).
+        core_config: The core; its ``max_cycles`` bound is the
+            per-trial watchdog, so a runaway simulation aborts with
             :class:`~repro.errors.SimulationError` instead of burning
             the sweep's budget.
         backend: Simulation backend executing the trial loop
@@ -132,7 +132,6 @@ class AttackConfig:
     sync_phase_cycles: int = 25_000
     decode_cycles_per_line: int = 120
     seed: int = 0
-    max_trial_cycles: Optional[int] = None
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
     layout: Layout = field(default_factory=Layout)
@@ -145,8 +144,6 @@ class AttackConfig:
             raise AttackError("n_runs must be >= 2 for the t-test")
         if self.modify_mode not in ("retrain", "invalidate"):
             raise AttackError(f"unknown modify_mode {self.modify_mode!r}")
-        if self.max_trial_cycles is not None and self.max_trial_cycles < 1:
-            raise AttackError("max_trial_cycles must be >= 1")
 
 
 @dataclass
@@ -217,6 +214,15 @@ class ExperimentResult:
         )
 
 
+def trial_seed(seed: int, mapped: bool, index: int) -> int:
+    """The seed of trial ``index`` of one hypothesis, under base ``seed``.
+
+    The per-trial seed schedule every backend runs: a trial is a pure
+    function of this seed.
+    """
+    return seed * 1_000_003 + index * 7919 + (1 if mapped else 0)
+
+
 def bind_trial_streams(predictor: ValuePredictor, trial_seed: int) -> None:
     """Bind a predictor chain's random streams to one trial's seed."""
     predictor.bind_streams(lambda salt: trial_stream(salt, trial_seed))
@@ -273,10 +279,6 @@ class AttackRunner:
         core_config = config.core_config or CoreConfig()
         if config.defense is not None:
             core_config = config.defense.adjust_config(core_config)
-        if config.max_trial_cycles is not None:
-            core_config = replace(
-                core_config, max_cycles=config.max_trial_cycles
-            )
         return core_config
 
     def _build_env(self, trial_seed: int) -> TrialEnv:
@@ -293,7 +295,6 @@ class AttackRunner:
             memory, core = self._warm
             memory.reset(trial_seed)
             core.reset(predictor=self._fresh_predictor(trial_seed))
-            COUNTERS.warm_resets += 1
             return self._env_around(memory, core)
         config = self.config
         memory_config = config.memory_config or MemoryConfig(
@@ -313,13 +314,10 @@ class AttackRunner:
 
     def run_trial(self, mapped: bool, trial_index: int) -> TrialResult:
         """Run one end-to-end attack trial for one hypothesis."""
-        trial_seed = (
-            self.config.seed * 1_000_003
-            + trial_index * 7919
-            + (1 if mapped else 0)
-        )
         COUNTERS.trials += 1
-        env = self._build_env(trial_seed)
+        env = self._build_env(
+            trial_seed(self.config.seed, mapped, trial_index)
+        )
         measurement = self.variant.run(env, mapped)
         return self._finish_trial(env, measurement)
 

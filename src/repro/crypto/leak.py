@@ -18,7 +18,6 @@ the per-iteration timings (the bands of Figure 7).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -52,7 +51,6 @@ class RsaAttackConfig:
     seed: int = 0
     sync_phase_cycles: int = 25_000
     sync_base_cycles: int = 190_000
-    max_trial_cycles: Optional[int] = None
     layout: RsaLayout = field(default_factory=RsaLayout)
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
@@ -94,12 +92,9 @@ class RsaVpAttack:
         predictor = LastValuePredictor(
             confidence_threshold=self.config.confidence
         )
-        core_config = self.config.core_config or CoreConfig()
-        if self.config.max_trial_cycles is not None:
-            core_config = dataclasses.replace(
-                core_config, max_cycles=self.config.max_trial_cycles
-            )
-        return Core(memory, predictor, core_config)
+        return Core(
+            memory, predictor, self.config.core_config or CoreConfig()
+        )
 
     def _train_program(self):
         layout = self.config.layout

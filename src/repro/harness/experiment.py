@@ -85,11 +85,10 @@ def _artifact_results(
     """One artifact's plan, and its cells' results by cell id.
 
     The cells run serially through
-    :func:`repro.harness.parallel.run_cells` under
-    :meth:`~repro.harness.runner.ExecutionPolicy.compat` — retries
-    only, no adaptive escalation — so the numbers are identical to an
-    unsupervised run unless something actually fails.  A failed cell's
-    result is ``None``.
+    :func:`repro.harness.parallel.run_cells` under the default
+    :class:`~repro.harness.runner.ExecutionPolicy`, the policy ``repro
+    all`` runs, so each result equals that artifact's cell in ``repro
+    all``.  A failed cell's result is ``None``.
     """
     from repro.harness.parallel import run_cells, sweep_specs
 

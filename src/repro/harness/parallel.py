@@ -358,7 +358,7 @@ def run_cells(
     """
     if workers < 1:
         raise HarnessError(f"workers must be >= 1, got {workers}")
-    policy = policy or ExecutionPolicy.compat()
+    policy = policy or ExecutionPolicy()
     executor = ResilientExecutor(
         policy,
         injector=(

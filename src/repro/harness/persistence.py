@@ -38,7 +38,6 @@ from repro.harness.checkpoint import (
 from repro.harness.faults import fault_profile
 from repro.harness.report import figure7_report, table3_report
 from repro.harness.runner import (
-    AdaptivePolicy,
     ExecutionPolicy,
     RetryPolicy,
     SequentialPolicy,
@@ -147,7 +146,6 @@ def run_all(
     resume: bool = False,
     max_retries: int = 2,
     fault_profile_name: Optional[str] = None,
-    policy: Optional[ExecutionPolicy] = None,
     workers: Optional[int] = None,
     cell_timeout_s: Optional[float] = None,
     sequential: Optional[SequentialPolicy] = None,
@@ -158,7 +156,8 @@ def run_all(
 
     The supervised cells behind the chosen artifacts
     (:func:`repro.harness.parallel.sweep_specs`) run in one
-    :func:`repro.harness.parallel.run_cells` call, journaled to
+    :func:`repro.harness.parallel.run_cells` call under the default
+    :class:`~repro.harness.runner.ExecutionPolicy`, journaled to
     ``<out_dir>/checkpoint``, and every artifact renders from the cells
     it returns.
 
@@ -170,13 +169,12 @@ def run_all(
             "fig8", "table3"}; all of them when omitted.
         resume: Reuse cells journaled under the checkpoint directory
             by a previous (interrupted) run with the same parameters.
-        max_retries: Per-cell retries of the default policy.
+        max_retries: Per-cell retries.
         fault_profile_name: Optional fault profile to inject (mainly
             for robustness testing of the harness itself).  Any profile
             but ``none`` is recorded in the checkpoint manifest (not in
             artifact metadata), so a ``--resume`` across profiles is
             rejected.
-        policy: Full execution policy; overrides ``max_retries``.
         workers: Worker-pool width for the cells; ``None`` reads
             :data:`repro.harness.parallel.WORKERS_ENV` and falls back
             to 1 (serial).  Resolved and checked before anything is
@@ -194,25 +192,19 @@ def run_all(
             ``workers > 1``.
         sequential: Optional group-sequential early-stopping policy
             (:class:`repro.harness.runner.SequentialPolicy`) applied to
-            every attack cell; ignored when ``policy`` is given (set
-            :attr:`~repro.harness.runner.ExecutionPolicy.sequential`
-            there instead).  Recorded in the checkpoint metadata, so a
-            ``--resume`` across modes is rejected.
+            every attack cell.  Recorded in the checkpoint metadata, so
+            a ``--resume`` across modes is rejected.
         strict_preflight: Escalate any static/dynamic verdict
             disagreement to a hard
             :class:`~repro.errors.AnalysisSoundnessError` instead of a
-            report-time warning; ignored when ``policy`` is given (set
-            :attr:`~repro.harness.runner.ExecutionPolicy.strict_preflight`
-            there instead).  Not recorded in checkpoint metadata: it
-            changes no journaled bytes, only whether a disagreement
+            report-time warning.  Not recorded in checkpoint metadata:
+            it changes no journaled bytes, only whether a disagreement
             aborts the run.
         backend: Simulation backend for every attack cell's trial loop
-            (:mod:`repro.sim`); ignored when ``policy`` is given (set
-            :attr:`~repro.harness.runner.ExecutionPolicy.backend` there
-            instead).  Deliberately *not* recorded in checkpoint
-            metadata: backends are byte-identical by contract, so
-            resuming a scalar checkpoint under ``batched`` (or vice
-            versa) is sound and replays the same records.
+            (:mod:`repro.sim`).  Deliberately *not* recorded in
+            checkpoint metadata: backends are byte-identical by
+            contract, so resuming a scalar checkpoint under ``batched``
+            (or vice versa) is sound and replays the same records.
 
     Returns:
         Mapping from artifact name to the path of its rendering.
@@ -252,13 +244,12 @@ def run_all(
     meta: Dict[str, object] = {
         "version": __version__, "n_runs": n_runs, "seed": seed,
     }
-    seq_policy = policy.sequential if policy is not None else sequential
-    if seq_policy is not None:
+    if sequential is not None:
         # Only recorded when on: fixed-N checkpoint metadata keeps its
         # historical shape, and a resume across
         # fixed-N/sequential modes (or differing look schedules) is
         # rejected by the compatibility check.
-        meta["sequential"] = seq_policy.to_meta()
+        meta["sequential"] = sequential.to_meta()
     specs = sweep_specs(chosen, n_runs=n_runs, seed=seed)
     store: Optional[CheckpointStore] = None
     if specs:
@@ -273,9 +264,8 @@ def run_all(
     cells = run_cells(
         specs,
         store,
-        policy or ExecutionPolicy(
+        ExecutionPolicy(
             retry=RetryPolicy(max_retries=max_retries),
-            adaptive=AdaptivePolicy(),
             sequential=sequential,
             strict_preflight=strict_preflight,
             backend=backend,

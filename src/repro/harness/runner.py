@@ -10,14 +10,15 @@ through one protocol, :func:`run_sequential_cell`, and
 * **retry with reseeding** — any :class:`~repro.errors.ReproError`
   raised by a cell (including injected crashes and watchdog aborts) is
   retried up to ``max_retries`` times, each attempt under a
-  deterministically derived fresh seed;
-* a **per-trial watchdog** — ``max_trial_cycles`` is threaded into the
-  core's ``max_cycles`` bound, so a runaway simulation aborts with
+  deterministically derived fresh seed.  The per-trial watchdog is the
+  core's own ``CoreConfig.max_cycles`` bound (a cell's
+  ``core_config=``): a runaway simulation aborts with
   :class:`~repro.errors.SimulationError`;
-* **adaptive re-measurement** — when a t-test lands in an
-  inconclusive band around ``ALPHA``, the cell *extends* its sample in
-  place (all prior trials are kept and more are drawn from the same
-  per-trial seed schedule) instead of reporting a flaky verdict;
+* **adaptive re-measurement** — when a t-test lands in the
+  inconclusive band ``[BAND_LOW, BAND_HIGH)`` around ``ALPHA``, the
+  cell *extends* its sample in place (all prior trials are kept and
+  more are drawn from the same per-trial seed schedule) instead of
+  reporting a flaky verdict;
 * **group-sequential early stopping** — opt-in via
   :class:`SequentialPolicy`: each cell is examined at pre-registered
   interim looks against an alpha-spending boundary
@@ -69,6 +70,17 @@ from repro.stats.sequential import (
     default_looks,
 )
 from repro.stats.ttest import ALPHA
+
+#: The inconclusive band: a final p-value in ``[BAND_LOW, BAND_HIGH)``
+#: is too close to ``ALPHA`` to trust at the current sample size.
+BAND_LOW = ALPHA / 2
+BAND_HIGH = ALPHA * 2
+
+#: An inconclusive cell multiplies its trials per hypothesis by
+#: ``ESCALATION_FACTOR``, at most ``MAX_ESCALATIONS`` times; a cell
+#: still inconclusive after them is reported ``degraded``.
+ESCALATION_FACTOR = 2
+MAX_ESCALATIONS = 2
 
 
 def reseed(base_seed: int, attempt: int, cell_index: int = 0) -> int:
@@ -123,31 +135,15 @@ class RetryPolicy:
 class AdaptivePolicy:
     """Re-measurement escalation around the significance threshold.
 
-    A p-value inside ``[band_low, band_high)`` is *inconclusive*: too
-    close to ``ALPHA`` for the verdict to be trusted at the current
-    sample size.  :func:`run_sequential_cell` then extends the sample
-    by ``escalation_factor`` (up to ``max_escalations`` times) instead
-    of reporting a flaky verdict.
+    A p-value inside ``[BAND_LOW, BAND_HIGH)`` is *inconclusive*.
+    :func:`run_sequential_cell` then extends the sample by
+    :data:`ESCALATION_FACTOR` (up to :data:`MAX_ESCALATIONS` times)
+    instead of reporting a flaky verdict.
     """
-
-    band_low: float = ALPHA / 2
-    band_high: float = ALPHA * 2
-    escalation_factor: int = 2
-    max_escalations: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.band_low < self.band_high <= 1.0:
-            raise HarnessError(
-                "inconclusive band must satisfy 0 <= low < high <= 1"
-            )
-        if self.escalation_factor < 2:
-            raise HarnessError("escalation_factor must be >= 2")
-        if self.max_escalations < 0:
-            raise HarnessError("max_escalations must be >= 0")
 
     def inconclusive(self, pvalue: float) -> bool:
         """True when the verdict should not be trusted yet."""
-        return self.band_low <= pvalue < self.band_high
+        return BAND_LOW <= pvalue < BAND_HIGH
 
 
 @dataclass(frozen=True)
@@ -155,27 +151,23 @@ class SequentialPolicy:
     """Group-sequential early stopping for experiment cells.
 
     Each cell's requested ``n_runs`` becomes the hard cap of a
-    group-sequential design (:class:`repro.stats.sequential.SequentialDesign`):
-    trials stream in boundary-aligned batches and the cell stops as
-    soon as an interim look crosses the alpha-spending boundary.  The
-    final look applies the paper's plain fixed-N criterion by default,
-    so a cell that never stops early reports exactly the fixed-N
-    verdict.
+    group-sequential design (:class:`repro.stats.sequential.SequentialDesign`)
+    at level ``ALPHA``: trials stream in boundary-aligned batches and
+    the cell stops as soon as an interim look crosses the
+    alpha-spending boundary.  The final look applies the paper's plain
+    fixed-N criterion, so a cell that never stops early reports exactly
+    the fixed-N verdict.
 
     Attributes:
-        look_fractions: Interim-look schedule as fractions of
-            ``n_runs`` (used when ``looks`` is unset); the default is
-            the classic 20/40/60/80/100% five-look plan.
-        looks: Explicit cumulative trial counts instead of fractions.
-            Counts at or above a cell's ``n_runs`` are dropped and the
-            cap itself is always appended, so one schedule serves
-            sweeps with mixed per-cell budgets.
-        alpha: Overall significance level.
+        looks: Explicit cumulative trial counts.  Counts at or above a
+            cell's ``n_runs`` are dropped and the cap itself is always
+            appended, so one schedule serves sweeps with mixed per-cell
+            budgets.  ``None`` looks at the fractions
+            :data:`~repro.stats.sequential.DEFAULT_LOOK_FRACTIONS`
+            (20/40/60/80/100%) of ``n_runs``.
     """
 
-    look_fractions: Tuple[float, ...] = DEFAULT_LOOK_FRACTIONS
     looks: Optional[Tuple[int, ...]] = None
-    alpha: float = ALPHA
 
     def __post_init__(self) -> None:
         if self.looks is not None:
@@ -190,23 +182,21 @@ class SequentialPolicy:
                 raise HarnessError(
                     f"looks must be strictly increasing, got {self.looks}"
                 )
-        if not self.look_fractions:
-            raise HarnessError("look_fractions must be non-empty")
 
     def design_for(self, n_runs: int) -> SequentialDesign:
         """The concrete design for a cell with cap ``n_runs``."""
         if self.looks is not None:
             counts = tuple(n for n in self.looks if n < n_runs) + (n_runs,)
         else:
-            counts = default_looks(n_runs, self.look_fractions)
-        return SequentialDesign(looks=counts, alpha=self.alpha)
+            counts = default_looks(n_runs)
+        return SequentialDesign(looks=counts)
 
     def to_meta(self) -> Dict[str, object]:
         """JSON-safe settings record (checkpoint-manifest comparable)."""
         return {
-            "look_fractions": list(self.look_fractions),
+            "look_fractions": list(DEFAULT_LOOK_FRACTIONS),
             "looks": list(self.looks) if self.looks is not None else None,
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "spending": "obrien-fleming",
             "final_level": "fixed-n",
         }
@@ -216,15 +206,16 @@ class SequentialPolicy:
 class ExecutionPolicy:
     """Everything the supervised executor enforces per cell.
 
+    The default is the one policy every command measures a cell with:
+    two retries, and inconclusive-band escalation.
+
     Attributes:
         retry: Retry behaviour.
-        adaptive: Optional inconclusive-band re-measurement: the
-            escalation keeps all prior trials and extends the sample.
+        adaptive: Inconclusive-band re-measurement: the escalation
+            keeps all prior trials and extends the sample.
         sequential: Optional group-sequential early stopping
             (:class:`SequentialPolicy`); ``None`` runs every cell as
             the one-look fixed-N design.
-        max_trial_cycles: Per-trial watchdog, threaded into the core's
-            ``max_cycles`` bound.
         preflight: Statically validate each cell with
             :func:`repro.analysis.preflight.preflight_cell` before its
             first attempt, raising
@@ -234,9 +225,8 @@ class ExecutionPolicy:
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    adaptive: Optional[AdaptivePolicy] = None
+    adaptive: AdaptivePolicy = field(default_factory=AdaptivePolicy)
     sequential: Optional[SequentialPolicy] = None
-    max_trial_cycles: Optional[int] = None
     #: Simulation backend for every cell's trial loop (repro.sim);
     #: ``None`` follows ``$REPRO_BACKEND`` and defaults to scalar.
     #: Explicit per-cell ``backend`` overrides still win.
@@ -248,24 +238,6 @@ class ExecutionPolicy:
     #: cells included: the journaled preflight record is compared
     #: against the journaled dynamic verdict).
     strict_preflight: bool = False
-
-    @classmethod
-    def compat(cls) -> "ExecutionPolicy":
-        """Behaviour-preserving policy: retries only on error.
-
-        Used by the plain :mod:`repro.harness.experiment` drivers so
-        their results stay identical to the pre-supervision harness
-        unless something actually goes wrong.
-        """
-        return cls()
-
-    @classmethod
-    def robust(cls, max_retries: int = 2) -> "ExecutionPolicy":
-        """The full-sweep policy: retries plus adaptive re-measurement."""
-        return cls(
-            retry=RetryPolicy(max_retries=max_retries),
-            adaptive=AdaptivePolicy(),
-        )
 
 
 @dataclass
@@ -351,7 +323,7 @@ def run_sequential_cell(
     the final look lands in the adaptive policy's inconclusive band,
     the sample is *extended* — all prior trials are kept and more are
     drawn from the same per-trial seed schedule — up to
-    ``adaptive.max_escalations`` times.
+    :data:`MAX_ESCALATIONS` times.
 
     Deterministic: the trials simulated depend only on the runner's
     seed/config, the design, and the adaptive band.
@@ -371,7 +343,6 @@ def run_sequential_cell(
     trials_avoided = 0
     if test.stopped_early:
         trials_avoided = 2 * (design.n_max - experiment.trials_done)
-        COUNTERS.sequential_early_stops += 1
         COUNTERS.sequential_trials_avoided += trials_avoided
         COUNTERS.sequential_cycles_avoided += int(
             trials_avoided * state.mean_trial_cycles
@@ -385,12 +356,11 @@ def run_sequential_cell(
         and adaptive is not None
         and adaptive.inconclusive(state.comparison.pvalue)
     ):
-        while extensions < adaptive.max_escalations:
+        while extensions < MAX_ESCALATIONS:
             reused = 2 * experiment.trials_done
-            target = experiment.trials_done * adaptive.escalation_factor
+            target = experiment.trials_done * ESCALATION_FACTOR
             state = experiment.advance(target)
             extensions += 1
-            COUNTERS.escalation_trials_reused += reused
             extension_records.append({
                 "n": target,
                 "pvalue": state.comparison.pvalue,
@@ -533,7 +503,7 @@ class ResilientExecutor:
         injector: Optional[FaultInjector] = None,
         store: Optional[CheckpointStore] = None,
     ) -> None:
-        self.policy = policy or ExecutionPolicy.compat()
+        self.policy = policy or ExecutionPolicy()
         self.injector = injector
         self.store = store
 
@@ -672,8 +642,6 @@ class ResilientExecutor:
 
         seq_policy = self.policy.sequential
         kwargs = dict(overrides)
-        if self.policy.max_trial_cycles is not None:
-            kwargs.setdefault("max_trial_cycles", self.policy.max_trial_cycles)
         if self.policy.backend is not None:
             kwargs.setdefault("backend", self.policy.backend)
 
@@ -770,13 +738,11 @@ class ResilientExecutor:
         **config_overrides,
     ) -> SupervisedCell:
         """Supervised version of the Figure 7 RSA exponent leak."""
-        kwargs = dict(config_overrides)
-        if self.policy.max_trial_cycles is not None:
-            kwargs.setdefault("max_trial_cycles", self.policy.max_trial_cycles)
 
         def attempt_fn(seed_now: int, n_runs_now: Optional[int]):
             config = RsaAttackConfig(
-                seed=seed_now, memory_config=memory_config, **kwargs
+                seed=seed_now, memory_config=memory_config,
+                **config_overrides,
             )
             return RsaVpAttack(config).run(Mpi.from_int(exponent))
 

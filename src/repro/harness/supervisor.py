@@ -12,9 +12,9 @@ worker the next task, waits on every worker pipe at once with
   :data:`HEARTBEAT_INTERVAL_S`; a worker silent for
   :data:`HEARTBEAT_TIMEOUT_S` is hung (not merely slow), and is killed
   and replaced.
-* **Per-job wall-clock timeouts** — ``max_trial_cycles`` bounds a trial
-  in *simulated* time; ``job_timeout_s`` is the process-level analogue:
-  a worker whose task overruns it is killed and replaced.
+* **Per-job wall-clock timeouts** — ``CoreConfig.max_cycles`` bounds a
+  trial in *simulated* time; ``job_timeout_s`` is the process-level
+  analogue: a worker whose task overruns it is killed and replaced.
 * **Deterministic redispatch** — the task of a worker that died, hung
   or overran is sent again *unchanged*, up to :data:`MAX_DISPATCHES`
   dispatches: cell results are pure functions of ``(cell_id, seed,

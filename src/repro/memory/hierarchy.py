@@ -27,6 +27,14 @@ from repro.memory.memsys import BackingStore, DramConfig, DramModel
 from repro.memory.tlb import Tlb
 
 
+#: Salts of a machine's two latency streams: under seed ``s`` the L2
+#: hit jitter draws from ``Random(s ^ L2_JITTER_SALT)`` and DRAM
+#: latency from ``Random(s ^ DRAM_SALT)``.  The lockstep engine seeds
+#: each lane's streams with them too.
+L2_JITTER_SALT = 0xC0FFEE
+DRAM_SALT = 0x33
+
+
 @dataclass
 class MemoryConfig:
     """Configuration of the whole memory hierarchy (latencies in cycles)."""
@@ -91,7 +99,7 @@ class MemorySystem:
         self.config = config or MemoryConfig()
         self.mapper = mapper or AddressMapper()
         seed = self.config.seed
-        self._rng = random.Random(seed ^ 0xC0FFEE)
+        self._rng = random.Random(seed ^ L2_JITTER_SALT)
         self.l1 = SetAssociativeCache(
             "L1D",
             self.config.l1_size,
@@ -113,7 +121,9 @@ class MemorySystem:
             page_size=self.config.tlb_page_size,
             walk_latency=self.config.tlb_walk_latency,
         )
-        self.dram = DramModel(self.config.dram, rng=random.Random(seed ^ 0x33))
+        self.dram = DramModel(
+            self.config.dram, rng=random.Random(seed ^ DRAM_SALT)
+        )
         self.store_values = BackingStore(default_seed=seed)
 
     def reset(self, seed: Optional[int] = None) -> None:
@@ -136,11 +146,11 @@ class MemorySystem:
             seed = self.config.seed
         else:
             self.config = dc_replace(self.config, seed=seed)
-        self._rng.seed(seed ^ 0xC0FFEE)
+        self._rng.seed(seed ^ L2_JITTER_SALT)
         self.l1.reset(seed ^ 0x11)
         self.l2.reset(seed ^ 0x22)
         self.tlb.reset()
-        self.dram.reset(seed ^ 0x33)
+        self.dram.reset(seed ^ DRAM_SALT)
         self.store_values.reset(seed)
 
     # ------------------------------------------------------------------

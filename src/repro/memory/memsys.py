@@ -66,6 +66,20 @@ class DramConfig:
             raise MemorySystemError("tail extra latency must be >= 0")
 
 
+def dram_latency(config: DramConfig, rng: random.Random) -> int:
+    """One main-memory access latency, in cycles, drawn from ``rng``.
+
+    The DRAM draw of both engines: :class:`DramModel` makes it from its
+    own stream, and the lockstep engine from each lane's.
+    """
+    latency = config.base_latency
+    if config.jitter:
+        latency += rng.randint(0, config.jitter)
+    if config.tail_extra and rng.random() < config.tail_probability:
+        latency += config.tail_extra
+    return latency
+
+
 class DramModel:
     """Draws per-access main-memory latencies from a seeded generator."""
 
@@ -89,13 +103,7 @@ class DramModel:
     def access_latency(self) -> int:
         """Latency of one main-memory access, in cycles."""
         self.accesses += 1
-        config = self.config
-        latency = config.base_latency
-        if config.jitter:
-            latency += self._rng.randint(0, config.jitter)
-        if config.tail_extra and self._rng.random() < config.tail_probability:
-            latency += config.tail_extra
-        return latency
+        return dram_latency(self.config, self._rng)
 
 
 class BackingStore:

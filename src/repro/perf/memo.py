@@ -10,7 +10,7 @@ its (frozen) arguments; list arguments are frozen to tuples because
 
 The memoizer is deliberately conservative:
 
-* Unhashable arguments fall back to a direct call (counted as a miss).
+* Unhashable arguments fall back to a direct call.
 * Cached :class:`~repro.isa.program.Program` objects are shared, which
   is safe because programs are immutable once assembled and their
   internal trace cache is itself keyed and append-only — sharing it
@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from typing import Any, Callable, Tuple, TypeVar
-
-from repro.perf.counters import COUNTERS
 
 _F = TypeVar("_F", bound=Callable[..., Any])
 
@@ -53,7 +51,7 @@ def _freeze(value: Any) -> Any:
 
 
 def memoize_program(maxsize: int = DEFAULT_MAXSIZE) -> Callable[[_F], _F]:
-    """LRU-memoize a pure program factory, counting hits/misses.
+    """LRU-memoize a pure program factory.
 
     Returns a decorator.  The wrapped function gains ``cache_clear()``
     and ``cache_len()`` helpers for tests.
@@ -71,20 +69,16 @@ def memoize_program(maxsize: int = DEFAULT_MAXSIZE) -> Callable[[_F], _F]:
             if _UNHASHABLE in frozen_args or any(
                 v is _UNHASHABLE for _, v in frozen_kwargs
             ):
-                COUNTERS.program_cache_misses += 1
                 return func(*args, **kwargs)
             key = (frozen_args, frozen_kwargs)
             try:
                 result = cache[key]
             except KeyError:
-                COUNTERS.program_cache_misses += 1
                 result = func(*args, **kwargs)
                 cache[key] = result
                 if len(cache) > maxsize:
                     cache.popitem(last=False)
-                    COUNTERS.program_cache_evictions += 1
                 return result
-            COUNTERS.program_cache_hits += 1
             cache.move_to_end(key)
             return result
 

@@ -37,8 +37,10 @@ from typing import (
 import numpy as np
 
 from repro.memory.address import line_address
-from repro.memory.hierarchy import MemoryConfig, MemorySystem
-from repro.memory.memsys import DramConfig
+from repro.memory.hierarchy import (
+    DRAM_SALT, L2_JITTER_SALT, MemoryConfig, MemorySystem,
+)
+from repro.memory.memsys import dram_latency
 from repro.sim._lanes import (
     _INT64_MIN, _VALUE_MASK, LaneDivergence, _lane_mask, _lanes, _lanes_and,
     _lanes_not,
@@ -57,16 +59,6 @@ def _splitmix64_vec(values: np.ndarray) -> np.ndarray:
         v = ((v ^ (v >> np.uint64(30))) * _SM_MUL1).astype(np.uint64)
         v = ((v ^ (v >> np.uint64(27))) * _SM_MUL2).astype(np.uint64)
         return v ^ (v >> np.uint64(31))
-
-
-def _dram_latency(config: DramConfig, rng: random.Random) -> int:
-    """One DRAM latency, mirroring ``DramModel.access_latency``."""
-    latency = config.base_latency
-    if config.jitter:
-        latency += rng.randint(0, config.jitter)
-    if config.tail_extra and rng.random() < config.tail_probability:
-        latency += config.tail_extra
-    return latency
 
 
 class _FillEvent:
@@ -189,9 +181,9 @@ class _LaneMemory:
     the deferred-fill queue.
 
     Lane ``k`` models a fresh scalar machine reset under ``seed_k``: it
-    draws L2 jitter from ``Random(seed_k ^ 0xC0FFEE)`` and DRAM latency
-    from ``Random(seed_k ^ 0x33)``, and an unwritten address reads
-    ``splitmix64(paddr ^ seed_k)``.
+    draws L2 jitter from ``Random(seed_k ^ L2_JITTER_SALT)`` and DRAM
+    latency from ``Random(seed_k ^ DRAM_SALT)``, and an unwritten
+    address reads ``splitmix64(paddr ^ seed_k)``.
     """
 
     __slots__ = (
@@ -206,8 +198,10 @@ class _LaneMemory:
         self.lanes = len(lane_seeds)
         self.mem = mem = MemorySystem(config)
         mem.add_shared_region(*shared_region)
-        self._rng_jitter = [random.Random(s ^ 0xC0FFEE) for s in lane_seeds]
-        self._rng_dram = [random.Random(s ^ 0x33) for s in lane_seeds]
+        self._rng_jitter = [
+            random.Random(s ^ L2_JITTER_SALT) for s in lane_seeds
+        ]
+        self._rng_dram = [random.Random(s ^ DRAM_SALT) for s in lane_seeds]
         self._default_seeds = np.array(
             [s & _VALUE_MASK for s in lane_seeds], dtype=np.uint64
         )
@@ -260,7 +254,7 @@ class _LaneMemory:
         """A DRAM access's latency in ``lanes``, each from its own stream."""
         config = self.mem.config.dram
         return np.fromiter(
-            (_dram_latency(config, self._rng_dram[lane]) for lane in lanes),
+            (dram_latency(config, self._rng_dram[lane]) for lane in lanes),
             dtype=np.int64, count=len(lanes),
         )
 

@@ -31,7 +31,7 @@ is an observable fact, never a silent perf cliff.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.channels import ChannelType
 from repro.errors import BackendUnavailableError
@@ -55,11 +55,6 @@ CHUNK_LANES = 128
 #: replays any lane-uniform training sequence exactly.  Callables are
 #: opaque — they fall back.
 _VECTOR_PREDICTORS = ("lvp", "none", "vtage")
-
-
-def _trial_seed(config: Any, mapped: bool, index: int) -> int:
-    """The scalar seed schedule (``AttackRunner.run_trial``), verbatim."""
-    return config.seed * 1_000_003 + index * 7919 + (1 if mapped else 0)
 
 
 class BatchedBackend:
@@ -151,10 +146,10 @@ class BatchedBackend:
         """One chunk, vectorized; any failure replays it on scalar."""
         indices = range(start, stop)
         try:
-            mapped_rows, mapped_totals = self._run_batch(
+            mapped_rows, mapped_cycles = self._run_batch(
                 runner, True, indices
             )
-            unmapped_rows, unmapped_totals = self._run_batch(
+            unmapped_rows, unmapped_cycles = self._run_batch(
                 runner, False, indices
             )
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -171,11 +166,8 @@ class BatchedBackend:
         # fallen-back chunk contributes exactly its scalar accounting.
         lanes = len(indices)
         COUNTERS.trials += 2 * lanes
-        COUNTERS.batched_chunks += 1
         COUNTERS.batched_vector_trials += 2 * lanes
-        for cycles, retired in (mapped_totals, unmapped_totals):
-            COUNTERS.simulated_cycles += cycles
-            COUNTERS.batched_lanes_retired += retired
+        COUNTERS.simulated_cycles += mapped_cycles + unmapped_cycles
         return list(zip(mapped_rows, unmapped_rows))
 
     def _run_batch(
@@ -183,20 +175,21 @@ class BatchedBackend:
         runner: "AttackRunner",
         mapped: bool,
         indices: Sequence[int],
-    ) -> Tuple[List["TrialResult"], Tuple[int, int]]:
+    ) -> Tuple[List["TrialResult"], int]:
         """All of one hypothesis's trials in the chunk, in lockstep.
 
         Lane ``k`` runs trial ``indices[k]`` under its scalar trial
-        seed.  Returns ``(rows, totals)``: one row per lane, in
-        ``indices`` order, and the pass's ``(simulated cycles,
-        retired)`` — counters, not the machine, so none outlives its
-        pass.
+        seed.  Returns ``(rows, cycles)``: one row per lane, in
+        ``indices`` order, and the pass's simulated cycles — a count,
+        not the machine, so none outlives its pass.
         """
-        from repro.core.attack import TrialResult, attack_dram_config
+        from repro.core.attack import (
+            TrialResult, attack_dram_config, trial_seed,
+        )
 
         lockstep = self._lockstep
         config = runner.config
-        seeds = [_trial_seed(config, mapped, i) for i in indices]
+        seeds = [trial_seed(config.seed, mapped, i) for i in indices]
         base_memory = config.memory_config or MemoryConfig(
             dram=attack_dram_config()
         )
@@ -242,4 +235,4 @@ class BatchedBackend:
             )
             for lane in range(len(seeds))
         ]
-        return rows, (machine.simulated_cycles, machine.total_retired)
+        return rows, machine.simulated_cycles

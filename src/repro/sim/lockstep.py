@@ -166,7 +166,6 @@ class LockstepMachine:
         self._keys_read_address = _reads_address(predictor)
         self.cycle = np.zeros(self.lanes, dtype=np.int64)
         self.simulated_cycles = 0
-        self.total_retired = 0
         self._pending_trains: List[_PendingTrain] = []
         self._train_seq = 0
         #: Per-lane predictor replicas after a lane split; None while
@@ -195,7 +194,6 @@ class LockstepMachine:
         result = _Pass(self, program).run()
         finish = result.end_cycles + 1
         self.simulated_cycles += int(np.sum(finish - result.start_cycles))
-        self.total_retired += result.retired * self.lanes
         self.cycle = finish
         # Every deferred fill and pending training completed within
         # this run, and any later access happens at an issue cycle past

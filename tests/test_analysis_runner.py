@@ -1,7 +1,5 @@
 """Preflight wiring into the resilient executor and persistence."""
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.preflight import preflight_cell
@@ -149,9 +147,7 @@ class TestPreflightMemo:
 
     def test_worker_count_leaves_static_records_unchanged(self, tmp_path):
         specs = sweep_specs(["table3"], n_runs=4, seed=0)
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(), backend="batched"
-        )
+        policy = ExecutionPolicy(backend="batched")
         static = {}
         for workers in (1, 2):
             store = CheckpointStore.open(

@@ -22,7 +22,6 @@ from repro.harness.experiment import run_cell
 from repro.harness.parallel import run_cells, sweep_specs
 from repro.harness.persistence import run_all
 from repro.harness.runner import (
-    AdaptivePolicy,
     ExecutionPolicy,
     RetryPolicy,
 )
@@ -209,10 +208,7 @@ class TestCrashResumeAcceptance:
         with pytest.raises(KeyboardInterrupt):
             run_cells(
                 sweep_specs(["table3"], n_runs=n_runs, seed=seed), store,
-                ExecutionPolicy(
-                    retry=RetryPolicy(max_retries=0),
-                    adaptive=AdaptivePolicy(),
-                ),
+                ExecutionPolicy(retry=RetryPolicy(max_retries=0)),
             )
         completed = store.completed_cells()
         assert 0 < len(completed) < 18  # genuinely interrupted mid-sweep

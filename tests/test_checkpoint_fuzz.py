@@ -154,9 +154,9 @@ class TestResumeAfterDamage:
             }
 
         reference = _store(tmp_path, "reference")
-        run_cells(specs, reference, ExecutionPolicy.compat())
+        run_cells(specs, reference, ExecutionPolicy())
         victim = _store(tmp_path, "victim")
-        run_cells(specs, victim, ExecutionPolicy.compat())
+        run_cells(specs, victim, ExecutionPolicy())
         assert journal_bytes(reference) == journal_bytes(victim)
 
         # Flip one payload bit in one record of the victim journal.
@@ -174,7 +174,7 @@ class TestResumeAfterDamage:
 
         # Resume: exactly one cell recomputes, journal heals.
         saved = journaled_ids(victim)
-        run_cells(specs, victim, ExecutionPolicy.compat())
+        run_cells(specs, victim, ExecutionPolicy())
         assert saved == [damaged]
         healed = {
             name: blob for name, blob in journal_bytes(victim).items()

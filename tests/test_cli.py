@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +48,31 @@ class TestDefenseParsing:
     def test_unknown_component(self):
         with pytest.raises(ReproError):
             parse_defense("X[1]")
+
+    def test_malformed_window_names_the_token(self):
+        with pytest.raises(ReproError, match=r"'R\[x\]'.*'x'"):
+            parse_defense("R[x]")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+@pytest.mark.parametrize("args", [
+    ["attack", "--variant", "Train + Test", "--defense", "R[x]"],
+    ["sweep", "--variant", "Train + Test", "--windows", "1,x"],
+    ["sweep", "--variant", "Train + Test", "--windows", ""],
+])
+def test_malformed_numbers_fail_with_one_line(args):
+    """A malformed number is a one-line ``error:``, not a traceback."""
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ")
+    assert run.stderr.count("\n") == 1
 
 
 class TestCommands:
@@ -160,8 +188,8 @@ class TestResilienceFlags:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        # With --max-retries the cell is supervised; the classification
-        # line is printed (clean, or retried after adaptive escalation).
+        # The classification line is printed (clean, or retried after
+        # adaptive escalation).
         assert "execution: " in out
         assert "attempt(s)" in out
         assert "Fill Up" in out
@@ -232,6 +260,44 @@ class TestResilienceFlags:
         ])
         assert code == 0
         assert (tmp_path / "run_summary.json").exists()
+
+
+class TestOnePolicy:
+    """Every command measures a cell the way ``repro all`` does."""
+
+    ARGS = ["--runs", "10", "--seed", "0"]
+
+    @pytest.fixture(scope="class")
+    def fig5_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("all")
+        assert main(
+            ["all", "--out", str(out), "--artifacts", "fig5", *self.ARGS]
+        ) == 0
+        return out
+
+    def test_fig5_prints_what_all_writes(self, fig5_dir, capsys):
+        capsys.readouterr()
+        assert main(["fig5", *self.ARGS]) == 0
+        assert capsys.readouterr().out == (fig5_dir / "fig5.txt").read_text()
+
+    def test_attack_reports_the_cell_all_records(self, fig5_dir, capsys):
+        # Panel (2) of Figure 5 is Train + Test on the timing-window
+        # channel with an LVP, the attack command's defaults.  At 10
+        # trials per hypothesis its p-value is inconclusive, so both
+        # commands extend it to 20.
+        record = json.loads((fig5_dir / "fig5.json").read_text())["panels"][
+            "(2) Timing-Window Channel (LVP)"
+        ]
+        capsys.readouterr()
+        assert main(["attack", "--variant", "Train + Test", *self.ARGS]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("execution:")] \
+            == [lines[0]]
+        assert f"pvalue={record['pvalue']:.4f}" in lines[1]
+        n = record["mapped_samples"]
+        assert record["execution"]["escalations"] == 1 and n == 20
+        assert lines[2].endswith(f"(n={n})")
+        assert lines[3].endswith(f"(n={n})")
 
 
 class TestSequentialFlags:

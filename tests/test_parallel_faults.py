@@ -50,7 +50,7 @@ def _run(tmp_path, specs, name, **kwargs):
     store = CheckpointStore.open(
         str(tmp_path / name / "checkpoint"), dict(META), resume=False
     )
-    cells = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
+    cells = run_cells(specs, store, ExecutionPolicy(), **kwargs)
     return cells, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
 
@@ -88,7 +88,7 @@ class TestProcessFaultsAreInvisible:
         )
         with pytest.raises(HarnessError, match="lost after 5 dispatch"):
             run_cells(
-                specs, store, ExecutionPolicy.compat(), workers=2,
+                specs, store, ExecutionPolicy(), workers=2,
                 fault_profile=profile,
             )
         assert multiprocessing.active_children() == []
@@ -119,7 +119,7 @@ class TestSigintMidSweep:
 
         store.save = save_then_interrupt
         with pytest.raises(KeyboardInterrupt):
-            run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+            run_cells(specs, store, ExecutionPolicy(), workers=2)
         assert multiprocessing.active_children() == []
         flushed = [
             spec.cell_id for spec in specs if store.has(spec.cell_id)
@@ -137,7 +137,7 @@ class TestSigintMidSweep:
             resume=True,
         )
         saved = journaled_ids(resumed)
-        run_cells(specs, resumed, ExecutionPolicy.compat(), workers=2)
+        run_cells(specs, resumed, ExecutionPolicy(), workers=2)
         # Only the cells the interrupt stopped ran again.
         assert sorted(saved) == sorted(
             spec.cell_id for spec in specs if spec.cell_id not in flushed
@@ -163,7 +163,7 @@ class TestSigintMidSweep:
             save(cell_id, payload)
 
         store.save = save_and_look
-        run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        run_cells(specs, store, ExecutionPolicy(), workers=2)
         assert handlers == [before] * len(specs)
         assert signal.getsignal(signal.SIGINT) is before
         assert multiprocessing.active_children() == []

@@ -9,7 +9,6 @@ ordering, float formatting) fails loudly.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -28,7 +27,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.persistence import run_all
 from repro.harness.runner import (
-    AdaptivePolicy,
     CellClassification,
     ExecutionPolicy,
     RetryPolicy,
@@ -51,7 +49,7 @@ def _run(tmp_path, specs, name, **kwargs):
     store = CheckpointStore.open(
         str(tmp_path / name / "checkpoint"), dict(META), resume=False
     )
-    cells = run_cells(specs, store, ExecutionPolicy.compat(), **kwargs)
+    cells = run_cells(specs, store, ExecutionPolicy(), **kwargs)
     return cells, {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
 
@@ -153,10 +151,10 @@ class TestWorkerCountInvariance:
             str(tmp_path / "checkpoint"), dict(META), resume=False
         )
         saved = journaled_ids(store)
-        run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        run_cells(specs, store, ExecutionPolicy(), workers=2)
         assert sorted(saved) == sorted(spec.cell_id for spec in specs)
         saved.clear()
-        run_cells(specs, store, ExecutionPolicy.compat(), workers=2)
+        run_cells(specs, store, ExecutionPolicy(), workers=2)
         assert saved == []
 
     def test_stats_telemetry(self, tmp_path):
@@ -212,9 +210,7 @@ class TestWorkerCountInvariance:
                      channel="volatile", predictor="lvp", n_runs=4)
             for index, variant in enumerate(("Train + Test", "Test + Hit"))
         ]
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(), backend="batched"
-        )
+        policy = ExecutionPolicy(backend="batched")
         journals = {}
         for workers in (1, 2):
             clear_fallback_journal()
@@ -320,13 +316,11 @@ class TestRunAllParallel:
              "fault_profile": "crash"},
             resume=False,
         )
-        # Same policy run_all supervises with, so the journaled half
-        # retries/escalates exactly as the uninterrupted run would.
-        policy = ExecutionPolicy(
-            retry=RetryPolicy(max_retries=2), adaptive=AdaptivePolicy()
-        )
+        # The default policy is the one run_all supervises with, so the
+        # journaled half retries/escalates exactly as the uninterrupted
+        # run would.
         run_cells(
-            specs[: len(specs) // 2], partial, policy,
+            specs[: len(specs) // 2], partial, ExecutionPolicy(),
             workers=2, fault_profile=fault_profile("crash"), fault_seed=0,
         )
         run_all(str(resumed_dir), resume=True, workers=2, **kwargs)

@@ -47,8 +47,13 @@ class TestRecords:
             "lvp", n_runs=4, seed=1,
         )
         record = cell_record(cell)
-        assert record["execution"]["classification"] == "clean"
+        # p = 0.0069 at 4 trials per hypothesis is inconclusive, so the
+        # default policy extends the sample once, to 8.
+        assert record["execution"]["classification"] == "retried"
+        assert record["execution"]["escalations"] == 1
         assert record["execution"]["final_seed"] == 1
+        assert record["execution"]["final_n_runs"] == 8
+        assert record["mapped_samples"] == 8
         assert record["pvalue"] == cell.result.pvalue
 
     def test_cell_record_none_passthrough(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.channels import ChannelType
 from repro.core.variants import TrainTestAttack
 from repro.errors import SimulationError, StatsError
+from repro.harness import runner
 from repro.harness.experiment import run_cell
 from repro.harness.faults import FaultInjector, FaultProfile
 from repro.harness.runner import (
@@ -16,6 +17,8 @@ from repro.harness.runner import (
     reseed,
 )
 from repro.perf.counters import COUNTERS
+from repro.pipeline.config import CoreConfig
+from repro.stats.ttest import ALPHA
 
 
 class FakeResult:
@@ -49,9 +52,11 @@ class TestPolicies:
         assert not adaptive.inconclusive(0.5)
 
     def test_adaptive_validation(self):
-        from repro.errors import HarnessError
-        with pytest.raises(HarnessError):
-            AdaptivePolicy(band_low=0.2, band_high=0.1)
+        # The band brackets ALPHA, and every escalation at least
+        # doubles the sample.
+        assert 0.0 <= runner.BAND_LOW < ALPHA < runner.BAND_HIGH <= 1.0
+        assert runner.ESCALATION_FACTOR >= 2
+        assert runner.MAX_ESCALATIONS >= 0
 
 
 class TestRetryPath:
@@ -101,23 +106,26 @@ class TestAdaptiveRemeasurement:
 
     N = 4
 
-    def _cell(self, adaptive, predictor="none", seed=9, n_runs=N):
-        executor = ResilientExecutor(
-            ExecutionPolicy(adaptive=adaptive, backend="scalar")
-        )
+    def _cell(self, predictor="none", seed=9, n_runs=N):
+        executor = ResilientExecutor(ExecutionPolicy(backend="scalar"))
         return executor.run_cell_supervised(
             "c", TrainTestAttack(), ChannelType.TIMING_WINDOW, predictor,
             n_runs=n_runs, seed=seed,
         )
 
-    def test_escalates_out_of_inconclusive_band(self):
-        # A band of [0, 1) declares every p-value inconclusive, so the
-        # fixed-N cell escalates once, from N to 2N trials.
-        adaptive = AdaptivePolicy(
-            band_low=0.0, band_high=1.0, max_escalations=1
-        )
+    @staticmethod
+    def _band_of_everything(monkeypatch, max_escalations):
+        # A band of [0, 1) declares every p-value inconclusive.
+        monkeypatch.setattr(runner, "BAND_LOW", 0.0)
+        monkeypatch.setattr(runner, "BAND_HIGH", 1.0)
+        monkeypatch.setattr(runner, "MAX_ESCALATIONS", max_escalations)
+
+    def test_escalates_out_of_inconclusive_band(self, monkeypatch):
+        # Every p-value is inconclusive, so the fixed-N cell escalates
+        # once, from N to 2N trials.
+        self._band_of_everything(monkeypatch, max_escalations=1)
         before = COUNTERS.snapshot()
-        cell = self._cell(adaptive)
+        cell = self._cell()
         # The first N trials are kept: 2 x 2N trials in all, where a
         # re-run from trial 0 would simulate 2 x 3N.
         assert COUNTERS.trials - before["trials"] == 2 * 2 * self.N
@@ -136,10 +144,9 @@ class TestAdaptiveRemeasurement:
         assert cell.execution_record()["final_n_runs"] == 2 * self.N
         assert "sequential" not in cell.to_payload()
 
-    def test_still_inconclusive_is_degraded(self):
-        cell = self._cell(AdaptivePolicy(
-            band_low=0.0, band_high=1.0, max_escalations=2
-        ))
+    def test_still_inconclusive_is_degraded(self, monkeypatch):
+        self._band_of_everything(monkeypatch, max_escalations=2)
+        cell = self._cell()
         assert cell.classification is CellClassification.DEGRADED
         assert cell.escalations == 2
         assert cell.result is not None
@@ -149,31 +156,28 @@ class TestAdaptiveRemeasurement:
     def test_conclusive_pvalue_never_escalates(self):
         # Train + Test with an LVP at seed 1 separates its samples
         # (p < ALPHA / 2) after 8 trials per hypothesis.
-        cell = self._cell(
-            AdaptivePolicy(), predictor="lvp", seed=1, n_runs=8
-        )
-        assert cell.result.pvalue < AdaptivePolicy().band_low
+        cell = self._cell(predictor="lvp", seed=1, n_runs=8)
+        assert cell.result.pvalue < runner.BAND_LOW
         assert cell.classification is CellClassification.CLEAN
         assert cell.escalations == 0
         assert [a.n_runs for a in cell.attempts] == [8]
 
 
 class TestWatchdog:
-    def test_max_trial_cycles_aborts_runaway_simulation(self):
+    def test_max_cycles_aborts_runaway_simulation(self):
         with pytest.raises(SimulationError):
             run_cell(
                 TrainTestAttack(), ChannelType.TIMING_WINDOW, "lvp",
-                n_runs=2, seed=0, max_trial_cycles=10,
+                n_runs=2, seed=0, core_config=CoreConfig(max_cycles=10),
             )
 
     def test_supervised_watchdog_classifies_failed(self):
         executor = ResilientExecutor(
-            ExecutionPolicy(retry=RetryPolicy(max_retries=0),
-                            max_trial_cycles=10)
+            ExecutionPolicy(retry=RetryPolicy(max_retries=0))
         )
         cell = executor.run_cell_supervised(
             "watchdog", TrainTestAttack(), ChannelType.TIMING_WINDOW,
-            "lvp", n_runs=2, seed=0,
+            "lvp", n_runs=2, seed=0, core_config=CoreConfig(max_cycles=10),
         )
         assert cell.classification is CellClassification.FAILED
         assert cell.attempts[0].error_type == "SimulationError"

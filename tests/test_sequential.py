@@ -13,7 +13,6 @@ Three layers under test:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -23,6 +22,7 @@ from repro.core.attack import AttackConfig, AttackRunner
 from repro.core.channels import ChannelType
 from repro.core.variants import TrainTestAttack
 from repro.errors import AttackError, HarnessError, StatsError
+from repro.harness import runner as harness_runner
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiment import cell_runner
 from repro.harness.parallel import run_cells, sweep_specs
@@ -32,7 +32,6 @@ from repro.harness.runner import (
     CellClassification,
     ExecutionPolicy,
     ResilientExecutor,
-    RetryPolicy,
     SequentialPolicy,
     run_sequential_cell,
 )
@@ -45,6 +44,14 @@ from repro.stats.sequential import (
     run_group_sequential,
 )
 from repro.stats.ttest import ALPHA
+
+
+def _band_of_everything(monkeypatch, max_escalations):
+    """Declare every p-value inconclusive, with ``max_escalations``
+    extensions allowed."""
+    monkeypatch.setattr(harness_runner, "BAND_LOW", 0.0)
+    monkeypatch.setattr(harness_runner, "BAND_HIGH", 1.0)
+    monkeypatch.setattr(harness_runner, "MAX_ESCALATIONS", max_escalations)
 
 
 # ----------------------------------------------------------------------
@@ -341,12 +348,10 @@ class TestRunSequentialCell:
             == fixed.comparison.mapped.samples[:n]
         )
         assert (
-            COUNTERS.sequential_early_stops
-            == before["sequential_early_stops"] + 1
-        )
-        assert (
             COUNTERS.sequential_trials_avoided
-            > before["sequential_trials_avoided"]
+            - before["sequential_trials_avoided"]
+            == outcome.record["trials_avoided"]
+            == 2 * (40 - outcome.record["effective_n"])
         )
 
     def test_null_cell_runs_to_cap_with_fixed_n_verdict(self):
@@ -366,30 +371,29 @@ class TestRunSequentialCell:
         assert outcome.result.pvalue == fixed.pvalue
         assert outcome.result.attack_succeeds == fixed.attack_succeeds
 
-    def test_inconclusive_final_look_extends_in_place(self):
+    def test_inconclusive_final_look_extends_in_place(self, monkeypatch):
         # A band of [0, 1) declares every p-value inconclusive, so the
         # null cell must extend (keeping its prior trials) until the
         # escalation budget is spent, then report a degradation note.
-        adaptive = AdaptivePolicy(
-            band_low=0.0, band_high=1.0, max_escalations=2
-        )
+        _band_of_everything(monkeypatch, max_escalations=2)
         runner = cell_runner(
             TrainTestAttack(), ChannelType.TIMING_WINDOW, "none",
             n_runs=10, seed=1,
         )
         before = COUNTERS.snapshot()
         outcome = run_sequential_cell(
-            runner, SequentialPolicy().design_for(10), adaptive
+            runner, SequentialPolicy().design_for(10), AdaptivePolicy()
         )
         assert outcome.extensions == 2
         assert outcome.record["effective_n"] == 40  # 10 -> 20 -> 40
         assert [ext["n"] for ext in outcome.record["extensions"]] == [20, 40]
-        assert outcome.record["extensions"][0]["trials_reused"] == 20
+        # Each extension keeps every trial the cell already had: 40
+        # trials per hypothesis were simulated, none of them twice.
+        assert [
+            ext["trials_reused"] for ext in outcome.record["extensions"]
+        ] == [20, 40]
+        assert COUNTERS.trials - before["trials"] == 2 * 40
         assert "inconclusive" in outcome.note
-        assert (
-            COUNTERS.escalation_trials_reused
-            == before["escalation_trials_reused"] + 20 + 40
-        )
         # The extended sample is a prefix of an equivalent cold run.
         large = cell_runner(
             TrainTestAttack(), ChannelType.TIMING_WINDOW, "none",
@@ -400,18 +404,16 @@ class TestRunSequentialCell:
             == large.comparison.mapped.samples
         )
 
-    def test_conclusive_extension_stops(self):
+    def test_conclusive_extension_stops(self, monkeypatch):
         # Decisive cell with an interim-proof band: the first look that
         # lands conclusive ends the extension loop.
-        adaptive = AdaptivePolicy(
-            band_low=0.0, band_high=1.0, max_escalations=5
-        )
+        _band_of_everything(monkeypatch, max_escalations=5)
         runner = cell_runner(
             TrainTestAttack(), ChannelType.TIMING_WINDOW, "lvp",
             n_runs=40, seed=1,
         )
         outcome = run_sequential_cell(
-            runner, SequentialPolicy().design_for(40), adaptive
+            runner, SequentialPolicy().design_for(40), AdaptivePolicy()
         )
         # lvp at seed 1 stops early (decisively), so the adaptive band
         # is never consulted.
@@ -470,8 +472,6 @@ class TestSupervisedSequential:
             SequentialPolicy(looks=(1, 10))
         with pytest.raises(HarnessError):
             SequentialPolicy(looks=(10, 10))
-        with pytest.raises(HarnessError):
-            SequentialPolicy(look_fractions=())
 
     def test_policy_design_for_mixed_budgets(self):
         policy = SequentialPolicy(looks=(10, 20, 50))
@@ -484,9 +484,7 @@ class TestSupervisedSequential:
 class TestSequentialParallelDeterminism:
     def test_workers_match_serial_byte_for_byte(self, tmp_path):
         specs = sweep_specs(["fig5"], n_runs=8, seed=1)
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(), sequential=SequentialPolicy()
-        )
+        policy = ExecutionPolicy(sequential=SequentialPolicy())
         meta = {"version": "test", "n_runs": 8, "seed": 1}
 
         def one_pass(name, workers):
@@ -563,20 +561,17 @@ class TestRunAllSequential:
             == (full / "fig5.json").read_bytes()
         )
 
-    def test_escalating_resume_byte_identity(self, tmp_path):
+    def test_escalating_resume_byte_identity(self, tmp_path, monkeypatch):
         """Adaptive extension escalation survives kill/resume intact."""
-        policy = ExecutionPolicy(
-            retry=RetryPolicy(max_retries=2),
-            adaptive=AdaptivePolicy(
-                band_low=0.0, band_high=1.0, max_escalations=1
-            ),
-            sequential=SequentialPolicy(),
-        )
+        _band_of_everything(monkeypatch, max_escalations=1)
         full = tmp_path / "full"
         killed = tmp_path / "killed"
         full.mkdir()
         killed.mkdir()
-        kwargs = dict(n_runs=8, seed=1, artifacts=["fig5"], policy=policy)
+        kwargs = dict(
+            n_runs=8, seed=1, artifacts=["fig5"],
+            sequential=SequentialPolicy(),
+        )
         run_all(str(full), **kwargs)
         fig5 = json.load(open(str(full / "fig5.json")))
         assert any(

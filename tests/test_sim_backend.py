@@ -230,8 +230,6 @@ def test_table3_sweep_verdicts_identical(tmp_path, sequential, n_runs):
     The group-sequential form streams every cell through interim looks
     of a few trials each, so it pins narrow batched dispatches too.
     """
-    import dataclasses
-
     from repro._version import __version__
     from repro.harness.checkpoint import CheckpointStore
     from repro.harness.parallel import run_cells, sweep_specs
@@ -245,10 +243,7 @@ def test_table3_sweep_verdicts_identical(tmp_path, sequential, n_runs):
             str(tmp_path / backend),
             {"version": __version__, "backend_test": True}, resume=False,
         )
-        policy = dataclasses.replace(
-            ExecutionPolicy.compat(), backend=backend,
-            sequential=sequential,
-        )
+        policy = ExecutionPolicy(backend=backend, sequential=sequential)
         run_cells(specs, store, policy, workers=1)
         return {spec.cell_id: store.load(spec.cell_id) for spec in specs}
 
@@ -640,8 +635,6 @@ def test_vectorized_cell_journals_nothing():
     assert fallback_journal() == []
     assert delta.get("batched_fallback_trials", 0) == 0
     assert delta.get("batched_vector_trials", 0) == 12
-    assert delta.get("batched_chunks", 0) == 1
-    assert delta.get("batched_lanes_retired", 0) > 0
 
 
 # ---------------------------------------------------------------------------
