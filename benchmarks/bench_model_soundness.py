@@ -2,11 +2,12 @@
 
 "Rule description and soundness analysis of the model are not included
 due to limited space."  This bench supplies that analysis end to end:
-every one of the 576 (train, modify, trigger) combinations is compiled
-into concrete sender/receiver programs, executed on the cycle-level
-simulator under every access-count choice and both secret hypotheses,
-and the observed trigger outcome (correct / mispredict / no
-prediction) is compared with the abstract evaluator's prediction.
+every one of the 576 (train, modify, trigger) combinations is realized
+as its :class:`~repro.core.synthesis.ComboAttack` (the programs the
+hunt certifies and measures), executed on the cycle-level simulator
+under every access-count choice and both secret hypotheses, and the
+observed trigger outcome (correct / mispredict / no prediction) is
+compared with the abstract evaluator's prediction.
 
 The model is sound iff the two agree on all ~4.3k cases — which also
 means Table II's 12 survivors, and only they, produce the claimed

@@ -20,8 +20,9 @@ four passes:
 * :mod:`repro.analysis.preflight` — the harness-facing lint: every
   sweep cell is validated before any simulation budget is spent,
   raising :class:`~repro.errors.AnalysisError` on contradictions;
-* :mod:`repro.analysis.enumerate` — the exhaustive hunt: synthesizes
-  and abstractly interprets a concrete program for **all 576** Table I
+* :mod:`repro.analysis.enumerate` — the exhaustive hunt: captures and
+  abstractly interprets the realization
+  (:class:`~repro.core.synthesis.ComboAttack`) of **all 576** Table I
   (train, modify, trigger) combinations and certifies Table II's
   twelve variants as the complete, minimal set of effective classes,
   emitting a machine-checked ``hunt_certificate.json``.
@@ -44,13 +45,10 @@ from repro.analysis.classify import (
 from repro.analysis.enumerate import (
     ComboVerdict,
     build_certificate,
-    canonical_combo,
     dynamic_targets,
     follow_reduction,
     hunt_certificate,
     hunt_records,
-    parse_combo,
-    static_trial,
 )
 from repro.analysis.preflight import (
     PreflightReport,
@@ -79,7 +77,6 @@ __all__ = [
     "VpsAbstractMachine",
     "analyze_taint",
     "build_certificate",
-    "canonical_combo",
     "capture_variant",
     "classify_cell",
     "derive_combo",
@@ -90,7 +87,5 @@ __all__ = [
     "hunt_records",
     "lint_paths",
     "lint_program",
-    "parse_combo",
     "preflight_cell",
-    "static_trial",
 ]

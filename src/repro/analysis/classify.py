@@ -38,7 +38,7 @@ from repro.core.actions import (
     SecretFlavour,
 )
 from repro.core.channels import ChannelType
-from repro.core.model import Classification, Combo, classify
+from repro.core.model import _FLAVOUR_ORDER, Classification, Combo, classify
 from repro.errors import AnalysisError
 from repro.isa.program import Program
 from repro.workloads.gadgets import Layout
@@ -223,9 +223,6 @@ def _derive_step(
 # Action construction
 # ----------------------------------------------------------------------
 
-_FLAVOUR_ORDER = (SecretFlavour.PRIME, SecretFlavour.DOUBLE_PRIME)
-
-
 def _actions_of(
     raw_steps: List[Optional[_RawStep]],
     layout: Layout,
@@ -303,9 +300,9 @@ def derive_combo(
 ) -> Tuple[Combo, List[StepDerivation]]:
     """Diff two hypothesis captures into a Table I :class:`Combo`.
 
-    The captures may come from :func:`capture_variant` or be built by
-    hand (the enumerator constructs :class:`CapturedTrial` objects
-    directly).  Step roles are keyed purely by load tag, so submission
+    The captures come from :func:`capture_variant` (the enumerator
+    captures :class:`~repro.core.synthesis.ComboAttack`) or are built
+    by hand.  Step roles are keyed purely by load tag, so submission
     order does not matter; missing required roles raise.
 
     Raises:

@@ -6,21 +6,24 @@ combinations (Table I) to 12 effective attacks in 6 categories
 a rule set reproducing that reduction; this module *checks* it
 mechanically, end to end, without trusting the rules themselves:
 
-1. **Generate** — for every combo and every access-count choice, a
-   concrete mini-ISA program triple is synthesized from the action
-   algebra through the same symbol grounding the dynamic synthesizer
-   uses (:func:`repro.core.synthesis.ground_access`).
-2. **Interpret** — each program triple is replayed, under both secret
-   hypotheses, through the abstract VPS interpreter
+1. **Generate** — for every combo and every access-count choice, the
+   combo's one realization (:class:`repro.core.synthesis.ComboAttack`,
+   the attack the dynamic confirmation measures and the soundness
+   check simulates) is captured under both secret hypotheses
+   (:func:`repro.analysis.capture.capture_variant`), the path
+   preflight takes for the Table II variants.
+2. **Interpret** — each captured program sequence is replayed through
+   the abstract VPS interpreter
    (:class:`repro.analysis.vpstate.VpsAbstractMachine`), yielding the
    trigger outcome pair the receiver could observe.  A combo *leaks
    statically* iff some count choice yields one of Figure 2's
    admissible pairs ({correct, mispredict} or
    {correct, no-prediction}).
-3. **Derive** — the generated programs are fed back through the
-   static classifier (:func:`repro.analysis.classify.derive_combo`);
+3. **Derive** — the (confidence, one) captures are fed back through
+   the static classifier (:func:`repro.analysis.classify.derive_combo`);
    the derived combo must equal the canonical form of the generator's
-   input, closing the generator/classifier loop.
+   input (:func:`repro.core.model.canonicalize`), closing the
+   generator/classifier loop.
 4. **Partition** — every combo's reduction chain
    (:attr:`~repro.core.model.Classification.reduces_to` links) is
    followed to a terminal verdict, partitioning the 576-combo space
@@ -43,32 +46,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.capture import CapturedProgram, CapturedTrial
+from repro.analysis.capture import CapturedTrial, capture_variant
 from repro.analysis.classify import derive_combo
 from repro.analysis.vpstate import PredictionOutcome, VpsAbstractMachine
-from repro.core.actions import Action, Dimension, SecretFlavour
+from repro.core.actions import Dimension
+from repro.core.channels import ChannelType
 from repro.core.model import (
     _ADMISSIBLE_PAIRS,
     _EVAL_CONFIDENCE,
-    _MODIFY_COUNTS,
-    _TRAIN_COUNTS,
     Classification,
     Combo,
     TriggerOutcome,
     Verdict,
-    _count_value,
     all_combos,
+    canonicalize,
     classify,
-    question_of_dimension,
+    count_choices,
+    parse_combo,
     table_ii_combos,
 )
-from repro.core.synthesis import GroundedAccess, INDEX_PCS, ground_access
+from repro.core.synthesis import INDEX_PCS, ComboAttack
 from repro.errors import AnalysisError
-from repro.workloads import gadgets
 from repro.workloads.gadgets import Layout
 
-#: Dependent-chain length of generated trigger programs (matches the
-#: dynamic synthesizer; the abstract interpreter ignores the chain).
+#: Dependent-chain length of the captured trigger programs (matches the
+#: soundness synthesizer; the abstract interpreter ignores the chain).
 HUNT_CHAIN_LENGTH = 4
 
 #: Known-access dimension by load PC, for :func:`derive_combo`: the
@@ -96,123 +98,6 @@ RULE8_FALLBACK_TARGETS: Dict[str, str] = {
 RECORDED_TABLE_III_EFFECTIVE = True
 
 
-_FLAVOUR_ORDER = (SecretFlavour.PRIME, SecretFlavour.DOUBLE_PRIME)
-
-
-def canonical_combo(combo: Combo) -> Combo:
-    """Per-dimension first-appearance flavour relabelling.
-
-    Like :func:`repro.core.model.canonicalize`, but with a separate
-    flavour namespace per dimension — D'/D'' and I'/I'' are distinct
-    alphabets in Table I, which matters for mixed-dimension combos
-    (rule 2 rejects them, but the derivation round-trip still has to
-    agree on their spelling).  Equal to ``canonicalize`` on every
-    dimension-pure combo.
-    """
-    mapping: Dict[Tuple[Dimension, SecretFlavour], SecretFlavour] = {}
-    counts: Dict[Dimension, int] = {}
-
-    def relabel(action: Action) -> Action:
-        if not action.is_secret:
-            return action
-        assert action.dimension is not None
-        key = (action.dimension, action.flavour)
-        if key not in mapping:
-            seen = counts.get(action.dimension, 0)
-            mapping[key] = _FLAVOUR_ORDER[seen]
-            counts[action.dimension] = seen + 1
-        return Action(
-            actor=action.actor,
-            knowledge=action.knowledge,
-            dimension=action.dimension,
-            flavour=mapping[key],
-        )
-
-    return Combo(
-        relabel(combo.train), relabel(combo.modify), relabel(combo.trigger)
-    )
-
-
-def parse_combo(symbol: str) -> Combo:
-    """Parse a combo symbol like ``"(S^KD, —, S^SD')"``.
-
-    Raises:
-        AnalysisError: On malformed symbols.
-    """
-    text = symbol.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise AnalysisError(f"cannot parse combo symbol {symbol!r}")
-    parts = [part.strip() for part in text[1:-1].split(",")]
-    if len(parts) != 3:
-        raise AnalysisError(f"cannot parse combo symbol {symbol!r}")
-    return Combo(
-        Action.parse(parts[0]), Action.parse(parts[1]), Action.parse(parts[2])
-    )
-
-
-# ----------------------------------------------------------------------
-# Program generation
-# ----------------------------------------------------------------------
-
-def static_trial(
-    combo: Combo,
-    *,
-    train_count: str = "confidence",
-    modify_count: str = "one",
-    mapped: bool = True,
-    confidence: int = _EVAL_CONFIDENCE,
-    layout: Optional[Layout] = None,
-) -> CapturedTrial:
-    """Generate one hypothesis's program triple as a captured trial.
-
-    Uses the exact grounding of the dynamic synthesizer
-    (:func:`repro.core.synthesis.ground_access`), so the static
-    verdicts certify the same programs the simulator would run.
-    Known objects are written into both address spaces (the paper's
-    shared-library assumption).
-    """
-    layout = layout or Layout()
-
-    def ground(action: Action) -> "GroundedAccess":
-        assert action.dimension is not None
-        return ground_access(
-            action, mapped, question_of_dimension(combo, action.dimension)
-        )
-
-    values: Dict[Tuple[int, int], int] = {}
-    for action in combo.actions:
-        grounded = ground(action)
-        values[(1, grounded.addr)] = grounded.value
-        values[(2, grounded.addr)] = grounded.value
-
-    programs: List[CapturedProgram] = []
-    steps = [
-        (combo.train, "hunt-train", "train-load",
-         _count_value(train_count, confidence)),
-    ]
-    if not combo.modify.is_none:
-        steps.append((
-            combo.modify, "hunt-modify", "modify-load",
-            _count_value(modify_count, confidence),
-        ))
-    for action, name, tag, count in steps:
-        if count < 1:
-            continue
-        grounded = ground(action)
-        programs.append(CapturedProgram(gadgets.train_program(
-            name, grounded.pid, grounded.base_pc, grounded.pc,
-            grounded.addr, count, tag=tag, secret=action.is_secret,
-        )))
-    grounded = ground(combo.trigger)
-    programs.append(CapturedProgram(gadgets.plain_trigger_program(
-        "hunt-trigger", grounded.pid, grounded.base_pc, grounded.pc,
-        grounded.addr, HUNT_CHAIN_LENGTH, secret=combo.trigger.is_secret,
-    )))
-    return CapturedTrial(
-        programs=programs, values=values, layout=layout, mapped=mapped,
-    )
-
-
 # ----------------------------------------------------------------------
 # Abstract interpretation of one combo
 # ----------------------------------------------------------------------
@@ -220,7 +105,7 @@ def static_trial(
 def _trigger_observation(
     trial: CapturedTrial, confidence: int
 ) -> Tuple[TriggerOutcome, object]:
-    """(trigger outcome, confident entry value) of one generated trial."""
+    """(trigger outcome, confident entry value) of one captured trial."""
     machine = VpsAbstractMachine(confidence_threshold=confidence)
     machine.run_trial(trial)
     events = [e for e in machine.events if e.tag == "trigger-load"]
@@ -272,7 +157,7 @@ class ComboVerdict:
     chain: List[str]
     #: Trigger observations per count choice, in evaluation order.
     observations: List[CountObservation]
-    #: Canonical combo re-derived from the generated programs.
+    #: Canonical combo re-derived from the captured programs.
     derived_symbol: str
 
     @property
@@ -296,7 +181,7 @@ class ComboVerdict:
     @property
     def roundtrip_ok(self) -> bool:
         """Did the classifier recover the generator's canonical combo?"""
-        return self.derived_symbol == canonical_combo(self.combo).symbol
+        return self.derived_symbol == canonicalize(self.combo).symbol
 
     @property
     def terminal_effective(self) -> bool:
@@ -339,7 +224,8 @@ def follow_reduction(
     chain of combo symbols visited, starting with ``combo`` itself.
 
     Raises:
-        AnalysisError: On a reduction cycle or unparseable target.
+        AnalysisError: On a reduction cycle or an overlong chain.
+        ModelError: On an unparseable target.
     """
     chain = [combo.symbol]
     current = classify(combo)
@@ -367,37 +253,35 @@ def hunt_combo(
     confidence: int = _EVAL_CONFIDENCE,
     layout: Optional[Layout] = None,
 ) -> ComboVerdict:
-    """Generate, interpret, derive and chain-follow one combo."""
+    """Capture, interpret, derive and chain-follow one combo."""
     layout = layout or Layout()
-    modify_counts: Tuple[str, ...] = (
-        _MODIFY_COUNTS if not combo.modify.is_none else ("one",)
-    )
     observations: List[CountObservation] = []
-    for train_count in _TRAIN_COUNTS:
-        for modify_count in modify_counts:
-            per_hyp = []
-            for mapped in (True, False):
-                trial = static_trial(
-                    combo, train_count=train_count,
-                    modify_count=modify_count, mapped=mapped,
-                    confidence=confidence, layout=layout,
-                )
-                per_hyp.append(_trigger_observation(trial, confidence))
-            observations.append(CountObservation(
-                train_count=train_count,
-                modify_count=modify_count,
-                mapped_outcome=per_hyp[0][0],
-                unmapped_outcome=per_hyp[1][0],
-                mapped_entry_value=per_hyp[0][1],
-                unmapped_entry_value=per_hyp[1][1],
-            ))
+    captures: Dict[Tuple[str, str], List[CapturedTrial]] = {}
+    for train_count, modify_count in count_choices(combo):
+        attack = ComboAttack(
+            combo, train_count=train_count, modify_count=modify_count,
+        )
+        trials = captures[(train_count, modify_count)] = [
+            capture_variant(
+                attack, ChannelType.TIMING_WINDOW, mapped,
+                confidence=confidence, chain_length=HUNT_CHAIN_LENGTH,
+                layout=layout,
+            )
+            for mapped in (True, False)
+        ]
+        (mapped_outcome, mapped_value), (unmapped_outcome, unmapped_value) = [
+            _trigger_observation(trial, confidence) for trial in trials
+        ]
+        observations.append(CountObservation(
+            train_count=train_count,
+            modify_count=modify_count,
+            mapped_outcome=mapped_outcome,
+            unmapped_outcome=unmapped_outcome,
+            mapped_entry_value=mapped_value,
+            unmapped_entry_value=unmapped_value,
+        ))
 
-    mapped_trial = static_trial(
-        combo, mapped=True, confidence=confidence, layout=layout,
-    )
-    unmapped_trial = static_trial(
-        combo, mapped=False, confidence=confidence, layout=layout,
-    )
+    mapped_trial, unmapped_trial = captures[("confidence", "one")]
     derived, _steps = derive_combo(
         mapped_trial, unmapped_trial, layout, pc_dimension=PC_DIMENSION,
     )

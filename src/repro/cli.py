@@ -174,8 +174,11 @@ def _cmd_attack(args: argparse.Namespace) -> None:
         use_oracle=args.oracle,
         modify_mode=args.modify_mode,
     )
+    escalations = (
+        f", {cell.escalations} escalation(s)" if cell.escalations else ""
+    )
     print(f"execution: {cell.classification.value} "
-          f"({len(cell.attempts)} attempt(s)"
+          f"({len(cell.attempts)} attempt(s){escalations}"
           f"{', ' + cell.note if cell.note else ''})")
     if cell.sequential is not None:
         seq = cell.sequential

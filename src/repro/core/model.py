@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.actions import (
     MODIFY_ACTIONS,
@@ -175,7 +175,11 @@ _EVAL_CONFIDENCE = 4
 #: Count options the attacker can choose for the train step.
 _TRAIN_COUNTS = ("confidence", "confidence-1")
 
-#: Count options for a non-empty modify step.
+#: Count options for a non-empty modify step.  ``"retrain"`` is
+#: ``confidence + 1`` accesses: re-training an entry that holds a
+#: *different* value costs one access to reset its confidence (the new
+#: value installs at confidence 0, as Figure 3's diagrams show) plus
+#: ``confidence`` matching accesses to reach the threshold.
 _MODIFY_COUNTS = ("retrain", "one")
 
 
@@ -189,6 +193,18 @@ def _count_value(symbolic: str, confidence: int) -> int:
     if symbolic == "one":
         return 1
     raise ModelError(f"unknown symbolic count {symbolic!r}")
+
+
+def count_choices(combo: Combo) -> Tuple[Tuple[str, str], ...]:
+    """The attacker's (train count, modify count) choices for ``combo``.
+
+    Every train count against every modify count, train-major; an
+    empty modify step offers only ``"one"``, which no step uses.
+    """
+    modify_counts: Tuple[str, ...] = (
+        _MODIFY_COUNTS if not combo.modify.is_none else ("one",)
+    )
+    return tuple(itertools.product(_TRAIN_COUNTS, modify_counts))
 
 
 class _AbstractVps:
@@ -220,29 +236,18 @@ class _AbstractVps:
         return TriggerOutcome.MISPREDICT
 
 
-def _question_of(combo: Combo) -> str:
-    """What the receiver is trying to learn.
+def question_of_dimension(combo: Combo, dimension: Dimension) -> str:
+    """What the receiver learns from one dimension's accesses.
 
     ``"flavours"`` — are the two secret objects (D'/D'' or I'/I'')
-    equal?  Chosen when the combo uses two secret flavours.
-    ``"vs-known"`` — does the secret object equal the known one?
-    Chosen when a single secret flavour appears (with or without a
-    known reference; degenerate single-object combos are rejected by
-    rule 7 before evaluation matters).
-    """
-    flavours = {a.flavour for a in combo.actions if a.is_secret}
-    return "flavours" if len(flavours) > 1 else "vs-known"
+    equal?  Chosen when the dimension's accesses use two secret
+    flavours.  ``"vs-known"`` — does the secret object equal the known
+    one?  Chosen otherwise (degenerate single-object combos are
+    rejected by rule 7 before evaluation matters).
 
-
-def question_of_dimension(combo: Combo, dimension: Dimension) -> str:
-    """The distinguishing question for one dimension's accesses.
-
-    Flavour alphabets are per dimension (Table I), so the question —
-    "do the two flavours alias?" versus "does the secret equal the
-    known value?" — must be asked per dimension too.  A mixed combo
-    with one data flavour and one index flavour is still a vs-known
-    question on each dimension; :func:`_question_of` counts flavours
-    globally and agrees on every dimension-pure combo.
+    Flavour alphabets are per dimension (Table I), so the question is
+    asked per dimension too: a mixed combo with one data flavour and
+    one index flavour is a vs-known question on each dimension.
     """
     flavours = {
         action.flavour
@@ -253,17 +258,21 @@ def question_of_dimension(combo: Combo, dimension: Dimension) -> str:
 
 
 def _index_and_value(
-    action: Action, mapped: bool, question: str
+    combo: Combo, action: Action, mapped: bool
 ) -> Tuple[object, object]:
-    """(predictor index, loaded value) of one access under a hypothesis.
+    """(predictor index, loaded value) of one of ``combo``'s accesses.
 
     Data-dimension accesses share one entry unconditionally (collision
     by construction, e.g. a shared PC) and differ in value.  Index-
     dimension accesses carry per-object values; the secret index
     collides with the known index exactly when ``mapped`` (PC-indexed
     collision does *not* imply equal data — Figure 3 loads arr1 vs
-    arr3 through the same predictor entry).
+    arr3 through the same predictor entry).  What a mapped secret
+    equals depends on the access's dimension's question
+    (:func:`question_of_dimension`).
     """
+    if action.dimension is None:
+        raise ModelError("the empty action accesses nothing")
     if action.dimension is Dimension.DATA:
         index: object = "shared-entry"
         if action.knowledge is Knowledge.KNOWN:
@@ -271,6 +280,7 @@ def _index_and_value(
         elif mapped:
             # Mapped hypothesis: the secret equals the reference —
             # the known value, or the other secret flavour.
+            question = question_of_dimension(combo, action.dimension)
             value = "V_K" if question == "vs-known" else "V_secret"
         else:
             value = f"V_secret{action.flavour.value}"
@@ -286,16 +296,15 @@ def _evaluate_counts(
     combo: Combo, train_count: str, modify_count: str, confidence: int
 ) -> Tuple[TriggerOutcome, TriggerOutcome]:
     """Trigger outcomes under (mapped, unmapped) for one count choice."""
-    question = _question_of(combo)
     outcomes = []
     for mapped in (True, False):
         vps = _AbstractVps(confidence)
-        index, value = _index_and_value(combo.train, mapped, question)
+        index, value = _index_and_value(combo, combo.train, mapped)
         vps.access(index, value, _count_value(train_count, confidence))
         if not combo.modify.is_none:
-            index, value = _index_and_value(combo.modify, mapped, question)
+            index, value = _index_and_value(combo, combo.modify, mapped)
             vps.access(index, value, _count_value(modify_count, confidence))
-        index, value = _index_and_value(combo.trigger, mapped, question)
+        index, value = _index_and_value(combo, combo.trigger, mapped)
         outcomes.append(vps.trigger(index, value))
     return outcomes[0], outcomes[1]
 
@@ -312,12 +321,7 @@ def _admissible_outcome_pairs(
 ) -> Tuple[Tuple[TriggerOutcome, TriggerOutcome], ...]:
     """All admissible (mapped, unmapped) pairs over count choices."""
     pairs = []
-    modify_counts: Sequence[str] = (
-        _MODIFY_COUNTS if not combo.modify.is_none else ("one",)
-    )
-    for train_count, modify_count in itertools.product(
-        _TRAIN_COUNTS, modify_counts
-    ):
+    for train_count, modify_count in count_choices(combo):
         pair = _evaluate_counts(combo, train_count, modify_count, confidence)
         if frozenset(pair) in _ADMISSIBLE_PAIRS and pair not in pairs:
             pairs.append(pair)
@@ -325,38 +329,53 @@ def _admissible_outcome_pairs(
 
 
 # ----------------------------------------------------------------------
-# Canonical flavour relabelling (rule 4)
+# Combo symbols: canonical flavours (rule 4) and parsing
 # ----------------------------------------------------------------------
 
-def _relabel(action: Action, mapping: Dict[SecretFlavour, SecretFlavour]) -> Action:
-    if action.is_none or not action.is_secret:
-        return action
-    return Action(
-        actor=action.actor,
-        knowledge=action.knowledge,
-        dimension=action.dimension,
-        flavour=mapping[action.flavour],
-    )
+#: Secret flavours in first-appearance order.
+_FLAVOUR_ORDER = (SecretFlavour.PRIME, SecretFlavour.DOUBLE_PRIME)
 
 
 def canonicalize(combo: Combo) -> Combo:
-    """Relabel secret flavours so the first one encountered is PRIME."""
-    order: List[SecretFlavour] = []
+    """Relabel secret flavours by first appearance, per dimension.
+
+    D'/D'' and I'/I'' are separate alphabets in Table I, so each
+    dimension's first secret flavour becomes PRIME and its second
+    DOUBLE_PRIME.  On a dimension-pure combo this is rule 4's
+    relabelling; on a mixed one (rule 2 settles those first) it is the
+    spelling :func:`repro.analysis.classify.derive_combo` recovers.
+    """
+    mapping: Dict[Tuple[Optional[Dimension], SecretFlavour], SecretFlavour] = {}
     for action in combo.actions:
-        if action.is_secret and action.flavour not in order:
-            order.append(action.flavour)
-    mapping = {
-        SecretFlavour.PRIME: SecretFlavour.PRIME,
-        SecretFlavour.DOUBLE_PRIME: SecretFlavour.DOUBLE_PRIME,
-    }
-    if order:
-        targets = [SecretFlavour.PRIME, SecretFlavour.DOUBLE_PRIME]
-        for flavour, target in zip(order, targets):
-            mapping[flavour] = target
+        key = (action.dimension, action.flavour)
+        if action.is_secret and key not in mapping:
+            seen = sum(1 for dimension, _ in mapping if dimension is key[0])
+            mapping[key] = _FLAVOUR_ORDER[seen]
+
+    def relabel(action: Action) -> Action:
+        if not action.is_secret:
+            return action
+        return replace(
+            action, flavour=mapping[(action.dimension, action.flavour)]
+        )
+
     return Combo(
-        train=_relabel(combo.train, mapping),
-        modify=_relabel(combo.modify, mapping),
-        trigger=_relabel(combo.trigger, mapping),
+        relabel(combo.train), relabel(combo.modify), relabel(combo.trigger)
+    )
+
+
+def parse_combo(symbol: str) -> Combo:
+    """Parse a combo symbol like ``"(S^KD, —, S^SD')"``.
+
+    Raises:
+        ModelError: On malformed symbols.
+    """
+    text = symbol.strip()
+    parts = [part.strip() for part in text[1:-1].split(",")]
+    if not (text.startswith("(") and text.endswith(")")) or len(parts) != 3:
+        raise ModelError(f"cannot parse combo symbol {symbol!r}")
+    return Combo(
+        Action.parse(parts[0]), Action.parse(parts[1]), Action.parse(parts[2])
     )
 
 

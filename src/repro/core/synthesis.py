@@ -1,12 +1,25 @@
-"""Synthesize executable attacks from model combinations.
+"""Realize Table I combinations as attacks, and check the model on them.
 
 The attack model of Section V reasons *abstractly* about what the
-trigger step observes.  This module closes the loop the paper leaves
-open ("soundness analysis of the model [is] not included due to
-limited space"): it compiles **any** (train, modify, trigger)
-combination — all 576 of them, not just Table II's 12 — into concrete
-sender/receiver programs, runs them on the cycle-level simulator, and
-reports the trigger's actual outcome.
+trigger step observes.  :class:`ComboAttack` compiles **any** (train,
+modify, trigger) combination — all 576 of them, not just Table II's
+12 — and one access-count choice into concrete sender/receiver
+programs and memory values.  It is the only realization of a combo,
+and three consumers run it:
+
+* the static hunt (:mod:`repro.analysis.enumerate`) captures it and
+  interprets its programs abstractly;
+* the hunt's dynamic confirmation (:mod:`repro.harness.hunt`) measures
+  it through the standard :class:`~repro.core.attack.AttackRunner`
+  path;
+* :func:`synthesize_trial` runs its prologue and trigger on a quiet
+  scalar machine and reports the trigger's actual outcome, closing the
+  loop the paper leaves open ("soundness analysis of the model [is]
+  not included due to limited space").
+
+So the hunt's certificate, its p-values and the soundness check
+describe the same programs, apart from the trigger's dependent-chain
+length, which the abstract interpreter ignores.
 
 The soundness property (checked by ``bench_model_soundness.py`` and
 the test suite) is that for every combination, every access-count
@@ -24,24 +37,30 @@ spaces, the shared-library assumption of Section V-B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.actions import Action, Actor
+from repro.core.attack import TrialEnv
+from repro.core.channels import ChannelType
 from repro.core.model import (
+    AttackCategory,
     Combo,
     TriggerOutcome,
     _count_value,
     _evaluate_counts,
     _index_and_value,
-    _question_of,
+    count_choices,
 )
+from repro.core.variants import AttackVariant
 from repro.errors import AttackError
+from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.memory.memsys import DramConfig
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.vp.lvp import LastValuePredictor
 from repro.workloads import gadgets
+from repro.workloads.gadgets import Layout
 
 #: PCs assigned to the abstract index symbols.  All four are distinct:
 #: the evaluator treats the data dimension's shared entry and the
@@ -76,6 +95,9 @@ DATA_BASE = 0x500000
 PID_OF_ACTOR: Dict[Actor, int] = {Actor.SENDER: 1, Actor.RECEIVER: 2}
 
 BASE_PC_OF_ACTOR: Dict[Actor, int] = {Actor.SENDER: 0x200, Actor.RECEIVER: 0x400}
+
+#: Program name and load tag of the train and modify steps.
+_STEP_PROGRAMS = (("combo-train", "train-load"), ("combo-modify", "modify-load"))
 
 
 @dataclass(frozen=True)
@@ -132,14 +154,9 @@ def slot_address(index_symbol: object, value_symbol: object) -> int:
     return DATA_BASE + (index_slot * 16 + value_slot) * 0x100
 
 
-def ground_access(action: Action, mapped: bool, question: str) -> GroundedAccess:
-    """Resolve one abstract access to concrete machine coordinates.
-
-    Shared by trial synthesis, the 576-combo static enumerator and the
-    dynamic :class:`~repro.workloads.combos.ComboAttack` so all three
-    realise the model's symbols identically.
-    """
-    index_symbol, value_symbol = _index_and_value(action, mapped, question)
+def ground_access(combo: Combo, action: Action, mapped: bool) -> GroundedAccess:
+    """Resolve one of ``combo``'s accesses to machine coordinates."""
+    index_symbol, value_symbol = _index_and_value(combo, action, mapped)
     assert action.actor is not None  # empty actions access nothing
     return GroundedAccess(
         pid=PID_OF_ACTOR[action.actor],
@@ -150,10 +167,98 @@ def ground_access(action: Action, mapped: bool, question: str) -> GroundedAccess
     )
 
 
-def _ground(action: Action, mapped: bool, question: str) -> Tuple[int, int, int, int]:
-    """(pid, load PC, data address, value) for one access."""
-    grounded = ground_access(action, mapped, question)
-    return grounded.pid, grounded.pc, grounded.addr, grounded.value
+class ComboAttack(AttackVariant):
+    """One Table I combination and count choice, runnable on a :class:`TrialEnv`.
+
+    Timing-window only: the generic grounding has no probe-array or
+    co-runner story, and Table III's primary channel is the timing
+    window.  The measured window is RDTSC-bracketed when the receiver
+    triggers and the trigger program's own run time when the sender
+    does (internal interference), mirroring the hand-written variants.
+
+    Args:
+        combo: Any (train, modify, trigger) combination.
+        train_count: ``"confidence"`` or ``"confidence-1"``.
+        modify_count: ``"retrain"`` or ``"one"`` (ignored when the
+            modify step is empty).
+        category: The Table II category a measured result records:
+            an effective combo's own, a reducible one's terminal
+            class's.  Only a measurement reads it, so a capture or a
+            soundness trial leaves it unset.
+    """
+
+    supported_channels = (ChannelType.TIMING_WINDOW,)
+    default_chain_length = 80
+
+    def __init__(
+        self,
+        combo: Combo,
+        *,
+        train_count: str = "confidence",
+        modify_count: str = "one",
+        category: Optional[AttackCategory] = None,
+    ) -> None:
+        self.combo = combo
+        self.train_count = train_count
+        self.modify_count = modify_count
+        if category is not None:
+            self.category = category
+        self.name = f"combo {combo.symbol}"
+        self.pattern = combo.symbol
+        self.num_phases = 2 if combo.modify.is_none else 3
+        #: Each hypothesis's accesses, grounded once, in step order.
+        self._grounded: Dict[bool, List[GroundedAccess]] = {
+            mapped: [
+                ground_access(combo, action, mapped)
+                for action in combo.actions
+            ]
+            for mapped in (True, False)
+        }
+
+    def run_prologue(self, env: TrialEnv, mapped: bool) -> None:
+        """Write every access's value, then run the train/modify programs."""
+        self._require_channel(env)
+        grounded = self._grounded[mapped]
+        # Known objects are shared-library data: the same value exists
+        # in both address spaces (Section V-B).
+        for access in grounded:
+            for pid in PID_OF_ACTOR.values():
+                env.memory.write_value(pid, access.addr, access.value)
+        counts = (self.train_count, self.modify_count)
+        for action, access, count, (name, tag) in zip(
+            self.combo.actions[:-1], grounded, counts, _STEP_PROGRAMS
+        ):
+            accesses = _count_value(count, env.confidence)
+            if accesses < 1:
+                continue
+            env.core.run(gadgets.train_program(
+                name, access.pid, access.base_pc, access.pc, access.addr,
+                accesses, tag=tag, secret=action.is_secret,
+            ))
+
+    def run_measured(self, env: TrialEnv, mapped: bool) -> float:
+        """RDTSC window (receiver trigger) or trigger run time (sender)."""
+        result = env.core.run(self.trigger_program(mapped, env.chain_length))
+        if self.combo.trigger.actor is Actor.RECEIVER:
+            return float(result.rdtsc_delta())
+        return float(result.cycles)
+
+    def trigger_program(self, mapped: bool, chain_length: int) -> Program:
+        """The trigger program :meth:`run_measured` runs."""
+        access = self._grounded[mapped][-1]
+        build = (
+            gadgets.timed_trigger_program
+            if self.combo.trigger.actor is Actor.RECEIVER
+            else gadgets.plain_trigger_program
+        )
+        return build(
+            "combo-trigger", access.pid, access.base_pc, access.pc,
+            access.addr, chain_length, secret=self.combo.trigger.is_secret,
+        )
+
+    def trigger_pcs(self, layout: Layout) -> List[int]:
+        """Both hypotheses' trigger PCs (they differ for index combos)."""
+        return sorted({grounded[-1].pc for grounded in self._grounded.values()})
 
 
 def synthesize_trial(
@@ -163,7 +268,10 @@ def synthesize_trial(
     mapped: bool = True,
     confidence: int = 4,
 ) -> SynthesisResult:
-    """Build and run one concrete trial of ``combo``.
+    """Run one :class:`ComboAttack` trial of ``combo`` on a quiet machine.
+
+    The machine has no DRAM or L2 jitter, so the trigger's outcome is
+    the predictor's alone.
 
     Args:
         combo: Any (train, modify, trigger) combination.
@@ -177,41 +285,24 @@ def synthesize_trial(
         The observed-vs-predicted outcome pair.
 
     Raises:
-        AttackError: For invalid count names (via the model helpers).
+        ModelError: For invalid count names (via the model helpers).
+        AttackError: When the trigger load does not miss exactly once.
     """
-    question = _question_of(combo)
+    attack = ComboAttack(
+        combo, train_count=train_count, modify_count=modify_count,
+    )
     memory = _deterministic_memory()
-    predictor = LastValuePredictor(confidence_threshold=confidence)
-    core = Core(memory, predictor, CoreConfig())
-
-    steps = [(combo.train, _count_value(train_count, confidence))]
-    if not combo.modify.is_none:
-        steps.append((combo.modify, _count_value(modify_count, confidence)))
-
-    # Ground every access and pre-write the values both address spaces
-    # would see (known objects are shared-library data: same value for
-    # sender and receiver copies).
-    for action in combo.actions:
-        pid, _, addr, value = _ground(action, mapped, question)
-        memory.write_value(1, addr, value)
-        memory.write_value(2, addr, value)
-
-    for step_number, (action, count) in enumerate(steps):
-        pid, pc, addr, _ = _ground(action, mapped, question)
-        if count < 1:
-            continue
-        core.run(gadgets.train_program(
-            f"step{step_number}", pid, BASE_PC_OF_ACTOR[action.actor],
-            pc, addr, count,
-        ))
-
-    trigger_pid, trigger_pc, trigger_addr, _ = _ground(
-        combo.trigger, mapped, question
+    core = Core(
+        memory, LastValuePredictor(confidence_threshold=confidence),
+        CoreConfig(),
     )
-    program = gadgets.plain_trigger_program(
-        "trigger", trigger_pid, BASE_PC_OF_ACTOR[combo.trigger.actor],
-        trigger_pc, trigger_addr, chain_length=4,
+    env = TrialEnv(
+        core=core, memory=memory, layout=Layout(), confidence=confidence,
+        channel=ChannelType.TIMING_WINDOW, chain_length=4,
+        modify_mode="retrain",
     )
+    attack.run_prologue(env, mapped)
+    program = attack.trigger_program(mapped, env.chain_length)
     result = core.run(program)
     events = [
         event for event in result.loads_tagged(program, "trigger-load")
@@ -250,18 +341,11 @@ def check_soundness(
     synthesis result; the model is sound for the combo iff every
     result's ``sound`` flag is True.
     """
-    modify_counts = ("retrain", "one") if not combo.modify.is_none else ("one",)
-    results: Dict[Tuple[str, str, bool], SynthesisResult] = {}
-    for train_count in ("confidence", "confidence-1"):
-        for modify_count in modify_counts:
-            for mapped in (True, False):
-                results[(train_count, modify_count, mapped)] = (
-                    synthesize_trial(
-                        combo,
-                        train_count=train_count,
-                        modify_count=modify_count,
-                        mapped=mapped,
-                        confidence=confidence,
-                    )
-                )
-    return results
+    return {
+        (train_count, modify_count, mapped): synthesize_trial(
+            combo, train_count=train_count, modify_count=modify_count,
+            mapped=mapped, confidence=confidence,
+        )
+        for train_count, modify_count in count_choices(combo)
+        for mapped in (True, False)
+    }

@@ -7,9 +7,9 @@ classes plus any completeness counterexample the static pass flags
 (candidate new variants; expected none) — through the standard
 supervised harness:
 
-* each target becomes a :class:`~repro.workloads.combos.ComboAttack`
-  built from its static witness counts, so the dynamic trial realises
-  exactly the count choice the abstract interpreter found admissible;
+* each target becomes a :class:`~repro.core.synthesis.ComboAttack`
+  built from its static witness counts, the attack the static pass
+  captured at the count choice it found admissible;
 * cells stream through the group-sequential early-stopping policy
   (:class:`~repro.harness.runner.SequentialPolicy`), journaled to a
   :class:`~repro.harness.checkpoint.CheckpointStore` under
@@ -35,6 +35,7 @@ from repro.analysis.enumerate import (
 )
 from repro.core.channels import ChannelType
 from repro.core.model import AttackCategory, _EVAL_CONFIDENCE
+from repro.core.synthesis import ComboAttack
 from repro.harness.checkpoint import CheckpointStore, atomic_write_json
 from repro.harness.runner import (
     ExecutionPolicy,
@@ -43,27 +44,9 @@ from repro.harness.runner import (
     SupervisedCell,
     _slug,
 )
-from repro.workloads.combos import ComboAttack
 
 CERTIFICATE_FILENAME = "hunt_certificate.json"
 DYNAMIC_FILENAME = "hunt_dynamic.json"
-
-
-def write_certificate(
-    out_dir: str, *, confidence: int = _EVAL_CONFIDENCE
-) -> Dict[str, object]:
-    """Run the static hunt and write ``hunt_certificate.json``.
-
-    Returns the certificate payload; the file is deterministic
-    (sorted keys, no timestamps) so repeated runs are byte-identical.
-    """
-    records = hunt_records(confidence=confidence)
-    certificate = build_certificate(records, confidence=confidence)
-    os.makedirs(out_dir, exist_ok=True)
-    atomic_write_json(
-        os.path.join(out_dir, CERTIFICATE_FILENAME), certificate
-    )
-    return certificate
 
 
 def _target_variant(record: ComboVerdict) -> ComboAttack:

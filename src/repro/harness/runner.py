@@ -625,8 +625,11 @@ class ResilientExecutor:
     ) -> SupervisedCell:
         """Supervised version of :func:`repro.harness.experiment.run_cell`.
 
+        The cell's configuration is built once before the first
+        attempt, so an invalid one raises its
+        :class:`~repro.errors.AttackError` instead of being retried.
         When :attr:`ExecutionPolicy.preflight` is set (the default),
-        the cell is first validated statically — an
+        the cell is then validated statically — an
         :class:`~repro.errors.AnalysisError` aborts the cell before any
         simulation budget is spent.  Cells already present in the
         checkpoint store skip the analysis (their journaled payload,
@@ -657,6 +660,10 @@ class ResilientExecutor:
 
         cell = self._journaled(cell_id)
         if cell is None:
+            # A configuration no reseed can cure (n_runs < 2, a channel
+            # the variant lacks, an unknown backend) raises here, once,
+            # as a failing preflight does, instead of on every attempt.
+            cell_runner(variant, channel, predictor, n_runs, seed, **kwargs)
             cell = self._attempts(
                 cell_id, attempt_fn, seed, n_runs,
                 self._preflight_payload(variant, channel, predictor, overrides),

@@ -108,26 +108,22 @@ class Core:
         self.predictor = predictor if predictor is not None else NoPredictor()
         self.config = config or CoreConfig()
         self.cycle = 0
-        self.total_squashes = 0
-        self.total_retired = 0
         self._seq = 0
 
     def reset(self, predictor: Optional[ValuePredictor] = None) -> None:
         """Restore the core to its just-constructed state.
 
         Part of the warm-machine reset protocol: zeroes the cycle
-        counter (so RDTSC timebases match a cold core), the sequence
-        counter and the aggregate statistics, and optionally installs a
-        fresh predictor chain.  The memory system is reset separately
-        via :meth:`repro.memory.hierarchy.MemorySystem.reset` — after
+        counter (so RDTSC timebases match a cold core) and the sequence
+        counter, and optionally installs a fresh predictor chain.  The
+        memory system is reset separately via
+        :meth:`repro.memory.hierarchy.MemorySystem.reset` — after
         both, a reused core is observationally identical to
         ``Core(memory, predictor, config)`` on a fresh hierarchy.
         """
         if predictor is not None:
             self.predictor = predictor
         self.cycle = 0
-        self.total_squashes = 0
-        self.total_retired = 0
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -216,8 +212,6 @@ class Core:
         COUNTERS.simulated_cycles += self.cycle - start_cycle
         results = []
         for index, state in enumerate(states):
-            self.total_retired += state.retired
-            self.total_squashes += state.squashes
             results.append(RunResult(
                 program_name=state.program.name,
                 pid=state.program.pid,

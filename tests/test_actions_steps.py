@@ -1,4 +1,4 @@
-"""Unit tests for attack actions (Table I) and step specs."""
+"""Unit tests for attack actions (Table I)."""
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.core.actions import (
     Knowledge,
     SecretFlavour,
 )
-from repro.core.steps import AccessCount, StepKind, StepSpec, modify, train, trigger
+from repro.core.model import Combo, _count_value, count_choices
 from repro.errors import ModelError
 
 
@@ -67,46 +67,20 @@ class TestAlphabet:
         assert not S_KI.is_none
 
 
-class TestAccessCount:
-    def test_resolution(self):
-        assert AccessCount.CONFIDENCE.resolve(4) == 4
-        assert AccessCount.CONFIDENCE_MINUS_ONE.resolve(4) == 3
-        assert AccessCount.RETRAIN.resolve(4) == 5
-        assert AccessCount.ONE.resolve(4) == 1
-        assert AccessCount.ZERO.resolve(4) == 0
-
-    def test_confidence_validation(self):
-        with pytest.raises(ModelError):
-            AccessCount.CONFIDENCE.resolve(0)
-
-
 class TestStepSpec:
-    def test_train_defaults_to_confidence(self):
-        spec = train(S_SD1)
-        assert spec.kind is StepKind.TRAIN
-        assert spec.count is AccessCount.CONFIDENCE
-
-    def test_trigger_is_single_access(self):
-        spec = trigger(R_KD)
-        assert spec.count is AccessCount.ONE
-        with pytest.raises(ModelError):
-            StepSpec(StepKind.TRIGGER, R_KD, AccessCount.CONFIDENCE)
-
-    def test_empty_modify(self):
-        spec = modify()
-        assert spec.is_empty
-        assert spec.count is AccessCount.ZERO
-        assert "—" in spec.describe()
+    """The step rules a combo's train/modify/trigger steps obey."""
 
     def test_empty_only_for_modify(self):
+        # The modify step may be empty; the train and trigger steps not.
+        assert Combo(S_KD, NONE_ACTION, S_SD1).modify.is_none
         with pytest.raises(ModelError):
-            StepSpec(StepKind.TRAIN, NONE_ACTION, AccessCount.ZERO)
+            Combo(NONE_ACTION, S_KI, S_KD)
+        with pytest.raises(ModelError):
+            Combo(S_KD, S_KI, NONE_ACTION)
 
     def test_nonempty_needs_accesses(self):
-        with pytest.raises(ModelError):
-            StepSpec(StepKind.MODIFY, S_KI, AccessCount.ZERO)
-
-    def test_describe(self):
-        text = train(S_KI).describe()
-        assert "S^KI" in text
-        assert "confidence" in text
+        # Every count a non-empty modify step can take makes an access.
+        combo = Combo(S_SD1, S_KI, S_KD)
+        for confidence in range(1, 9):
+            for _, modify_count in count_choices(combo):
+                assert _count_value(modify_count, confidence) >= 1

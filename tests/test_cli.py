@@ -203,6 +203,23 @@ class TestResilienceFlags:
         assert code == 0
         assert "execution: retried (2 attempt(s))" in capsys.readouterr().out
 
+    def test_attack_invalid_configuration_fails_once(self, capsys):
+        # No reseed cures n_runs=1, so the cell raises before its first
+        # attempt instead of failing three times.
+        code = main(["attack", "--variant", "Fill Up", "--runs", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_runs must be >= 2 for the t-test\n"
+
+    def test_all_invalid_configuration_writes_no_figure(self, tmp_path):
+        code = main([
+            "all", "--out", str(tmp_path), "--runs", "1",
+            "--artifacts", "fig5",
+        ])
+        assert code == 1
+        assert not (tmp_path / "fig5.txt").exists()
+
     def test_attack_unknown_fault_profile_fails_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([
@@ -295,7 +312,13 @@ class TestOnePolicy:
             == [lines[0]]
         assert f"pvalue={record['pvalue']:.4f}" in lines[1]
         n = record["mapped_samples"]
-        assert record["execution"]["escalations"] == 1 and n == 20
+        execution = record["execution"]
+        assert execution["escalations"] == 1 and n == 20
+        assert lines[0] == (
+            f"execution: {execution['classification']} "
+            f"({len(execution['attempts'])} attempt(s), "
+            f"{execution['escalations']} escalation(s))"
+        )
         assert lines[2].endswith(f"(n={n})")
         assert lines[3].endswith(f"(n={n})")
 

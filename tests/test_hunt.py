@@ -7,11 +7,9 @@ import pytest
 
 from repro.analysis.enumerate import (
     build_certificate,
-    canonical_combo,
     dynamic_targets,
     follow_reduction,
     hunt_records,
-    parse_combo,
 )
 from repro.core.actions import (
     MODIFY_ACTIONS,
@@ -22,7 +20,9 @@ from repro.core.actions import (
 from repro.core.model import (
     Verdict,
     all_combos,
+    canonicalize,
     classify,
+    parse_combo,
     table_ii_combos,
 )
 
@@ -98,10 +98,10 @@ class TestCertificate:
         assert len(members) + certificate["invalid_members"] == 576
 
     def test_byte_identical_across_runs(self, tmp_path):
-        from repro.harness.hunt import CERTIFICATE_FILENAME, write_certificate
+        from repro.harness.hunt import CERTIFICATE_FILENAME, run_hunt
 
-        write_certificate(str(tmp_path / "a"))
-        write_certificate(str(tmp_path / "b"))
+        run_hunt(str(tmp_path / "a"), static_only=True)
+        run_hunt(str(tmp_path / "b"), static_only=True)
         first = (tmp_path / "a" / CERTIFICATE_FILENAME).read_bytes()
         second = (tmp_path / "b" / CERTIFICATE_FILENAME).read_bytes()
         assert first == second
@@ -138,17 +138,17 @@ class TestStaticHunt:
             assert chain == record.chain
             assert chain[0] == record.combo.symbol
 
-    def test_static_trial_roundtrips_canonical_combo(self, records):
+    def test_capture_roundtrips_canonical_form(self, records):
         # Spot-check: the classifier re-derives the combo from its own
-        # synthesized programs for every effective record.
+        # captured programs for every effective record.
         for record in records:
             if record.model.verdict is Verdict.EFFECTIVE:
                 assert record.roundtrip_ok, record.combo.symbol
 
-    def test_canonical_combo_is_idempotent(self):
+    def test_canonical_form_is_idempotent(self):
         for combo in all_combos()[:50]:
-            canonical = canonical_combo(combo)
-            assert canonical_combo(canonical) == canonical
+            canonical = canonicalize(combo)
+            assert canonicalize(canonical) == canonical
 
     def test_silent_flavour_wipe_combo(self):
         # A flavours-question combo whose known modify wipes training
@@ -201,14 +201,19 @@ class TestDynamicConfirmation:
 
 
 # ----------------------------------------------------------------------
-# ComboAttack: the dynamic realisation
+# ComboAttack: the one realization of a combo
 # ----------------------------------------------------------------------
+
+def _shape(program):
+    """A program's name, pid and placed instructions, for comparison."""
+    return program.name, program.pid, tuple(program)
+
 
 class TestComboAttack:
     def test_matches_handwritten_variant_verdict(self):
         from repro.core.attack import AttackConfig, AttackRunner
-        from repro.workloads.combos import ComboAttack
         from repro.core.model import AttackCategory
+        from repro.core.synthesis import ComboAttack
 
         combo = parse_combo("(S^SD', —, S^KD)")
         variant = ComboAttack(combo, category=AttackCategory.TEST_HIT)
@@ -220,7 +225,7 @@ class TestComboAttack:
     def test_silent_combo_does_not_leak(self):
         from repro.core.attack import AttackConfig, AttackRunner
         from repro.core.model import AttackCategory
-        from repro.workloads.combos import ComboAttack
+        from repro.core.synthesis import ComboAttack
 
         # Rule-9 invalid: both steps known, nothing secret to leak.
         combo = parse_combo("(S^KD, —, S^KD)")
@@ -231,12 +236,121 @@ class TestComboAttack:
         assert not result.attack_succeeds
 
     def test_trigger_pcs_cover_both_hypotheses(self):
-        from repro.core.model import AttackCategory
-        from repro.workloads.combos import ComboAttack
+        from repro.core.synthesis import ComboAttack
         from repro.workloads.gadgets import Layout
 
-        index_combo = parse_combo("(R^KI, S^SI', R^KI)")
-        variant = ComboAttack(
-            index_combo, category=AttackCategory.TRAIN_TEST
-        )
+        variant = ComboAttack(parse_combo("(R^KI, S^SI', R^KI)"))
         assert len(variant.trigger_pcs(Layout())) >= 1
+
+    def test_trigger_is_single_access(self):
+        from repro.core.synthesis import ComboAttack
+
+        # A receiver trigger is RDTSC-bracketed, a sender one plain;
+        # either way the trigger step is one probing load.
+        for symbol in ("(S^SD', —, R^KD)", "(S^KD, —, S^SD')"):
+            variant = ComboAttack(parse_combo(symbol))
+            for mapped in (True, False):
+                program = variant.trigger_program(mapped, 4)
+                assert len(program.pcs_tagged("trigger-load")) == 1
+
+    def test_train_defaults_to_confidence(self):
+        from repro.analysis.capture import capture_variant
+        from repro.core.channels import ChannelType
+        from repro.core.synthesis import ComboAttack
+        from repro.isa.instructions import Opcode
+
+        variant = ComboAttack(parse_combo("(S^KD, —, S^SD')"))
+        trial = capture_variant(
+            variant, ChannelType.TIMING_WINDOW, True, confidence=4
+        )
+        train = trial.program_named("combo-train")
+        loads = [
+            placed for placed in train.dynamic_trace()
+            if placed.instruction.op is Opcode.LOAD
+        ]
+        assert len(loads) == 4
+
+    def test_empty_modify_runs_no_program(self):
+        from repro.analysis.capture import capture_variant
+        from repro.core.channels import ChannelType
+        from repro.core.model import count_choices
+        from repro.core.synthesis import ComboAttack
+
+        combo = parse_combo("(S^SD', —, S^KD)")
+        assert count_choices(combo) == (
+            ("confidence", "one"), ("confidence-1", "one"),
+        )
+        for train_count, modify_count in count_choices(combo):
+            variant = ComboAttack(
+                combo, train_count=train_count, modify_count=modify_count,
+            )
+            trial = capture_variant(variant, ChannelType.TIMING_WINDOW, True)
+            assert trial.program_names == ["combo-train", "combo-trigger"]
+
+
+class TestOneRealization:
+    """The static hunt analyses the programs the confirmation measures."""
+
+    @pytest.mark.parametrize(
+        "symbol", [combo.symbol for combo, _ in table_ii_combos()],
+    )
+    def test_hunt_interprets_the_programs_a_trial_runs(
+        self, records, symbol, monkeypatch
+    ):
+        from repro.analysis.enumerate import HUNT_CHAIN_LENGTH, hunt_combo
+        from repro.analysis.vpstate import VpsAbstractMachine
+        from repro.core.attack import AttackConfig, AttackRunner
+        from repro.core.model import count_choices
+        from repro.harness.hunt import _target_variant
+        from repro.memory.hierarchy import MemorySystem
+        from repro.pipeline.core import Core
+
+        record = next(
+            r for r in dynamic_targets(records) if r.combo.symbol == symbol
+        )
+        interpreted = []
+        run_trial = VpsAbstractMachine.run_trial
+
+        def spy_run_trial(machine, trial):
+            interpreted.append(trial)
+            return run_trial(machine, trial)
+
+        monkeypatch.setattr(VpsAbstractMachine, "run_trial", spy_run_trial)
+        hunt_combo(record.combo)
+        monkeypatch.undo()
+        # Interpreted in count-choice order, mapped before unmapped.
+        witness = record.witness
+        choice = count_choices(record.combo).index(
+            (witness.train_count, witness.modify_count)
+        )
+        static = dict(zip((True, False), interpreted[2 * choice:][:2]))
+
+        ran = []
+        written = {}
+        core_run = Core.run
+        write_value = MemorySystem.write_value
+
+        def spy_core_run(core, program, *args, **kwargs):
+            ran.append(program)
+            return core_run(core, program, *args, **kwargs)
+
+        def spy_write_value(memory, pid, addr, value):
+            written[(pid, addr)] = value
+            return write_value(memory, pid, addr, value)
+
+        monkeypatch.setattr(Core, "run", spy_core_run)
+        monkeypatch.setattr(MemorySystem, "write_value", spy_write_value)
+        runner = AttackRunner(
+            _target_variant(record),
+            AttackConfig(chain_length=HUNT_CHAIN_LENGTH, backend="scalar"),
+        )
+        for mapped in (True, False):
+            ran.clear()
+            written.clear()
+            runner.run_trial(mapped, 0)
+            trial = static[mapped]
+            assert trial.mapped is mapped
+            assert [_shape(program) for program in ran] == [
+                _shape(captured.program) for captured in trial.programs
+            ]
+            assert written == trial.values

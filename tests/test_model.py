@@ -20,10 +20,13 @@ from repro.core.model import (
     Verdict,
     all_combos,
     attacks_by_category,
+    _count_value,
     canonicalize,
     classify,
     classify_all,
+    count_choices,
     effective_attacks,
+    parse_combo,
     table_ii_combos,
     verdict_summary,
 )
@@ -184,6 +187,37 @@ class TestCanonicalisation:
     def test_canonical_form_is_fixed_point(self):
         for combo, _ in table_ii_combos():
             assert canonicalize(combo) == combo
+
+    def test_flavours_are_relabelled_per_dimension(self):
+        # D'/D'' and I'/I'' are separate alphabets: a mixed combo's
+        # first index flavour is I' even after a data flavour D'.
+        combo = Combo(S_SD1, S_SI2, S_KD)
+        assert canonicalize(combo) == Combo(S_SD1, S_SI1, S_KD)
+
+
+class TestComboSymbols:
+    def test_parse_rejects_garbage(self):
+        for symbol in ("S^KD, —, S^SD'", "(S^KD, S^SD')", "(S^KD, —, X^Y)"):
+            with pytest.raises(ModelError):
+                parse_combo(symbol)
+
+
+class TestCountVocabulary:
+    def test_count_values(self):
+        assert _count_value("confidence", 4) == 4
+        assert _count_value("confidence-1", 4) == 3
+        assert _count_value("retrain", 4) == 5
+        assert _count_value("one", 4) == 1
+
+    def test_unknown_count_is_rejected(self):
+        with pytest.raises(ModelError):
+            _count_value("confidence+1", 4)
+
+    def test_count_choices_are_train_major(self):
+        assert count_choices(Combo(R_KI, S_SI1, R_KI)) == (
+            ("confidence", "retrain"), ("confidence", "one"),
+            ("confidence-1", "retrain"), ("confidence-1", "one"),
+        )
 
 
 class TestComboValidation:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.channels import ChannelType
 from repro.core.variants import TrainTestAttack
-from repro.errors import SimulationError, StatsError
+from repro.errors import AttackError, SimulationError, StatsError
 from repro.harness import runner
 from repro.harness.experiment import run_cell
 from repro.harness.faults import FaultInjector, FaultProfile
@@ -99,6 +99,18 @@ class TestRetryPath:
         assert cell.classification is CellClassification.FAILED
         assert cell.result is None
         assert len(cell.attempts) == 3
+
+
+class TestInvalidConfiguration:
+    def test_invalid_cell_raises_instead_of_retrying(self):
+        # n_runs=1 fails the same way under every seed: the executor
+        # raises before its first attempt rather than spending retries.
+        executor = ResilientExecutor()
+        with pytest.raises(AttackError, match="n_runs must be >= 2"):
+            executor.run_cell_supervised(
+                "bad", TrainTestAttack(), ChannelType.TIMING_WINDOW, "lvp",
+                n_runs=1, seed=0,
+            )
 
 
 class TestAdaptiveRemeasurement:

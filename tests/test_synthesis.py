@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.actions import NONE_ACTION, R_KD, S_KI, S_SD1, S_SI1
+from repro.core.actions import NONE_ACTION, R_KD, S_KD, S_KI, S_SD1, S_SD2, S_SI1
 from repro.core.model import (
     Combo,
     TriggerOutcome,
@@ -75,3 +75,14 @@ class TestSoundness:
         assert {mapped.observed, unmapped.observed} == {
             TriggerOutcome.MISPREDICT, TriggerOutcome.NO_PREDICTION
         }
+
+    def test_mixed_dimension_combo_is_grounded_per_dimension(self):
+        # One data flavour and one index flavour: each dimension asks
+        # the vs-known question, so the mapped secret data equals the
+        # known value the train step left confident.
+        combo = Combo(S_KD, S_SI1, S_SD2)
+        result = synthesize_trial(
+            combo, modify_count="retrain", mapped=True
+        )
+        assert result.predicted is TriggerOutcome.CORRECT
+        assert result.sound
