@@ -58,18 +58,13 @@ from repro.analysis.preflight import (
     preflight_cell,
 )
 from repro.analysis.taint import TaintReport, analyze_taint
-from repro.analysis.vpstate import (
-    PredictionOutcome,
-    TriggerEvent,
-    VpsAbstractMachine,
-)
+from repro.analysis.vpstate import TriggerEvent, VpsAbstractMachine
 
 __all__ = [
     "CaptureCore",
     "CaptureMemory",
     "CapturedTrial",
     "ComboVerdict",
-    "PredictionOutcome",
     "PreflightReport",
     "StaticClassification",
     "TaintReport",

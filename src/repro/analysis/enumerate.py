@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.capture import CapturedTrial, capture_variant
 from repro.analysis.classify import derive_combo
-from repro.analysis.vpstate import PredictionOutcome, VpsAbstractMachine
+from repro.analysis.vpstate import VpsAbstractMachine
 from repro.core.actions import Dimension
 from repro.core.channels import ChannelType
 from repro.core.model import (
@@ -104,7 +104,7 @@ RECORDED_TABLE_III_EFFECTIVE = True
 
 def _trigger_observation(
     trial: CapturedTrial, confidence: int
-) -> Tuple[TriggerOutcome, object]:
+) -> Tuple[TriggerOutcome, Optional[int]]:
     """(trigger outcome, confident entry value) of one captured trial."""
     machine = VpsAbstractMachine(confidence_threshold=confidence)
     machine.run_trial(trial)
@@ -114,11 +114,11 @@ def _trigger_observation(
             f"expected exactly one trigger load, saw {len(events)}"
         )
     event = events[0]
-    if event.outcome is PredictionOutcome.UNKNOWN:
+    if event.outcome is TriggerOutcome.UNKNOWN:
         raise AnalysisError(
             "generated trigger has an unresolvable VPS index"
         )
-    return TriggerOutcome(event.outcome.value), event.entry_value
+    return event.outcome, event.entry_value
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class CountObservation:
     modify_count: str
     mapped_outcome: TriggerOutcome
     unmapped_outcome: TriggerOutcome
-    mapped_entry_value: object
-    unmapped_entry_value: object
+    mapped_entry_value: Optional[int]
+    unmapped_entry_value: Optional[int]
 
     @property
     def admissible(self) -> bool:

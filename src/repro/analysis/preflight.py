@@ -59,12 +59,9 @@ from typing import (
 
 from repro.analysis.classify import StaticClassification, classify_cell
 from repro.analysis.taint import TaintReport, analyze_taint, dst_ever_read
-from repro.analysis.vpstate import (
-    PredictionOutcome,
-    TriggerEvent,
-    VpsAbstractMachine,
-)
+from repro.analysis.vpstate import TriggerEvent, VpsAbstractMachine
 from repro.core.channels import ChannelType
+from repro.core.model import TriggerOutcome
 from repro.errors import AnalysisError, IsaError
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
@@ -180,7 +177,7 @@ def lint_program(
     if program.pcs_tagged("train-load") and program.pcs_tagged("trigger-load"):
         trigger_events = [e for e in own_events if e.tag == "trigger-load"]
         if trigger_events and all(
-            e.outcome is PredictionOutcome.NO_PREDICTION
+            e.outcome is TriggerOutcome.NO_PREDICTION
             for e in trigger_events
         ):
             report.issues.append(LintIssue(
@@ -413,8 +410,8 @@ def _distinguishability_issues(
         # its absence is the signal, nothing more to check.
         return []
     first_m, first_u = events_m[0], events_u[0]
-    if (first_m.outcome is PredictionOutcome.UNKNOWN
-            or first_u.outcome is PredictionOutcome.UNKNOWN):
+    if (first_m.outcome is TriggerOutcome.UNKNOWN
+            or first_u.outcome is TriggerOutcome.UNKNOWN):
         return []
     if first_m.outcome is not first_u.outcome:
         return []
@@ -424,7 +421,7 @@ def _distinguishability_issues(
         # Same outcome, but the *predicted value* differs — that value
         # is what the persistent encode writes into the probe array.
         return []
-    if first_m.outcome is PredictionOutcome.NO_PREDICTION:
+    if first_m.outcome is TriggerOutcome.NO_PREDICTION:
         message = (
             "the trigger load's index never reaches confidence under "
             "either hypothesis: the cell can never observe a prediction"

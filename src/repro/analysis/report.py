@@ -170,6 +170,22 @@ def render_code_issues(issues: Sequence[CodeLintIssue]) -> str:
 # Static/dynamic agreement (repro report)
 # ----------------------------------------------------------------------
 
+def static_agreement(
+    static_effective: Optional[bool], predictor: str, dynamic: bool
+) -> Optional[bool]:
+    """Does a cell's measured verdict agree with its static one?
+
+    Static analysis predicts the *attack* works, so a cell is expected
+    to leak when its static verdict is effective and it runs a
+    predictor; a control cell (predictor ``"none"``) is expected to
+    show nothing either way.  ``None`` without a static verdict.
+    ``repro report`` and ``--strict-preflight`` both apply this rule.
+    """
+    if static_effective is None:
+        return None
+    return (static_effective and predictor not in ("none", "")) == dynamic
+
+
 def _record_rows(cell_name: str, record: object) -> List[Dict[str, object]]:
     if not isinstance(record, dict) or "pvalue" not in record:
         return []
@@ -182,13 +198,7 @@ def _record_rows(cell_name: str, record: object) -> List[Dict[str, object]]:
         symbol = classification.get("symbol", "")
     predictor = record.get("predictor", "")
     dynamic = bool(record.get("effective"))
-    if static_effective is None:
-        agree: Optional[bool] = None
-    else:
-        # Static analysis predicts the *attack* works; a control cell
-        # (no predictor) is expected to show nothing either way.
-        predicted = static_effective and predictor not in ("none", "")
-        agree = predicted == dynamic
+    agree = static_agreement(static_effective, predictor, dynamic)
     sequential = record.get("sequential")
     effective_n = record.get("mapped_samples")
     planned_n: Optional[int] = None

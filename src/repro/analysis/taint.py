@@ -18,16 +18,20 @@ Two flow kinds are reported:
 
 Because programs are straight-line with static loop counts, the
 analysis walks the exact dynamic trace — there is no widening and no
-approximation beyond unknown memory contents.
+approximation beyond unknown memory contents.  The walk,
+:func:`constant_walk`, is the one the abstract VPS
+(:mod:`repro.analysis.vpstate`) replays too: it resolves registers and
+effective addresses with the core's own arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import Program
+from repro.isa.instructions import Opcode
+from repro.isa.program import PlacedInstruction, Program
+from repro.pipeline.core import _VALUE_MASK, EA_MASK, _alu_compute
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,53 @@ class TaintReport:
         return [load for load in self.loads if load.tag == tag]
 
 
+def constant_walk(
+    program: Program,
+    memory: Optional[Mapping[Tuple[int, int], int]] = None,
+) -> Iterator[Tuple[PlacedInstruction, Optional[int], Optional[int]]]:
+    """Walk ``program``'s dynamic trace, folding constants as the core does.
+
+    Yields every dynamic instruction with its effective address (memory
+    operations) and the value it writes to its destination register,
+    each ``None`` when unknown.  The arithmetic is the core's own: ALU
+    results through :func:`~repro.pipeline.core._alu_compute`, ``li``
+    immediates masked to 64 bits and effective addresses to
+    :data:`~repro.pipeline.core.EA_MASK`, exactly as
+    :class:`~repro.pipeline.core.Core` and
+    :class:`~repro.pipeline.reference.ReferenceExecutor` compute them.
+    Registers start unknown, as do RDTSC readings; a load reads the
+    64-bit word ``memory`` holds (``(pid, addr) -> value``, the
+    architectural values written before the program runs) and is
+    unknown elsewhere.  The program's own stores are not tracked.
+    """
+    known: Dict[int, int] = {}
+    for placed in program.dynamic_trace():
+        ins = placed.instruction
+        op = ins.op
+        addr: Optional[int] = None
+        value: Optional[int] = None
+        if op is Opcode.LI:
+            value = ins.imm & _VALUE_MASK
+        elif op is Opcode.ALU:
+            lhs = None if ins.src1 is None else known.get(ins.src1)
+            rhs = ins.imm if ins.src2 is None else known.get(ins.src2)
+            if lhs is not None and rhs is not None and ins.alu_op is not None:
+                value = _alu_compute(ins.alu_op, lhs, rhs)
+        elif op is Opcode.LOAD or op is Opcode.STORE or op is Opcode.FLUSH:
+            base = 0 if ins.src1 is None else known.get(ins.src1)
+            if base is not None:
+                addr = (base + ins.imm) & EA_MASK
+                if op is Opcode.LOAD and memory:
+                    word = memory.get((program.pid, addr))
+                    value = None if word is None else word & _VALUE_MASK
+        yield placed, addr, value
+        if ins.dst is not None:
+            if value is None:
+                known.pop(ins.dst, None)
+            else:
+                known[ins.dst] = value
+
+
 def analyze_taint(
     program: Program,
     *,
@@ -118,14 +169,12 @@ def analyze_taint(
         use_secret_annotations: Honour ``Instruction.secret`` flags.
     """
     report = TaintReport(program_name=program.name)
-    reg_value: Dict[int, Optional[int]] = {}
     reg_taint: Dict[int, bool] = {}
     mem_taint: Set[int] = set()
     rdtsc_marks: List[Tuple[int, int]] = []  # (trace index, pc)
     taint_trace: List[bool] = []  # per dynamic instruction: consumed taint?
 
-    trace = program.dynamic_trace()
-    for index, placed in enumerate(trace):
+    for index, (placed, addr, _) in enumerate(constant_walk(program)):
         ins = placed.instruction
         sources = ins.source_registers()
         consumed_taint = any(reg_taint.get(reg, False) for reg in sources)
@@ -133,26 +182,15 @@ def analyze_taint(
             ins.src1 is not None and reg_taint.get(ins.src1, False)
             if ins.is_memory else False
         )
-        addr: Optional[int] = None
-        if ins.is_memory:
-            base_value = 0 if ins.src1 is None else reg_value.get(ins.src1)
-            addr = None if base_value is None else base_value + ins.imm
-            if base_taint:
-                report.address_flows.append(
-                    AddressFlow(trace_index=index, pc=placed.pc,
-                                op=ins.op.value)
-                )
+        if base_taint:
+            report.address_flows.append(
+                AddressFlow(trace_index=index, pc=placed.pc,
+                            op=ins.op.value)
+            )
 
         if ins.op is Opcode.LI:
-            reg_value[ins.dst] = ins.imm
             reg_taint[ins.dst] = False
         elif ins.op is Opcode.ALU:
-            values = [reg_value.get(ins.src1)]
-            if ins.src2 is not None:
-                values.append(reg_value.get(ins.src2))
-            reg_value[ins.dst] = None if None in values else _alu_const(
-                ins, values
-            )
             reg_taint[ins.dst] = consumed_taint
         elif ins.op is Opcode.LOAD:
             is_source = (
@@ -164,7 +202,6 @@ def analyze_taint(
                 or base_taint
                 or (addr is not None and addr in mem_taint)
             )
-            reg_value[ins.dst] = None
             reg_taint[ins.dst] = tainted
             consumed_taint = consumed_taint or tainted
             report.loads.append(LoadInfo(
@@ -175,11 +212,11 @@ def analyze_taint(
             if reg_taint.get(ins.src2, False) and addr is not None:
                 mem_taint.add(addr)
         elif ins.op is Opcode.RDTSC:
-            reg_value[ins.dst] = None
             reg_taint[ins.dst] = False
             rdtsc_marks.append((index, placed.pc))
         taint_trace.append(consumed_taint)
 
+    trace = program.dynamic_trace()
     report.unpaired_rdtsc = len(rdtsc_marks) % 2 == 1
     for first, second in zip(rdtsc_marks[0::2], rdtsc_marks[1::2]):
         inner = range(first[0] + 1, second[0])
@@ -195,29 +232,6 @@ def analyze_taint(
             tainted=any(taint_trace[i] for i in inner),
         ))
     return report
-
-
-def _alu_const(
-    ins: Instruction, values: List[Optional[int]]
-) -> Optional[int]:
-    """Constant-fold an ALU op when every operand is known."""
-    from repro.isa.instructions import AluOp
-
-    first = values[0]
-    second = values[1] if len(values) > 1 else ins.imm
-    if first is None or second is None:
-        return None
-    ops = {
-        AluOp.ADD: lambda a, b: a + b,
-        AluOp.SUB: lambda a, b: a - b,
-        AluOp.XOR: lambda a, b: a ^ b,
-        AluOp.AND: lambda a, b: a & b,
-        AluOp.OR: lambda a, b: a | b,
-        AluOp.MUL: lambda a, b: a * b,
-        AluOp.SHL: lambda a, b: a << b,
-        AluOp.SHR: lambda a, b: a >> b,
-    }
-    return ops[ins.alu_op](first, second)
 
 
 def dst_ever_read(program: Program, load_trace_index: int) -> bool:

@@ -2,11 +2,16 @@
 
 Given a sequence of captured programs and the architectural values the
 variant wrote before running them, this pass replays every dynamic
-load against an abstract VPS — the same (value, confidence) lattice as
-:class:`repro.core.model._AbstractVps`, but indexed through a real
+load against the machine's own Last Value Predictor: the table a
+:class:`~repro.vp.lvp.LastValuePredictor` owns, changed only by its
+``train``, indexed through a real
 :class:`~repro.vp.indexing.IndexFunction` so PC-pinning contracts are
 checked against the *actual* program counters the builder produced,
-not against the symbolic collision assumptions of the model.
+not against the symbolic collision assumptions of the model
+(:class:`repro.core.model._AbstractVps`, the independent specification
+the machine is checked against).  Registers and effective addresses
+come from :func:`repro.analysis.taint.constant_walk`, which folds them
+with the core's arithmetic and address mask.
 
 The machine answers the questions preflight needs:
 
@@ -16,39 +21,42 @@ The machine answers the questions preflight needs:
 * is the entry a trigger hits *secret-trained* — i.e. does a
   prediction launder a secret value into the trigger's process?
 
-Loads whose effective address the constant propagator cannot resolve
-get a fresh symbolic value (distinct from every concrete value and
-every other symbol), which is sound for equality-based LVP updates.
+Loads whose effective address the walk cannot resolve read a fresh
+value (distinct from every machine word and every other fresh value),
+which is sound for equality-based LVP updates.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import Program
+from repro.analysis.taint import constant_walk
+from repro.core.model import TriggerOutcome
+from repro.isa.instructions import Opcode
+from repro.isa.program import PlacedInstruction, Program
+from repro.pipeline.core import EA_MASK
 from repro.vp.base import AccessKey
-from repro.vp.indexing import IndexFunction, PC_INDEX
+from repro.vp.indexing import PC_INDEX, IndexFunction, IndexSource
+from repro.vp.lvp import LastValuePredictor
 
 if TYPE_CHECKING:
     from repro.analysis.capture import CapturedTrial
 
 
-class PredictionOutcome(enum.Enum):
-    """What the VPS does for one dynamic load, evaluated pre-update.
+#: Machine words are 64-bit, so integers outside ``[0, 2**64)`` are
+#: free to stand for the values the analysis cannot read.  An unwritten
+#: word reads a value fixed by its ``(pid, addr)`` and distinct from
+#: every other word's, as the machine's backing store gives; a load
+#: from an unresolved address reads a fresh value past ``2**64``.
+_ADDRESS_BITS = EA_MASK.bit_length()
+_FRESH_BASE = 1 << 64
 
-    Mirrors :class:`repro.core.model.TriggerOutcome` with one extra
-    point: ``UNKNOWN`` for loads whose index cannot be resolved
-    statically (data-address indexing with an unknown base register).
-    """
 
-    CORRECT = "correct"
-    MISPREDICT = "mispredict"
-    NO_PREDICTION = "no-prediction"
-    UNKNOWN = "unknown"
+def _unwritten(pid: int, addr: int) -> int:
+    """The stand-in value of the unwritten word ``addr`` of ``pid``."""
+    return -1 - ((pid << _ADDRESS_BITS) | addr)
 
 
 @dataclass(frozen=True)
@@ -59,26 +67,22 @@ class TriggerEvent:
     pc: int
     addr: Optional[int]
     index: Optional[int]
-    outcome: PredictionOutcome
+    outcome: TriggerOutcome
     #: Was the entry this load consulted trained on secret data?
     entry_secret: bool
     tag: Optional[str] = None
     #: The value the predictor would supply (None unless confident).
-    entry_value: object = None
-
-
-@dataclass
-class _AbstractEntry:
-    """One VPS table entry: LVP (value, confidence) plus provenance."""
-
-    value: object
-    confidence: int
-    secret: bool = False
-    writer: str = ""
+    entry_value: Optional[int] = None
 
 
 class VpsAbstractMachine:
-    """Replays captured programs against an abstract, indexed VPS.
+    """Replays captured programs against an indexed LVP.
+
+    The table is the one a default
+    :class:`~repro.vp.lvp.LastValuePredictor` owns, and only
+    :meth:`~repro.vp.lvp.LastValuePredictor.train` changes it, so the
+    replay follows the machine's own confidence rule.  Secret
+    provenance lives beside it, keyed by index.
 
     Args:
         index_function: How loads map to table entries (default: the
@@ -92,11 +96,14 @@ class VpsAbstractMachine:
         index_function: IndexFunction = PC_INDEX,
         confidence_threshold: int = 4,
     ) -> None:
-        self.index_function = index_function
-        self.threshold = confidence_threshold
-        self.entries: Dict[int, _AbstractEntry] = {}
+        self.predictor = LastValuePredictor(
+            confidence_threshold=confidence_threshold,
+            index_function=index_function,
+        )
+        #: Index -> was the entry's current value trained on secret data?
+        self.secret: Dict[int, bool] = {}
         self.events: List[TriggerEvent] = []
-        self._symbols = itertools.count()
+        self._fresh = itertools.count(_FRESH_BASE)
 
     # ------------------------------------------------------------------
     def execute(
@@ -111,7 +118,7 @@ class VpsAbstractMachine:
         Args:
             program: The program to replay.
             values: Architectural memory as ``(pid, addr) -> value``;
-                unwritten addresses read a fresh symbolic value.
+                unwritten addresses read a stand-in value of their own.
             secret_program: Mark every entry this program trains as
                 secret regardless of per-load annotations (used when
                 the program's *presence* is the secret).
@@ -120,143 +127,90 @@ class VpsAbstractMachine:
             The :class:`TriggerEvent` list for this program's loads
             (also appended to :attr:`events`).
         """
-        reg_value: Dict[int, Optional[int]] = {}
-        emitted: List[TriggerEvent] = []
-        for placed in program.dynamic_trace():
-            ins = placed.instruction
-            if ins.op is Opcode.LI:
-                reg_value[ins.dst] = ins.imm
-            elif ins.op is Opcode.ALU:
-                reg_value[ins.dst] = self._alu(ins, reg_value)
-            elif ins.op is Opcode.RDTSC:
-                reg_value[ins.dst] = None
-            elif ins.op is Opcode.LOAD:
-                event = self._load(program, placed.pc, ins, reg_value, values,
-                                   secret_program)
-                emitted.append(event)
+        emitted = [
+            self._load(program, placed, addr, value, secret_program)
+            for placed, addr, value in constant_walk(program, values)
+            if placed.instruction.op is Opcode.LOAD
+        ]
         self.events.extend(emitted)
         return emitted
 
     def run_trial(self, trial: "CapturedTrial") -> List[TriggerEvent]:
         """Replay every program of a :class:`CapturedTrial`, in order."""
-        emitted: List[TriggerEvent] = []
-        for captured in trial.programs:
-            emitted.extend(self.execute(captured.program, trial.values))
-        return emitted
+        return [
+            event for captured in trial.programs
+            for event in self.execute(captured.program, trial.values)
+        ]
 
     # ------------------------------------------------------------------
     @property
     def confident_indices(self) -> List[int]:
         """Indices currently at or above the prediction threshold."""
+        threshold = self.predictor.confidence_threshold
         return [
-            index for index, entry in self.entries.items()
-            if entry.confidence >= self.threshold
+            entry.index for entry in self.predictor.table
+            if entry.confidence >= threshold
         ]
 
-    def events_for(self, program_name: str) -> List[TriggerEvent]:
-        """Events emitted by the named program."""
-        return [e for e in self.events if e.program == program_name]
-
-    def predicted_pcs(self, program_name: str) -> frozenset:
+    def predicted_pcs(self, program_name: str) -> FrozenSet[int]:
         """PCs in ``program_name`` whose loads received a prediction."""
         return frozenset(
-            e.pc for e in self.events_for(program_name)
-            if e.outcome in (PredictionOutcome.CORRECT,
-                             PredictionOutcome.MISPREDICT)
+            e.pc for e in self.events
+            if e.program == program_name and e.entry_value is not None
         )
 
-    def secret_predicted_pcs(self, program_name: str) -> frozenset:
+    def secret_predicted_pcs(self, program_name: str) -> FrozenSet[int]:
         """PCs whose loads were predicted from secret-trained entries."""
         return frozenset(
-            e.pc for e in self.events_for(program_name)
-            if e.entry_secret
-            and e.outcome in (PredictionOutcome.CORRECT,
-                              PredictionOutcome.MISPREDICT)
+            e.pc for e in self.events
+            if e.program == program_name and e.entry_secret
         )
 
     # ------------------------------------------------------------------
     def _load(
         self,
         program: Program,
-        pc: int,
-        ins: Instruction,
-        reg_value: Dict[int, Optional[int]],
-        values: Mapping[Tuple[int, int], int],
+        placed: PlacedInstruction,
+        addr: Optional[int],
+        value: Optional[int],
         secret_program: bool,
     ) -> TriggerEvent:
-        base = 0 if ins.src1 is None else reg_value.get(ins.src1)
-        addr = None if base is None else base + ins.imm
-        if addr is None and self.index_function.source.value != "pc":
+        ins = placed.instruction
+        predictor = self.predictor
+        if addr is None and predictor.index_function.source is not IndexSource.PC:
             # Data-address indexing with an unresolvable address: we
             # cannot tell which entry this load touches.  Sound choice:
             # no update, UNKNOWN outcome.
-            reg_value[ins.dst] = None
-            return self._emit(program, pc, None, None,
-                              PredictionOutcome.UNKNOWN, False, ins.tag, None)
-        key = AccessKey(pc=pc, addr=addr if addr is not None else 0,
+            return TriggerEvent(program.name, placed.pc, None, None,
+                                TriggerOutcome.UNKNOWN, entry_secret=False,
+                                tag=ins.tag)
+        key = AccessKey(pc=placed.pc, addr=addr if addr is not None else 0,
                         pid=program.pid)
-        index = self.index_function.index_of(key)
-        if addr is None:
-            value: object = ("sym", next(self._symbols))
-        else:
-            value = values.get((program.pid, addr),
-                               ("uninit", program.pid, addr))
-        entry = self.entries.get(index)
-        if entry is None or entry.confidence < self.threshold:
-            outcome = PredictionOutcome.NO_PREDICTION
-            entry_value: object = None
-        elif entry.value == value:
-            outcome = PredictionOutcome.CORRECT
-            entry_value = entry.value
-        else:
-            outcome = PredictionOutcome.MISPREDICT
-            entry_value = entry.value
-        entry_secret = bool(entry and entry.confidence >= self.threshold
-                            and entry.secret)
-        # LVP update (same lattice as repro.core.model._AbstractVps).
-        load_secret = bool(ins.secret) or secret_program
-        if entry is None:
-            self.entries[index] = _AbstractEntry(
-                value=value, confidence=1, secret=load_secret,
-                writer=program.name,
+        index = predictor.index_function.index_of(key)
+        if value is None:
+            value = (
+                next(self._fresh) if addr is None
+                else _unwritten(program.pid, addr)
             )
-        elif entry.value == value:
-            entry.confidence += 1
-            entry.secret = entry.secret or load_secret
-            entry.writer = program.name
+        entry = predictor.table.get(index)
+        matched = entry is not None and entry.value == value
+        entry_value: Optional[int] = None
+        entry_secret = False
+        if entry is None or entry.confidence < predictor.confidence_threshold:
+            outcome = TriggerOutcome.NO_PREDICTION
         else:
-            entry.value = value
-            entry.confidence = 0
-            entry.secret = load_secret
-            entry.writer = program.name
-        reg_value[ins.dst] = value if isinstance(value, int) else None
-        return self._emit(program, pc, addr, index, outcome, entry_secret,
-                          ins.tag, entry_value)
-
-    def _emit(
-        self,
-        program: Program,
-        pc: int,
-        addr: Optional[int],
-        index: Optional[int],
-        outcome: PredictionOutcome,
-        entry_secret: bool,
-        tag: Optional[str],
-        entry_value: object,
-    ) -> TriggerEvent:
+            outcome = (
+                TriggerOutcome.CORRECT if matched else TriggerOutcome.MISPREDICT
+            )
+            entry_value, entry_secret = entry.value, self.secret[index]
+        self.secret[index] = (
+            bool(ins.secret) or secret_program
+            or (matched and self.secret[index])
+        )
+        predictor.train(key, value)
         return TriggerEvent(
-            program=program.name, pc=pc, addr=addr, index=index,
-            outcome=outcome, entry_secret=entry_secret, tag=tag,
+            program=program.name, pc=placed.pc, addr=addr, index=index,
+            outcome=outcome, entry_secret=entry_secret, tag=ins.tag,
             entry_value=entry_value,
         )
 
-    @staticmethod
-    def _alu(
-        ins: Instruction, reg_value: Dict[int, Optional[int]]
-    ) -> Optional[int]:
-        from repro.analysis.taint import _alu_const
-
-        operands: List[Optional[int]] = [reg_value.get(ins.src1)]
-        if ins.src2 is not None:
-            operands.append(reg_value.get(ins.src2))
-        return _alu_const(ins, operands)

@@ -38,7 +38,7 @@ from repro.pipeline.core import Core
 from repro.sim import get_backend, resolve_backend_name
 from repro.stats.distributions import TimingDistribution
 from repro.stats.summary import DistributionComparison
-from repro.stats.bandwidth import transmission_rate_kbps
+from repro.stats.bandwidth import modelled_cycles, transmission_rate_kbps
 from repro.vp.base import ValuePredictor, trial_stream
 from repro.vp.lvp import LastValuePredictor
 from repro.vp.nopred import NoPredictor
@@ -75,6 +75,12 @@ def make_predictor(kind: str, confidence: int) -> ValuePredictor:
     raise AttackError(f"unknown predictor kind {kind!r}")
 
 
+def check_n_runs(n_runs: int) -> None:
+    """Raise :class:`AttackError` for a trial count no t-test can use."""
+    if n_runs < 2:
+        raise AttackError("n_runs must be >= 2 for the t-test")
+
+
 @dataclass
 class AttackConfig:
     """Configuration of one attack experiment.
@@ -95,17 +101,6 @@ class AttackConfig:
         modify_mode: For variants with a modify step: ``"retrain"``
             (confidence-count accesses, the mispredict flavour) or
             ``"invalidate"`` (one access, the no-prediction flavour).
-        sync_base_cycles / sync_phase_cycles: Modelled scheduling and
-            synchronisation cost per trial and per victim/attacker
-            hand-off (the ``sleep()`` calls of Figures 3/4).  Real
-            cross-process attacks are dominated by this overhead —
-            which is why Table III's rates sit in single-digit Kbps —
-            so it is charged to transmission-rate reporting only; it
-            never touches the measured timing distributions.
-        decode_cycles_per_line: Persistent-channel decode cost per
-            probe line (the receiver reloads the full probe array,
-            Figure 4 lines 18-24; the experiment itself only needs the
-            target line's latency).
         seed: Base seed; each trial derives its own
             (:func:`trial_seed`).
         core_config: The core; its ``max_cycles`` bound is the
@@ -128,9 +123,6 @@ class AttackConfig:
     defense: Optional[Defense] = None
     chain_length: Optional[int] = None
     modify_mode: str = "retrain"
-    sync_base_cycles: int = 190_000
-    sync_phase_cycles: int = 25_000
-    decode_cycles_per_line: int = 120
     seed: int = 0
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
@@ -140,8 +132,7 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.confidence < 1:
             raise AttackError("confidence must be >= 1")
-        if self.n_runs < 2:
-            raise AttackError("n_runs must be >= 2 for the t-test")
+        check_n_runs(self.n_runs)
         if self.modify_mode not in ("retrain", "invalidate"):
             raise AttackError(f"unknown modify_mode {self.modify_mode!r}")
 
@@ -323,17 +314,20 @@ class AttackRunner:
 
     def _finish_trial(self, env: TrialEnv, measurement: float) -> TrialResult:
         """Charge the trial's modelled costs on top of its simulation."""
-        sim_cycles = (
-            env.core.cycle
-            + self.config.sync_base_cycles
-            + self.config.sync_phase_cycles * self.variant.num_phases
+        return TrialResult(
+            measurement=measurement,
+            sim_cycles=env.core.cycle + self.overhead_cycles(),
         )
-        if self.config.channel is ChannelType.PERSISTENT:
-            sim_cycles += (
-                self.config.decode_cycles_per_line
-                * self.config.layout.probe_lines
-            )
-        return TrialResult(measurement=measurement, sim_cycles=sim_cycles)
+
+    def overhead_cycles(self) -> int:
+        """Cycles :func:`~repro.stats.bandwidth.modelled_cycles` charges
+        each trial: the variant's hand-offs and, on the persistent
+        channel, the receiver's reload of the whole probe array."""
+        decoded = (
+            self.config.layout.probe_lines
+            if self.config.channel is ChannelType.PERSISTENT else 0
+        )
+        return modelled_cycles(self.variant.num_phases, decoded)
 
     def _env_around(self, memory: MemorySystem, core: Core) -> TrialEnv:
         """A :class:`TrialEnv` view over an already-prepared machine."""

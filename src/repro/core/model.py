@@ -85,11 +85,18 @@ class AttackCategory(enum.Enum):
 
 
 class TriggerOutcome(enum.Enum):
-    """Abstract trigger-step outcome used by the evaluator."""
+    """What the VPS does for one access, evaluated before its update.
+
+    The model's evaluator yields the first three.  ``UNKNOWN`` is the
+    static analysis's (:mod:`repro.analysis.vpstate`): a load whose
+    predictor index it cannot resolve (data-address indexing with an
+    unknown base register).
+    """
 
     CORRECT = "correct"
     MISPREDICT = "mispredict"
     NO_PREDICTION = "no-prediction"
+    UNKNOWN = "unknown"
 
 
 class Verdict(enum.Enum):

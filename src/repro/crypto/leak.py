@@ -29,9 +29,17 @@ from repro.errors import CryptoError
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
-from repro.stats.bandwidth import success_rate, transmission_rate_kbps
+from repro.stats.bandwidth import (
+    modelled_cycles,
+    success_rate,
+    transmission_rate_kbps,
+)
 from repro.vp.lvp import LastValuePredictor
 from repro.workloads import gadgets
+
+
+#: Calibration iterations per known bit value (Figure 7's bands).
+CALIBRATION_RUNS = 8
 
 
 @dataclass
@@ -47,10 +55,7 @@ class RsaAttackConfig:
 
     confidence: int = 4
     chain_length: int = 60
-    calibration_runs: int = 8
     seed: int = 0
-    sync_phase_cycles: int = 25_000
-    sync_base_cycles: int = 190_000
     layout: RsaLayout = field(default_factory=RsaLayout)
     memory_config: Optional[MemoryConfig] = None
     core_config: Optional[CoreConfig] = None
@@ -128,7 +133,7 @@ class RsaVpAttack:
         """
         fast: List[float] = []
         slow: List[float] = []
-        for run in range(self.config.calibration_runs):
+        for run in range(CALIBRATION_RUNS):
             fast.append(self.observe_iteration(core, 0, iteration=-1))
             slow.append(self.observe_iteration(core, 1, iteration=-1))
         return ThresholdDecoder.calibrate(fast, slow, slow_means_one=True)
@@ -152,9 +157,7 @@ class RsaVpAttack:
         decoded = [decoder.decode(value) for value in observations]
         # Three hand-offs per bit (train / victim / trigger) plus the
         # per-bit scheduling overhead, charged to rate reporting only.
-        overhead = len(bits) * (
-            self.config.sync_base_cycles + 3 * self.config.sync_phase_cycles
-        )
+        overhead = len(bits) * modelled_cycles(3)
         clock = (self.config.core_config or CoreConfig()).clock_ghz
         rate = transmission_rate_kbps(
             len(bits), sim_cycles + overhead, clock

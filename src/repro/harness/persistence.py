@@ -26,7 +26,7 @@ import os
 from typing import Dict, List, Optional
 
 from repro._version import __version__
-from repro.core.attack import ExperimentResult
+from repro.core.attack import ExperimentResult, check_n_runs
 from repro.core.model import verdict_summary
 from repro.crypto.leak import RsaAttackResult
 from repro.errors import HarnessError
@@ -215,6 +215,8 @@ def run_all(
             :data:`~repro.harness.parallel.WORKERS_ENV`), or a resume
             against an incompatible checkpoint.
         FaultInjectionError: For an unknown fault profile name.
+        AttackError: For ``n_runs`` below 2 when an attack cell is
+            chosen (checked before anything is written).
     """
     from repro.harness.parallel import (
         _FIGURES,
@@ -251,6 +253,10 @@ def run_all(
         # rejected by the compatibility check.
         meta["sequential"] = sequential.to_meta()
     specs = sweep_specs(chosen, n_runs=n_runs, seed=seed)
+    if any(spec.kind == "experiment" for spec in specs):
+        # Before the checkpoint is opened or a worker forked, so a bad
+        # trial count leaves ``out_dir`` untouched.
+        check_n_runs(n_runs)
     store: Optional[CheckpointStore] = None
     if specs:
         manifest = dict(meta)

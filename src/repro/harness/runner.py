@@ -679,9 +679,8 @@ class ResilientExecutor:
         Raises:
             AnalysisSoundnessError: When the static classification
                 predicts one verdict and the measurement produced the
-                other.  Control cells (``predictor="none"``) are
-                expected ineffective regardless of the static verdict,
-                matching the report-time agreement semantics.
+                other, by the rule ``repro report`` applies
+                (:func:`repro.analysis.report.static_agreement`).
         """
         if not self.policy.strict_preflight:
             return
@@ -691,17 +690,16 @@ class ResilientExecutor:
         )
         if not isinstance(classification, dict) or cell.result is None:
             return
-        static_effective = classification.get("effective")
-        if static_effective is None:
-            return
-        predicted = bool(static_effective) and predictor not in ("none", "")
+        from repro.analysis.report import static_agreement
+
         dynamic = bool(cell.result.attack_succeeds)
-        if predicted != dynamic:
+        static_effective = classification.get("effective")
+        if static_agreement(static_effective, predictor, dynamic) is False:
             from repro.errors import AnalysisSoundnessError
 
             raise AnalysisSoundnessError(
                 f"cell {cell.cell_id!r}: static analysis predicts "
-                f"{'effective' if predicted else 'ineffective'} "
+                f"{'ineffective' if dynamic else 'effective'} "
                 f"({classification.get('symbol', '?')}, predictor "
                 f"{predictor!r}) but the measurement is "
                 f"{'effective' if dynamic else 'ineffective'} "

@@ -34,9 +34,6 @@ class CoreConfig:
         squash_penalty: Refetch/redecode delay after a value
             misprediction squash, before dispatch resumes.
         value_prediction: Master enable for the VPS (False = "no VP").
-        train_on_hit: Train the VPS on cache hits too.  The paper's
-            threat model is a *load-based* VPS where training requires
-            a cache miss, so this defaults to False.
         predict_on_hit: Consult the VPS on cache hits as well — the
             paper's footnote 2 "non load-based VPS", whose attacks can
             be "triggered without causing cache misses".  Implies
@@ -67,7 +64,6 @@ class CoreConfig:
     predict_latency: int = 2
     squash_penalty: int = 14
     value_prediction: bool = True
-    train_on_hit: bool = False
     predict_on_hit: bool = False
     delay_speculative_fills: bool = False
     invisispec: bool = False

@@ -368,7 +368,7 @@ class _RunState:
         squashed_count = 0
         if not uop.forwarded and uop.vps_key is not None:
             # The VPS observes the returning value (miss loads always;
-            # hit loads under train_on_hit / predict_on_hit).
+            # hit loads under predict_on_hit).
             assert uop.actual_value is not None
             if uop.prediction is not None:
                 self.predictor.train(
@@ -724,7 +724,7 @@ class _RunState:
 
         if result.l1_hit:
             done = cycle + result.latency
-            if self.config.train_on_hit or self.config.predict_on_hit:
+            if self.config.predict_on_hit:
                 uop.vps_key = AccessKey(pc=uop.pc, addr=uop.addr, pid=self.pid)
             if (
                 self.config.predict_on_hit

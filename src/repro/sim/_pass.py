@@ -582,7 +582,7 @@ class _Pass:
         done = issue + latency
         value = memory.value_at(paddr)
         miss = _lanes_and(lanes, _lanes_not(l1_hit))
-        keyed = lanes if config.train_on_hit or config.predict_on_hit else miss
+        keyed = lanes if config.predict_on_hit else miss
         asks: object = False
         if config.value_prediction:
             asks = lanes if config.predict_on_hit else miss

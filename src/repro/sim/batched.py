@@ -217,17 +217,7 @@ class BatchedBackend:
             raise lockstep.LaneDivergence(
                 "measured window returned without a lane measurement"
             )
-        sim_cycles = (
-            machine.cycle
-            + config.sync_base_cycles
-            + config.sync_phase_cycles * runner.variant.num_phases
-        )
-        if config.channel is ChannelType.PERSISTENT:
-            # The modelled decode cost (`AttackRunner._finish_trial`):
-            # the receiver reloads the full probe range per trial.
-            sim_cycles = sim_cycles + (
-                config.decode_cycles_per_line * config.layout.probe_lines
-            )
+        sim_cycles = machine.cycle + runner.overhead_cycles()
         rows = [
             TrialResult(
                 measurement=float(values[lane]),

@@ -126,9 +126,6 @@ class VtagePredictor(ValuePredictor):
             for length in history_lengths
         ]
         self._history = 0
-        # Remember, per prediction, which component provided it so the
-        # update can credit/penalise the right entry.
-        self._last_provider: Dict[int, Optional[int]] = {}
 
     # ------------------------------------------------------------------
     def _provider(self, pc_index: int) -> Tuple[Optional[int], Optional[_TaggedEntry]]:
@@ -150,7 +147,6 @@ class VtagePredictor(ValuePredictor):
                 confidence=entry.confidence,
                 source=f"{self.name}:t{component_number}",
             )
-            self._last_provider[pc_index] = component_number
         else:
             base_entry = self.base.get(pc_index)
             if (
@@ -162,7 +158,6 @@ class VtagePredictor(ValuePredictor):
                     confidence=base_entry.confidence,
                     source=f"{self.name}:base",
                 )
-            self._last_provider[pc_index] = None
         return self._record_lookup(prediction)
 
     def train(
@@ -211,7 +206,6 @@ class VtagePredictor(ValuePredictor):
         self._history = ((self._history << 4) | (_mix(actual_value) & 0xF)) & (
             (1 << 64) - 1
         )
-        self._last_provider.pop(pc_index, None)
 
     def reset(self) -> None:
         """See :meth:`repro.vp.base.ValuePredictor.reset`."""
@@ -219,4 +213,3 @@ class VtagePredictor(ValuePredictor):
         for component in self.components:
             component.entries.clear()
         self._history = 0
-        self._last_provider.clear()

@@ -1,6 +1,7 @@
 """Unit tests for the abstract VPS interpreter."""
 
-from repro.analysis.vpstate import PredictionOutcome, VpsAbstractMachine
+from repro.analysis.vpstate import VpsAbstractMachine
+from repro.core.model import TriggerOutcome
 from repro.isa.assembler import assemble
 from repro.vp.indexing import DATA_ADDRESS_INDEX
 
@@ -25,8 +26,8 @@ def test_confidence_accumulates_to_prediction():
     outcomes = [e.outcome for e in events]
     # Entry created on access 1 (conf 1) ... prediction fires once
     # confidence >= 4, i.e. on the 5th access.
-    assert outcomes[:4] == [PredictionOutcome.NO_PREDICTION] * 4
-    assert outcomes[4:] == [PredictionOutcome.CORRECT] * 2
+    assert outcomes[:4] == [TriggerOutcome.NO_PREDICTION] * 4
+    assert outcomes[4:] == [TriggerOutcome.CORRECT] * 2
     assert machine.confident_indices
     assert machine.predicted_pcs("trainer") == frozenset([0x40])
 
@@ -34,7 +35,7 @@ def test_confidence_accumulates_to_prediction():
 def test_under_threshold_never_predicts():
     machine = VpsAbstractMachine(confidence_threshold=4)
     events = machine.execute(_train_trigger(3), {(0, 0x200): 7})
-    assert all(e.outcome is PredictionOutcome.NO_PREDICTION for e in events)
+    assert all(e.outcome is TriggerOutcome.NO_PREDICTION for e in events)
     assert not machine.confident_indices
 
 
@@ -47,7 +48,7 @@ def test_mispredict_on_changed_value_and_entry_value():
     machine = VpsAbstractMachine(confidence_threshold=4)
     machine.execute(trainer, {(0, 0x200): 7, (0, 0x300): 9})
     events = machine.execute(trigger, {(0, 0x200): 7, (0, 0x300): 9})
-    assert events[0].outcome is PredictionOutcome.MISPREDICT
+    assert events[0].outcome is TriggerOutcome.MISPREDICT
     # The *predicted* (stale trained) value is reported, pre-update.
     assert events[0].entry_value == 7
 
@@ -90,8 +91,7 @@ def test_secret_program_flag():
     machine.execute(
         _train_trigger(6), {(0, 0x200): 7}, secret_program=True
     )
-    entry = machine.entries[machine.confident_indices[0]]
-    assert entry.secret
+    assert machine.secret[machine.confident_indices[0]]
 
 
 def test_uninitialised_addresses_read_stable_placeholder():
@@ -99,7 +99,7 @@ def test_uninitialised_addresses_read_stable_placeholder():
     # accumulates), and differ from any concrete value.
     machine = VpsAbstractMachine(confidence_threshold=4)
     events = machine.execute(_train_trigger(6), {})
-    assert events[-1].outcome is PredictionOutcome.CORRECT
+    assert events[-1].outcome is TriggerOutcome.CORRECT
 
 
 def test_data_indexing_unknown_address_is_unknown():
@@ -110,9 +110,9 @@ def test_data_indexing_unknown_address_is_unknown():
         index_function=DATA_ADDRESS_INDEX, confidence_threshold=4
     )
     events = machine.execute(program, {})
-    assert events[0].outcome is PredictionOutcome.UNKNOWN
+    assert events[0].outcome is TriggerOutcome.UNKNOWN
     assert events[0].index is None
-    assert not machine.entries  # sound: no update on unknown index
+    assert len(machine.predictor.table) == 0  # sound: no update on unknown index
 
 
 def test_pid_separates_values_not_indices():
@@ -125,4 +125,4 @@ def test_pid_separates_values_not_indices():
     machine = VpsAbstractMachine(confidence_threshold=4)
     machine.execute(trainer, {(0, 0x200): 7, (1, 0x200): 7})
     events = machine.execute(other, {(0, 0x200): 7, (1, 0x200): 7})
-    assert events[0].outcome is PredictionOutcome.CORRECT
+    assert events[0].outcome is TriggerOutcome.CORRECT

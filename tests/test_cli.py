@@ -220,6 +220,31 @@ class TestResilienceFlags:
         assert code == 1
         assert not (tmp_path / "fig5.txt").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_all_invalid_trial_count_leaves_out_empty(
+        self, tmp_path, capsys, workers
+    ):
+        # Rejected before the checkpoint opens or a worker forks.
+        code = main([
+            "all", "--out", str(tmp_path), "--runs", "1",
+            "--artifacts", "fig5", "--workers", workers,
+        ])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == (
+            "error: n_runs must be >= 2 for the t-test\n"
+        )
+
+    def test_all_invalid_trial_count_is_fine_without_attack_cells(
+        self, tmp_path
+    ):
+        code = main([
+            "all", "--out", str(tmp_path), "--runs", "1",
+            "--artifacts", "table1,table2",
+        ])
+        assert code == 0
+        assert (tmp_path / "table2.json").exists()
+
     def test_attack_unknown_fault_profile_fails_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([

@@ -30,22 +30,55 @@ print(sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "numpy"}))
 """
 
 
-def _heavy_after(snippet: str, cwd: Path) -> list:
-    """Run ``snippet`` in a fresh interpreter; the heavy packages it loaded."""
+def _printed_after(snippet: str, cwd: Path) -> list:
+    """Run ``snippet`` in a fresh interpreter; the last line it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH")))
     )
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(snippet) + _REPORT_HEAVY],
+        [sys.executable, "-c", snippet],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout.strip().splitlines()[-1])
 
 
+def _heavy_after(snippet: str, cwd: Path) -> list:
+    """Run ``snippet`` in a fresh interpreter; the heavy packages it loaded."""
+    return _printed_after(textwrap.dedent(snippet) + _REPORT_HEAVY, cwd)
+
+
 def test_importing_the_cli_loads_neither_scipy_nor_numpy(tmp_path):
     assert _heavy_after("import repro.cli", tmp_path) == []
+
+
+#: What a command that analyses or sweeps nothing never needs: the
+#: static analyzer, the worker pool and hunt, and the simulation
+#: backends.  The ``setup_s`` of the ``paper`` and ``hunt`` benchmarks
+#: is a fresh ``repro table1``, which pays for ``import repro.cli``.
+_NOT_AT_STARTUP = (
+    "repro.analysis",
+    "repro.harness.parallel",
+    "repro.harness.supervisor",
+    "repro.harness.hunt",
+    "repro.sim.scalar",
+    "repro.sim.batched",
+    "repro.sim.lockstep",
+)
+
+
+def test_importing_the_cli_loads_no_analysis_pool_or_backend(tmp_path):
+    snippet = textwrap.dedent(f"""
+        import sys
+        import repro.cli
+        print(sorted(
+            name for name in sys.modules
+            for owner in {_NOT_AT_STARTUP!r}
+            if name == owner or name.startswith(owner + ".")
+        ))
+    """)
+    assert _printed_after(snippet, tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -59,6 +59,8 @@ def _build_program(steps, loop_spec):
             builder.alu(step[1], step[2], step[3], imm=step[4])
         elif kind == "load":
             builder.load(step[1], imm=step[2])
+        elif kind == "load-at":
+            builder.load(step[1], base=step[2], imm=step[3])
         elif kind == "store":
             builder.store(step[1], imm=step[2])
         elif kind == "flush":
